@@ -1,8 +1,9 @@
 """Command-line front end: verification suites and table generation.
 
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
-2 on configuration errors.  JSON output is deterministic (sorted terms,
-decimal-string coefficients).
+2 on configuration errors, 3 on an internal error (a failed internal bound or
+consistency check), so that 1 always means an identity failed.  JSON output
+is deterministic (sorted terms, decimal-string coefficients).
 """
 
 from __future__ import annotations
@@ -124,6 +125,18 @@ class SystemExit2(Exception):
     pass
 
 
+def _depth(text: str) -> int:
+    """--depth: a nonnegative integer; a negative one gives an empty window,
+    on which every identity would pass without comparing a coefficient."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def cmd_theta_table(args) -> int:
     pair = _pair_from_args(args)
     entries = pair.sigma_set(args.bound)
@@ -175,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--m", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
         if depth:
-            sp.add_argument("--depth", type=int, default=8)
+            sp.add_argument("--depth", type=_depth, default=8)
         sp.add_argument("--format", choices=["json", "text"], default="json")
 
     sp = sub.add_parser("verify", help="check a denominator identity")
@@ -185,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int, help="rank for the gl(k,k) lemma")
     sp.add_argument("--orders", default="all", help='"all", "distinguished", or explicit JSON')
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=_depth, default=8)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_verify)
 
@@ -216,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=_depth, default=8)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_theta_verify)
 
@@ -243,6 +256,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,6 +35,17 @@ class CharSeries:
         if threshold4 is not None:
             self.terms = {w: c for w, c in self.terms.items() if system.ht4(w) >= threshold4}
 
+    @classmethod
+    def _trusted(cls, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int) -> "CharSeries":
+        """Wrap terms that are already nonzero and inside the window, skipping
+        the filters of __init__.  The dict is taken over, not copied."""
+        out = cls.__new__(cls)
+        out.system = system
+        out.terms = terms
+        out.threshold4 = threshold4
+        out.ceiling4 = ceiling4
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -60,14 +71,6 @@ class CharSeries:
         if self.system.shape != other.system.shape or self.system._hvals2 != other.system._hvals2:
             raise ValueError("series live over different reference systems")
 
-    def copy_with(self, terms=None, threshold4="keep", ceiling4=None) -> "CharSeries":
-        return CharSeries(
-            self.system,
-            self.terms if terms is None else terms,
-            self.threshold4 if threshold4 == "keep" else threshold4,
-            self.ceiling4 if ceiling4 is None else ceiling4,
-        )
-
     def coeff(self, w: Weight) -> int:
         return self.terms.get(w, 0)
 
@@ -80,12 +83,27 @@ class CharSeries:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
+        """Sum on the common window.  Both operands already hold only nonzero
+        terms at ht4 >= their own threshold, so only the operand with the
+        lower threshold is filtered by height, and keys that cancel during the
+        merge are dropped on the spot."""
         self._same_space(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
         t = _max_threshold(self.threshold4, other.threshold4)
-        return CharSeries(self.system, terms, t, max(self.ceiling4, other.ceiling4))
+        ht4 = self.system.ht4
+        if self.threshold4 == t:
+            terms = dict(self.terms)
+        else:
+            terms = {w: c for w, c in self.terms.items() if ht4(w) >= t}
+        filter_other = other.threshold4 != t
+        for w, c in other.terms.items():
+            if filter_other and ht4(w) < t:
+                continue
+            c += terms.get(w, 0)
+            if c:
+                terms[w] = c
+            else:
+                del terms[w]
+        return CharSeries._trusted(self.system, terms, t, max(self.ceiling4, other.ceiling4))
 
     def __sub__(self, other: "CharSeries") -> "CharSeries":
         return self + other.scale(-1)
@@ -93,7 +111,9 @@ class CharSeries:
     def scale(self, k: int) -> "CharSeries":
         if k == 0:
             return CharSeries(self.system, {}, self.threshold4, self.ceiling4)
-        return CharSeries(self.system, {w: k * c for w, c in self.terms.items()}, self.threshold4, self.ceiling4)
+        return CharSeries._trusted(
+            self.system, {w: k * c for w, c in self.terms.items()}, self.threshold4, self.ceiling4
+        )
 
     def __mul__(self, other: "CharSeries") -> "CharSeries":
         """Exact convolution with the window-soundness rule: the product is

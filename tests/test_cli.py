@@ -104,3 +104,29 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_glkk", lambda k, depth: broken)
     code = main(["verify", "--identity", "glkk", "--k", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "princ-sd", "--family", "c", "--m", "2", "--n", "1"],
+    ["verify", "--identity", "glkk", "--k", "2"],
+    ["theta-verify", "--pair", "GL", "--n", "1", "--p", "1", "--q", "1"],
+    ["kw-check", "--family", "gl", "--m", "2", "--n", "1"],
+    ["dump-series", "--family", "b", "--m", "1", "--n", "1"],
+])
+def test_negative_depth_exit_2(capsys, argv):
+    # a negative depth leaves an empty window, where every check would pass
+    # without comparing a coefficient
+    code = main(argv + ["--depth", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--depth" in captured.err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", "3")
+    code = main(["verify", "--identity", "princ-sd", "--family", "b", "--m", "2", "--n", "2", "--depth", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: group enumeration exceeded bound 3"]

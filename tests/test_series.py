@@ -197,3 +197,66 @@ def test_series_json_sorted_and_stable():
     assert doc1 == doc2
     coords = [tuple(t["coords2"]) for t in doc1["terms"]]
     assert coords == sorted(coords)
+
+
+# -- sums and scalings skip the filters of __init__; check them against it -----
+
+_COORDS = st.tuples(*(st.integers(-3, 3) for _ in range(3)))
+
+
+@st.composite
+def _series_pair(draw):
+    """Two GL(2,1) series with thresholds that are None, equal or a few units
+    apart, and with shared keys whose coefficients may cancel."""
+    system = gl21_system()
+    sh = system.shape
+    keys = draw(st.lists(_COORDS, min_size=0, max_size=12, unique=True))
+    weights = [Weight(c, sh) for c in keys]
+    coeff = st.integers(-2, 2)
+    terms_a = {w: draw(coeff) for w in weights if draw(st.booleans())}
+    terms_b = {}
+    for w in weights:
+        pick = draw(st.sampled_from(["skip", "cancel", "free"]))
+        if pick == "cancel" and w in terms_a:
+            terms_b[w] = -terms_a[w]
+        elif pick != "skip":
+            terms_b[w] = draw(coeff)
+    base = draw(st.integers(-12, 12))
+    t_a = draw(st.one_of(st.none(), st.integers(base - 3, base + 3)))
+    t_b = draw(st.one_of(st.none(), st.just(t_a), st.integers(base - 3, base + 3)))
+    c_a, c_b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return system, CharSeries(system, terms_a, t_a, c_a), CharSeries(system, terms_b, t_b, c_b)
+
+
+def _assert_same_series(got, want):
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)  # iteration order too
+    assert got.threshold4 == want.threshold4
+    assert got.ceiling4 == want.ceiling4
+    assert all(c != 0 for c in got.terms.values())
+    if got.threshold4 is not None:
+        assert all(got.system.ht4(w) >= got.threshold4 for w in got.terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_series_pair())
+def test_add_matches_filtering_constructor(case):
+    system, a, b = case
+    for x, y in ((a, b), (b, a), (a, a)):
+        merged = dict(x.terms)
+        for w, c in y.terms.items():
+            merged[w] = merged.get(w, 0) + c
+        t = x.threshold4
+        if y.threshold4 is not None:
+            t = y.threshold4 if t is None else max(t, y.threshold4)
+        want = CharSeries(system, merged, t, max(x.ceiling4, y.ceiling4))
+        _assert_same_series(x + y, want)
+    _assert_same_series(a - a, CharSeries(system, {}, a.threshold4, a.ceiling4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_series_pair(), k=st.integers(-3, 3))
+def test_scale_matches_filtering_constructor(case, k):
+    system, a, _ = case
+    want = CharSeries(system, {w: k * c for w, c in a.terms.items()}, a.threshold4, a.ceiling4)
+    _assert_same_series(a.scale(k), want)
