@@ -6,6 +6,8 @@ lattice, characters are sparse series truncated by principal height, and all
 identities are checked coefficient by coefficient.
 """
 
+import types as _types
+
 from .weights import Weight, inner, is_isotropic
 from .rootdata import (
     RootDatum,
@@ -20,7 +22,7 @@ from .rootdata import (
     distinguished_order,
 )
 from .weyl import WeylElement, sgn, sgn_prime, reflection, full_weyl, sharp_subgroup, coset_reps
-from .series import CharSeries, GeometricFactor, expand_factor, weyl_act, f_sum, weyl_character
+from .series import CharSeries, weyl_character
 from .diagrams import (
     ArcDiagram,
     enumerate_diagrams,
@@ -45,4 +47,10 @@ from .denominators import (
 from .theta import make_pair, BPair, D1Pair, D2Pair, GLPair, ThetaEntry
 from .kw import verify_chv, verify_xx, verify_kwfor, natural_supercharacter, kw_systems
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name imported above; the submodules, bound as a side effect of
+# those imports, are left out
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from .weights import Weight
 from .rootdata import (
     build_root_datum,
     positive_system,

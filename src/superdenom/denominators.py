@@ -17,18 +17,16 @@ window; nothing is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .weights import Weight, inner, is_isotropic, weight_sum
+from .weights import Weight, is_isotropic, weight_sum
 from .rootdata import (
     RootDatum,
-    BasisOrder,
     PositiveSystem,
-    EPS_BLOCK,
-    DELTA_BLOCK,
     build_root_datum,
     positive_system,
+    standard_order,
 )
 from .weyl import (
     WeylElement,
@@ -40,9 +38,11 @@ from .weyl import (
     product_set,
     eps_permutations,
     delta_permutations,
+    sign_flip_set,
+    signed_group,
 )
 from .series import CharSeries, f_sum_quotient, product_expansion
-from .diagrams import ArcDiagram
+from .diagrams import ArcDiagram, enumerate_diagrams
 
 IDENTITY_KINDS = ("kwg-d", "kwg-sd", "princ-d", "princ-sd", "mm-d", "mm-sd", "migliore", "glkk")
 
@@ -79,7 +79,13 @@ def princ_constant(system: PositiveSystem, X: ArcDiagram) -> Fraction:
 
 def window4(system: PositiveSystem, depth: int, top: Weight | None = None) -> int:
     """Threshold of the window reaching `depth` height units below the
-    leading exponent (default e^rho), in the system's expansion scale."""
+    leading exponent (default e^rho), in the system's expansion scale.
+
+    A negative depth would give an empty window, on which every comparison
+    passes without comparing a coefficient, so it is rejected.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     lead = system.rho if top is None else top
     return system.ht4(lead) - depth * system.unit4
 
@@ -144,9 +150,7 @@ def erho_pair(system: PositiveSystem, alpha: Weight, depth: int) -> tuple[CharSe
     so it covers the fork reflections that leave the order-encoded family.
     The two series must be negatives of each other on the window.
     """
-    from .weights import is_isotropic as _iso
-
-    if alpha not in system.simple_roots or not _iso(alpha):
+    if alpha not in system.simple_roots or not is_isotropic(alpha):
         raise ValueError("need an isotropic simple root")
     T = window4(system, depth)
     left = lhs(system, "sd", T)
@@ -250,8 +254,7 @@ def migliore_groups(
             sharp_block = "e"
     w_bprime_full = enumerate_closure([reflection(a) for a in sub_even], shape)
     sharp_roots = [a for a in sub_even if any(a.eps_coords2()) == (sharp_block == "e")]
-    sharp_gens = [reflection(a) for a in sharp_roots]
-    w_sharp = enumerate_closure(sharp_gens, shape) if sharp_gens else [WeylElement.identity(shape)]
+    w_sharp = enumerate_closure([reflection(a) for a in sharp_roots], shape)
     perms = product_set(eps_permutations(shape, eps_idx), delta_permutations(shape, del_idx))
     H = enumerate_closure(perms + w_sharp, shape)
     t_size = len(w_bprime_full) // len(H)
@@ -290,8 +293,6 @@ def glkk_sides(k: int, threshold4_units: int) -> tuple[CharSeries, CharSeries, F
     """
     datum = build_root_datum("GL", k, k)
     order_pattern = "ed" * k
-    from .rootdata import standard_order
-
     system = positive_system(datum, standard_order("GL", k, k, order_pattern))
     betas = [Weight.eps(i, (k, k)) - Weight.delta(i, (k, k)) for i in range(1, k + 1)]
     W = full_weyl(datum)
@@ -401,6 +402,8 @@ def verify(
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     left, rhs, ratio = glkk_sides(k, depth)
     bad = rhs.mismatches(left, ratio)
     return IdentityReport(
@@ -418,70 +421,54 @@ def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
 # named product-group specializations (compact dual pair sums)
 
 
+def _first_diagram_sums(system: PositiveSystem, depth: int, *groups) -> tuple[int, list[CharSeries]]:
+    """The window of the given depth and, for each element list W, the sum
+    over W of sgn'(w) w(e^rho / prod (1 - e^{-[[gamma]]})) over the first arc
+    diagram of the system."""
+    X = enumerate_diagrams(system)[0]
+    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
+    T = window4(system, depth)
+    return T, [f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom) for W in groups]
+
+
+def _d2_group(shape: tuple[int, int], d: int) -> list[WeylElement]:
+    """W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
+    m, n = shape
+    return product_set(
+        eps_permutations(shape, list(range(1, m + 1))),
+        sign_flip_set(shape, "e", list(range(1, m - d + 1)), parity="even"),
+        signed_group(shape, "d", list(range(1, n + 1))),
+    )
+
+
 def seconda_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
     """B(m,n) distinguished order: e^rho Ř vs the sum over
     W(A_{n-1}) x {delta sign flips on the first n-d} x W(B_m)."""
-    from .weyl import sign_flip_set, signed_group
-    from .diagrams import enumerate_diagrams
-
     datum = system.datum
-    m, n = datum.m, datum.n
-    d = datum.defect
-    shape = datum.shape
-    X = enumerate_diagrams(system)[0]
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
+    m, n, shape = datum.m, datum.n, datum.shape
     W = product_set(
         delta_permutations(shape, list(range(1, n + 1))),
-        sign_flip_set(shape, "d", list(range(1, n - d + 1))),
+        sign_flip_set(shape, "d", list(range(1, n - datum.defect + 1))),
         signed_group(shape, "e", list(range(1, m + 1))),
     )
-    T = window4(system, depth)
-    rhs = f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom)
+    T, (rhs,) = _first_diagram_sums(system, depth, W)
     return lhs(system, "sd", T), rhs
 
 
 def seconda_d2_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
     """D(m,n) D2 order: e^rho Ř vs the sum over
     W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
-    from .weyl import sign_flip_set, signed_group
-    from .diagrams import enumerate_diagrams
-
     datum = system.datum
-    m, n = datum.m, datum.n
-    d = datum.defect
-    shape = datum.shape
-    X = enumerate_diagrams(system)[0]
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
-    W = product_set(
-        eps_permutations(shape, list(range(1, m + 1))),
-        sign_flip_set(shape, "e", list(range(1, m - d + 1)), parity="even"),
-        signed_group(shape, "d", list(range(1, n + 1))),
-    )
-    T = window4(system, depth)
-    rhs = f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom)
+    T, (rhs,) = _first_diagram_sums(system, depth, _d2_group(datum.shape, datum.defect))
     return lhs(system, "sd", T), rhs
 
 
 def w_equal_w1_sums(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
     """D(m,n) with m > n: the W-sum and the W_1-sum of the D2 identity agree."""
-    from .weyl import sign_flip_set, signed_group
-    from .diagrams import enumerate_diagrams
-
     datum = system.datum
-    m, n = datum.m, datum.n
-    d = datum.defect
+    m, n, d, shape = datum.m, datum.n, datum.defect, datum.shape
     if m <= n:
         raise ValueError("the W = W_1 comparison needs m > n")
-    shape = datum.shape
-    X = enumerate_diagrams(system)[0]
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
-    T = window4(system, depth)
-    W = product_set(
-        eps_permutations(shape, list(range(1, m + 1))),
-        sign_flip_set(shape, "e", list(range(1, m - d + 1)), parity="even"),
-        signed_group(shape, "d", list(range(1, n + 1))),
-    )
-    sum_w = f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom)
     a_full = eps_permutations(shape, list(range(1, m + 1)))
     a_small = eps_permutations(shape, list(range(m - d + 1, m + 1)))
     z = coset_reps(a_full, a_small)
@@ -495,5 +482,5 @@ def w_equal_w1_sums(system: PositiveSystem, depth: int) -> tuple[CharSeries, Cha
         a_small,
         signed_group(shape, "d", list(range(1, n + 1))),
     )
-    sum_w1 = f_sum_quotient(system, W1, "sgn_prime", T, system.rho, geom=geom)
+    _, (sum_w, sum_w1) = _first_diagram_sums(system, depth, _d2_group(shape, d), W1)
     return sum_w, sum_w1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .weights import Weight, inner, weight_sum
+from .weights import Weight
 from .rootdata import BasisOrder, PositiveSystem
 
 

@@ -27,7 +27,6 @@ from .rootdata import build_root_datum, standard_order, positive_system, Positiv
 from .weyl import full_weyl
 from .series import CharSeries, f_sum_quotient
 from .denominators import (
-    IdentityReport,
     lhs,
     window4,
     c_g,
@@ -144,18 +143,30 @@ class KWReport:
         }
 
 
-def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
-    """The bracket-denominator form of the supercharacter identity."""
+def _bracket_setup(family: str, m: int, n: int):
+    """The Weyl group, the bracket chain [[gamma_j]] = gamma_1 + ... + gamma_j
+    and a system whose expansion functional separates all their Weyl images."""
     system = base_system(family, m, n)
-    gammas = gamma_chain(family, m, n)
     brackets = []
     acc = Weight.zero((m, n))
-    for g in gammas:
+    for g in gamma_chain(family, m, n):
         acc = acc + g
         brackets.append(acc)
     W = full_weyl(system.datum)
     images = [w.act(b) for w in W for b in brackets]
-    sys_ = choose_expansion_system(system, images)
+    return choose_expansion_system(system, images), W, brackets
+
+
+def _chain_report(identity: str, family: str, m: int, n: int, depth: int, left, right) -> KWReport:
+    """Fit left = c * right and compare c with the stated j_V."""
+    fitted = _fit_ratio(left, right)
+    _, jv = stated_constants(family, m, n)
+    return KWReport(identity, family, m, n, depth, fitted == jv, fitted, jv, atypicality(family, m, n))
+
+
+def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
+    """The bracket-denominator form of the supercharacter identity."""
+    sys_, W, brackets = _bracket_setup(family, m, n)
     T = window4(sys_, depth)
     sch = natural_supercharacter(family, m, n, sys_)
     left = (lhs(sys_, "sd", T - sch.ceiling4) * sch).truncate(T)
@@ -163,26 +174,14 @@ def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     right = f_sum_quotient(
         sys_, W, "sgn_prime", T, sys_.rho + lam, geom=[(b, 1) for b in brackets]
     )
-    fitted = _fit_ratio(left, right)
-    _, jv = stated_constants(family, m, n)
-    atp = atypicality(family, m, n)
-    return KWReport("chv", family, m, n, depth, fitted == jv, fitted, jv, atp)
+    return _chain_report("chv", family, m, n, depth, left, right)
 
 
 def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     """The even-Weyl-group intermediate identity behind the supercharacter
     formula: the alternating sum of e^{rho_0+eps_1} - e^{rho_0+delta_1}
     against the odd-denominator quotient."""
-    system = base_system(family, m, n)
-    gammas = gamma_chain(family, m, n)
-    brackets = []
-    acc = Weight.zero((m, n))
-    for g in gammas:
-        acc = acc + g
-        brackets.append(acc)
-    W = full_weyl(system.datum)
-    images = [w.act(b) for w in W for b in brackets]
-    sys_ = choose_expansion_system(system, images)
+    sys_, W, brackets = _bracket_setup(family, m, n)
     lam = Weight.eps(1, (m, n))
     top = sys_.rho0 + lam
     T = window4(sys_, depth, top=top)
@@ -197,10 +196,7 @@ def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
         geom=[(b, 1) for b in brackets],
         poly=[(a, 1) for a in sys_.positive_odd],
     )
-    fitted = _fit_ratio(left, right)
-    _, jv = stated_constants(family, m, n)
-    atp = atypicality(family, m, n)
-    return KWReport("xx", family, m, n, depth, fitted == jv, fitted, jv, atp)
+    return _chain_report("xx", family, m, n, depth, left, right)
 
 
 def kw_condition_roots(system: PositiveSystem, lam: Weight, atp: int) -> list[Weight] | None:

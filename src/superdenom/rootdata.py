@@ -395,9 +395,6 @@ class PositiveSystem:
     def positive_roots(self) -> tuple[Weight, ...]:
         return self.positive_even + self.positive_odd
 
-    def is_positive(self, w: Weight) -> bool:
-        return self.principal_ht4(w) > 0
-
     def simple_coefficients(self, w: Weight) -> list[Fraction] | None:
         """Coefficients of w in the simple-root basis, or None if w is not in
         their rational span."""

@@ -13,9 +13,8 @@ either sign of ht(beta); exponents of height zero are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .weights import Weight
 from .rootdata import PositiveSystem
@@ -199,14 +198,6 @@ def _product_threshold(ta, ca, tb, cb) -> int | None:
 # geometric factors
 
 
-@dataclass(frozen=True)
-class GeometricFactor:
-    """Denominator factor 1 - sign * e^{-exponent}."""
-
-    exponent: Weight
-    sign: int
-
-
 def _geometric_terms(system: PositiveSystem, beta: Weight, s: int, threshold4: int) -> dict[Weight, int]:
     """1/(1 - s e^{-beta}) expanded toward decreasing heights, complete on
     heights >= threshold4."""
@@ -226,14 +217,6 @@ def _geometric_terms(system: PositiveSystem, beta: Weight, s: int, threshold4: i
             out[k * beta] = -(s ** k)
             k += 1
     return out
-
-
-def expand_factor(system: PositiveSystem, factor: GeometricFactor, threshold4: int) -> CharSeries:
-    """Public expansion of 1/(1 - s e^{-beta}) for beta of positive height."""
-    if system.ht4(factor.exponent) <= 0:
-        raise ValueError("geometric factor exponent must have positive principal height")
-    terms = _geometric_terms(system, factor.exponent, factor.sign, threshold4)
-    return CharSeries(system, terms, threshold4, 0)
 
 
 def product_expansion(
@@ -283,46 +266,7 @@ def product_expansion(
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and signed sums
-
-
-def weyl_act(w: WeylElement, a: CharSeries) -> CharSeries:
-    """Termwise image of the series under w.
-
-    The returned window is conservative: it is computed from the height drift
-    of the stored support, which is sound whenever the full support drifts no
-    more than the stored one (true for the Weyl-stable series this is used
-    on).  Identity checks never rely on this operation.
-    """
-    ht4 = a.system.ht4
-    terms = {w.act(x): c for x, c in a.terms.items()}
-    if a.threshold4 is None:
-        ceiling = max((ht4(x) for x in terms), default=0)
-        return CharSeries(a.system, terms, NEG_INF, ceiling)
-    drift = max((ht4(w.act(x)) - ht4(x) for x in a.terms), default=0)
-    drift = max(drift, 0)
-    return CharSeries(a.system, terms, a.threshold4 + drift, a.ceiling4 + drift)
-
-
-def f_sum(
-    U: Iterable[WeylElement],
-    body: Callable[[WeylElement], CharSeries],
-    sign_kind: str,
-    family: str,
-) -> CharSeries:
-    """F_U(Y) = sum over w of sgn(w) w(Y), or sgn'(w) for sign_kind 'sgn_prime'.
-
-    The body callable receives w and must return the series of w(Y) directly.
-    """
-    U = list(U)
-    if not U:
-        raise ValueError("empty summation set")
-    acc = None
-    for w in U:
-        s = sgn(w) if sign_kind == "sgn" else sgn_prime(w, family)
-        piece = body(w).scale(s)
-        acc = piece if acc is None else acc + piece
-    return acc
+# signed Weyl sums
 
 
 def f_sum_quotient(

@@ -21,7 +21,6 @@ and the Enright-style sums over minimal coset representatives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,16 +148,7 @@ class DualPair:
 
     # -- interface pieces provided by subclasses ---------------------------
 
-    def mu(self, a) -> Weight:
-        raise NotImplementedError
-
-    def compact_hw(self, a) -> Weight:
-        raise NotImplementedError
-
     def entries(self, bound: int) -> list[ThetaEntry]:
-        raise NotImplementedError
-
-    def flip_group(self) -> list[WeylElement]:
         raise NotImplementedError
 
     # -- common ------------------------------------------------------------
@@ -211,7 +201,13 @@ class DualPair:
             acc = acc + self.v2_character(lam, T).scale(coeff)
         return acc
 
+    def compact_character(self, entry: ThetaEntry) -> CharSeries:
+        return self.compact_block.character(self.system, entry.compact_weight)
+
     # -- Enright route -------------------------------------------------------
+
+    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
+        return entry.l2_lowest + self.s2_block.rho
 
     def enright(self, entry: ThetaEntry) -> EnrightData:
         sys_ = self.system
@@ -229,30 +225,15 @@ class DualPair:
                     break
             if ok:
                 gens.append(reflection(alpha))
-        group = (
-            enumerate_closure(gens, sys_.shape)
-            if gens
-            else [WeylElement.identity(sys_.shape)]
-        )
+        group = enumerate_closure(gens, sys_.shape)
         gset = set(group)
         roots = [a for a in s2_roots if reflection(a) in gset]
         pos = [a for a in roots if a in set(self.s2_block.positive)]
-        lengths = {
-            w: sum(1 for a in pos if w.act(a) not in set(pos)) for w in group
-        }
+        pos_set = set(pos)
+        lengths = {w: sum(1 for a in pos if w.act(a) not in pos_set) for w in group}
         compact = [a for a in pos if a in set(self.levi_root_set)]
-        cgens = [reflection(a) for a in compact]
-        csub = (
-            enumerate_closure(cgens, sys_.shape)
-            if cgens
-            else [WeylElement.identity(sys_.shape)]
-        )
-        cosets: dict[tuple, WeylElement] = {}
-        for w in group:
-            key = tuple(sorted((h.compose(w)).sort_key() for h in csub))
-            if key not in cosets or lengths[w] < lengths[cosets[key]]:
-                cosets[key] = w
-        reps = sorted(cosets.values(), key=lambda w: (lengths[w], w.sort_key()))
+        csub = enumerate_closure([reflection(a) for a in compact], sys_.shape)
+        reps = coset_reps(group, csub, key=lambda w: (lengths[w], w.sort_key()), left=True)
         return EnrightData(lam0, group, roots, reps, lengths)
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
@@ -304,29 +285,41 @@ def _delta_line(shape, coeffs) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# B-pair
+# Sp(2n,R)-side pairs
 
 
-class BPair(DualPair):
-    """(O(2m+1), Sp(2n,R)) from B(m,n) with the distinguished order."""
+class SpPair(DualPair):
+    """The pairs (O(k), Sp(2n,R)) with the order d_1 > ... > e_m.
+
+    The noncompact side Sp(2n,R) lives on the delta coordinates and is the
+    same for k = 2m+1 (family B) and k = 2m (family D); the subclasses fix
+    the family and the compact Weyl group W(B_m) or W(D_m).
+    """
+
+    family = ""
+    variant = ""
+    compact_even_signs = False  # W(D_m) rather than W(B_m) on the eps block
 
     def __init__(self, m: int, n: int):
-        self.tag = "B"
         self.m, self.n = m, n
         self.d = min(m, n)
-        datum = build_root_datum("B", m, n)
-        self.system = positive_system(datum, distinguished_order("B", m, n))
+        datum = build_root_datum(self.family, m, n)
+        self.system = positive_system(datum, distinguished_order(self.family, m, n, self.variant))
         sys_ = self.system
         sh = sys_.shape
         pos0 = set(sys_.positive_even)
         c_pos = [a for a in pos0 if not any(a.eps_coords2())]
         a_pos = [a for a in c_pos if sum(a.delta_coords2()) == 0]
-        b_pos = [a for a in pos0 if any(a.eps_coords2())]
+        compact_pos = [a for a in pos0 if any(a.eps_coords2())]
         self.s2_block = Block(c_pos, _half_sum(sys_, c_pos), signed_group(sh, "d", list(range(1, n + 1))))
         self.levi_block = Block(a_pos, _half_sum(sys_, a_pos), delta_permutations(sh, list(range(1, n + 1))))
         self.levi_root_set = a_pos
         self.nilradical = [a for a in c_pos if a not in set(a_pos)]
-        self.compact_block = Block(b_pos, _half_sum(sys_, b_pos), signed_group(sh, "e", list(range(1, m + 1))))
+        self.compact_block = Block(
+            compact_pos,
+            _half_sum(sys_, compact_pos),
+            signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=self.compact_even_signs),
+        )
 
     # weights ---------------------------------------------------------------
 
@@ -379,10 +372,27 @@ class BPair(DualPair):
             return None
         svals, sign = res
         sh = self.system.shape
-        out = Weight(
-            list(x.eps_coords2()) + [int(2 * v) for v in svals], sh
-        )
+        out = Weight(list(x.eps_coords2()) + [int(2 * v) for v in svals], sh)
         return out, sign
+
+    def enright_candidates(self):
+        sh = self.system.shape
+        return [
+            Weight.delta(i, sh) + Weight.delta(j, sh)
+            for i in range(1, self.n + 1)
+            for j in range(i + 1, self.n + 1)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# B-pair
+
+
+class BPair(SpPair):
+    """(O(2m+1), Sp(2n,R)) from B(m,n) with the distinguished order."""
+
+    tag = "B"
+    family = "B"
 
     def l2_summands(self, a):
         lam0 = -self.system.rho1 + self.mu(a) + self.s2_block.rho
@@ -397,20 +407,6 @@ class BPair(DualPair):
             bucket = "+" if flips % 2 == 0 else "-"
             out.append((c_w, dom - self.s2_block.rho, bucket))
         return out
-
-    def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        return self.compact_block.character(self.system, entry.compact_weight)
-
-    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
-        return entry.l2_lowest + self.s2_block.rho
-
-    def enright_candidates(self):
-        sh = self.system.shape
-        return [
-            Weight.delta(i, sh) + Weight.delta(j, sh)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +517,6 @@ class D2Pair(DualPair):
             out.append((c_w * sgn(w), dom - self.s2_block.rho, "+"))
         return out
 
-    def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        return self.compact_block.character(self.system, entry.compact_weight)
-
-    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
-        return entry.l2_lowest + self.s2_block.rho
-
     def enright_candidates(self):
         sh = self.system.shape
         cands = [
@@ -541,7 +531,7 @@ class D2Pair(DualPair):
 # D1-pair
 
 
-class D1Pair(DualPair):
+class D1Pair(SpPair):
     """(O(2m), Sp(2n,R)) from D(m,n) with the order d_1 > ... > e_m.
 
     Entries carry the F^+/F^- labels of the disconnected O(2m); the torus
@@ -549,30 +539,18 @@ class D1Pair(DualPair):
     Kostant quotient over W(C_{m-1}).
     """
 
+    tag = "D1"
+    family = "D"
+    variant = "D1"
+    compact_even_signs = True
+
     def __init__(self, m: int, n: int):
         if m < 2:
             raise ValueError("the O(2m) side needs m >= 2; m = 1 degenerates to a torus")
-        self.tag = "D1"
-        self.m, self.n = m, n
-        self.d = min(m, n)
-        datum = build_root_datum("D", m, n)
-        self.system = positive_system(datum, distinguished_order("D", m, n, "D1"))
-        sys_ = self.system
-        sh = sys_.shape
-        pos0 = set(sys_.positive_even)
-        c_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        a_pos = [a for a in c_pos if sum(a.delta_coords2()) == 0]
-        d_pos = [a for a in pos0 if any(a.eps_coords2())]
-        self.s2_block = Block(c_pos, _half_sum(sys_, c_pos), signed_group(sh, "d", list(range(1, n + 1))))
-        self.levi_block = Block(a_pos, _half_sum(sys_, a_pos), delta_permutations(sh, list(range(1, n + 1))))
-        self.levi_root_set = a_pos
-        self.nilradical = [a for a in c_pos if a not in set(a_pos)]
-        self.compact_block = Block(
-            d_pos, _half_sum(sys_, d_pos), signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=True)
-        )
+        super().__init__(m, n)
         # C_{m-1} block on eps_1..eps_{m-1} for the Kostant x-characters
         self.x_block_pos = self._cm1_positive()
-        self.x_elements = signed_group(sh, "e", list(range(1, m)))
+        self.x_elements = signed_group(self.system.shape, "e", list(range(1, m)))
 
     def _cm1_positive(self):
         sh = self.system.shape
@@ -584,59 +562,8 @@ class D1Pair(DualPair):
                 out.append(Weight.eps(i, sh) + Weight.eps(j, sh))
         return out
 
-    def mu(self, a) -> Weight:
-        sh = self.system.shape
-        return _delta_line(sh, {self.n - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)})
-
-    def nu(self, a) -> Weight:
-        sh = self.system.shape
-        j = exact_parts(a)
-        coeffs = {r: Fraction(-1) for r in range(self.n - self.d - self.m + j, self.n - j + 1)}
-        for r in range(self.n - j + 1, self.n + 1):
-            coeffs[r] = coeffs.get(r, 0) - a[self.n - r]
-        return _delta_line(sh, {k: int(v) for k, v in coeffs.items()})
-
-    def compact_hw(self, a) -> Weight:
-        sh = self.system.shape
-        acc = Weight.zero(sh)
-        for r, x in enumerate(a, start=1):
-            if x:
-                acc = acc + x * Weight.eps(r, sh)
-        return acc
-
     def a_m(self, a) -> int:
         return a[self.m - 1] if self.m <= len(a) else 0
-
-    def in_extra_family(self, a) -> bool:
-        j = exact_parts(a)
-        return self.d == self.m and j >= max(0, self.m + 1 - (self.n - self.d))
-
-    def entries(self, bound: int) -> list[ThetaEntry]:
-        out = []
-        rho1 = self.system.rho1
-        for size in range(0, bound + 1):
-            for a in partitions_at_most(self.d, size):
-                out.append(
-                    ThetaEntry(self.tag, a, "+", self.compact_hw(a), -rho1 + self.mu(a))
-                )
-                if self.in_extra_family(a):
-                    out.append(
-                        ThetaEntry(self.tag, a, "-", self.compact_hw(a), -rho1 + self.nu(a))
-                    )
-        return out
-
-    def flip_group(self) -> list[WeylElement]:
-        return sign_flip_set(self.system.shape, "d", list(range(1, self.n - self.d + 1)))
-
-    def _sorted_in_block(self, x: Weight):
-        vals = [x.delta_coord(j) for j in range(1, self.n + 1)]
-        res = _sort_desc_with_sign(vals)
-        if res is None:
-            return None
-        svals, sign = res
-        sh = self.system.shape
-        out = Weight(list(x.eps_coords2()) + [int(2 * v) for v in svals], sh)
-        return out, sign
 
     def l2_summands(self, a):
         lam0 = -self.system.rho1 + self.mu(a) + self.s2_block.rho
@@ -770,17 +697,6 @@ class D1Pair(DualPair):
             )
         return rep
 
-    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
-        return entry.l2_lowest + self.s2_block.rho
-
-    def enright_candidates(self):
-        sh = self.system.shape
-        return [
-            Weight.delta(i, sh) + Weight.delta(j, sh)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        ]
-
 
 # ---------------------------------------------------------------------------
 # GL-pair
@@ -881,12 +797,8 @@ class GLPair(DualPair):
         )
         w2 = eps_permutations(self.system.shape, free)
         wc = self.levi_block.elements
-        cosets = {}
-        for g in w2:
-            coset = sorted((c.compose(g) for c in wc), key=WeylElement.sort_key)
-            key = tuple(x.sort_key() for x in coset)
-            cosets.setdefault(key, coset[0])
-        return sorted(cosets.values(), key=WeylElement.sort_key)
+        # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
+        return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
 
     def _sorted_in_block(self, x: Weight):
         vals_p = [x.eps_coord(i) for i in range(1, self.p + 1)]
@@ -912,13 +824,6 @@ class GLPair(DualPair):
             dom, c_w = res
             out.append((c_w * sgn(w), dom - self.s2_block.rho, "+"))
         return out
-
-    def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        hw = entry.compact_weight
-        return self.compact_block.character(self.system, hw)
-
-    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
-        return entry.l2_lowest + self.s2_block.rho
 
     def enright_candidates(self):
         sh = self.system.shape

@@ -124,9 +124,6 @@ class Weight:
         """Twice the sum of the delta coordinates (parity detector for odd roots)."""
         return sum(self.delta_coords2())
 
-    def is_integral(self) -> bool:
-        return all(a % 2 == 0 for a in self.coords2)
-
     # -- display -----------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -12,8 +12,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .weights import Weight, inner
-from .rootdata import RootDatum, PositiveSystem, EPS_BLOCK
+from .weights import Weight
+from .rootdata import RootDatum, EPS_BLOCK
 
 MAX_GROUP_ENV = "SUPERDENOM_MAX_GROUP"
 DEFAULT_MAX_GROUP = 10_000_000
@@ -70,15 +70,6 @@ class WeylElement:
             out[m + self.del_perm[j]] += self.del_signs[j] * c[m + j]
         return Weight(out, (m, n))
 
-    def act_coords2(self, coords2: tuple[int, ...]) -> tuple[int, ...]:
-        m, n = self.shape
-        out = [0] * (m + n)
-        for i in range(m):
-            out[self.eps_perm[i]] = self.eps_signs[i] * coords2[i]
-        for j in range(n):
-            out[m + self.del_perm[j]] = self.del_signs[j] * coords2[m + j]
-        return tuple(out)
-
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other (self o other)."""
         if self.shape != other.shape:
@@ -89,20 +80,6 @@ class WeylElement:
         dp = tuple(self.del_perm[other.del_perm[j]] for j in range(n))
         ds = tuple(other.del_signs[j] * self.del_signs[other.del_perm[j]] for j in range(n))
         return WeylElement(ep, es, dp, ds)
-
-    def inverse(self) -> "WeylElement":
-        m, n = self.shape
-        ep = [0] * m
-        es = [1] * m
-        for i in range(m):
-            ep[self.eps_perm[i]] = i
-            es[self.eps_perm[i]] = self.eps_signs[i]
-        dp = [0] * n
-        ds = [1] * n
-        for j in range(n):
-            dp[self.del_perm[j]] = j
-            ds[self.del_perm[j]] = self.del_signs[j]
-        return WeylElement(tuple(ep), tuple(es), tuple(dp), tuple(ds))
 
     def sort_key(self):
         return (self.eps_perm, self.eps_signs, self.del_perm, self.del_signs)
@@ -334,35 +311,26 @@ def sign_flip_set(shape: tuple[int, int], kind: str, indices: list[int], parity:
     return sorted(out, key=WeylElement.sort_key)
 
 
-def even_flip_pairs_group(shape: tuple[int, int], kind: str, indices: list[int]) -> list[WeylElement]:
-    """Group generated by the products s_{x_i} s_{x_j} of two sign flips
-    (no permutation part): the even sign changes on the listed coordinates."""
-    return sign_flip_set(shape, kind, indices, parity="even")
+def coset_reps(
+    big: list[WeylElement],
+    small: list[WeylElement],
+    key=WeylElement.sort_key,
+    left: bool = False,
+) -> list[WeylElement]:
+    """One representative per coset w*small (small*w when left) inside big.
 
-
-def coset_reps(big: list[WeylElement], small: list[WeylElement]) -> list[WeylElement]:
-    """One representative per coset w*small inside the set big.
-
-    The representative is the least element of its coset in the deterministic
-    order; requires big to be a union of such cosets.
+    The representative is the key-least element of its coset, and the result
+    is sorted by key; requires big to be a union of such cosets.
     """
-    small_set = list(small)
-    seen: dict[tuple, WeylElement] = {}
+    small = list(small)
+    covered: set[WeylElement] = set()
+    reps = []
     for w in big:
-        coset = sorted((w.compose(u) for u in small_set), key=WeylElement.sort_key)
-        key = tuple(x.sort_key() for x in coset)
-        rep = coset[0]
-        if key not in seen:
-            seen[key] = rep
-    reps = sorted(seen.values(), key=WeylElement.sort_key)
-    if len(reps) * len(small_set) != len({w.sort_key() for w in big}):
+        if w in covered:
+            continue
+        coset = [u.compose(w) for u in small] if left else [w.compose(u) for u in small]
+        covered.update(coset)
+        reps.append(min(coset, key=key))
+    if len(reps) * len(small) != len(set(big)):
         raise ValueError("the big set is not a union of cosets of the small group")
-    return reps
-
-
-def stabilizer_check(elements: list[WeylElement], w: Weight) -> bool:
-    return all(g.act(w) == w for g in elements)
-
-
-def orbit(elements: list[WeylElement], w: Weight) -> set[Weight]:
-    return {g.act(w) for g in elements}
+    return sorted(reps, key=key)

@@ -34,6 +34,8 @@ from superdenom.weyl import full_weyl, sgn_prime
 from superdenom.theta import make_pair
 from superdenom.kw import verify_chv, verify_kwfor, kw_systems
 
+from _oracles import definition_isotropic_sets, uses_interior_fork
+
 
 def _report(name: str, ok: bool, extra: str = ""):
     tag = "pass" if ok else "FAIL"
@@ -192,11 +194,6 @@ def _property_b():
 
 
 def _property_c():
-    import sys as _sys, os as _os
-
-    _sys.path.insert(0, _os.path.dirname(__file__))
-    from test_diagrams import _definition_isotropic_sets, _uses_interior_fork
-
     grid = [("GL", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
     grid += [(f, m, n) for f in ("B", "D") for m in range(1, 4) for n in range(1, 4) if m + n <= 5]
     for fam, m, n in grid:
@@ -204,7 +201,7 @@ def _property_c():
         for order in all_basis_orders(fam, m, n):
             system = positive_system(datum, order)
             sets = {frozenset(X.isotropic_set()) for X in enumerate_diagrams(system)}
-            recursive = _definition_isotropic_sets(system)
+            recursive = definition_isotropic_sets(system)
             if fam in ("GL", "B"):
                 if sets != recursive:
                     return False
@@ -212,7 +209,7 @@ def _property_c():
                 # documented D-type gap: interior-fork sets have no diagram
                 if not sets <= recursive:
                     return False
-                if not all(_uses_interior_fork(s, m) for s in recursive - sets):
+                if not all(uses_interior_fork(s, m) for s in recursive - sets):
                     return False
     return True
 

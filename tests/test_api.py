@@ -1,0 +1,38 @@
+import types
+
+import superdenom
+
+REMOVED = [
+    "weyl_act",
+    "f_sum",
+    "expand_factor",
+    "GeometricFactor",
+    "stabilizer_check",
+    "orbit",
+    "even_flip_pairs_group",
+]
+
+
+def test_all_lists_resolvable_public_names_and_no_modules():
+    assert superdenom.__all__ == sorted(set(superdenom.__all__))
+    for name in superdenom.__all__:
+        assert not name.startswith("_")
+        value = getattr(superdenom, name)
+        assert not isinstance(value, types.ModuleType), name
+    for module in ("weights", "rootdata", "weyl", "series", "diagrams", "denominators", "theta", "kw"):
+        assert module not in superdenom.__all__
+    for name in ("verify", "make_pair", "coset_reps", "CharSeries", "window4"):
+        assert name in superdenom.__all__
+
+
+def test_removed_helpers_are_gone():
+    from superdenom import rootdata, series, weights, weyl
+
+    for name in REMOVED:
+        assert name not in superdenom.__all__
+        assert not hasattr(superdenom, name), name
+        assert not hasattr(series, name) and not hasattr(weyl, name), name
+    assert not hasattr(weyl.WeylElement, "act_coords2")
+    assert not hasattr(weyl.WeylElement, "inverse")
+    assert not hasattr(weights.Weight, "is_integral")
+    assert not hasattr(rootdata.PositiveSystem, "is_positive")

@@ -139,6 +139,20 @@ def test_wrong_constant_fails_with_mismatch_below_rho():
     assert system.ht4(worst) <= system.ht4(system.rho)
 
 
+def test_negative_depth_is_rejected_not_a_vacuous_pass():
+    # a negative depth makes an empty window, on which every comparison
+    # would pass without comparing a single coefficient
+    system = positive_system(build_root_datum("C", 2, 1), all_basis_orders("C", 2, 1)[0])
+    X = enumerate_diagrams(system)[0]
+    assert verify("princ-sd", system, X=X, depth=0).passed
+    with pytest.raises(ValueError):
+        verify("princ-sd", system, X=X, depth=-3)
+    with pytest.raises(ValueError):
+        window4(system, -1)
+    with pytest.raises(ValueError):
+        verify_glkk(2, depth=-1)
+
+
 def test_identity_report_shape():
     system = positive_system(build_root_datum("GL", 1, 1), standard_order("GL", 1, 1, "ed"))
     X = enumerate_diagrams(system)[0]

@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from superdenom.weights import Weight, inner, is_isotropic
+from superdenom.weights import Weight
 from superdenom.rootdata import (
     build_root_datum,
     standard_order,
@@ -19,6 +17,8 @@ from superdenom.diagrams import (
     apply_moves,
     build_nice,
 )
+
+from _oracles import definition_isotropic_sets, uses_interior_fork
 
 BIJECTION_GRID = (
     [("GL", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
@@ -123,58 +123,6 @@ def test_gl54_diagram_is_enumerated():
     assert gl54_diagram() in enumerate_diagrams(system)
 
 
-def _definition_isotropic_sets(system):
-    """The recursive construction of the maximal isotropic sets, used as the
-    independent oracle for the diagram bijection."""
-    d = system.datum.defect
-    results = set()
-
-    def indecomposable(roots):
-        rootset = set(roots)
-        out = []
-        for a in roots:
-            if not any((a - b) in rootset for b in roots if b != a):
-                out.append(a)
-        return out
-
-    def grow(current, ambient):
-        if len(current) == d:
-            results.add(frozenset(current))
-            return
-        ortho = [
-            a for a in ambient
-            if all(inner(a, b) == 0 for b in current) and a not in current
-        ]
-        cands = [a for a in indecomposable(ortho) if is_isotropic(a)]
-        seen = set()
-        for r in range(1, d - len(current) + 1):
-            for combo in itertools.combinations(cands, r):
-                if all(inner(a, b) == 0 for a, b in itertools.combinations(combo, 2)):
-                    grow(current + list(combo), ortho)
-
-    simples = [a for a in system.simple_roots if is_isotropic(a)]
-    for r in range(1, d + 1):
-        for combo in itertools.combinations(simples, r):
-            if all(inner(a, b) == 0 for a, b in itertools.combinations(combo, 2)):
-                grow(list(combo), list(system.positive_roots))
-    return results
-
-
-def _uses_interior_fork(s, m):
-    """True when the set involves a root delta_k + eps_i with i < m (a fork
-    completion of an interior reduced subsystem): these are exactly the
-    isotropic sets of D-type systems that no single basis order can draw."""
-    for root in s:
-        eps = root.eps_coords2()
-        dls = root.delta_coords2()
-        for i in range(m - 1):
-            if eps[i] > 0 and any(c > 0 for c in dls):
-                return True
-            if eps[i] < 0 and any(c < 0 for c in dls):
-                return True
-    return False
-
-
 @pytest.mark.parametrize("family,m,n", BIJECTION_GRID)
 def test_cad_bijection_diagrams_vs_recursive_sets(family, m, n):
     datum = build_root_datum(family, m, n)
@@ -183,7 +131,7 @@ def test_cad_bijection_diagrams_vs_recursive_sets(family, m, n):
         diagrams = enumerate_diagrams(system)
         from_diagrams = {frozenset(X.isotropic_set()) for X in diagrams}
         assert len(from_diagrams) == len(diagrams)  # encoding is injective
-        recursive = _definition_isotropic_sets(system)
+        recursive = definition_isotropic_sets(system)
         if family in ("GL", "B"):
             assert from_diagrams == recursive, (family, m, n, order)
         else:
@@ -192,8 +140,8 @@ def test_cad_bijection_diagrams_vs_recursive_sets(family, m, n):
             # realize as arcs; apart from exactly those, the families agree
             assert from_diagrams <= recursive, (family, m, n, order)
             gap = recursive - from_diagrams
-            assert all(_uses_interior_fork(s, m) for s in gap), (family, m, n, order)
-            assert not any(_uses_interior_fork(s, m) for s in from_diagrams)
+            assert all(uses_interior_fork(s, m) for s in gap), (family, m, n, order)
+            assert not any(uses_interior_fork(s, m) for s in from_diagrams)
 
 
 @pytest.mark.parametrize("family,m,n", BIJECTION_GRID)

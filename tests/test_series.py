@@ -1,20 +1,13 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from superdenom.weights import Weight
 from superdenom.rootdata import build_root_datum, standard_order, positive_system
-from superdenom.series import (
-    CharSeries,
-    GeometricFactor,
-    expand_factor,
-    product_expansion,
-    weyl_act,
-    weyl_character,
-    f_sum,
-)
-from superdenom.weyl import full_weyl, reflection, eps_permutations
+from superdenom.series import CharSeries, product_expansion, weyl_character
+from superdenom.weyl import full_weyl, eps_permutations
+
+from _oracles import signed_sum
 
 
 def gl21_system():
@@ -27,10 +20,15 @@ def sl2_block(system):
     return alpha
 
 
+def geometric(system, beta, s, threshold4):
+    """1/(1 - s e^{-beta}) alone, expanded on the window {ht >= threshold4}."""
+    return product_expansion(system, threshold4, Weight.zero(system.shape), geom=[(beta, s)])
+
+
 def test_expand_factor_simple_depth3():
     system = gl21_system()
     alpha = system.simple_roots[0]
-    ser = expand_factor(system, GeometricFactor(alpha, 1), -3 * system.unit4)
+    ser = geometric(system, alpha, 1, -3 * system.unit4)
     expected = {(-k) * alpha: 1 for k in range(4)}
     assert ser.terms == expected
 
@@ -38,28 +36,22 @@ def test_expand_factor_simple_depth3():
 def test_expand_factor_alternating():
     system = gl21_system()
     alpha = system.simple_roots[0]
-    ser = expand_factor(system, GeometricFactor(alpha, -1), -3 * system.unit4)
+    ser = geometric(system, alpha, -1, -3 * system.unit4)
     assert ser.terms == {(-k) * alpha: (-1) ** k for k in range(4)}
 
 
 def test_expand_factor_height_filter():
     system = gl21_system()
     beta = system.simple_roots[0] + system.simple_roots[1]  # height 2
-    ser = expand_factor(system, GeometricFactor(beta, 1), -3 * system.unit4)
+    ser = geometric(system, beta, 1, -3 * system.unit4)
     assert ser.terms == {Weight.zero(system.shape): 1, -beta: 1}  # only k = 0, 1 survive
-
-
-def test_expand_factor_rejects_nonpositive_height():
-    system = gl21_system()
-    with pytest.raises(ValueError):
-        expand_factor(system, GeometricFactor(-system.simple_roots[0], 1), -8)
 
 
 def test_multiply_telescopes():
     system = gl21_system()
     alpha = system.simple_roots[0]
     T = -5 * system.unit4
-    geo = expand_factor(system, GeometricFactor(alpha, 1), T)
+    geo = geometric(system, alpha, 1, T)
     poly = CharSeries.one_minus_exp(system, alpha)
     prod = poly * geo
     assert prod.terms == {Weight.zero(system.shape): 1}
@@ -84,18 +76,16 @@ def test_rank1_weyl_denominator():
 def test_f_sum_single_element_and_pairing():
     system = gl21_system()
     sh = system.shape
-    ident_only = f_sum(
+    ident_only = signed_sum(
         [full_weyl(system.datum)[0].identity(sh)],
         lambda w: CharSeries.monomial(system, w.act(system.rho)),
-        "sgn",
-        "GL",
     )
     assert ident_only.terms == {system.rho: 1}
     # F_W(e^lambda) = 0 when lambda is fixed by a reflection in W
     alpha = sl2_block(system)
     W = full_weyl(system.datum)
     lam = Weight.delta(1, sh)  # fixed by s_alpha
-    total = f_sum(W, lambda w: CharSeries.monomial(system, w.act(lam)), "sgn", "GL")
+    total = signed_sum(W, lambda w: CharSeries.monomial(system, w.act(lam)))
     assert total.is_zero_on_window()
 
 
@@ -104,7 +94,7 @@ def test_f_sum_rank1():
     alpha = sl2_block(system)
     rho0 = alpha.half()
     W = full_weyl(system.datum)
-    res = f_sum(W, lambda w: CharSeries.monomial(system, w.act(rho0)), "sgn", "GL")
+    res = signed_sum(W, lambda w: CharSeries.monomial(system, w.act(rho0)))
     assert res.terms == {rho0: 1, -rho0: -1}
 
 
@@ -145,17 +135,6 @@ def test_window_soundness_two_evaluation_orders():
     assert one.agrees_with(direct)
 
 
-def test_weyl_act_examples():
-    system = gl21_system()
-    sh = system.shape
-    e1, e2 = Weight.eps(1, sh), Weight.eps(2, sh)
-    s = reflection(e1 - e2)
-    ser = CharSeries.monomial(system, e1)
-    assert weyl_act(s, ser).terms == {e2: 1}
-    ident = eps_permutations(sh, [1])[0]
-    assert weyl_act(ident, ser).terms == ser.terms
-
-
 def test_weyl_character_sl2():
     # so(3)-style block inside B(1,1): ch F(eps_1) = e^{eps_1} + 1 + e^{-eps_1}
     datum = build_root_datum("B", 1, 1)
@@ -192,7 +171,7 @@ def test_weyl_character_sorting_sign():
 def test_series_json_sorted_and_stable():
     system = gl21_system()
     T = -3 * system.unit4
-    ser = expand_factor(system, GeometricFactor(system.simple_roots[0], 1), T)
+    ser = geometric(system, system.simple_roots[0], 1, T)
     doc1, doc2 = ser.to_json(), ser.to_json()
     assert doc1 == doc2
     coords = [tuple(t["coords2"]) for t in doc1["terms"]]

@@ -179,6 +179,12 @@ def test_duality(tag, kw):
     assert rep.passed, (tag, kw, rep.first_mismatch)
 
 
+@pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=1)), ("D1", dict(m=2, n=1))])
+def test_duality_rejects_negative_depth(tag, kw):
+    with pytest.raises(ValueError):
+        make_pair(tag, **kw).verify_duality(-1)
+
+
 def test_duality_d2_primed():
     rep = make_pair("D2'", m=2, n=1).verify_duality(6)
     assert rep.passed

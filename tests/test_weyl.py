@@ -21,8 +21,10 @@ from superdenom.weyl import (
     sign_flip_set,
     enumerate_closure,
 )
-from superdenom.series import f_sum, CharSeries
+from superdenom.series import CharSeries
 from superdenom.denominators import lhs, window4, c_g
+
+from _oracles import signed_sum
 
 
 def test_full_weyl_sizes_match_closed_form():
@@ -106,6 +108,42 @@ def test_coset_reps_trivial_and_nested():
     assert len(reps) == 3  # 3!/2!
 
 
+def test_coset_reps_rejects_a_set_that_is_not_a_union_of_cosets():
+    sh = (3, 1)
+    a3 = eps_permutations(sh, [1, 2, 3])
+    a2 = eps_permutations(sh, [1, 2])
+    with pytest.raises(ValueError):
+        coset_reps(a3[:-1], a2)
+
+
+def test_coset_reps_left_cosets_by_length():
+    # W(A_2)/W(A_1): on the left cosets W(A_1) w the length key picks the
+    # unique shortest element of each, and orders the result by length
+    sh = (3, 1)
+    a3 = eps_permutations(sh, [1, 2, 3])
+    a2 = eps_permutations(sh, [1, 2])
+
+    def length(w):
+        p = w.eps_perm
+        return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+    reps = coset_reps(a3, a2, key=length, left=True)
+    assert [length(r) for r in reps] == [0, 1, 2]
+    cosets = [{u.compose(r) for u in a2} for r in reps]
+    assert set().union(*cosets) == set(a3)
+    for r, coset in zip(reps, cosets):
+        assert all(length(x) > length(r) for x in coset - {r})
+    # the key, not the element order, picks the representative
+    longest = coset_reps(a3, a2, key=lambda w: -length(w), left=True)
+    assert [length(r) for r in longest] == [3, 2, 1]
+    for r in longest:
+        assert all(length(u.compose(r)) <= length(r) for u in a2)
+    # right cosets are different sets: the same key picks different elements
+    right = coset_reps(a3, a2, key=length)
+    assert [length(r) for r in right] == [0, 1, 2]
+    assert {u.compose(reps[1]) for u in a2} != {right[1].compose(u) for u in a2}
+
+
 def test_product_factorization_no_duplicates():
     # W = W(A_{n-1}) x delta flips x W(B_m) at (m, n) = (1, 2)
     sh = (1, 2)
@@ -165,13 +203,13 @@ def test_nested_f_sum_independent_of_representatives():
     U = eps_permutations(sh, [1, 2])
     lam = system.rho + Weight.eps(1, sh)
     body = lambda w: CharSeries.monomial(system, w.act(lam))
-    direct = f_sum(W, body, "sgn", "GL")
+    direct = signed_sum(W, body)
     rng = random.Random(3)
     for _ in range(3):
         reps = [rep.compose(rng.choice(U)) for rep in coset_reps(W, U)]
         inner_sums = {}
         nested = None
         for rep in reps:
-            part = f_sum(U, lambda u, rep=rep: body(rep.compose(u)), "sgn", "GL").scale(sgn(rep))
+            part = signed_sum(U, lambda u, rep=rep: body(rep.compose(u))).scale(sgn(rep))
             nested = part if nested is None else nested + part
         assert nested.agrees_with(direct)
