@@ -41,7 +41,7 @@ from .weyl import (
     sign_flip_set,
     signed_group,
 )
-from .series import CharSeries, f_sum_quotient, product_expansion
+from .series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
 from .diagrams import ArcDiagram, enumerate_diagrams
 
 IDENTITY_KINDS = ("kwg-d", "kwg-sd", "princ-d", "princ-sd", "mm-d", "mm-sd", "migliore", "glkk")
@@ -110,19 +110,18 @@ def choose_expansion_system(system: PositiveSystem, exponents) -> PositiveSystem
 
 
 def with_safe_expansion(system: PositiveSystem, compute):
-    """Run compute(system); on a height-zero exponent retry with perturbed
-    expansion functionals until one separates all exponents."""
+    """Run compute(system); on a height-zero exponent (``HeightZeroExponent``)
+    retry with perturbed expansion functionals until one separates all
+    exponents.  Every other error propagates."""
     try:
         return compute(system)
-    except ValueError as exc:
-        if "height-zero" not in str(exc):
-            raise
+    except HeightZeroExponent:
+        pass
     for seed in range(1, 80):
         try:
             return compute(system.with_tiebreak(seed))
-        except ValueError as exc:
-            if "height-zero" not in str(exc):
-                raise
+        except HeightZeroExponent:
+            pass
     raise RuntimeError("no perturbation separated the denominator exponents")
 
 
@@ -187,8 +186,14 @@ def rhs_kwg(system: PositiveSystem, S: list[Weight], kind: str, threshold4: int)
 
 
 def rhs_princ(system: PositiveSystem, X: ArcDiagram, kind: str, threshold4: int) -> tuple[CharSeries, Fraction]:
+    return _rhs_princ(system, X, kind, threshold4, full_weyl(system.datum))
+
+
+def _rhs_princ(
+    system: PositiveSystem, X: ArcDiagram, kind: str, threshold4: int, W: list[WeylElement]
+) -> tuple[CharSeries, Fraction]:
+    """rhs_princ over an already enumerated full Weyl group W."""
     S = X.isotropic_set()
-    W = full_weyl(system.datum)
     if kind == "sd":
         geom = [(X.bracket(g), 1) for g in S]
         series = f_sum_quotient(system, W, "sgn_prime", threshold4, system.rho, geom=geom)
@@ -364,6 +369,7 @@ def verify(
     if kind == "glkk":
         raise ValueError("use verify_glkk for the gl(k,k) lemma")
     flavor = "sd" if kind.endswith("sd") or kind == "migliore" else "d"
+    group = None
     if X is not None and (kind.startswith("princ") or kind == "migliore"):
         # Weyl images of the bracket exponents may cross height zero; pick an
         # expansion functional that separates them all before computing.
@@ -390,7 +396,7 @@ def verify(
             raise ValueError("this identity needs an arc diagram")
         label = f"arcs={list(X.arcs)}"
         if kind.startswith("princ"):
-            R, C = rhs_princ(sys_, X, flavor, T)
+            R, C = _rhs_princ(sys_, X, flavor, T, group)
             return _report(kind, sys_, label, depth, L, R, C)
         if kind.startswith("mm"):
             R = rhs_mm(sys_, X, flavor, T)
@@ -421,14 +427,21 @@ def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
 # named product-group specializations (compact dual pair sums)
 
 
-def _first_diagram_sums(system: PositiveSystem, depth: int, *groups) -> tuple[int, list[CharSeries]]:
-    """The window of the given depth and, for each element list W, the sum
-    over W of sgn'(w) w(e^rho / prod (1 - e^{-[[gamma]]})) over the first arc
-    diagram of the system."""
+def _first_diagram_sums(
+    system: PositiveSystem, depth: int, *groups
+) -> tuple[PositiveSystem, int, list[CharSeries]]:
+    """For the first arc diagram of the system and each element list W, the
+    sum over W of sgn'(w) w(e^rho / prod (1 - e^{-[[gamma]]})).
+
+    The sums are expanded along one functional that keeps every image of a
+    bracket exponent under every listed group off height zero; returns that
+    system, its window of the given depth, and the sums."""
     X = enumerate_diagrams(system)[0]
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
+    brackets = [X.bracket(g) for g in X.isotropic_set()]
+    system = choose_expansion_system(system, [w.act(b) for W in groups for w in W for b in brackets])
+    geom = [(b, 1) for b in brackets]
     T = window4(system, depth)
-    return T, [f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom) for W in groups]
+    return system, T, [f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom) for W in groups]
 
 
 def _d2_group(shape: tuple[int, int], d: int) -> list[WeylElement]:
@@ -451,7 +464,7 @@ def seconda_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSer
         sign_flip_set(shape, "d", list(range(1, n - datum.defect + 1))),
         signed_group(shape, "e", list(range(1, m + 1))),
     )
-    T, (rhs,) = _first_diagram_sums(system, depth, W)
+    system, T, (rhs,) = _first_diagram_sums(system, depth, W)
     return lhs(system, "sd", T), rhs
 
 
@@ -459,7 +472,7 @@ def seconda_d2_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, Char
     """D(m,n) D2 order: e^rho Ř vs the sum over
     W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
     datum = system.datum
-    T, (rhs,) = _first_diagram_sums(system, depth, _d2_group(datum.shape, datum.defect))
+    system, T, (rhs,) = _first_diagram_sums(system, depth, _d2_group(datum.shape, datum.defect))
     return lhs(system, "sd", T), rhs
 
 
@@ -482,5 +495,5 @@ def w_equal_w1_sums(system: PositiveSystem, depth: int) -> tuple[CharSeries, Cha
         a_small,
         signed_group(shape, "d", list(range(1, n + 1))),
     )
-    _, (sum_w, sum_w1) = _first_diagram_sums(system, depth, _d2_group(shape, d), W1)
+    _, _, (sum_w, sum_w1) = _first_diagram_sums(system, depth, _d2_group(shape, d), W1)
     return sum_w, sum_w1

@@ -8,7 +8,20 @@ the weight lattice, together with a window guarantee: it agrees with the
 element and stored as exact integers at 4x scale.
 
 Geometric factors 1/(1 - s e^{-beta}) expand toward decreasing height for
-either sign of ht(beta); exponents of height zero are rejected.
+either sign of ht(beta); an exponent of height zero raises
+``HeightZeroExponent``.
+
+``product_expansion``, the kernel behind every identity side, works on packed
+keys (Kronecker substitution, as in Monagan & Pearce's packed exponent
+vectors).  A weight's doubled coordinates become balanced base-2^B digits of
+one Python int, with its height as the most significant digit, so adding two
+weights, and their heights, is one integer addition, and comparing a key with
+a threshold key compares heights.  B is derived per call from the largest
+coordinate the product can reach, so no digit overflows.  Each factor's terms
+are in descending height, so the inner loop stops at the first term that
+falls below the window.  Weights are unpacked once, for the terms that
+survive; ``Weight`` stays the type at the boundary and the key of
+``CharSeries.terms``.
 """
 
 from __future__ import annotations
@@ -195,28 +208,58 @@ def _product_threshold(ta, ca, tb, cb) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# geometric factors
+# geometric factors and the packed product kernel
 
 
-def _geometric_terms(system: PositiveSystem, beta: Weight, s: int, threshold4: int) -> dict[Weight, int]:
+class HeightZeroExponent(ValueError):
+    """A geometric factor 1/(1 - s e^{-beta}) whose exponent has height zero
+    under the expansion functional, so that it has no expansion direction."""
+
+
+def _geometric_terms(beta: Weight, h: int, s: int, threshold4: int) -> list[tuple[int, int]]:
     """1/(1 - s e^{-beta}) expanded toward decreasing heights, complete on
-    heights >= threshold4."""
-    h = system.ht4(beta)
+    heights >= threshold4, as (k, coefficient) pairs for the terms
+    e^{k beta} in descending height; ``h`` is the height of beta."""
     if h == 0:
-        raise ValueError(f"cannot expand a geometric factor with height-zero exponent {beta}")
-    out: dict[Weight, int] = {}
+        raise HeightZeroExponent(f"cannot expand a geometric factor with height-zero exponent {beta}")
+    out = []
     if h > 0:
         k = 0
         while -k * h >= threshold4:
-            out[(-k) * beta] = s ** k
+            out.append((-k, s ** k))
             k += 1
     else:
         # 1/(1-x) = -x^{-1} - x^{-2} - ... in the region |x| > 1
         k = 1
         while k * h >= threshold4:
-            out[k * beta] = -(s ** k)
+            out.append((k, -(s ** k)))
             k += 1
     return out
+
+
+def _pack(coords2: tuple[int, ...], height: int, bits: int) -> int:
+    """The coordinates as balanced base-2^bits digits, least significant
+    first, under the height as the most significant digit."""
+    key = height
+    for c in reversed(coords2):
+        key = (key << bits) + c
+    return key
+
+
+def _unpacker(bits: int, dim: int):
+    """The function taking a packed key to its coordinates (the height digit
+    is dropped).  Adding 2^(bits-1) to every digit makes all digits
+    nonnegative, so each one is read off with a shift and a mask."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    offset = sum(half << (bits * i) for i in range(dim))
+    shifts = [bits * i for i in range(dim)]
+
+    def unpack(key: int) -> tuple[int, ...]:
+        key += offset
+        return tuple([((key >> s) & mask) - half for s in shifts])
+
+    return unpack
 
 
 def product_expansion(
@@ -228,41 +271,70 @@ def product_expansion(
     poly: Iterable[tuple[Weight, int]] = (),
 ) -> CharSeries:
     """coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta}),
-    complete on the window {ht >= threshold4}."""
+    complete on the window {ht >= threshold4}.
+
+    The product runs on packed integer keys (Kronecker substitution); see the
+    module docstring.  Factors are multiplied in turn, and a partial product
+    keeps only the terms that the remaining factors' ceilings can still lift
+    into the window.
+    """
     ht4 = system.ht4
-    geom = list(geom)
-    poly = list(poly)
-    g_ceil = [min(0, ht4(b)) for b, _ in geom]
-    p_ceil = [max(0, -ht4(b)) for b, _ in poly]
-    total_ceiling = ht4(leading) + sum(g_ceil) + sum(p_ceil)
+    geom = [(b, s, ht4(b)) for b, s in geom]
+    poly = [(b, s, ht4(b)) for b, s in poly]
+    g_ceil = [min(0, h) for _, _, h in geom]
+    p_ceil = [max(0, -h) for _, _, h in poly]
+    h_lead = ht4(leading)
+    total_ceiling = h_lead + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
         return CharSeries.zero(system, threshold4)
 
-    factors: list[tuple[dict[Weight, int], int]] = []
     other = sum(g_ceil) + sum(p_ceil)
-    for (b, s), c in zip(geom, g_ceil):
-        ft = threshold4 - (ht4(leading) + other - c)
-        factors.append((_geometric_terms(system, b, s, ft), c))
-    for (b, s), c in zip(poly, p_ceil):
-        terms = {Weight.zero(system.shape): 1}
-        nb = -b
-        terms[nb] = terms.get(nb, 0) - s
+    multiples = [
+        _geometric_terms(b, h, s, threshold4 - (h_lead + other - c))
+        for (b, s, h), c in zip(geom, g_ceil)
+    ]
+    # digit width: no coordinate of a partial product exceeds this bound
+    bound = max(map(abs, leading.coords2))
+    for (b, _, _), terms in zip(geom, multiples):
+        bound += max(abs(k) for k, _ in terms) * max(map(abs, b.coords2))
+    for b, _, _ in poly:
+        bound += max(map(abs, b.coords2))
+    bits = bound.bit_length() + 1
+    dim = len(leading.coords2)
+    shift = bits * dim
+
+    # each factor's (key, coefficient) terms in descending height
+    factors: list[tuple[list[tuple[int, int]], int]] = []
+    for (b, _, h), terms, c in zip(geom, multiples, g_ceil):
+        kb = _pack(b.coords2, h, bits)
+        factors.append(([(k * kb, ck) for k, ck in terms], c))
+    for (b, s, h), c in zip(poly, p_ceil):
+        kb = _pack(b.coords2, h, bits)
+        terms = [(0, 1), (-kb, -s)] if h >= 0 else [(-kb, -s), (0, 1)]
         factors.append((terms, c))
 
-    acc: dict[Weight, int] = {leading: coeff}
+    acc: dict[int, int] = {_pack(leading.coords2, h_lead, bits): coeff}
     remaining = sum(c for _, c in factors)
     for fterms, c in factors:
         remaining -= c
-        floor = threshold4 - remaining
-        nxt: dict[Weight, int] = {}
-        for wa, ca in acc.items():
-            for wb, cb in fterms.items():
-                w = wa + wb
-                if ht4(w) < floor:
-                    continue
-                nxt[w] = nxt.get(w, 0) + ca * cb
+        # a key has height >= floor exactly when it is >= cut, because the
+        # coordinate digits below the height digit sum to less than half of
+        # 2^shift in absolute value
+        cut = ((threshold4 - remaining) << shift) - (1 << (shift - 1))
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for ka, ca in acc.items():
+            lim = cut - ka
+            for kb, cb in fterms:
+                if kb < lim:
+                    break
+                k = ka + kb
+                nxt[k] = get(k, 0) + ca * cb
         acc = nxt
-    return CharSeries(system, acc, threshold4, total_ceiling)
+    shape = system.shape
+    unpack = _unpacker(bits, dim)
+    terms = {Weight._trusted(unpack(k), shape): c for k, c in acc.items() if c}
+    return CharSeries._trusted(system, terms, threshold4, total_ceiling)
 
 
 # ---------------------------------------------------------------------------

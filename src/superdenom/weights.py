@@ -33,6 +33,16 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
+    @classmethod
+    def _trusted(cls, coords2: tuple[int, ...], shape: tuple[int, int]) -> "Weight":
+        """Wrap a tuple of ints already of length m + n, skipping the
+        conversion and the length check of __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coords2", coords2)
+        object.__setattr__(out, "shape", shape)
+        object.__setattr__(out, "_hash", hash((coords2, *shape)))
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -6,8 +6,63 @@ out directly from its definition.
 
 import itertools
 
-from superdenom.weights import inner, is_isotropic
+from superdenom.series import CharSeries
+from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import sgn
+
+
+def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), poly=()):
+    """coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta}) on
+    the window {ht >= threshold4}, multiplied out on ``Weight`` keys with
+    ``ht4`` evaluated for every pair of terms and the result built through
+    the filtering constructor of ``CharSeries``."""
+    ht4 = system.ht4
+    geom = list(geom)
+    poly = list(poly)
+    g_ceil = [min(0, ht4(b)) for b, _ in geom]
+    p_ceil = [max(0, -ht4(b)) for b, _ in poly]
+    total_ceiling = ht4(leading) + sum(g_ceil) + sum(p_ceil)
+    if total_ceiling < threshold4:
+        return CharSeries.zero(system, threshold4)
+
+    factors = []
+    other = sum(g_ceil) + sum(p_ceil)
+    for (b, s), c in zip(geom, g_ceil):
+        ft = threshold4 - (ht4(leading) + other - c)
+        h = ht4(b)
+        if h == 0:
+            raise ValueError(f"cannot expand a geometric factor with height-zero exponent {b}")
+        terms = {}
+        if h > 0:
+            k = 0
+            while -k * h >= ft:
+                terms[(-k) * b] = s ** k
+                k += 1
+        else:
+            k = 1
+            while k * h >= ft:
+                terms[k * b] = -(s ** k)
+                k += 1
+        factors.append((terms, c))
+    for (b, s), c in zip(poly, p_ceil):
+        terms = {Weight.zero(system.shape): 1}
+        terms[-b] = terms.get(-b, 0) - s
+        factors.append((terms, c))
+
+    acc = {leading: coeff}
+    remaining = sum(c for _, c in factors)
+    for fterms, c in factors:
+        remaining -= c
+        floor = threshold4 - remaining
+        nxt = {}
+        for wa, ca in acc.items():
+            for wb, cb in fterms.items():
+                w = wa + wb
+                if ht4(w) < floor:
+                    continue
+                nxt[w] = nxt.get(w, 0) + ca * cb
+        acc = nxt
+    return CharSeries(system, acc, threshold4, total_ceiling)
 
 
 def signed_sum(elements, body):

@@ -11,8 +11,11 @@ from superdenom.rootdata import (
     distinguished_order,
 )
 from superdenom.diagrams import ArcDiagram, enumerate_diagrams
-from superdenom.series import CharSeries, product_expansion
+from superdenom.weyl import full_weyl
+from superdenom.series import CharSeries, HeightZeroExponent, product_expansion
 from superdenom.denominators import (
+    choose_expansion_system,
+    with_safe_expansion,
     lhs,
     rhs_kwg,
     rhs_princ,
@@ -182,10 +185,8 @@ def test_erho_sign_flip_all_small_systems():
 
 def test_interval_reflection_invariance_of_p_sum():
     # F-check_W(P(X)) is unchanged by an interval reflection (full Weyl group)
-    from superdenom.weyl import full_weyl
     from superdenom.series import f_sum_quotient
     from superdenom.diagrams import interval_reflect
-    from superdenom.denominators import choose_expansion_system
 
     for pattern, arcs in [("eded", [(0, 3), (1, 2)]), ("dede", [(0, 3), (1, 2)])]:
         datum = build_root_datum("GL", 2, 2)
@@ -232,6 +233,90 @@ def test_w_equal_w1():
     system = positive_system(build_root_datum("D", 2, 1), distinguished_order("D", 2, 1, "D2"))
     A, B = w_equal_w1_sums(system, 7)
     assert A.agrees_with(B)
+
+
+def test_w_equal_w1_with_height_zero_bracket_images():
+    # some W_1-image of a bracket exponent of D(3,2) in the D2 order has
+    # principal height zero, so the sums need a perturbed functional
+    system = positive_system(build_root_datum("D", 3, 2), distinguished_order("D", 3, 2, "D2"))
+    A, B = w_equal_w1_sums(system, 4)
+    assert A.system.tiebreak != 0
+    assert A.terms and A.agrees_with(B)
+
+
+def test_safe_expansion_retries_only_on_height_zero_exponents():
+    system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
+    seen = []
+
+    def flat_once(sys_):
+        seen.append(sys_.tiebreak)
+        if sys_.tiebreak == 0:
+            # a geometric factor whose exponent has height zero
+            product_expansion(sys_, window4(sys_, 2), sys_.rho, geom=[(Weight.zero(sys_.shape), 1)])
+        return sys_.tiebreak
+
+    assert with_safe_expansion(system, flat_once) == 1 and seen == [0, 1]
+
+    calls = []
+
+    def plain_value_error(sys_):
+        calls.append(sys_.tiebreak)
+        raise ValueError("a height-zero message on an unrelated error")
+
+    with pytest.raises(ValueError, match="unrelated"):
+        with_safe_expansion(system, plain_value_error)
+    assert calls == [0]
+
+
+def test_height_zero_exponent_is_a_typed_value_error():
+    system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
+    flat = Weight.eps(1, system.shape) - Weight.eps(1, system.shape)
+    with pytest.raises(HeightZeroExponent, match="height-zero exponent 0") as info:
+        product_expansion(system, window4(system, 2), system.rho, geom=[(flat, 1)])
+    assert isinstance(info.value, ValueError)
+
+
+# -- every identity side is stable under widening the window -------------------
+
+CROSS_DEPTH_SYSTEMS = [
+    ("GL", 2, 1, None),
+    ("GL", 2, 2, None),
+    ("B", 1, 1, None),
+    ("B", 1, 2, None),
+    ("B", 2, 1, None),
+    ("C", 2, 1, None),
+    ("D", 2, 1, "D2"),
+    ("D", 2, 2, "D2"),
+]
+
+
+def _restricts(narrow, wide):
+    """narrow equals wide cut down to narrow's window."""
+    assert narrow.threshold4 is not None
+    assert narrow.terms == wide.truncate(narrow.threshold4).terms
+
+
+@pytest.mark.parametrize("fam,m,n,variant", CROSS_DEPTH_SYSTEMS)
+def test_sides_at_depth_d_restrict_the_sides_at_depth_d_plus_3(fam, m, n, variant):
+    datum = build_root_datum(fam, m, n)
+    orders = [distinguished_order(fam, m, n, variant)] if variant else all_basis_orders(fam, m, n)
+    compared = 0
+    for order in orders:
+        base = positive_system(datum, order)
+        for X in enumerate_diagrams(base):
+            images = [w.act(X.bracket(g)) for w in full_weyl(datum) for g in X.isotropic_set()]
+            system = choose_expansion_system(base, images)
+            for depth in (0, 3):
+                T, T3 = window4(system, depth), window4(system, depth + 3)
+                for flavor in ("d", "sd"):
+                    _restricts(lhs(system, flavor, T), lhs(system, flavor, T3))
+                    _restricts(rhs_princ(system, X, flavor, T)[0], rhs_princ(system, X, flavor, T3)[0])
+                    _restricts(rhs_mm(system, X, flavor, T), rhs_mm(system, X, flavor, T3))
+                    if X.is_simple():
+                        S = X.isotropic_set()
+                        _restricts(rhs_kwg(system, S, flavor, T), rhs_kwg(system, S, flavor, T3))
+                    compared += 1
+    assert compared
 
 
 def test_migliore_with_support_bprime():

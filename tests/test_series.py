@@ -1,13 +1,14 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superdenom.weights import Weight
-from superdenom.rootdata import build_root_datum, standard_order, positive_system
-from superdenom.series import CharSeries, product_expansion, weyl_character
+from superdenom.rootdata import all_basis_orders, build_root_datum, standard_order, positive_system
+from superdenom.series import CharSeries, HeightZeroExponent, product_expansion, weyl_character
 from superdenom.weyl import full_weyl, eps_permutations
 
-from _oracles import signed_sum
+from _oracles import reference_product_expansion, signed_sum
 
 
 def gl21_system():
@@ -239,3 +240,64 @@ def test_scale_matches_filtering_constructor(case, k):
     system, a, _ = case
     want = CharSeries(system, {w: k * c for w, c in a.terms.items()}, a.threshold4, a.ceiling4)
     _assert_same_series(a.scale(k), want)
+
+
+# -- the packed kernel against the Weight-keyed reference loop -----------------
+
+_KERNEL_SYSTEMS = [("GL", 2, 1), ("GL", 1, 2), ("B", 1, 1), ("C", 2, 1)]
+
+
+@st.composite
+def _kernel_case(draw):
+    """A system (perturbed or not), a leading weight whose coordinates may
+    reach 2^19 or beyond, and geometric and finite factors whose exponents
+    are signed sums of roots, so of either height sign or of height zero."""
+    fam, m, n = draw(st.sampled_from(_KERNEL_SYSTEMS))
+    order = draw(st.sampled_from(all_basis_orders(fam, m, n)))
+    system = positive_system(build_root_datum(fam, m, n), order)
+    tiebreak = draw(st.sampled_from([0, 0, 1, 7]))
+    if tiebreak:
+        system = system.with_tiebreak(tiebreak)
+    sh = system.shape
+    roots = list(system.positive_roots)
+    big = draw(st.sampled_from([0, 0, 2 ** 19, 2 ** 21 + 5]))
+    lead = Weight(
+        [draw(st.integers(-4, 4)) + big * draw(st.sampled_from([-1, 1])) for _ in range(sum(sh))], sh
+    )
+
+    def exponent():
+        w = Weight.zero(sh)
+        for _ in range(draw(st.integers(1, 2))):
+            w = w + draw(st.sampled_from([-1, 1])) * draw(st.sampled_from(roots))
+        return w
+
+    geom = [(exponent(), draw(st.sampled_from([-1, 1]))) for _ in range(draw(st.integers(0, 3)))]
+    poly = [(exponent(), draw(st.sampled_from([-1, 1, 2]))) for _ in range(draw(st.integers(0, 3)))]
+    depth = draw(st.integers(0, 5))
+    # keep each geometric factor to a few dozen terms
+    unit = system.unit4
+    for b, _ in geom:
+        h = abs(system.ht4(b))
+        assume(h == 0 or depth * unit // h <= 24)
+    T = system.ht4(lead) - depth * unit + draw(st.integers(-2, 2))
+    coeff = draw(st.sampled_from([1, -1, 3]))
+    return system, T, lead, coeff, geom, poly
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_kernel_case())
+def test_product_expansion_matches_reference(case):
+    system, T, lead, coeff, geom, poly = case
+    try:
+        want = reference_product_expansion(system, T, lead, coeff, geom, poly)
+    except ValueError as exc:
+        with pytest.raises(HeightZeroExponent) as info:
+            product_expansion(system, T, lead, coeff, geom, poly)
+        assert str(info.value) == str(exc)
+        return
+    got = product_expansion(system, T, lead, coeff, geom, poly)
+    assert got.terms == want.terms
+    assert got.threshold4 == want.threshold4
+    assert got.ceiling4 == want.ceiling4
+    assert all(c != 0 for c in got.terms.values())
+    assert all(T <= system.ht4(w) <= got.ceiling4 for w in got.terms)

@@ -6,6 +6,7 @@ from superdenom.weights import Weight, inner
 from superdenom.theta import make_pair, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
 from superdenom.denominators import window4
 from superdenom.series import CharSeries
+from superdenom.weyl import enumerate_closure, reflection
 
 DUALITY_CASES = [
     ("B", dict(m=1, n=1)),
@@ -200,18 +201,33 @@ def test_enright_equals_l2(tag, kw):
 
 
 def test_enright_group_shapes():
-    # regular entries give trivial groups; two regular entries give the
-    # single swap-and-negate reflection
-    pair = make_pair("B", m=1, n=2)
-    entries = {e.partition: e for e in pair.sigma_set(4) if e.sign == "+"}
-    data0 = pair.enright(entries[(0,)])
-    assert len(data0.group) in (1, 2)
-    for e in entries.values():
-        data = pair.enright(e)
-        n_reg = len(data.min_reps)
-        assert len(data.group) % len(set(data.lengths.values())) == 0 or True
-        # lengths of minimal representatives are attained uniquely per coset
-        assert data.min_reps[0].is_identity()
+    # the group is closed; the minimal representatives are the unique
+    # shortest elements of the left cosets of the compact subgroup, and
+    # those cosets partition the group.  B(1,2) has only trivial groups;
+    # B(1,3) has groups of order 2, and GL(1;3,1) one of order 6 over a
+    # compact subgroup of order 2.
+    for tag, kw, nontrivial in [
+        ("B", dict(m=1, n=2), False),
+        ("B", dict(m=1, n=3), True),
+        ("GL", dict(n=1, p=3, q=1), True),
+    ]:
+        pair = make_pair(tag, **kw)
+        sh = pair.system.shape
+        compact_roots = set(pair.s2_block.positive) & set(pair.levi_root_set)
+        orders = []
+        for e in pair.sigma_set(4):
+            data = pair.enright(e)
+            group = set(data.group)
+            orders.append(len(group))
+            assert all(u.compose(v) in group for u in group for v in group)
+            compact = enumerate_closure([reflection(a) for a in data.roots if a in compact_roots], sh)
+            cosets = [{u.compose(r) for u in compact} for r in data.min_reps]
+            assert sum(map(len, cosets)) == len(group) and set().union(*cosets) == group
+            for r, coset in zip(data.min_reps, cosets):
+                assert all(data.lengths[r] < data.lengths[x] for x in coset - {r})
+            assert data.min_reps[0].is_identity() and data.lengths[data.min_reps[0]] == 0
+            assert all(data.lengths[reflection(a)] % 2 == 1 for a in data.roots)
+        assert (max(orders) > 1) == nontrivial, tag
 
 
 def test_d1_rejects_torus_side():
