@@ -372,7 +372,8 @@ def verify(
     group = None
     if X is not None and (kind.startswith("princ") or kind == "migliore"):
         # Weyl images of the bracket exponents may cross height zero; pick an
-        # expansion functional that separates them all before computing.
+        # expansion functional that separates them all before computing.  Every
+        # other exponent expanded below is a root, never of height zero.
         if kind.startswith("princ"):
             group = full_weyl(system.datum)
         else:
@@ -381,30 +382,27 @@ def verify(
         images = [w.act(b) for w in group for b in brackets]
         system = choose_expansion_system(system, images)
 
-    def compute(sys_: PositiveSystem) -> IdentityReport:
-        T = window4(sys_, depth)
-        L = lhs(sys_, flavor, T)
-        if kind.startswith("kwg"):
-            SS = S
-            if SS is None:
-                if X is None or not X.is_simple():
-                    raise ValueError("kwg needs a simple-diagram isotropic set")
-                SS = X.isotropic_set()
-            R = rhs_kwg(sys_, SS, flavor, T)
-            return _report(kind, sys_, f"S={[repr(b) for b in SS]}", depth, L, R, Fraction(1))
-        if X is None:
-            raise ValueError("this identity needs an arc diagram")
-        label = f"arcs={list(X.arcs)}"
-        if kind.startswith("princ"):
-            R, C = _rhs_princ(sys_, X, flavor, T, group)
-            return _report(kind, sys_, label, depth, L, R, C)
-        if kind.startswith("mm"):
-            R = rhs_mm(sys_, X, flavor, T)
-            return _report(kind, sys_, label, depth, L, R, Fraction(1))
-        R, ratio = rhs_migliore(sys_, X, T, bprime, sharp_block)
-        return _report(kind, sys_, label, depth, L, R, ratio)
-
-    return with_safe_expansion(system, compute)
+    T = window4(system, depth)
+    L = lhs(system, flavor, T)
+    if kind.startswith("kwg"):
+        SS = S
+        if SS is None:
+            if X is None or not X.is_simple():
+                raise ValueError("kwg needs a simple-diagram isotropic set")
+            SS = X.isotropic_set()
+        R = rhs_kwg(system, SS, flavor, T)
+        return _report(kind, system, f"S={[repr(b) for b in SS]}", depth, L, R, Fraction(1))
+    if X is None:
+        raise ValueError("this identity needs an arc diagram")
+    label = f"arcs={list(X.arcs)}"
+    if kind.startswith("princ"):
+        R, C = _rhs_princ(system, X, flavor, T, group)
+        return _report(kind, system, label, depth, L, R, C)
+    if kind.startswith("mm"):
+        R = rhs_mm(system, X, flavor, T)
+        return _report(kind, system, label, depth, L, R, Fraction(1))
+    R, ratio = rhs_migliore(system, X, T, bprime, sharp_block)
+    return _report(kind, system, label, depth, L, R, ratio)
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:

@@ -17,6 +17,19 @@ characters for the noncompact side, and checks the branching identity
 coefficient-exactly on a window.  The unitary-side characters come in two
 independent routes: the sign-character bookkeeping sums over the flip groups,
 and the Enright-style sums over minimal coset representatives.
+
+Both routes, the table assembly and the duality check are written once on
+``DualPair``.  Each pair supplies only what differs:
+
+* ``flip_set(key)``: the flip elements summed for one entry (a group of sign
+  flips for B, D1 and D2; coset representatives of W_c W_2 for GL);
+* ``_flip_label(key, w)``: the sign and the bucket ('+' or '-') of one flip;
+* ``_l2_shift()``: the shift of the L^2 lowest weights (-rho_1, or for GL
+  -rho_1 restricted to the u(p,q) Cartan);
+* ``levi_runs``: the coordinate runs its Levi block permutes, as half-open
+  slices of ``Weight.coords2`` (delta for Sp(2n,R), eps for D2, eps 1..p and
+  eps p+1..m for GL);
+* ``_tw``: the basis twist s_{eps_m} of the primed D2 pair (identity elsewhere).
 """
 
 from __future__ import annotations
@@ -79,32 +92,18 @@ def exact_parts(a: tuple[int, ...]) -> int:
 
 @dataclass
 class Block:
-    """A sub-root-system with its Weyl group, used for finite characters."""
+    """A sub-root-system with its Weyl group, used for finite characters;
+    rho is the half sum of its positive roots."""
 
+    system: PositiveSystem
     positive: list[Weight]
-    rho: Weight
     elements: list[WeylElement]
 
-    def character(self, system: PositiveSystem, lam: Weight) -> CharSeries:
-        return weyl_character(system, self.elements, self.rho, lam)
+    def __post_init__(self):
+        self.rho = weight_sum(self.positive, self.system.shape).half()
 
-
-def _half_sum(system: PositiveSystem, roots) -> Weight:
-    return weight_sum(roots, system.shape).half()
-
-
-def _sort_desc_with_sign(vals: list[Fraction]) -> tuple[list[Fraction], int] | None:
-    """Sort descending; return sign of the permutation, or None if tied."""
-    if len(set(vals)) != len(vals):
-        return None
-    idx = sorted(range(len(vals)), key=lambda i: -vals[i])
-    # count inversions of idx
-    s = 1
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                s = -s
-    return [vals[i] for i in idx], s
+    def character(self, lam: Weight) -> CharSeries:
+        return weyl_character(self.system, self.elements, self.rho, lam)
 
 
 @dataclass
@@ -142,14 +141,21 @@ class EnrightData:
 
 
 class DualPair:
-    """Shared machinery; concrete pairs fill in the block structure."""
+    """Shared machinery; concrete pairs fill in the block structure and the
+    hooks named in the module docstring."""
 
     tag = ""
 
-    # -- interface pieces provided by subclasses ---------------------------
+    # -- hooks with defaults ---------------------------------------------------
 
-    def entries(self, bound: int) -> list[ThetaEntry]:
-        raise NotImplementedError
+    def _l2_shift(self) -> Weight:
+        return -self.system.rho1
+
+    def _flip_label(self, key, w: WeylElement) -> tuple[int, str]:
+        return sgn(w), "+"
+
+    def _tw(self, x: Weight) -> Weight:
+        return x
 
     # -- common ------------------------------------------------------------
 
@@ -160,18 +166,26 @@ class DualPair:
             sys_, T, -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd]
         )
 
-    def sigma_set(self, bound: int) -> list[ThetaEntry]:
-        return self.entries(bound)
-
     def _sorted_in_block(self, x: Weight):
         """Dominant representative w.r.t. the compact Levi block and the sign
         of the sorting permutation; None when singular."""
-        raise NotImplementedError
+        c = list(self._tw(x).coords2)
+        sign = 1
+        for lo, hi in self.levi_runs:
+            run = c[lo:hi]
+            if len(set(run)) != len(run):
+                return None
+            for i in range(len(run)):
+                for j in range(i + 1, len(run)):
+                    if run[i] < run[j]:
+                        sign = -sign
+            c[lo:hi] = sorted(run, reverse=True)
+        return self._tw(Weight(c, self.system.shape)), sign
 
     def v2_character(self, lam: Weight, threshold4: int) -> CharSeries:
         """Parabolic Verma character for a Levi-dominant highest weight."""
         sys_ = self.system
-        fin = self.levi_block.character(sys_, lam)
+        fin = self.levi_block.character(lam)
         tail = product_expansion(
             sys_,
             threshold4 - fin.ceiling4,
@@ -180,10 +194,20 @@ class DualPair:
         )
         return (fin * tail).truncate(threshold4)
 
-    def l2_summands(self, a) -> list[tuple[int, Weight, str]]:
+    def l2_summands(self, key) -> list[tuple[int, Weight, str]]:
         """(coefficient, Levi-dominant weight of V^2, bucket) triples from the
         flip-group sum; bucket '+' feeds L^2(mu), '-' feeds L^2(nu)."""
-        raise NotImplementedError
+        rho2 = self.s2_block.rho
+        lam0 = self._l2_shift() + self.mu(key) + rho2
+        out = []
+        for w in self.flip_set(key):
+            res = self._sorted_in_block(w.act(lam0))
+            if res is None:
+                continue
+            dom, c_w = res
+            sign, bucket = self._flip_label(key, w)
+            out.append((c_w * sign, dom - rho2, bucket))
+        return out
 
     def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
         sys_ = self.system
@@ -202,16 +226,13 @@ class DualPair:
         return acc
 
     def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        return self.compact_block.character(self.system, entry.compact_weight)
+        return self.compact_block.character(entry.compact_weight)
 
     # -- Enright route -------------------------------------------------------
 
-    def enright_lambda0(self, entry: ThetaEntry) -> Weight:
-        return entry.l2_lowest + self.s2_block.rho
-
     def enright(self, entry: ThetaEntry) -> EnrightData:
         sys_ = self.system
-        lam0 = self.enright_lambda0(entry)
+        lam0 = entry.l2_lowest + self.s2_block.rho
         gens = []
         s2_roots = self.s2_block.positive + [-b for b in self.s2_block.positive]
         for alpha in self.enright_candidates():
@@ -252,32 +273,41 @@ class DualPair:
 
     # -- duality -------------------------------------------------------------
 
-    def assembled_character(self, depth: int) -> CharSeries:
+    def _assembled(self, depth: int, finite) -> CharSeries:
+        """The sum over the table of finite(entry) x L^2(entry) on the window
+        of depth `depth` below e^{-rho_1}; entries whose finite character
+        vanishes are skipped."""
         sys_ = self.system
         T = window4(sys_, depth, top=-sys_.rho1)
         acc = CharSeries.zero(sys_, T)
         for entry in self.sigma_set(depth):
-            fin = self.compact_character(entry)
+            fin = finite(entry)
+            if fin.is_zero_on_window():
+                continue
             l2 = self.l2_character(entry, T - fin.ceiling4, depth=False)
             acc = acc + (fin * l2).truncate(T)
         return acc
 
-    def verify_duality(self, depth: int) -> IdentityReport:
-        osc = self.oscillator_character(depth)
-        total = self.assembled_character(depth)
-        bad = osc.mismatches(total)
+    def assembled_character(self, depth: int) -> CharSeries:
+        return self._assembled(depth, self.compact_character)
+
+    def _report(self, kind: str, subset: str, depth: int, bad: list[Weight]) -> IdentityReport:
         return IdentityReport(
-            identity_kind=f"theta-{self.tag}",
+            identity_kind=kind,
             system=repr(self.system),
-            subset="full table",
+            subset=subset,
             depth=depth,
             passed=not bad,
             first_mismatch=None if not bad else list(bad[0].coords2),
         )
 
+    def verify_duality(self, depth: int) -> IdentityReport:
+        osc = self.oscillator_character(depth)
+        bad = osc.mismatches(self.assembled_character(depth))
+        return self._report(f"theta-{self.tag}", "full table", depth, bad)
+
 
 def _delta_line(shape, coeffs) -> Weight:
-    m, n = shape
     acc = Weight.zero(shape)
     for j, c in coeffs.items():
         acc = acc + c * Weight.delta(j, shape)
@@ -311,15 +341,13 @@ class SpPair(DualPair):
         c_pos = [a for a in pos0 if not any(a.eps_coords2())]
         a_pos = [a for a in c_pos if sum(a.delta_coords2()) == 0]
         compact_pos = [a for a in pos0 if any(a.eps_coords2())]
-        self.s2_block = Block(c_pos, _half_sum(sys_, c_pos), signed_group(sh, "d", list(range(1, n + 1))))
-        self.levi_block = Block(a_pos, _half_sum(sys_, a_pos), delta_permutations(sh, list(range(1, n + 1))))
+        self.s2_block = Block(sys_, c_pos, signed_group(sh, "d", list(range(1, n + 1))))
+        self.levi_block = Block(sys_, a_pos, delta_permutations(sh, list(range(1, n + 1))))
+        self.levi_runs = [(m, m + n)]
         self.levi_root_set = a_pos
         self.nilradical = [a for a in c_pos if a not in set(a_pos)]
-        self.compact_block = Block(
-            compact_pos,
-            _half_sum(sys_, compact_pos),
-            signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=self.compact_even_signs),
-        )
+        compact_elements = signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=self.compact_even_signs)
+        self.compact_block = Block(sys_, compact_pos, compact_elements)
 
     # weights ---------------------------------------------------------------
 
@@ -348,32 +376,24 @@ class SpPair(DualPair):
         j = exact_parts(a)
         return self.d == self.m and j >= max(0, self.m + 1 - (self.n - self.d))
 
-    def entries(self, bound: int) -> list[ThetaEntry]:
+    def sigma_set(self, bound: int) -> list[ThetaEntry]:
         out = []
-        rho1 = self.system.rho1
+        shift = self._l2_shift()
         for size in range(0, bound + 1):
             for a in partitions_at_most(self.d, size):
                 out.append(
-                    ThetaEntry(self.tag, a, "+", self.compact_hw(a), -rho1 + self.mu(a))
+                    ThetaEntry(self.tag, a, "+", self.compact_hw(a), shift + self.mu(a))
                 )
                 if self.in_extra_family(a):
                     out.append(
-                        ThetaEntry(self.tag, a, "-", self.compact_hw(a), -rho1 + self.nu(a))
+                        ThetaEntry(self.tag, a, "-", self.compact_hw(a), shift + self.nu(a))
                     )
         return out
 
-    def flip_group(self) -> list[WeylElement]:
+    def flip_set(self, a) -> list[WeylElement]:
+        """The delta sign flips on the first n - d coordinates; the same for
+        every entry."""
         return sign_flip_set(self.system.shape, "d", list(range(1, self.n - self.d + 1)))
-
-    def _sorted_in_block(self, x: Weight):
-        vals = [x.delta_coord(j) for j in range(1, self.n + 1)]
-        res = _sort_desc_with_sign(vals)
-        if res is None:
-            return None
-        svals, sign = res
-        sh = self.system.shape
-        out = Weight(list(x.eps_coords2()) + [int(2 * v) for v in svals], sh)
-        return out, sign
 
     def enright_candidates(self):
         sh = self.system.shape
@@ -394,19 +414,9 @@ class BPair(SpPair):
     tag = "B"
     family = "B"
 
-    def l2_summands(self, a):
-        lam0 = -self.system.rho1 + self.mu(a) + self.s2_block.rho
-        out = []
-        for w in self.flip_group():
-            flips = w.del_signs.count(-1)
-            x = w.act(lam0)
-            res = self._sorted_in_block(x)
-            if res is None:
-                continue
-            dom, c_w = res
-            bucket = "+" if flips % 2 == 0 else "-"
-            out.append((c_w, dom - self.s2_block.rho, bucket))
-        return out
+    def _flip_label(self, a, w):
+        # an even number of flips feeds L^2(mu), an odd number L^2(nu)
+        return 1, "+" if sgn(w) == 1 else "-"
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +447,20 @@ class D2Pair(DualPair):
         d_pos = [a for a in pos0 if any(a.eps_coords2())]
         a_pos = [a for a in d_pos if sum(self._tw(a).eps_coords2()) == 0]
         c_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(
-            d_pos, _half_sum(sys_, d_pos), signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=True)
-        )
-        self.levi_block = Block(a_pos, _half_sum(sys_, a_pos), self._levi_elements())
+        self.s2_block = Block(sys_, d_pos, signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=True))
+        self.levi_block = Block(sys_, a_pos, self._levi_elements())
+        self.levi_runs = [(0, m)]
         self.levi_root_set = a_pos
         self.nilradical = [a for a in d_pos if a not in set(a_pos)]
-        self.compact_block = Block(
-            c_pos, _half_sum(sys_, c_pos), signed_group(sh, "d", list(range(1, n + 1)))
-        )
+        self.compact_block = Block(sys_, c_pos, signed_group(sh, "d", list(range(1, n + 1))))
 
     def _levi_elements(self):
         """Permutations of the eps coordinates twisted by the basis sign."""
-        sh = self.system.shape
+        plain = eps_permutations(self.system.shape, list(range(1, self.m + 1)))
         if not self.primed:
-            return eps_permutations(sh, list(range(1, self.m + 1)))
-        flip = reflection(2 * Weight.eps(self.m, sh))
-        plain = eps_permutations(sh, list(range(1, self.m + 1)))
+            return plain
         return sorted(
-            (flip.compose(w).compose(flip) for w in plain), key=WeylElement.sort_key
+            (self.flip.compose(w).compose(self.flip) for w in plain), key=WeylElement.sort_key
         )
 
     def _tw(self, w: Weight) -> Weight:
@@ -476,46 +481,21 @@ class D2Pair(DualPair):
                 acc = acc + x * Weight.delta(r, sh)
         return acc
 
-    def entries(self, bound: int) -> list[ThetaEntry]:
+    def sigma_set(self, bound: int) -> list[ThetaEntry]:
         out = []
-        rho1 = self.system.rho1
+        shift = self._l2_shift()
         for size in range(0, bound + 1):
             for a in partitions_at_most(self.d, size):
                 out.append(
-                    ThetaEntry(self.tag, a, "none", self.compact_hw(a), -rho1 + self.mu(a))
+                    ThetaEntry(self.tag, a, "none", self.compact_hw(a), shift + self.mu(a))
                 )
         return out
 
-    def flip_group(self) -> list[WeylElement]:
-        base = sign_flip_set(
-            self.system.shape, "e", list(range(1, self.m - self.d + 1)), parity="even"
-        )
-        if not self.primed:
-            return base
-        return [self.flip.compose(w).compose(self.flip) for w in base]
-
-    def _sorted_in_block(self, x: Weight):
-        y = self._tw(x)
-        vals = [y.eps_coord(i) for i in range(1, self.m + 1)]
-        res = _sort_desc_with_sign(vals)
-        if res is None:
-            return None
-        svals, sign = res
-        sh = self.system.shape
-        out = Weight([int(2 * v) for v in svals] + list(y.delta_coords2()), sh)
-        return self._tw(out), sign
-
-    def l2_summands(self, a):
-        lam0 = -self.system.rho1 + self.mu(a) + self.s2_block.rho
-        out = []
-        for w in self.flip_group():
-            x = w.act(lam0)
-            res = self._sorted_in_block(x)
-            if res is None:
-                continue
-            dom, c_w = res
-            out.append((c_w * sgn(w), dom - self.s2_block.rho, "+"))
-        return out
+    def flip_set(self, a) -> list[WeylElement]:
+        """The even eps sign flips on the first m - d coordinates; the same for
+        every entry.  They commute with the twist s_{eps_m}, so both variants
+        share them."""
+        return sign_flip_set(self.system.shape, "e", list(range(1, self.m - self.d + 1)), parity="even")
 
     def enright_candidates(self):
         sh = self.system.shape
@@ -549,8 +529,8 @@ class D1Pair(SpPair):
             raise ValueError("the O(2m) side needs m >= 2; m = 1 degenerates to a torus")
         super().__init__(m, n)
         # C_{m-1} block on eps_1..eps_{m-1} for the Kostant x-characters
-        self.x_block_pos = self._cm1_positive()
-        self.x_elements = signed_group(self.system.shape, "e", list(range(1, m)))
+        x_elements = signed_group(self.system.shape, "e", list(range(1, m)))
+        self.x_block = Block(self.system, self._cm1_positive(), x_elements)
 
     def _cm1_positive(self):
         sh = self.system.shape
@@ -565,43 +545,27 @@ class D1Pair(SpPair):
     def a_m(self, a) -> int:
         return a[self.m - 1] if self.m <= len(a) else 0
 
-    def l2_summands(self, a):
-        lam0 = -self.system.rho1 + self.mu(a) + self.s2_block.rho
-        plus = self.a_m(a) > 0
-        out = []
-        for w in self.flip_group():
-            flips = w.del_signs.count(-1)
-            x = w.act(lam0)
-            res = self._sorted_in_block(x)
-            if res is None:
-                continue
-            dom, c_w = res
-            lamv = dom - self.s2_block.rho
-            if plus:
-                out.append((c_w * sgn(w), lamv, "+"))
-            elif flips % 2 == 0:
-                out.append((c_w, lamv, "+"))
-            else:
-                out.append((-c_w, lamv, "-"))
-        return out
+    def _flip_label(self, a, w):
+        # with a_m > 0 every flip feeds L^2(mu); otherwise an odd number of
+        # flips feeds L^2(nu)
+        s = sgn(w)
+        return s, "+" if self.a_m(a) > 0 or s == 1 else "-"
 
     # compact characters -----------------------------------------------------
 
     def compact_character(self, entry: ThetaEntry) -> CharSeries:
         hw = entry.compact_weight
-        base = self.compact_block.character(self.system, hw)
+        base = self.compact_block.character(hw)
         if entry.sign == "+" and self.a_m(entry.partition) > 0:
-            sh = self.system.shape
-            flipped = reflection(2 * Weight.eps(self.m, sh)).act(hw)
-            base = base + self.compact_block.character(self.system, flipped)
+            flipped = reflection(2 * Weight.eps(self.m, self.system.shape)).act(hw)
+            base = base + self.compact_block.character(flipped)
         return base
 
     def x_character(self, entry: ThetaEntry) -> CharSeries:
         """Kostant's character of F^{+-}(hw) on the x-component (a_m = 0)."""
         if self.a_m(entry.partition) > 0:
             return CharSeries.zero(self.system)
-        blk = Block(self.x_block_pos, _half_sum(self.system, self.x_block_pos), self.x_elements)
-        ch = blk.character(self.system, entry.compact_weight)
+        ch = self.x_block.character(entry.compact_weight)
         return ch if entry.sign == "+" else ch.scale(-1)
 
     def oscillator_x_character(self, depth: int) -> CharSeries:
@@ -619,18 +583,7 @@ class D1Pair(SpPair):
         return product_expansion(sys_, T, -sys_.rho1, geom=geom)
 
     def assembled_x_character(self, depth: int) -> CharSeries:
-        sys_ = self.system
-        T = window4(sys_, depth, top=-sys_.rho1)
-        acc = CharSeries.zero(sys_, T)
-        for entry in self.sigma_set(depth):
-            if self.a_m(entry.partition) > 0:
-                continue
-            xc = self.x_character(entry)
-            if xc.is_zero_on_window():
-                continue
-            l2 = self.l2_character(entry, T - xc.ceiling4, depth=False)
-            acc = acc + (xc * l2).truncate(T)
-        return acc
+        return self._assembled(depth, self.x_character)
 
     def d2_twin_sum(self, depth: int) -> CharSeries:
         """The x-twisted oscillator character reproduced from the D(n, m-1)
@@ -656,15 +609,15 @@ class D1Pair(SpPair):
         W = product_set(
             delta_permutations(sh, list(range(1, n + 1))),
             sign_flip_set(sh, "d", list(range(1, n - d1 + 1)), parity="even"),
-            self.x_elements,
+            self.x_block.elements,
         )
         T = window4(sys_, depth, top=-sys_.rho1)
-        denom_lead = self.s2_block.rho + _half_sum(sys_, self.x_block_pos)
+        denom_lead = self.s2_block.rho + self.x_block.rho
         Tsum = T + sys_.ht4(denom_lead)
         num = f_sum_quotient(sys_, W, "sgn", Tsum, rho_hat, geom=[(b, 1) for b in brackets])
         inv = product_expansion(
             sys_, T - num.ceiling4, -denom_lead,
-            geom=[(a, 1) for a in list(self.s2_block.positive) + list(self.x_block_pos)],
+            geom=[(a, 1) for a in self.s2_block.positive + self.x_block.positive],
         )
         return (num * inv).truncate(T)
 
@@ -673,28 +626,13 @@ class D1Pair(SpPair):
         if not rep.passed:
             return rep
         osc_x = self.oscillator_x_character(depth)
-        asm_x = self.assembled_x_character(depth)
-        bad = osc_x.mismatches(asm_x)
-        if bad:
-            return IdentityReport(
-                identity_kind="theta-D1-x",
-                system=repr(self.system),
-                subset="x-component",
-                depth=depth,
-                passed=False,
-                first_mismatch=list(bad[0].coords2),
-            )
-        twin = self.d2_twin_sum(depth)
-        bad2 = osc_x.mismatches(twin)
-        if bad2:
-            return IdentityReport(
-                identity_kind="theta-D1-xtwin",
-                system=repr(self.system),
-                subset="x-component vs D(n,m-1) superdenominator",
-                depth=depth,
-                passed=False,
-                first_mismatch=list(bad2[0].coords2),
-            )
+        for kind, subset, other in (
+            ("theta-D1-x", "x-component", self.assembled_x_character),
+            ("theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator", self.d2_twin_sum),
+        ):
+            bad = osc_x.mismatches(other(depth))
+            if bad:
+                return self._report(kind, subset, depth, bad)
         return rep
 
 
@@ -722,15 +660,16 @@ class GLPair(DualPair):
             if not any(a.eps_coords2()[:p]) or not any(a.eps_coords2()[p:])
         ]
         an_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(am_pos, _half_sum(sys_, am_pos), eps_permutations(sh, list(range(1, self.m + 1))))
+        self.s2_block = Block(sys_, am_pos, eps_permutations(sh, list(range(1, self.m + 1))))
         levi_elements = product_set(
             eps_permutations(sh, list(range(1, p + 1))),
             eps_permutations(sh, list(range(p + 1, self.m + 1))),
         )
-        self.levi_block = Block(c_pos, _half_sum(sys_, c_pos), sorted(levi_elements, key=WeylElement.sort_key))
+        self.levi_block = Block(sys_, c_pos, sorted(levi_elements, key=WeylElement.sort_key))
+        self.levi_runs = [(0, p), (p, self.m)]
         self.levi_root_set = c_pos
         self.nilradical = [a for a in am_pos if a not in set(c_pos)]
-        self.compact_block = Block(an_pos, _half_sum(sys_, an_pos), delta_permutations(sh, list(range(1, n + 1))))
+        self.compact_block = Block(sys_, an_pos, delta_permutations(sh, list(range(1, n + 1))))
 
     def mu(self, ab) -> Weight:
         a, b = ab
@@ -752,7 +691,7 @@ class GLPair(DualPair):
             acc = acc - x * Weight.delta(self.n - u + 1, sh)
         return acc
 
-    def entries(self, bound: int) -> list[ThetaEntry]:
+    def sigma_set(self, bound: int) -> list[ThetaEntry]:
         out = []
         for size in range(0, bound + 1):
             for ka in range(0, min(self.p, self.d) + 1):
@@ -799,31 +738,6 @@ class GLPair(DualPair):
         wc = self.levi_block.elements
         # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
         return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
-
-    def _sorted_in_block(self, x: Weight):
-        vals_p = [x.eps_coord(i) for i in range(1, self.p + 1)]
-        vals_q = [x.eps_coord(i) for i in range(self.p + 1, self.m + 1)]
-        rp = _sort_desc_with_sign(vals_p)
-        rq = _sort_desc_with_sign(vals_q)
-        if rp is None or rq is None:
-            return None
-        sh = self.system.shape
-        out = Weight(
-            [int(2 * v) for v in rp[0] + rq[0]] + list(x.delta_coords2()), sh
-        )
-        return out, rp[1] * rq[1]
-
-    def l2_summands(self, ab):
-        lam0 = self._l2_shift() + self.mu(ab) + self.s2_block.rho
-        out = []
-        for w in self.flip_set(ab):
-            x = w.act(lam0)
-            res = self._sorted_in_block(x)
-            if res is None:
-                continue
-            dom, c_w = res
-            out.append((c_w * sgn(w), dom - self.s2_block.rho, "+"))
-        return out
 
     def enright_candidates(self):
         sh = self.system.shape

@@ -288,18 +288,15 @@ def signed_group(shape: tuple[int, int], kind: str, indices: list[int], even_sig
 def sign_flip_set(shape: tuple[int, int], kind: str, indices: list[int], parity: str = "all") -> list[WeylElement]:
     """The abelian group of sign flips on the listed coordinates.
 
-    parity: "all", "even" or "odd" restricts the number of flipped signs;
-    "even"/"odd" give the subsets used for the +-parity splits.
+    parity "even" keeps the elements flipping an even number of signs, the
+    subgroup used for the +-parity splits; "all" keeps every element.
     """
     m, n = shape
     size = m if kind == "e" else n
     idx = [i - 1 for i in indices]
     out = []
     for signs in itertools.product((1, -1), repeat=len(idx)):
-        k = signs.count(-1)
-        if parity == "even" and k % 2:
-            continue
-        if parity == "odd" and k % 2 == 0:
+        if parity == "even" and signs.count(-1) % 2:
             continue
         sv = [1] * size
         for src, s in zip(idx, signs):

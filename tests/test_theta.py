@@ -100,7 +100,7 @@ def test_finite_character_singular_vanishes():
     pair = make_pair("GL", n=2, p=1, q=1)
     sh = pair.system.shape
     lam = pair._compact_shift() + w(sh, d2=1)  # (0, 1) on the deltas: singular
-    assert pair.compact_block.character(pair.system, lam).is_zero_on_window()
+    assert pair.compact_block.character(lam).is_zero_on_window()
 
 
 def test_dominance_of_tau_image():
@@ -277,20 +277,34 @@ def test_prop_gl_decomposition_routes_2111():
     assert left.agrees_with(grouped)
 
 
-def test_partitions_lemma_sk_map_smallest_rank():
-    # the reindexing map between the shifted and unshifted partition pairs is
-    # a bijection at (m, n, p, q) = (2, 1, 1, 1); the index families are tiny
-    # (a always empty, shifts by r_i = 1), so both sides are exhausted
-    d, i_max = 1, 1
-    r0 = i_max - 0  # i = 0 slot
-    lhs_pairs = []
-    bound = 8
-    for b1 in range(0, bound):  # b in P_{d-i} with r_0^{d-0} subset b
-        if b1 >= r0:
-            lhs_pairs.append(((), (b1,)))
-    # s_0((), b) = ((), b) after stripping the shift from the a-side; the
-    # image family is the exactly-one-part partitions not containing i_max^1
-    image = [(a, b) for a, b in lhs_pairs]
-    target = [((), (b1,)) for b1 in range(1, bound)]
-    assert len(image) == len(target)
-    assert {b for _, (b,) in [(a, b) for a, b in image]} == {b for _, (b,) in [(a, b) for a, b in target]}
+def test_gl_sigma_set_index_family_smallest_rank():
+    # for (U(1), U(1,1)) the table is indexed by ((), ()) and the one-part
+    # pairs ((k,), ()) and ((), (k,)), k = 1..b, each exactly once
+    pair = make_pair("GL", n=1, p=1, q=1)
+    for b in range(0, 5):
+        entries = pair.sigma_set(b)
+        keys = [e.partition for e in entries]
+        want = [((), ())] + [((k,), ()) for k in range(1, b + 1)] + [((), (k,)) for k in range(1, b + 1)]
+        assert sorted(keys) == sorted(want)
+        for e in entries:
+            assert e.sign == "none"
+            assert e.l2_lowest == pair._l2_shift() + pair.mu(e.partition)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_d2_primed_is_the_s_eps_m_image_of_d2(m, n):
+    # the primed pair carries -eps_m in the basis: its table, its L^2 lowest
+    # weights and its flip-sum summands are the s_{eps_m} images of the
+    # unprimed pair's, term for term; D(3,1) has a flip group of order 2
+    plain, primed = make_pair("D2", m=m, n=n), make_pair("D2'", m=m, n=n)
+    s = reflection(2 * Weight.eps(m, plain.system.shape))
+    assert primed.system.rho1 == s.act(plain.system.rho1)
+    entries, entries_p = plain.sigma_set(5), primed.sigma_set(5)
+    assert len(entries) == len(entries_p)
+    for e, ep in zip(entries, entries_p):
+        assert ep.partition == e.partition and ep.sign == e.sign
+        assert ep.l2_lowest == s.act(e.l2_lowest)
+        assert ep.compact_weight == s.act(e.compact_weight)
+        summands = plain.l2_summands(e.partition)
+        assert summands, e.partition
+        assert primed.l2_summands(e.partition) == [(c, s.act(lam), b) for c, lam, b in summands]
