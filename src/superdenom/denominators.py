@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .weights import Weight, is_isotropic, weight_sum
 from .rootdata import (
+    EPS_BLOCK,
     RootDatum,
     PositiveSystem,
     build_root_datum,
@@ -36,10 +37,7 @@ from .weyl import (
     enumerate_closure,
     coset_reps,
     product_set,
-    eps_permutations,
-    delta_permutations,
-    sign_flip_set,
-    signed_group,
+    signed_permutations,
 )
 from .series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
 from .diagrams import ArcDiagram, enumerate_diagrams
@@ -222,15 +220,13 @@ def _block_indices(symbols, kind: str) -> list[int]:
     return [s.idx for s in symbols if s.kind == kind]
 
 
-def migliore_groups(
-    system: PositiveSystem, X: ArcDiagram, bprime=None, sharp_block: str | None = None
-):
+def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
     """The element sets of the master identity: W_0 = Z W_B' W#(B') and |T|.
 
     ``bprime`` is a set of basis symbols containing Supp(X) (default equal to
-    it); ``sharp_block`` picks the component of Delta_0(B') whose Weyl group
-    serves as W#(B') ("e" or "d"); by default the larger component, matching
-    the choices made for the compact dual pairs (eps for B, delta for D).
+    it).  W#(B') is generated by the reflections of Delta_0(B') in the even
+    block that the dual Coxeter number of the ambient algebra singles out, the
+    block that W# itself lives in (``datum.dual_coxeter_sign``).
     """
     datum = system.datum
     shape = datum.shape
@@ -247,20 +243,13 @@ def migliore_groups(
         return all(c == 0 or i in slots for i, c in enumerate(a.coords2))
 
     sub_even = [a for a in datum.even_roots if supported(a)]
-    if sharp_block is None:
-        fam = datum.family
-        if fam == "B":
-            sharp_block = "e"
-        elif fam == "D":
-            sharp_block = "d" if len(eps_idx) <= len(del_idx) else "e"
-        elif fam == "GL":
-            sharp_block = "e" if len(eps_idx) >= len(del_idx) else "d"
-        else:
-            sharp_block = "e"
     w_bprime_full = enumerate_closure([reflection(a) for a in sub_even], shape)
-    sharp_roots = [a for a in sub_even if any(a.eps_coords2()) == (sharp_block == "e")]
+    eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
+    sharp_roots = [a for a in sub_even if any(a.eps_coords2()) == eps_sharp]
     w_sharp = enumerate_closure([reflection(a) for a in sharp_roots], shape)
-    perms = product_set(eps_permutations(shape, eps_idx), delta_permutations(shape, del_idx))
+    perms = product_set(
+        signed_permutations(shape, "e", eps_idx), signed_permutations(shape, "d", del_idx)
+    )
     H = enumerate_closure(perms + w_sharp, shape)
     t_size = len(w_bprime_full) // len(H)
     Z = coset_reps(full_weyl(datum), w_bprime_full)
@@ -269,16 +258,18 @@ def migliore_groups(
 
 
 def rhs_migliore(
-    system: PositiveSystem,
-    X: ArcDiagram,
-    threshold4: int,
-    bprime=None,
-    sharp_block: str | None = None,
+    system: PositiveSystem, X: ArcDiagram, threshold4: int, bprime=None
 ) -> tuple[CharSeries, Fraction]:
     """F-check sum over W_0 of the bracket quotient; returns the series of
     sum_w sgn'(w) w(e^rho / prod(1 - e^{-[[gamma]]})) and the expected ratio
     against e^rho Ř, namely C_g / (|T| prod (ht+1)/2)."""
-    W0, t_size = migliore_groups(system, X, bprime, sharp_block)
+    return _rhs_migliore(system, X, threshold4, *migliore_groups(system, X, bprime))
+
+
+def _rhs_migliore(
+    system: PositiveSystem, X: ArcDiagram, threshold4: int, W0: list[WeylElement], t_size: int
+) -> tuple[CharSeries, Fraction]:
+    """rhs_migliore over already built groups W_0 and |T|."""
     geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
     series = f_sum_quotient(system, W0, "sgn_prime", threshold4, system.rho, geom=geom)
     ratio = Fraction(c_g(system.datum), t_size)
@@ -291,7 +282,7 @@ def rhs_migliore(
 # the gl(k,k) lemma
 
 
-def glkk_sides(k: int, threshold4_units: int) -> tuple[CharSeries, CharSeries, Fraction]:
+def glkk_sides(k: int, depth: int) -> tuple[CharSeries, CharSeries, Fraction]:
     """Both sides of the all-isotropic gl(k,k) lemma at the given depth.
 
     Returns (lhs_sum, rhs_series, ratio) with the claim lhs = ratio * rhs.
@@ -301,8 +292,8 @@ def glkk_sides(k: int, threshold4_units: int) -> tuple[CharSeries, CharSeries, F
     system = positive_system(datum, standard_order("GL", k, k, order_pattern))
     betas = [Weight.eps(i, (k, k)) - Weight.delta(i, (k, k)) for i in range(1, k + 1)]
     W = full_weyl(datum)
-    T = -4 * threshold4_units
     zero = Weight.zero((k, k))
+    T = window4(system, depth, top=zero)
     left = f_sum_quotient(system, W, "sgn_prime", T, zero, geom=[(b, 1) for b in betas[1:]])
     core = f_sum_quotient(system, W, "sgn_prime", T, zero, geom=[(b, 1) for b in betas])
     total = weight_sum(betas, (k, k))
@@ -361,7 +352,6 @@ def verify(
     S: list[Weight] | None = None,
     depth: int = 8,
     bprime=None,
-    sharp_block: str | None = None,
 ) -> IdentityReport:
     """Check one identity on the given system at the given window depth."""
     if kind not in IDENTITY_KINDS:
@@ -369,7 +359,7 @@ def verify(
     if kind == "glkk":
         raise ValueError("use verify_glkk for the gl(k,k) lemma")
     flavor = "sd" if kind.endswith("sd") or kind == "migliore" else "d"
-    group = None
+    group = t_size = None
     if X is not None and (kind.startswith("princ") or kind == "migliore"):
         # Weyl images of the bracket exponents may cross height zero; pick an
         # expansion functional that separates them all before computing.  Every
@@ -377,7 +367,7 @@ def verify(
         if kind.startswith("princ"):
             group = full_weyl(system.datum)
         else:
-            group, _ = migliore_groups(system, X, bprime, sharp_block)
+            group, t_size = migliore_groups(system, X, bprime)
         brackets = [X.bracket(g) for g in X.isotropic_set()]
         images = [w.act(b) for w in group for b in brackets]
         system = choose_expansion_system(system, images)
@@ -401,13 +391,11 @@ def verify(
     if kind.startswith("mm"):
         R = rhs_mm(system, X, flavor, T)
         return _report(kind, system, label, depth, L, R, Fraction(1))
-    R, ratio = rhs_migliore(system, X, T, bprime, sharp_block)
+    R, ratio = _rhs_migliore(system, X, T, group, t_size)
     return _report(kind, system, label, depth, L, R, ratio)
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
     left, rhs, ratio = glkk_sides(k, depth)
     bad = rhs.mismatches(left, ratio)
     return IdentityReport(
@@ -446,9 +434,9 @@ def _d2_group(shape: tuple[int, int], d: int) -> list[WeylElement]:
     """W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
     m, n = shape
     return product_set(
-        eps_permutations(shape, list(range(1, m + 1))),
-        sign_flip_set(shape, "e", list(range(1, m - d + 1)), parity="even"),
-        signed_group(shape, "d", list(range(1, n + 1))),
+        signed_permutations(shape, "e", range(1, m + 1)),
+        signed_permutations(shape, "e", range(1, m - d + 1), permute=False, flips="even"),
+        signed_permutations(shape, "d", range(1, n + 1), flips="all"),
     )
 
 
@@ -458,9 +446,9 @@ def seconda_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSer
     datum = system.datum
     m, n, shape = datum.m, datum.n, datum.shape
     W = product_set(
-        delta_permutations(shape, list(range(1, n + 1))),
-        sign_flip_set(shape, "d", list(range(1, n - datum.defect + 1))),
-        signed_group(shape, "e", list(range(1, m + 1))),
+        signed_permutations(shape, "d", range(1, n + 1)),
+        signed_permutations(shape, "d", range(1, n - datum.defect + 1), permute=False, flips="all"),
+        signed_permutations(shape, "e", range(1, m + 1), flips="all"),
     )
     system, T, (rhs,) = _first_diagram_sums(system, depth, W)
     return lhs(system, "sd", T), rhs
@@ -480,18 +468,18 @@ def w_equal_w1_sums(system: PositiveSystem, depth: int) -> tuple[CharSeries, Cha
     m, n, d, shape = datum.m, datum.n, datum.defect, datum.shape
     if m <= n:
         raise ValueError("the W = W_1 comparison needs m > n")
-    a_full = eps_permutations(shape, list(range(1, m + 1)))
-    a_small = eps_permutations(shape, list(range(m - d + 1, m + 1)))
+    a_full = signed_permutations(shape, "e", range(1, m + 1))
+    a_small = signed_permutations(shape, "e", range(m - d + 1, m + 1))
     z = coset_reps(a_full, a_small)
     s = reflection(2 * Weight.eps(m - d, shape)).compose(
         reflection(2 * Weight.eps(m - d + 1, shape))
     )
     W1 = product_set(
         z,
-        sign_flip_set(shape, "e", list(range(1, m - d + 1)), parity="even"),
+        signed_permutations(shape, "e", range(1, m - d + 1), permute=False, flips="even"),
         [s],
         a_small,
-        signed_group(shape, "d", list(range(1, n + 1))),
+        signed_permutations(shape, "d", range(1, n + 1), flips="all"),
     )
     _, _, (sum_w, sum_w1) = _first_diagram_sums(system, depth, _d2_group(shape, d), W1)
     return sum_w, sum_w1

@@ -48,10 +48,7 @@ from .weyl import (
     WeylElement,
     reflection,
     enumerate_closure,
-    eps_permutations,
-    delta_permutations,
-    signed_group,
-    sign_flip_set,
+    signed_permutations,
     coset_reps,
     product_set,
     sgn,
@@ -328,7 +325,7 @@ class SpPair(DualPair):
 
     family = ""
     variant = ""
-    compact_even_signs = False  # W(D_m) rather than W(B_m) on the eps block
+    compact_flips = "all"  # W(B_m); "even" for W(D_m)
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
@@ -341,12 +338,12 @@ class SpPair(DualPair):
         c_pos = [a for a in pos0 if not any(a.eps_coords2())]
         a_pos = [a for a in c_pos if sum(a.delta_coords2()) == 0]
         compact_pos = [a for a in pos0 if any(a.eps_coords2())]
-        self.s2_block = Block(sys_, c_pos, signed_group(sh, "d", list(range(1, n + 1))))
-        self.levi_block = Block(sys_, a_pos, delta_permutations(sh, list(range(1, n + 1))))
+        self.s2_block = Block(sys_, c_pos, signed_permutations(sh, "d", range(1, n + 1), flips="all"))
+        self.levi_block = Block(sys_, a_pos, signed_permutations(sh, "d", range(1, n + 1)))
         self.levi_runs = [(m, m + n)]
         self.levi_root_set = a_pos
         self.nilradical = [a for a in c_pos if a not in set(a_pos)]
-        compact_elements = signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=self.compact_even_signs)
+        compact_elements = signed_permutations(sh, "e", range(1, m + 1), flips=self.compact_flips)
         self.compact_block = Block(sys_, compact_pos, compact_elements)
 
     # weights ---------------------------------------------------------------
@@ -393,7 +390,8 @@ class SpPair(DualPair):
     def flip_set(self, a) -> list[WeylElement]:
         """The delta sign flips on the first n - d coordinates; the same for
         every entry."""
-        return sign_flip_set(self.system.shape, "d", list(range(1, self.n - self.d + 1)))
+        flipped = range(1, self.n - self.d + 1)
+        return signed_permutations(self.system.shape, "d", flipped, permute=False, flips="all")
 
     def enright_candidates(self):
         sh = self.system.shape
@@ -447,16 +445,16 @@ class D2Pair(DualPair):
         d_pos = [a for a in pos0 if any(a.eps_coords2())]
         a_pos = [a for a in d_pos if sum(self._tw(a).eps_coords2()) == 0]
         c_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(sys_, d_pos, signed_group(sh, "e", list(range(1, m + 1)), even_signs_only=True))
+        self.s2_block = Block(sys_, d_pos, signed_permutations(sh, "e", range(1, m + 1), flips="even"))
         self.levi_block = Block(sys_, a_pos, self._levi_elements())
         self.levi_runs = [(0, m)]
         self.levi_root_set = a_pos
         self.nilradical = [a for a in d_pos if a not in set(a_pos)]
-        self.compact_block = Block(sys_, c_pos, signed_group(sh, "d", list(range(1, n + 1))))
+        self.compact_block = Block(sys_, c_pos, signed_permutations(sh, "d", range(1, n + 1), flips="all"))
 
     def _levi_elements(self):
         """Permutations of the eps coordinates twisted by the basis sign."""
-        plain = eps_permutations(self.system.shape, list(range(1, self.m + 1)))
+        plain = signed_permutations(self.system.shape, "e", range(1, self.m + 1))
         if not self.primed:
             return plain
         return sorted(
@@ -495,7 +493,8 @@ class D2Pair(DualPair):
         """The even eps sign flips on the first m - d coordinates; the same for
         every entry.  They commute with the twist s_{eps_m}, so both variants
         share them."""
-        return sign_flip_set(self.system.shape, "e", list(range(1, self.m - self.d + 1)), parity="even")
+        flipped = range(1, self.m - self.d + 1)
+        return signed_permutations(self.system.shape, "e", flipped, permute=False, flips="even")
 
     def enright_candidates(self):
         sh = self.system.shape
@@ -522,14 +521,14 @@ class D1Pair(SpPair):
     tag = "D1"
     family = "D"
     variant = "D1"
-    compact_even_signs = True
+    compact_flips = "even"
 
     def __init__(self, m: int, n: int):
         if m < 2:
             raise ValueError("the O(2m) side needs m >= 2; m = 1 degenerates to a torus")
         super().__init__(m, n)
         # C_{m-1} block on eps_1..eps_{m-1} for the Kostant x-characters
-        x_elements = signed_group(self.system.shape, "e", list(range(1, m)))
+        x_elements = signed_permutations(self.system.shape, "e", range(1, m), flips="all")
         self.x_block = Block(self.system, self._cm1_positive(), x_elements)
 
     def _cm1_positive(self):
@@ -607,8 +606,8 @@ class D1Pair(SpPair):
                 b = b - Weight.eps(r, sh)
             brackets.append(b)
         W = product_set(
-            delta_permutations(sh, list(range(1, n + 1))),
-            sign_flip_set(sh, "d", list(range(1, n - d1 + 1)), parity="even"),
+            signed_permutations(sh, "d", range(1, n + 1)),
+            signed_permutations(sh, "d", range(1, n - d1 + 1), permute=False, flips="even"),
             self.x_block.elements,
         )
         T = window4(sys_, depth, top=-sys_.rho1)
@@ -660,16 +659,16 @@ class GLPair(DualPair):
             if not any(a.eps_coords2()[:p]) or not any(a.eps_coords2()[p:])
         ]
         an_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(sys_, am_pos, eps_permutations(sh, list(range(1, self.m + 1))))
+        self.s2_block = Block(sys_, am_pos, signed_permutations(sh, "e", range(1, self.m + 1)))
         levi_elements = product_set(
-            eps_permutations(sh, list(range(1, p + 1))),
-            eps_permutations(sh, list(range(p + 1, self.m + 1))),
+            signed_permutations(sh, "e", range(1, p + 1)),
+            signed_permutations(sh, "e", range(p + 1, self.m + 1)),
         )
         self.levi_block = Block(sys_, c_pos, sorted(levi_elements, key=WeylElement.sort_key))
         self.levi_runs = [(0, p), (p, self.m)]
         self.levi_root_set = c_pos
         self.nilradical = [a for a in am_pos if a not in set(c_pos)]
-        self.compact_block = Block(sys_, an_pos, delta_permutations(sh, list(range(1, n + 1))))
+        self.compact_block = Block(sys_, an_pos, signed_permutations(sh, "d", range(1, n + 1)))
 
     def mu(self, ab) -> Weight:
         a, b = ab
@@ -734,7 +733,7 @@ class GLPair(DualPair):
         free = list(range(1, self.p - self.d + h + 1)) + list(
             range(self.p + self.d - k + 1, self.m + 1)
         )
-        w2 = eps_permutations(self.system.shape, free)
+        w2 = signed_permutations(self.system.shape, "e", free)
         wc = self.levi_block.elements
         # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
         return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)

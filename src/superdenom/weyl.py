@@ -1,9 +1,11 @@
 """Signed-permutation Weyl groups and their named subgroups.
 
 Elements are stored as signed permutations acting separately on the eps and
-delta coordinates.  sgn is the determinant of the action; sgn' twists it by
-the sign flips that do not come from reflections in \\bar Delta_0 (delta
-flips in family B, eps flips in family D and its extension by s_{eps_i}).
+delta coordinates.  ``signed_permutations`` builds every named factor on one
+block: W(A), W(B) = W(C), W(D) and the groups of sign flips.  sgn is the
+determinant of the action; sgn' twists it by the sign flips that do not come
+from reflections in \\bar Delta_0 (delta flips in family B, eps flips in
+family D and its extension by s_{eps_i}).
 """
 
 from __future__ import annotations
@@ -118,46 +120,42 @@ def sgn_prime(w: WeylElement, family: str) -> int:
     return s
 
 
+def _on_block(shape: tuple[int, int], kind: str, perm, signs) -> WeylElement:
+    """The signed permutation (perm, signs) on the eps ("e") or delta ("d")
+    block, identity on the other."""
+    m, n = shape
+    if kind == "e":
+        return WeylElement(tuple(perm), tuple(signs), tuple(range(n)), (1,) * n)
+    return WeylElement(tuple(range(m)), (1,) * m, tuple(perm), tuple(signs))
+
+
 def reflection(alpha: Weight) -> WeylElement:
     """The reflection s_alpha for an even root alpha."""
     m, n = alpha.shape
-    e = [c // 2 for c in alpha.eps_coords2()]
-    d = [c // 2 for c in alpha.delta_coords2()]
     if any(c % 2 for c in alpha.coords2):
         raise ValueError(f"{alpha} is not an even-root candidate")
+    e, d = alpha.eps_coords2(), alpha.delta_coords2()
     se = [i for i, c in enumerate(e) if c]
     sd = [j for j, c in enumerate(d) if c]
-    ident = WeylElement.identity((m, n))
     if se and sd:
         raise ValueError(f"{alpha} mixes eps and delta: not an even reflection")
-    if se:
-        perm, signs = list(ident.eps_perm), list(ident.eps_signs)
-        if len(se) == 1:
-            i = se[0]
-            signs[i] = -1
-        else:
-            i, j = se
-            perm[i], perm[j] = perm[j], perm[i]
-            if e[i] * e[j] > 0:  # eps_i + eps_j
-                signs[i] = signs[j] = -1
-        return WeylElement(tuple(perm), tuple(signs), ident.del_perm, ident.del_signs)
-    if sd:
-        perm, signs = list(ident.del_perm), list(ident.del_signs)
-        if len(sd) == 1:
-            j = sd[0]
-            signs[j] = -1
-        else:
-            i, j = sd
-            perm[i], perm[j] = perm[j], perm[i]
-            if d[i] * d[j] > 0:
-                signs[i] = signs[j] = -1
-        return WeylElement(ident.eps_perm, ident.eps_signs, tuple(perm), tuple(signs))
-    raise ValueError("zero weight has no reflection")
+    if not (se or sd):
+        raise ValueError("zero weight has no reflection")
+    kind, c, idx, size = ("e", e, se, m) if se else ("d", d, sd, n)
+    perm, signs = list(range(size)), [1] * size
+    if len(idx) == 1:
+        signs[idx[0]] = -1
+    else:
+        i, j = idx
+        perm[i], perm[j] = perm[j], perm[i]
+        if c[i] * c[j] > 0:  # eps_i + eps_j (or delta_i + delta_j)
+            signs[i] = signs[j] = -1
+    return _on_block(alpha.shape, kind, perm, signs)
 
 
-def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int], bound: int | None = None) -> list[WeylElement]:
+def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> list[WeylElement]:
     """All products of the generators, deterministically ordered."""
-    bound = bound or _max_group()
+    bound = _max_group()
     ident = WeylElement.identity(shape)
     seen = {ident}
     frontier = [ident]
@@ -237,74 +235,36 @@ def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
     return enumerate_closure(gens, shape)
 
 
-def eps_permutations(shape: tuple[int, int], indices: list[int]) -> list[WeylElement]:
-    """Symmetric group permuting the given eps indices (1-based), W(A)-style."""
-    m, n = shape
-    out = []
+def signed_permutations(
+    shape: tuple[int, int], kind: str, indices, permute: bool = True, flips: str = "none"
+) -> list[WeylElement]:
+    """Signed permutations of the listed (1-based) eps ("e") or delta ("d")
+    indices, sorted by key.
+
+    ``permute`` allows every permutation of the indices (otherwise none);
+    ``flips`` allows no sign flips ("none"), every sign flip ("all") or the
+    even numbers of flips ("even").  So W(A) is the default, W(B) = W(C) is
+    flips="all", W(D) is flips="even", and permute=False gives the abelian
+    groups of sign flips.
+    """
+    if flips not in ("none", "all", "even"):
+        raise ValueError(f"flips must be 'none', 'all' or 'even', got {flips!r}")
+    size = shape[0] if kind == "e" else shape[1]
     idx = [i - 1 for i in indices]
-    for per in itertools.permutations(idx):
-        perm = list(range(m))
-        for src, dst in zip(idx, per):
-            perm[src] = dst
-        out.append(WeylElement(tuple(perm), (1,) * m, tuple(range(n)), (1,) * n))
-    return sorted(out, key=WeylElement.sort_key)
-
-
-def delta_permutations(shape: tuple[int, int], indices: list[int]) -> list[WeylElement]:
-    m, n = shape
+    perms = itertools.permutations(idx) if permute else [idx]
+    sign_choices = [
+        signs
+        for signs in itertools.product((1, -1), repeat=len(idx))
+        if flips == "all" or -1 not in signs or (flips == "even" and signs.count(-1) % 2 == 0)
+    ]
     out = []
-    idx = [j - 1 for j in indices]
-    for per in itertools.permutations(idx):
-        perm = list(range(n))
-        for src, dst in zip(idx, per):
-            perm[src] = dst
-        out.append(WeylElement(tuple(r for r in range(m)), (1,) * m, tuple(perm), (1,) * n))
-    return sorted(out, key=WeylElement.sort_key)
-
-
-def signed_group(shape: tuple[int, int], kind: str, indices: list[int], even_signs_only: bool = False) -> list[WeylElement]:
-    """Hyperoctahedral group on the listed indices: W(B_r)/W(C_r), or W(D_r)
-    when even_signs_only is set."""
-    m, n = shape
-    size = m if kind == "e" else n
-    idx = [i - 1 for i in indices]
-    out = []
-    for per in itertools.permutations(idx):
-        for signs in itertools.product((1, -1), repeat=len(idx)):
-            if even_signs_only and signs.count(-1) % 2:
-                continue
-            perm = list(range(size))
-            sv = [1] * size
+    for per in perms:
+        for signs in sign_choices:
+            perm, sv = list(range(size)), [1] * size
             for src, dst, s in zip(idx, per, signs):
                 perm[src] = dst
                 sv[src] = s
-            if kind == "e":
-                out.append(WeylElement(tuple(perm), tuple(sv), tuple(range(n)), (1,) * n))
-            else:
-                out.append(WeylElement(tuple(range(m)), (1,) * m, tuple(perm), tuple(sv)))
-    return sorted(out, key=WeylElement.sort_key)
-
-
-def sign_flip_set(shape: tuple[int, int], kind: str, indices: list[int], parity: str = "all") -> list[WeylElement]:
-    """The abelian group of sign flips on the listed coordinates.
-
-    parity "even" keeps the elements flipping an even number of signs, the
-    subgroup used for the +-parity splits; "all" keeps every element.
-    """
-    m, n = shape
-    size = m if kind == "e" else n
-    idx = [i - 1 for i in indices]
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(idx)):
-        if parity == "even" and signs.count(-1) % 2:
-            continue
-        sv = [1] * size
-        for src, s in zip(idx, signs):
-            sv[src] = s
-        if kind == "e":
-            out.append(WeylElement(tuple(range(m)), tuple(sv), tuple(range(n)), (1,) * n))
-        else:
-            out.append(WeylElement(tuple(range(m)), (1,) * m, tuple(range(n)), tuple(sv)))
+            out.append(_on_block(shape, kind, perm, sv))
     return sorted(out, key=WeylElement.sort_key)
 
 

@@ -10,6 +10,10 @@ REMOVED = [
     "stabilizer_check",
     "orbit",
     "even_flip_pairs_group",
+    "eps_permutations",
+    "delta_permutations",
+    "signed_group",
+    "sign_flip_set",
 ]
 
 

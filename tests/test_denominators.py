@@ -12,7 +12,7 @@ from superdenom.rootdata import (
 )
 from superdenom.diagrams import ArcDiagram, enumerate_diagrams
 from superdenom.weyl import full_weyl
-from superdenom.series import CharSeries, HeightZeroExponent, product_expansion
+from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
 from superdenom.denominators import (
     choose_expansion_system,
     with_safe_expansion,
@@ -334,3 +334,111 @@ def test_migliore_t_size_by_enumeration():
     X = enumerate_diagrams(system)[0]
     _, t = migliore_groups(system, X)
     assert t == 2
+
+
+MIGLIORE_RANKS = [
+    ("GL", 2, 2), ("GL", 3, 2), ("GL", 2, 3),
+    ("B", 1, 1), ("B", 1, 2), ("B", 2, 1), ("B", 2, 2),
+    ("D", 2, 1), ("D", 2, 2), ("D", 3, 2),
+    ("C", 2, 1), ("C", 3, 1),
+]
+
+
+def _migliore_failures(ranks, depth, whole_basis):
+    """(checks, failures) of migliore over every order and diagram; with
+    whole_basis, B' is the whole basis and only diagrams whose support is
+    smaller are checked."""
+    checks, failures = 0, []
+    for fam, m, n in ranks:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            system = positive_system(datum, order)
+            for X in enumerate_diagrams(system):
+                bprime = list(order.sequence) if whole_basis else None
+                if whole_basis and len(X.support_symbols()) == len(bprime):
+                    continue
+                checks += 1
+                if not verify("migliore", system, X=X, depth=depth, bprime=bprime).passed:
+                    failures.append((fam, m, n, str(order), X.arcs))
+    return checks, failures
+
+
+def test_migliore_holds_on_every_order_and_diagram():
+    # W#(B') lives in the block of the ambient dual Coxeter number; the eps
+    # block for every family-B input fails B(1,2) with arcs [(0, 1)] in the
+    # orders e1>d1>d2 and d1>e1>d2
+    assert _migliore_failures(MIGLIORE_RANKS, 3, whole_basis=False) == (130, [])
+
+
+def test_migliore_holds_with_bprime_larger_than_the_support():
+    # the eps block for every family-B input fails four of these: B(1,2)
+    # with arcs [(0, 1)] and [(1, 2)], two orders each
+    ranks = [(f, m, n) for f, m, n in MIGLIORE_RANKS if m + n <= 4]
+    assert _migliore_failures(ranks, 4, whole_basis=True) == (24, [])
+
+
+def test_migliore_groups_take_the_sharp_block_from_the_dual_coxeter_sign():
+    # B(1,2) has h_vee < 0: W#(B') is a delta-block group, so every element
+    # of W_0 carries the same eps sign.  D(2,1) has h_vee = 0 and takes the
+    # eps block: the delta flip of W_B' lies outside H, so |T| = 2
+    system = positive_system(build_root_datum("B", 1, 2), distinguished_order("B", 1, 2))
+    X = enumerate_diagrams(system)[0]
+    W0, _ = migliore_groups(system, X)
+    assert len(W0) == 8
+    assert len({w.eps_signs for w in W0}) == 1
+    system = positive_system(build_root_datum("D", 2, 1), all_basis_orders("D", 2, 1)[0])
+    X = enumerate_diagrams(system)[0]
+    assert migliore_groups(system, X)[1] == 2
+
+
+SENSITIVITY_RANKS = [("GL", 2, 2), ("B", 1, 2), ("B", 2, 1), ("D", 2, 2)]
+
+
+def test_princ_sd_fails_under_each_deliberate_mutation():
+    # a doubled constant, a dropped identity element, sgn in place of sgn'
+    # and gamma in place of [[gamma]] must each turn the check red wherever
+    # they change the sum; the functional keeps the images of both [[gamma]]
+    # and gamma off height zero, so every mutated sum can be expanded
+    red = {"constant": [], "identity": [], "sgn": [], "gamma": []}
+    checks, family_b, nested = 0, [], []
+    for fam, m, n in SENSITIVITY_RANKS:
+        datum = build_root_datum(fam, m, n)
+        W = full_weyl(datum)
+        without_identity = [w for w in W if not w.is_identity()]
+        assert len(without_identity) == len(W) - 1
+        for order in all_basis_orders(fam, m, n):
+            for X in enumerate_diagrams(positive_system(datum, order)):
+                S = X.isotropic_set()
+                brackets = [X.bracket(g) for g in S]
+                system = choose_expansion_system(
+                    positive_system(datum, order), [w.act(b) for w in W for b in brackets + S]
+                )
+                T = window4(system, 4)
+                L = lhs(system, "sd", T)
+                C = princ_constant(system, X)
+
+                def rhs(group, sign_kind, exponents):
+                    geom = [(b, 1) for b in exponents]
+                    return f_sum_quotient(system, group, sign_kind, T, system.rho, geom=geom)
+
+                R = rhs(W, "sgn_prime", brackets)
+                assert R.terms == rhs_princ(system, X, "sd", T)[0].terms
+                assert L.agrees_with(R, C), (fam, m, n, str(order), X.arcs)
+                key = (fam, m, n, str(order), X.arcs)
+                checks += 1
+                if fam == "B":
+                    family_b.append(key)
+                if brackets != S:
+                    nested.append(key)
+                for name, R_bad, C_bad in (
+                    ("constant", R, 2 * C),
+                    ("identity", rhs(without_identity, "sgn_prime", brackets), C),
+                    ("sgn", rhs(W, "sgn", brackets), C),
+                    ("gamma", rhs(W, "sgn_prime", S), C),
+                ):
+                    if not L.agrees_with(R_bad, C_bad):
+                        red[name].append(key)
+    assert checks == 32 and len(family_b) == 8 and len(nested) == 12
+    assert len(red["constant"]) == len(red["identity"]) == checks
+    assert red["sgn"] == family_b
+    assert red["gamma"] == nested

@@ -93,10 +93,10 @@ def test_bracket_is_interval_group_invariant():
     X = gl54_diagram()
     sh = (5, 4)
     gamma = w(sh, e1=1, d2=-1)  # spans e1 d1 e2 d2
-    from superdenom.weyl import delta_permutations
+    from superdenom.weyl import signed_permutations
 
     bracket = X.bracket(gamma)
-    for _w in delta_permutations(sh, [1, 2]):
+    for _w in signed_permutations(sh, "d", [1, 2]):
         assert _w.act(bracket) == bracket
 
 

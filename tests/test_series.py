@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from superdenom.weights import Weight
 from superdenom.rootdata import all_basis_orders, build_root_datum, standard_order, positive_system
 from superdenom.series import CharSeries, HeightZeroExponent, product_expansion, weyl_character
-from superdenom.weyl import full_weyl, eps_permutations
+from superdenom.weyl import full_weyl, signed_permutations
 
 from _oracles import reference_product_expansion, signed_sum
 
@@ -141,9 +141,7 @@ def test_weyl_character_sl2():
     datum = build_root_datum("B", 1, 1)
     system = positive_system(datum, standard_order("B", 1, 1, "de"))
     sh = (1, 1)
-    from superdenom.weyl import signed_group
-
-    block_elems = signed_group(sh, "e", [1])
+    block_elems = signed_permutations(sh, "e", [1], flips="all")
     rho_b = Weight.eps(1, sh).half()
     ch = weyl_character(system, block_elems, rho_b, Weight.eps(1, sh))
     assert ch.terms == {Weight.eps(1, sh): 1, Weight.zero(sh): 1, -Weight.eps(1, sh): 1}
@@ -153,7 +151,7 @@ def test_weyl_character_singular_is_zero():
     # A_1 block: lambda + rho singular means the character vanishes
     system = gl21_system()
     alpha = sl2_block(system)
-    block = eps_permutations(system.shape, [1, 2])
+    block = signed_permutations(system.shape, "e", [1, 2])
     rho_b = alpha.half()
     ch = weyl_character(system, block, rho_b, -rho_b)  # lambda + rho = 0
     assert ch.is_zero_on_window()
@@ -163,7 +161,7 @@ def test_weyl_character_sorting_sign():
     # anti-dominant regular weights come back with the sorting sign
     system = gl21_system()
     alpha = sl2_block(system)
-    block = eps_permutations(system.shape, [1, 2])
+    block = signed_permutations(system.shape, "e", [1, 2])
     rho_b = alpha.half()
     ch = weyl_character(system, block, rho_b, -alpha)  # s_alpha-image of 0
     assert ch.terms == {Weight.zero(system.shape): -1}

@@ -249,7 +249,7 @@ def test_prop_gl_decomposition_routes_2111():
     from superdenom.rootdata import build_root_datum, positive_system, distinguished_order
     from superdenom.denominators import lhs, window4
     from superdenom.series import CharSeries, f_sum_quotient
-    from superdenom.weyl import reflection, eps_permutations
+    from superdenom.weyl import reflection, signed_permutations
 
     pair = make_pair("GL", n=1, p=1, q=1)
     sys_ = pair.system
@@ -272,7 +272,7 @@ def test_prop_gl_decomposition_routes_2111():
 
     # grouped route: F-check over the sharp group of the single-arc quotient
     beta = Weight.eps(1, sh) - Weight.delta(1, sh)
-    W = eps_permutations(sh, [1, 2])
+    W = signed_permutations(sh, "e", [1, 2])
     grouped = f_sum_quotient(sys_, W, "sgn_prime", T, sys_.rho, geom=[(beta, 1)])
     assert left.agrees_with(grouped)
 
@@ -308,3 +308,31 @@ def test_d2_primed_is_the_s_eps_m_image_of_d2(m, n):
         summands = plain.l2_summands(e.partition)
         assert summands, e.partition
         assert primed.l2_summands(e.partition) == [(c, s.act(lam), b) for c, lam, b in summands]
+
+
+CROSS_DEPTH_PAIRS = [
+    ("B", dict(m=1, n=1)),
+    ("B", dict(m=1, n=2)),
+    ("B", dict(m=2, n=1)),
+    ("D2", dict(m=2, n=1)),
+    ("D2'", dict(m=2, n=1)),
+    ("D1", dict(m=2, n=1)),
+    ("GL", dict(n=1, p=1, q=1)),
+    ("GL", dict(n=2, p=1, q=1)),
+]
+
+
+@pytest.mark.parametrize("tag,kw", CROSS_DEPTH_PAIRS)
+def test_assembled_characters_at_depth_d_restrict_those_at_depth_d_plus_3(tag, kw):
+    pair = make_pair(tag, **kw)
+    sys_ = pair.system
+    sides = [pair.assembled_character]
+    if isinstance(pair, D1Pair):
+        sides.append(pair.assembled_x_character)
+    for depth in (0, 2, 4):
+        T = window4(sys_, depth, top=-sys_.rho1)
+        for side in sides:
+            narrow, wide = side(depth), side(depth + 3).truncate(T)
+            assert narrow.threshold4 == wide.threshold4 == T
+            assert narrow.terms == wide.terms, (tag, kw, depth, side.__name__)
+            assert narrow.terms

@@ -15,10 +15,7 @@ from superdenom.weyl import (
     sharp_subgroup,
     coset_reps,
     product_set,
-    eps_permutations,
-    delta_permutations,
-    signed_group,
-    sign_flip_set,
+    signed_permutations,
     enumerate_closure,
 )
 from superdenom.series import CharSeries
@@ -48,10 +45,34 @@ def test_b11_brute_force_closure():
 def test_flip_subgroup_b_type():
     # generated by the long delta reflections on the first two coordinates
     sh = (1, 2)
-    flips = sign_flip_set(sh, "d", [1, 2])
+    flips = signed_permutations(sh, "d", [1, 2], permute=False, flips="all")
     assert len(flips) == 4
     gens = [reflection(2 * Weight.delta(j, sh)) for j in (1, 2)]
     assert set(flips) == set(enumerate_closure(gens, sh))
+
+
+@pytest.mark.parametrize("kind", ["e", "d"])
+def test_signed_permutations_are_the_groups_their_generators_generate(kind):
+    # indices 1, 3, 4 of a block of size 4, so one coordinate stays fixed
+    sh = (4, 4)
+    unit = Weight.eps if kind == "e" else Weight.delta
+    i, j, k = (unit(r, sh) for r in (1, 3, 4))
+    s = reflection
+    perms = [s(i - j), s(j - k)]
+    gens = {
+        (True, "none"): perms,  # W(A_2)
+        (True, "all"): perms + [s(2 * k)],  # W(B_3) = W(C_3)
+        (True, "even"): perms + [s(j + k)],  # W(D_3)
+        (False, "all"): [s(2 * i), s(2 * j), s(2 * k)],
+        (False, "even"): [s(2 * i).compose(s(2 * j)), s(2 * j).compose(s(2 * k))],
+        (False, "none"): [],
+    }
+    for (permute, flips), g in gens.items():
+        got = signed_permutations(sh, kind, [1, 3, 4], permute=permute, flips=flips)
+        assert got == enumerate_closure(g, sh), (permute, flips)
+    assert [len(signed_permutations(sh, kind, [1, 3, 4], p, f)) for p, f in gens] == [6, 48, 24, 8, 4, 1]
+    with pytest.raises(ValueError):
+        signed_permutations(sh, kind, [1, 3, 4], flips="odd")
 
 
 def test_sgn_examples():
@@ -102,16 +123,16 @@ def test_coset_reps_trivial_and_nested():
     W = full_weyl(datum)
     assert coset_reps(W, W) == [WeylElement.identity((3, 1))]
     sh = (3, 1)
-    a3 = eps_permutations(sh, [1, 2, 3])
-    a2 = eps_permutations(sh, [1, 2])
+    a3 = signed_permutations(sh, "e", [1, 2, 3])
+    a2 = signed_permutations(sh, "e", [1, 2])
     reps = coset_reps(a3, a2)
     assert len(reps) == 3  # 3!/2!
 
 
 def test_coset_reps_rejects_a_set_that_is_not_a_union_of_cosets():
     sh = (3, 1)
-    a3 = eps_permutations(sh, [1, 2, 3])
-    a2 = eps_permutations(sh, [1, 2])
+    a3 = signed_permutations(sh, "e", [1, 2, 3])
+    a2 = signed_permutations(sh, "e", [1, 2])
     with pytest.raises(ValueError):
         coset_reps(a3[:-1], a2)
 
@@ -120,8 +141,8 @@ def test_coset_reps_left_cosets_by_length():
     # W(A_2)/W(A_1): on the left cosets W(A_1) w the length key picks the
     # unique shortest element of each, and orders the result by length
     sh = (3, 1)
-    a3 = eps_permutations(sh, [1, 2, 3])
-    a2 = eps_permutations(sh, [1, 2])
+    a3 = signed_permutations(sh, "e", [1, 2, 3])
+    a2 = signed_permutations(sh, "e", [1, 2])
 
     def length(w):
         p = w.eps_perm
@@ -148,9 +169,9 @@ def test_product_factorization_no_duplicates():
     # W = W(A_{n-1}) x delta flips x W(B_m) at (m, n) = (1, 2)
     sh = (1, 2)
     prod = product_set(
-        delta_permutations(sh, [1, 2]),
-        sign_flip_set(sh, "d", [1]),
-        signed_group(sh, "e", [1]),
+        signed_permutations(sh, "d", [1, 2]),
+        signed_permutations(sh, "d", [1], permute=False, flips="all"),
+        signed_permutations(sh, "e", [1], flips="all"),
     )
     assert len(prod) == 2 * 2 * 2
     assert len({p.sort_key() for p in prod}) == len(prod)
@@ -200,7 +221,7 @@ def test_nested_f_sum_independent_of_representatives():
     system = positive_system(datum, all_basis_orders("GL", 3, 1)[1])
     W = full_weyl(datum)
     sh = (3, 1)
-    U = eps_permutations(sh, [1, 2])
+    U = signed_permutations(sh, "e", [1, 2])
     lam = system.rho + Weight.eps(1, sh)
     body = lambda w: CharSeries.monomial(system, w.act(lam))
     direct = signed_sum(W, body)
