@@ -36,10 +36,8 @@ from .denominators import (
     verify,
     verify_glkk,
     lhs,
-    rhs_kwg,
-    rhs_princ,
-    rhs_mm,
-    rhs_migliore,
+    right_side,
+    WeylSum,
     c_g,
     princ_constant,
     window4,

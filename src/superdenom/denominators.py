@@ -1,15 +1,26 @@
 """Both sides of the denominator / superdenominator identities.
 
-Identity kinds (d = denominator R, sd = superdenominator Ř):
+Every identity but glkk has the form
 
-* kwg-d / kwg-sd     : sum over W# with simple isotropic denominators
-* princ-d / princ-sd : sum over the full Weyl group with bracket exponents
-                       and the constant C = C_g / prod (ht(gamma)+1)/2
-* mm-d / mm-sd       : sum over W# with the open-bracket shift in the
-                       numerator and simple denominators over S
-* migliore           : sum over W_0 = Z W_B' W#(B') of P(X), equal to
-                       (C_g/|T|) e^rho Ř
+    e^rho R (kind d) or e^rho Ř (kind sd) = C * sum over w in U of
+        sign(w) w(e^lambda / prod (1 - s e^{-beta})),
+
+and a ``WeylSum`` records the five things that vary between identities: the
+group U, the sign (sgn or sgn'), the leading exponent lambda (with an
+optional integer coefficient), the exponents beta with their signs s, and
+the constant C.  ``right_side`` builds it for each kind:
+
+* kwg-d / kwg-sd     : U = W#, simple isotropic denominators S
+* princ-d / princ-sd : U = W_g with bracket exponents and the constant
+                       C = C_g / prod (ht(gamma)+1)/2
+* mm-d / mm-sd       : U = W#, the open-bracket shift in lambda and simple
+                       denominators over S
+* migliore           : U = W_0 = Z W_B' W#(B') with bracket exponents and
+                       C = C_g / (|T| prod (ht(gamma)+1)/2)
 * glkk               : the gl(k,k) lemma relating the two all-isotropic sums
+
+The compact dual pair specializations (``seconda_sum`` and its kin) are
+WeylSums over named product groups.
 
 All checks compare truncated series coefficient-exactly on the intersection
 window; nothing is floating point.
@@ -17,6 +28,7 @@ window; nothing is floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,26 +57,19 @@ from .diagrams import ArcDiagram, enumerate_diagrams
 IDENTITY_KINDS = ("kwg-d", "kwg-sd", "princ-d", "princ-sd", "mm-d", "mm-sd", "migliore", "glkk")
 
 
-def factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def c_g(datum: RootDatum) -> int:
     """|W_g / W#| in terms of family and defect (table of explicit values)."""
     d = datum.defect
     fam = datum.family
     if fam == "GL":
-        return factorial(d)
+        return math.factorial(d)
     if fam == "B":
-        return (2 ** d) * factorial(d)
+        return (2 ** d) * math.factorial(d)
     if fam == "C":
         return 1
     if datum.m > datum.n:
-        return (2 ** d) * factorial(d)
-    return (2 ** (d - 1)) * factorial(d) if d >= 1 else 1
+        return (2 ** d) * math.factorial(d)
+    return (2 ** (d - 1)) * math.factorial(d) if d >= 1 else 1
 
 
 def princ_constant(system: PositiveSystem, X: ArcDiagram) -> Fraction:
@@ -166,65 +171,80 @@ def erho_pair(system: PositiveSystem, alpha: Weight, depth: int) -> tuple[CharSe
 # right-hand sides
 
 
-def rhs_kwg(system: PositiveSystem, S: list[Weight], kind: str, threshold4: int) -> CharSeries:
-    simples = set(system.simple_roots)
-    for beta in S:
-        if beta not in simples:
-            raise ValueError(f"{beta} is not simple")
-        if not is_isotropic(beta):
-            raise ValueError(f"{beta} is not isotropic")
-    if len(S) != system.datum.defect:
-        raise ValueError("S is not maximal isotropic")
-    sharp = sharp_subgroup(system.datum)
-    s = 1 if kind == "sd" else -1
-    sign_kind = "sgn_prime" if kind == "sd" else "sgn"
-    return f_sum_quotient(
-        system, sharp, sign_kind, threshold4, system.rho, geom=[(b, s) for b in S]
-    )
+@dataclass(frozen=True)
+class WeylSum:
+    """One right side: constant * sum over w in group of
+    sign(w) w(coeff e^leading / prod over (beta, s) in geom of (1 - s e^{-beta}))."""
 
+    group: list[WeylElement]
+    sign: str  # "sgn" or "sgn_prime"
+    leading: Weight
+    geom: list[tuple[Weight, int]]
+    coeff: int = 1
+    constant: Fraction = Fraction(1)
 
-def rhs_princ(system: PositiveSystem, X: ArcDiagram, kind: str, threshold4: int) -> tuple[CharSeries, Fraction]:
-    return _rhs_princ(system, X, kind, threshold4, full_weyl(system.datum))
-
-
-def _rhs_princ(
-    system: PositiveSystem, X: ArcDiagram, kind: str, threshold4: int, W: list[WeylElement]
-) -> tuple[CharSeries, Fraction]:
-    """rhs_princ over an already enumerated full Weyl group W."""
-    S = X.isotropic_set()
-    if kind == "sd":
-        geom = [(X.bracket(g), 1) for g in S]
-        series = f_sum_quotient(system, W, "sgn_prime", threshold4, system.rho, geom=geom)
-    else:
-        geom = [(X.bracket(g), -X.root_sign(g)) for g in S]
-        series = f_sum_quotient(system, W, "sgn", threshold4, system.rho, geom=geom)
-    return series, princ_constant(system, X)
-
-
-def rhs_mm(system: PositiveSystem, X: ArcDiagram, kind: str, threshold4: int) -> CharSeries:
-    S = X.isotropic_set()
-    sharp = sharp_subgroup(system.datum)
-    shift = weight_sum((X.open_bracket(g) for g in S), system.shape)
-    num = system.rho + shift
-    if kind == "sd":
+    def expand(self, system: PositiveSystem, threshold4: int) -> CharSeries:
+        """The signed Weyl sum (without the constant) on the window."""
         return f_sum_quotient(
-            system, sharp, "sgn_prime", threshold4, num, geom=[(g, 1) for g in S]
+            system, self.group, self.sign, threshold4, self.leading, geom=self.geom, coeff=self.coeff
         )
-    pref = -1 if X.nesting_count() % 2 else 1
-    return f_sum_quotient(
-        system, sharp, "sgn", threshold4, num, geom=[(g, -1) for g in S], coeff=pref
-    )
 
 
-def _block_indices(symbols, kind: str) -> list[int]:
-    return [s.idx for s in symbols if s.kind == kind]
+def right_side(
+    kind: str,
+    system: PositiveSystem,
+    X: ArcDiagram | None = None,
+    S: list[Weight] | None = None,
+    bprime=None,
+) -> WeylSum:
+    """The right side of identity ``kind`` on ``system``.
+
+    kwg takes S (default the isotropic set of a simple diagram X), which must
+    be simple, isotropic and maximal; every other kind takes the diagram X, and
+    migliore also B' (see ``migliore_groups``).
+    """
+    if kind not in IDENTITY_KINDS:
+        raise ValueError(f"unknown identity kind {kind!r}")
+    if kind == "glkk":
+        raise ValueError("use verify_glkk for the gl(k,k) lemma")
+    sd = kind.endswith("sd") or kind == "migliore"
+    sign = "sgn_prime" if sd else "sgn"
+    s = 1 if sd else -1
+    if kind.startswith("kwg"):
+        if S is None:
+            if X is None or not X.is_simple():
+                raise ValueError("kwg needs a simple-diagram isotropic set")
+            S = X.isotropic_set()
+        simples = set(system.simple_roots)
+        for beta in S:
+            if beta not in simples:
+                raise ValueError(f"{beta} is not simple")
+            if not is_isotropic(beta):
+                raise ValueError(f"{beta} is not isotropic")
+        if len(S) != system.datum.defect:
+            raise ValueError("S is not maximal isotropic")
+        return WeylSum(sharp_subgroup(system.datum), sign, system.rho, [(b, s) for b in S])
+    if X is None:
+        raise ValueError("this identity needs an arc diagram")
+    iso = X.isotropic_set()
+    if kind.startswith("mm"):
+        shift = weight_sum((X.open_bracket(g) for g in iso), system.shape)
+        coeff = -1 if not sd and X.nesting_count() % 2 else 1
+        return WeylSum(sharp_subgroup(system.datum), sign, system.rho + shift, [(g, s) for g in iso], coeff)
+    if kind.startswith("princ"):
+        geom = [(X.bracket(g), 1 if sd else -X.root_sign(g)) for g in iso]
+        return WeylSum(full_weyl(system.datum), sign, system.rho, geom, constant=princ_constant(system, X))
+    W0, t_size = migliore_groups(system, X, bprime)
+    geom = [(X.bracket(g), 1) for g in iso]
+    return WeylSum(W0, sign, system.rho, geom, constant=princ_constant(system, X) / t_size)
 
 
 def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
     """The element sets of the master identity: W_0 = Z W_B' W#(B') and |T|.
 
     ``bprime`` is a set of basis symbols containing Supp(X) (default equal to
-    it).  W#(B') is generated by the reflections of Delta_0(B') in the even
+    it); symbols are compared by kind and index, so their signs are ignored.
+    W#(B') is generated by the reflections of Delta_0(B') in the even
     block that the dual Coxeter number of the ambient algebra singles out, the
     block that W# itself lives in (``datum.dual_coxeter_sign``).
     """
@@ -232,12 +252,18 @@ def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
     shape = datum.shape
     if bprime is None:
         bprime = X.support_symbols()
-    bset = list(bprime)
-    eps_idx = _block_indices(bset, "e")
-    del_idx = _block_indices(bset, "d")
-    eps_slots = {i - 1 for i in eps_idx}
-    del_slots = {datum.m + j - 1 for j in del_idx}
-    slots = eps_slots | del_slots
+    bprime = list(bprime)
+    keys = [(b.kind, b.idx) for b in bprime]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"B' = {bprime} repeats a basis slot")
+    size = {"e": datum.m, "d": datum.n}
+    if any(not 1 <= i <= size.get(k, 0) for k, i in keys):
+        raise ValueError(f"B' = {bprime} has a symbol outside the basis of shape {shape}")
+    if not {(b.kind, b.idx) for b in X.support_symbols()} <= set(keys):
+        raise ValueError(f"B' = {bprime} does not contain Supp(X) = {X.support_symbols()}")
+    eps_idx = [i for k, i in keys if k == "e"]
+    del_idx = [j for k, j in keys if k == "d"]
+    slots = {i - 1 for i in eps_idx} | {datum.m + j - 1 for j in del_idx}
 
     def supported(a: Weight) -> bool:
         return all(c == 0 or i in slots for i, c in enumerate(a.coords2))
@@ -257,25 +283,11 @@ def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
     return W0, t_size
 
 
-def rhs_migliore(
-    system: PositiveSystem, X: ArcDiagram, threshold4: int, bprime=None
-) -> tuple[CharSeries, Fraction]:
-    """F-check sum over W_0 of the bracket quotient; returns the series of
-    sum_w sgn'(w) w(e^rho / prod(1 - e^{-[[gamma]]})) and the expected ratio
-    against e^rho Ř, namely C_g / (|T| prod (ht+1)/2)."""
-    return _rhs_migliore(system, X, threshold4, *migliore_groups(system, X, bprime))
-
-
-def _rhs_migliore(
-    system: PositiveSystem, X: ArcDiagram, threshold4: int, W0: list[WeylElement], t_size: int
-) -> tuple[CharSeries, Fraction]:
-    """rhs_migliore over already built groups W_0 and |T|."""
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
-    series = f_sum_quotient(system, W0, "sgn_prime", threshold4, system.rho, geom=geom)
-    ratio = Fraction(c_g(system.datum), t_size)
-    for gamma in X.isotropic_set():
-        ratio /= Fraction(system.height(gamma) + 1, 2)
-    return series, ratio
+def _separating_system(system: PositiveSystem, sums) -> PositiveSystem:
+    """A system whose functional keeps every Weyl image of every denominator
+    exponent of the given sums off height zero (bracket exponents may cross
+    it; roots never do, so sums over roots keep the system as it is)."""
+    return choose_expansion_system(system, [w.act(b) for ws in sums for w in ws.group for b, _ in ws.geom])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +326,6 @@ class IdentityReport:
     passed: bool
     constant: str = "1"
     first_mismatch: list | None = None
-    detail: str = ""
 
     def to_json(self) -> dict:
         doc = {
@@ -327,8 +338,6 @@ class IdentityReport:
         }
         if self.first_mismatch is not None:
             doc["first_mismatch"] = self.first_mismatch
-        if self.detail:
-            doc["detail"] = self.detail
         return doc
 
 
@@ -354,45 +363,15 @@ def verify(
     bprime=None,
 ) -> IdentityReport:
     """Check one identity on the given system at the given window depth."""
-    if kind not in IDENTITY_KINDS:
-        raise ValueError(f"unknown identity kind {kind!r}")
-    if kind == "glkk":
-        raise ValueError("use verify_glkk for the gl(k,k) lemma")
-    flavor = "sd" if kind.endswith("sd") or kind == "migliore" else "d"
-    group = t_size = None
-    if X is not None and (kind.startswith("princ") or kind == "migliore"):
-        # Weyl images of the bracket exponents may cross height zero; pick an
-        # expansion functional that separates them all before computing.  Every
-        # other exponent expanded below is a root, never of height zero.
-        if kind.startswith("princ"):
-            group = full_weyl(system.datum)
-        else:
-            group, t_size = migliore_groups(system, X, bprime)
-        brackets = [X.bracket(g) for g in X.isotropic_set()]
-        images = [w.act(b) for w in group for b in brackets]
-        system = choose_expansion_system(system, images)
-
+    spec = right_side(kind, system, X, S, bprime)
+    system = _separating_system(system, [spec])
     T = window4(system, depth)
-    L = lhs(system, flavor, T)
+    flavor = "sd" if kind.endswith("sd") or kind == "migliore" else "d"
     if kind.startswith("kwg"):
-        SS = S
-        if SS is None:
-            if X is None or not X.is_simple():
-                raise ValueError("kwg needs a simple-diagram isotropic set")
-            SS = X.isotropic_set()
-        R = rhs_kwg(system, SS, flavor, T)
-        return _report(kind, system, f"S={[repr(b) for b in SS]}", depth, L, R, Fraction(1))
-    if X is None:
-        raise ValueError("this identity needs an arc diagram")
-    label = f"arcs={list(X.arcs)}"
-    if kind.startswith("princ"):
-        R, C = _rhs_princ(system, X, flavor, T, group)
-        return _report(kind, system, label, depth, L, R, C)
-    if kind.startswith("mm"):
-        R = rhs_mm(system, X, flavor, T)
-        return _report(kind, system, label, depth, L, R, Fraction(1))
-    R, ratio = _rhs_migliore(system, X, T, group, t_size)
-    return _report(kind, system, label, depth, L, R, ratio)
+        label = f"S={[repr(b) for b, _ in spec.geom]}"
+    else:
+        label = f"arcs={list(X.arcs)}"
+    return _report(kind, system, label, depth, lhs(system, flavor, T), spec.expand(system, T), spec.constant)
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
@@ -423,11 +402,11 @@ def _first_diagram_sums(
     bracket exponent under every listed group off height zero; returns that
     system, its window of the given depth, and the sums."""
     X = enumerate_diagrams(system)[0]
-    brackets = [X.bracket(g) for g in X.isotropic_set()]
-    system = choose_expansion_system(system, [w.act(b) for W in groups for w in W for b in brackets])
-    geom = [(b, 1) for b in brackets]
+    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
+    sums = [WeylSum(W, "sgn_prime", system.rho, geom) for W in groups]
+    system = _separating_system(system, sums)
     T = window4(system, depth)
-    return system, T, [f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom) for W in groups]
+    return system, T, [ws.expand(system, T) for ws in sums]
 
 
 def _d2_group(shape: tuple[int, int], d: int) -> list[WeylElement]:

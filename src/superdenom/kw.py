@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .weights import Weight, inner, is_isotropic
 from .rootdata import build_root_datum, standard_order, positive_system, PositiveSystem, all_basis_orders
@@ -30,7 +31,6 @@ from .denominators import (
     lhs,
     window4,
     c_g,
-    factorial,
     choose_expansion_system,
 )
 

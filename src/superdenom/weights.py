@@ -124,12 +124,6 @@ class Weight:
     def delta_coords2(self) -> tuple[int, ...]:
         return self.coords2[self.shape[0]:]
 
-    def eps_coord(self, i: int) -> Fraction:
-        return Fraction(self.coords2[i - 1], 2)
-
-    def delta_coord(self, j: int) -> Fraction:
-        return Fraction(self.coords2[self.shape[0] + j - 1], 2)
-
     def delta_sum2(self) -> int:
         """Twice the sum of the delta coordinates (parity detector for odd roots)."""
         return sum(self.delta_coords2())

@@ -11,6 +11,7 @@ family D and its extension by s_{eps_i}).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -209,14 +210,13 @@ def full_weyl(datum: RootDatum) -> list[WeylElement]:
 
 def weyl_order(datum: RootDatum) -> int:
     fam, m, n = datum.family, datum.m, datum.n
-    fact = lambda k: 1 if k <= 1 else k * fact(k - 1)
     if fam == "GL":
-        return fact(m) * fact(n)
+        return math.factorial(m) * math.factorial(n)
     if fam == "B":
-        return (2 ** m) * fact(m) * (2 ** n) * fact(n)
+        return (2 ** m) * math.factorial(m) * (2 ** n) * math.factorial(n)
     if fam == "C":
-        return (2 ** m) * fact(m)
-    return (2 ** max(m - 1, 0)) * fact(m) * (2 ** n) * fact(n)
+        return (2 ** m) * math.factorial(m)
+    return (2 ** max(m - 1, 0)) * math.factorial(m) * (2 ** n) * math.factorial(n)
 
 
 def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:

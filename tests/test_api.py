@@ -14,6 +14,13 @@ REMOVED = [
     "delta_permutations",
     "signed_group",
     "sign_flip_set",
+    "rhs_kwg",
+    "rhs_princ",
+    "_rhs_princ",
+    "rhs_mm",
+    "rhs_migliore",
+    "_rhs_migliore",
+    "factorial",
 ]
 
 
@@ -25,18 +32,22 @@ def test_all_lists_resolvable_public_names_and_no_modules():
         assert not isinstance(value, types.ModuleType), name
     for module in ("weights", "rootdata", "weyl", "series", "diagrams", "denominators", "theta", "kw"):
         assert module not in superdenom.__all__
-    for name in ("verify", "make_pair", "coset_reps", "CharSeries", "window4"):
+    for name in ("verify", "right_side", "WeylSum", "make_pair", "coset_reps", "CharSeries", "window4"):
         assert name in superdenom.__all__
 
 
 def test_removed_helpers_are_gone():
-    from superdenom import rootdata, series, weights, weyl
+    from superdenom import denominators, rootdata, series, weights, weyl
 
     for name in REMOVED:
         assert name not in superdenom.__all__
         assert not hasattr(superdenom, name), name
-        assert not hasattr(series, name) and not hasattr(weyl, name), name
+        for module in (series, weyl, denominators):
+            assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(weyl.WeylElement, "act_coords2")
     assert not hasattr(weyl.WeylElement, "inverse")
     assert not hasattr(weights.Weight, "is_integral")
+    assert not hasattr(weights.Weight, "eps_coord")
+    assert not hasattr(weights.Weight, "delta_coord")
+    assert "detail" not in denominators.IdentityReport.__dataclass_fields__
     assert not hasattr(rootdata.PositiveSystem, "is_positive")

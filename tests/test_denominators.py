@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from superdenom.weights import Weight, is_isotropic
 from superdenom.rootdata import (
+    Symbol,
     build_root_datum,
     standard_order,
     positive_system,
@@ -17,10 +19,7 @@ from superdenom.denominators import (
     choose_expansion_system,
     with_safe_expansion,
     lhs,
-    rhs_kwg,
-    rhs_princ,
-    rhs_mm,
-    rhs_migliore,
+    right_side,
     verify,
     verify_glkk,
     erho_pair,
@@ -124,9 +123,9 @@ def test_kwg_rejects_bad_isotropic_sets():
     system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
     sh = (2, 1)
     with pytest.raises(ValueError):
-        rhs_kwg(system, [Weight.eps(1, sh) - Weight.eps(2, sh)], "sd", window4(system, 4))
+        right_side("kwg-sd", system, S=[Weight.eps(1, sh) - Weight.eps(2, sh)])
     with pytest.raises(ValueError):
-        rhs_kwg(system, [], "sd", window4(system, 4))  # not maximal
+        right_side("kwg-sd", system, S=[])  # not maximal
 
 
 def test_wrong_constant_fails_with_mismatch_below_rho():
@@ -134,7 +133,8 @@ def test_wrong_constant_fails_with_mismatch_below_rho():
     X = enumerate_diagrams(system)[0]
     T = window4(system, 6)
     L = lhs(system, "sd", T)
-    R, C = rhs_princ(system, X, "sd", T)
+    spec = right_side("princ-sd", system, X)
+    R, C = spec.expand(system, T), spec.constant
     assert not L.mismatches(R, C)
     bad = L.mismatches(R, C + 1)
     assert bad
@@ -304,17 +304,17 @@ def test_sides_at_depth_d_restrict_the_sides_at_depth_d_plus_3(fam, m, n, varian
     for order in orders:
         base = positive_system(datum, order)
         for X in enumerate_diagrams(base):
-            images = [w.act(X.bracket(g)) for w in full_weyl(datum) for g in X.isotropic_set()]
+            kinds = ["princ-d", "princ-sd", "mm-d", "mm-sd", "migliore"]
+            kinds += ["kwg-d", "kwg-sd"] if X.is_simple() else []
+            specs = [right_side(kind, base, X) for kind in kinds]
+            images = [w.act(b) for spec in specs for w in spec.group for b, _ in spec.geom]
             system = choose_expansion_system(base, images)
             for depth in (0, 3):
                 T, T3 = window4(system, depth), window4(system, depth + 3)
                 for flavor in ("d", "sd"):
                     _restricts(lhs(system, flavor, T), lhs(system, flavor, T3))
-                    _restricts(rhs_princ(system, X, flavor, T)[0], rhs_princ(system, X, flavor, T3)[0])
-                    _restricts(rhs_mm(system, X, flavor, T), rhs_mm(system, X, flavor, T3))
-                    if X.is_simple():
-                        S = X.isotropic_set()
-                        _restricts(rhs_kwg(system, S, flavor, T), rhs_kwg(system, S, flavor, T3))
+                for spec in specs:
+                    _restricts(spec.expand(system, T), spec.expand(system, T3))
                     compared += 1
     assert compared
 
@@ -391,6 +391,48 @@ def test_migliore_groups_take_the_sharp_block_from_the_dual_coxeter_sign():
     assert migliore_groups(system, X)[1] == 2
 
 
+def _d21_e1d1e2_arc_12():
+    """D(2,1) in the order e1>d1>e2 and a diagram with arcs [(1, 2)], whose
+    support is {d1, e2}."""
+    datum = build_root_datum("D", 2, 1)
+    (order,) = [o for o in all_basis_orders("D", 2, 1) if str(o) == "e1>d1>e2"]
+    system = positive_system(datum, order)
+    X = next(X for X in enumerate_diagrams(system) if list(X.arcs) == [(1, 2)])
+    return system, X
+
+
+E1, E2, E3, D1 = Symbol("e", 1, 1), Symbol("e", 2, 1), Symbol("e", 3, 1), Symbol("d", 1, 1)
+
+
+def test_migliore_bprime_covering_the_support_passes():
+    system, X = _d21_e1d1e2_arc_12()
+    assert {(s.kind, s.idx) for s in X.support_symbols()} == {("d", 1), ("e", 2)}
+    for bprime in ([D1, E2], [E2, D1], [D1, Symbol("e", 2, -1)], [E1, D1, E2]):
+        assert verify("migliore", system, X=X, depth=4, bprime=bprime).passed, bprime
+
+
+@pytest.mark.parametrize("bprime", [[D1, E2, E2], [D1, Symbol("e", 2, -1), E2]])
+def test_migliore_rejects_a_bprime_that_repeats_a_slot(bprime):
+    system, X = _d21_e1d1e2_arc_12()
+    with pytest.raises(ValueError, match="B' .* repeats a basis slot"):
+        verify("migliore", system, X=X, depth=4, bprime=bprime)
+
+
+@pytest.mark.parametrize("bprime", [[D1, E2, E3], [D1, E2, Symbol("d", 2, 1)], [D1, E2, Symbol("d", 0, 1)]])
+def test_migliore_rejects_a_bprime_outside_the_shape(bprime):
+    system, X = _d21_e1d1e2_arc_12()
+    with pytest.raises(ValueError, match="B' .* outside the basis"):
+        migliore_groups(system, X, bprime)
+
+
+@pytest.mark.parametrize("bprime", [[D1], [E1], [E1, E2]])
+def test_migliore_rejects_a_bprime_missing_a_support_slot(bprime):
+    # [d1] and [e1] used to pass with constants 1 and 2
+    system, X = _d21_e1d1e2_arc_12()
+    with pytest.raises(ValueError, match="B' .* does not contain Supp"):
+        verify("migliore", system, X=X, depth=4, bprime=bprime)
+
+
 SENSITIVITY_RANKS = [("GL", 2, 2), ("B", 1, 2), ("B", 2, 1), ("D", 2, 2)]
 
 
@@ -404,39 +446,35 @@ def test_princ_sd_fails_under_each_deliberate_mutation():
     for fam, m, n in SENSITIVITY_RANKS:
         datum = build_root_datum(fam, m, n)
         W = full_weyl(datum)
-        without_identity = [w for w in W if not w.is_identity()]
-        assert len(without_identity) == len(W) - 1
         for order in all_basis_orders(fam, m, n):
-            for X in enumerate_diagrams(positive_system(datum, order)):
+            base = positive_system(datum, order)
+            for X in enumerate_diagrams(base):
                 S = X.isotropic_set()
                 brackets = [X.bracket(g) for g in S]
-                system = choose_expansion_system(
-                    positive_system(datum, order), [w.act(b) for w in W for b in brackets + S]
-                )
+                spec = right_side("princ-sd", base, X)
+                mutants = {
+                    "constant": replace(spec, constant=2 * spec.constant),
+                    "identity": replace(spec, group=[w for w in spec.group if not w.is_identity()]),
+                    "sgn": replace(spec, sign="sgn"),
+                    "gamma": replace(spec, geom=[(g, 1) for g in S]),
+                }
+                assert len(mutants["identity"].group) == len(spec.group) - 1
+                assert spec.constant == princ_constant(base, X)
+                system = choose_expansion_system(base, [w.act(b) for w in W for b in brackets + S])
                 T = window4(system, 4)
                 L = lhs(system, "sd", T)
-                C = princ_constant(system, X)
-
-                def rhs(group, sign_kind, exponents):
-                    geom = [(b, 1) for b in exponents]
-                    return f_sum_quotient(system, group, sign_kind, T, system.rho, geom=geom)
-
-                R = rhs(W, "sgn_prime", brackets)
-                assert R.terms == rhs_princ(system, X, "sd", T)[0].terms
-                assert L.agrees_with(R, C), (fam, m, n, str(order), X.arcs)
+                R = spec.expand(system, T)
+                geom = [(b, 1) for b in brackets]
+                assert R.terms == f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom).terms
+                assert L.agrees_with(R, spec.constant), (fam, m, n, str(order), X.arcs)
                 key = (fam, m, n, str(order), X.arcs)
                 checks += 1
                 if fam == "B":
                     family_b.append(key)
                 if brackets != S:
                     nested.append(key)
-                for name, R_bad, C_bad in (
-                    ("constant", R, 2 * C),
-                    ("identity", rhs(without_identity, "sgn_prime", brackets), C),
-                    ("sgn", rhs(W, "sgn", brackets), C),
-                    ("gamma", rhs(W, "sgn_prime", S), C),
-                ):
-                    if not L.agrees_with(R_bad, C_bad):
+                for name, bad in mutants.items():
+                    if not L.agrees_with(bad.expand(system, T), bad.constant):
                         red[name].append(key)
     assert checks == 32 and len(family_b) == 8 and len(nested) == 12
     assert len(red["constant"]) == len(red["identity"]) == checks
