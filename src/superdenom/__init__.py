@@ -33,6 +33,7 @@ from .diagrams import (
 )
 from .denominators import (
     IdentityReport,
+    compare,
     verify,
     verify_glkk,
     lhs,

@@ -41,11 +41,8 @@ def _resolve_orders(args, family, m, n):
     return [BasisOrder.from_json(family, m, n, doc)]
 
 
-def _emit(args, doc, text_fn=None):
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text_fn(doc) if text_fn else json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def cmd_verify(args) -> int:
@@ -54,7 +51,7 @@ def cmd_verify(args) -> int:
         if args.k is None:
             raise SystemExit2("the gl(k,k) lemma needs --k")
         rep = verify_glkk(args.k, args.depth)
-        _emit(args, rep.to_json())
+        _emit(rep.to_json())
         return 0 if rep.passed else 1
     if args.family is None or args.m is None or args.n is None:
         raise SystemExit2("this identity needs --family, --m and --n")
@@ -71,7 +68,7 @@ def cmd_verify(args) -> int:
             rep = verify(kind, system, X=X, depth=args.depth)
             reports.append(rep.to_json())
             ok = ok and rep.passed
-    _emit(args, {"identity": kind, "checks": reports, "verdict": "pass" if ok else "fail"})
+    _emit({"identity": kind, "checks": reports, "verdict": "pass" if ok else "fail"})
     return 0 if ok else 1
 
 
@@ -85,7 +82,7 @@ def cmd_list_arc_diagrams(args) -> int:
         for X in enumerate_diagrams(system):
             out.append(X)
     if args.format == "json":
-        print(json.dumps([X.to_json() for X in out], indent=2, sort_keys=True))
+        _emit([X.to_json() for X in out])
     else:
         for X in out:
             print(X.ascii())
@@ -100,7 +97,7 @@ def cmd_reduce_diagram(args) -> int:
     moves, final = reduce_to_simple(X)
     doc = {"moves": [list(mv) for mv in moves], "result": final.to_json()}
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
     else:
         print(X.ascii())
         for mv in moves:
@@ -124,9 +121,10 @@ class SystemExit2(Exception):
     pass
 
 
-def _depth(text: str) -> int:
-    """--depth: a nonnegative integer; a negative one gives an empty window,
-    on which every identity would pass without comparing a coefficient."""
+def _nonnegative(text: str) -> int:
+    """--depth and --bound: a nonnegative integer.  A negative depth gives an
+    empty window, on which every identity would pass without comparing a
+    coefficient; a negative bound gives an empty table."""
     try:
         value = int(text)
     except ValueError:
@@ -141,7 +139,7 @@ def cmd_theta_table(args) -> int:
     entries = pair.sigma_set(args.bound)
     doc = [e.to_json() for e in entries]
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
     else:
         for e in entries:
             print(f"{e.pair}  a={e.partition}  sign={e.sign}  compact={e.compact_weight}  L2-lowest={e.l2_lowest}")
@@ -151,7 +149,7 @@ def cmd_theta_table(args) -> int:
 def cmd_theta_verify(args) -> int:
     pair = _pair_from_args(args)
     rep = pair.verify_duality(args.depth)
-    _emit(args, rep.to_json())
+    _emit(rep.to_json())
     return 0 if rep.passed else 1
 
 
@@ -159,7 +157,7 @@ def cmd_kw_check(args) -> int:
     r1 = verify_chv(args.family.upper(), args.m, args.n, args.depth)
     r2 = verify_kwfor(args.family.upper(), args.m, args.n, depth=args.depth)
     doc = {"chv": r1.to_json(), "kwfor": r2.to_json()}
-    _emit(args, doc)
+    _emit(doc)
     return 0 if r1.passed and r2.passed else 1
 
 
@@ -170,7 +168,7 @@ def cmd_dump_series(args) -> int:
     system = positive_system(datum, orders[0])
     flavor = "sd" if args.what == "lhs-sd" else "d"
     series = lhs(system, flavor, window4(system, args.depth))
-    print(json.dumps(series.to_json(), indent=2, sort_keys=True))
+    _emit(series.to_json())
     return 0
 
 
@@ -187,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--m", type=int, required=True)
             sp.add_argument("--n", type=int, required=True)
         if depth:
-            sp.add_argument("--depth", type=_depth, default=8)
+            sp.add_argument("--depth", type=_nonnegative, default=8)
         sp.add_argument("--format", choices=["json", "text"], default="json")
 
     sp = sub.add_parser("verify", help="check a denominator identity")
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int, help="rank for the gl(k,k) lemma")
     sp.add_argument("--orders", default="all", help='"all", "distinguished", or explicit JSON')
-    sp.add_argument("--depth", type=_depth, default=8)
+    sp.add_argument("--depth", type=_nonnegative, default=8)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_verify)
 
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--bound", type=int, default=6)
+    sp.add_argument("--bound", type=_nonnegative, default=6)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_theta_table)
 
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--depth", type=_depth, default=8)
+    sp.add_argument("--depth", type=_nonnegative, default=8)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_theta_verify)
 

@@ -22,8 +22,9 @@ the constant C.  ``right_side`` builds it for each kind:
 The compact dual pair specializations (``seconda_sum`` and its kin) are
 WeylSums over named product groups.
 
-All checks compare truncated series coefficient-exactly on the intersection
-window; nothing is floating point.
+Every check, here and in ``theta``, reports through ``compare``, which
+compares truncated series coefficient-exactly on the intersection window;
+nothing is floating point.
 """
 
 from __future__ import annotations
@@ -319,6 +320,8 @@ def glkk_sides(k: int, depth: int) -> tuple[CharSeries, CharSeries, Fraction]:
 
 @dataclass
 class IdentityReport:
+    """The verdict on one identity; ``compare`` is the one routine that makes it."""
+
     identity_kind: str
     system: str
     subset: str
@@ -341,11 +344,22 @@ class IdentityReport:
         return doc
 
 
-def _report(kind, system, subset, depth, lhs_series, rhs_series, ratio) -> IdentityReport:
-    bad = lhs_series.mismatches(rhs_series, ratio)
+def compare(
+    kind: str,
+    system: str,
+    subset: str,
+    depth: int,
+    left: CharSeries,
+    right: CharSeries,
+    ratio: Fraction = Fraction(1),
+) -> IdentityReport:
+    """The one verdict routine: does right = ratio * left hold coefficient for
+    coefficient on the common window of the two series?  ``system`` and
+    ``subset`` are the labels the report carries."""
+    bad = left.mismatches(right, ratio)
     return IdentityReport(
         identity_kind=kind,
-        system=repr(system),
+        system=system,
         subset=subset,
         depth=depth,
         passed=not bad,
@@ -371,21 +385,13 @@ def verify(
         label = f"S={[repr(b) for b, _ in spec.geom]}"
     else:
         label = f"arcs={list(X.arcs)}"
-    return _report(kind, system, label, depth, lhs(system, flavor, T), spec.expand(system, T), spec.constant)
+    left, right = lhs(system, flavor, T), spec.expand(system, T)
+    return compare(kind, repr(system), label, depth, left, right, spec.constant)
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
     left, rhs, ratio = glkk_sides(k, depth)
-    bad = rhs.mismatches(left, ratio)
-    return IdentityReport(
-        identity_kind="glkk",
-        system=f"gl({k},{k}) all-isotropic",
-        subset=f"k={k}",
-        depth=depth,
-        passed=not bad,
-        constant=str(ratio),
-        first_mismatch=None if not bad else list(bad[0].coords2),
-    )
+    return compare("glkk", f"gl({k},{k}) all-isotropic", f"k={k}", depth, rhs, left, ratio)
 
 
 # ---------------------------------------------------------------------------

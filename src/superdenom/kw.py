@@ -1,7 +1,7 @@
 """Character identities for the natural representation.
 
-For gl(m,n), B(m,n) with m > n, and D(m,n) with m >= n, the supercharacter
-of the natural module V satisfies
+For gl(m,n) and D(m,n) with m >= n, and B(m,n) with m > n, the
+supercharacter of the natural module V satisfies
 
     e^rho Ř sch V = j_V * F-check_W( e^{rho + eps_1} / prod_{gamma in Gamma} (1 - e^{-[[gamma]]}) )
 
@@ -39,37 +39,27 @@ def atypicality(family: str, m: int, n: int) -> int:
     return min(m - 1, n)
 
 
+def _check_rank(family: str, m: int, n: int) -> None:
+    """Reject the families and ranks that the natural-module identities do not
+    cover: gl and D need m >= n, B needs m > n."""
+    family = family.upper()
+    if family not in ("GL", "B", "D"):
+        raise ValueError("natural-module identities cover GL, B, D")
+    if m < n or (family == "B" and m == n):
+        cond = "m > n" if family == "B" else "m >= n"
+        raise ValueError(f"the {family}-type natural-module identities need {cond}")
+
+
 def natural_supercharacter(family: str, m: int, n: int, system: PositiveSystem) -> CharSeries:
     """Finite supercharacter of the natural module (super-dimension signs)."""
+    _check_rank(family, m, n)
     family = family.upper()
     sh = (m, n)
-    terms: dict[Weight, int] = {}
-    if family == "GL":
-        for i in range(1, m + 1):
-            terms[Weight.eps(i, sh)] = 1
-        for j in range(1, n + 1):
-            terms[Weight.delta(j, sh)] = -1
-    elif family == "B":
-        if m <= n:
-            raise ValueError("the B-type natural-module identities need m > n")
-        for i in range(1, m + 1):
-            terms[Weight.eps(i, sh)] = 1
-            terms[-Weight.eps(i, sh)] = 1
+    signs = (1,) if family == "GL" else (1, -1)
+    terms = {s * Weight.eps(i, sh): 1 for i in range(1, m + 1) for s in signs}
+    if family == "B":
         terms[Weight.zero(sh)] = 1
-        for j in range(1, n + 1):
-            terms[Weight.delta(j, sh)] = -1
-            terms[-Weight.delta(j, sh)] = -1
-    elif family == "D":
-        if m < n:
-            raise ValueError("use m >= n for the D-type natural module")
-        for i in range(1, m + 1):
-            terms[Weight.eps(i, sh)] = 1
-            terms[-Weight.eps(i, sh)] = 1
-        for j in range(1, n + 1):
-            terms[Weight.delta(j, sh)] = -1
-            terms[-Weight.delta(j, sh)] = -1
-    else:
-        raise ValueError("natural-module identities cover GL, B, D")
+    terms.update({s * Weight.delta(j, sh): -1 for j in range(1, n + 1) for s in signs})
     ceiling = max(system.ht4(w) for w in terms)
     return CharSeries(system, terms, None, ceiling)
 
@@ -81,6 +71,7 @@ def base_system(family: str, m: int, n: int) -> PositiveSystem:
 
 
 def gamma_chain(family: str, m: int, n: int) -> list[Weight]:
+    _check_rank(family, m, n)
     sh = (m, n)
     count = n - 1 if m == n else n
     return [Weight.eps(m + 1 - i, sh) - Weight.delta(i, sh) for i in range(1, count + 1)]
@@ -100,22 +91,6 @@ def stated_constants(family: str, m: int, n: int) -> tuple[Fraction, Fraction]:
     c = Fraction(factorial(atp), c_g(sub))
     jv = c / 2 if (family == "D" and m == n) else c
     return c, jv
-
-
-def _fit_ratio(left: CharSeries, right: CharSeries) -> Fraction | None:
-    """left = ratio * right on the common window, or None."""
-    t = left.window_threshold(right)
-    ht4 = left.system.ht4
-    probe = None
-    for w, c in right.terms.items():
-        if t is not None and ht4(w) < t:
-            continue
-        if c and (probe is None or (ht4(w), w.coords2) > (ht4(probe), probe.coords2)):
-            probe = w
-    if probe is None:
-        return None
-    ratio = Fraction(left.coeff(probe), right.coeff(probe))
-    return ratio if right.agrees_with(left, ratio) else None
 
 
 @dataclass
@@ -157,11 +132,20 @@ def _bracket_setup(family: str, m: int, n: int):
     return choose_expansion_system(system, images), W, brackets
 
 
-def _chain_report(identity: str, family: str, m: int, n: int, depth: int, left, right) -> KWReport:
-    """Fit left = c * right and compare c with the stated j_V."""
-    fitted = _fit_ratio(left, right)
-    _, jv = stated_constants(family, m, n)
-    return KWReport(identity, family, m, n, depth, fitted == jv, fitted, jv, atypicality(family, m, n))
+def _fit_report(
+    identity: str, family: str, m: int, n: int, depth: int, left: CharSeries, right: CharSeries, stated: Fraction
+) -> KWReport:
+    """Fit left = c * right on the common window (c is None when no constant
+    fits) and compare c with the stated constant."""
+    t = left.window_threshold(right)
+    ht4 = left.system.ht4
+    window = [w for w, c in right.terms.items() if c and (t is None or ht4(w) >= t)]
+    fitted = None
+    if window:
+        probe = max(window, key=lambda w: (ht4(w), w.coords2))
+        ratio = Fraction(left.coeff(probe), right.coeff(probe))
+        fitted = ratio if right.agrees_with(left, ratio) else None
+    return KWReport(identity, family, m, n, depth, fitted == stated, fitted, stated, atypicality(family, m, n))
 
 
 def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
@@ -174,7 +158,7 @@ def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     right = f_sum_quotient(
         sys_, W, "sgn_prime", T, sys_.rho + lam, geom=[(b, 1) for b in brackets]
     )
-    return _chain_report("chv", family, m, n, depth, left, right)
+    return _fit_report("chv", family, m, n, depth, left, right, stated_constants(family, m, n)[1])
 
 
 def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
@@ -196,7 +180,7 @@ def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
         geom=[(b, 1) for b in brackets],
         poly=[(a, 1) for a in sys_.positive_odd],
     )
-    return _chain_report("xx", family, m, n, depth, left, right)
+    return _fit_report("xx", family, m, n, depth, left, right, stated_constants(family, m, n)[1])
 
 
 def kw_condition_roots(system: PositiveSystem, lam: Weight, atp: int) -> list[Weight] | None:
@@ -258,22 +242,17 @@ def verify_kwfor(
         found = kw_systems(family, m, n)
         if not found:
             raise ValueError("no simple system satisfies the orthogonality condition")
-        system, betas = found[0]
-    else:
-        sch0 = natural_supercharacter(family, m, n, system)
-        lam0 = highest_weight(system, sch0)
-        betas = kw_condition_roots(system, lam0, atp)
-        if betas is None:
-            raise ValueError("the given system does not satisfy the orthogonality condition")
+        system = found[0][0]
     sch = natural_supercharacter(family, m, n, system)
     lam = highest_weight(system, sch)
+    betas = kw_condition_roots(system, lam, atp)
+    if betas is None:
+        raise ValueError("the given system does not satisfy the orthogonality condition")
     T = window4(system, depth)
     left = (lhs(system, "sd", T - sch.ceiling4) * sch).truncate(T)
     W = full_weyl(system.datum)
     right = f_sum_quotient(
         system, W, "sgn_prime", T, system.rho + lam, geom=[(b, 1) for b in betas]
     )
-    fitted = _fit_ratio(left, right)
     _, jv = stated_constants(family, m, n)
-    stated_b = jv / factorial(atp)
-    return KWReport("kwfor", family, m, n, depth, fitted == stated_b, fitted, stated_b, atp)
+    return _fit_report("kwfor", family, m, n, depth, left, right, jv / factorial(atp))

@@ -189,12 +189,6 @@ class BasisOrder:
         self.n = n
         self.sequence = seq
 
-    def is_canonical(self) -> bool:
-        """False only for the D-type twin where -eps_m sits last (it encodes
-        the same positive system as the +eps_m order, which is preferred)."""
-        last = self.sequence[-1]
-        return not (self.family == "D" and last.kind == "e" and last.sign == -1)
-
     def sign_twin(self) -> "BasisOrder":
         """The same D-type order with the sign of eps_m negated."""
         if self.family != "D":

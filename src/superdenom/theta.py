@@ -54,7 +54,7 @@ from .weyl import (
     sgn,
 )
 from .series import CharSeries, weyl_character, product_expansion, f_sum_quotient
-from .denominators import IdentityReport, window4
+from .denominators import IdentityReport, compare, window4
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +288,9 @@ class DualPair:
     def assembled_character(self, depth: int) -> CharSeries:
         return self._assembled(depth, self.compact_character)
 
-    def _report(self, kind: str, subset: str, depth: int, bad: list[Weight]) -> IdentityReport:
-        return IdentityReport(
-            identity_kind=kind,
-            system=repr(self.system),
-            subset=subset,
-            depth=depth,
-            passed=not bad,
-            first_mismatch=None if not bad else list(bad[0].coords2),
-        )
-
     def verify_duality(self, depth: int) -> IdentityReport:
-        osc = self.oscillator_character(depth)
-        bad = osc.mismatches(self.assembled_character(depth))
-        return self._report(f"theta-{self.tag}", "full table", depth, bad)
+        osc, total = self.oscillator_character(depth), self.assembled_character(depth)
+        return compare(f"theta-{self.tag}", repr(self.system), "full table", depth, osc, total)
 
 
 def _delta_line(shape, coeffs) -> Weight:
@@ -629,9 +618,9 @@ class D1Pair(SpPair):
             ("theta-D1-x", "x-component", self.assembled_x_character),
             ("theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator", self.d2_twin_sum),
         ):
-            bad = osc_x.mismatches(other(depth))
-            if bad:
-                return self._report(kind, subset, depth, bad)
+            x_rep = compare(kind, repr(self.system), subset, depth, osc_x, other(depth))
+            if not x_rep.passed:
+                return x_rep
         return rep
 
 

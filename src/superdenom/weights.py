@@ -113,9 +113,6 @@ class Weight:
         self._check(other)
         return self.coords2 < other.coords2
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords2)
-
     # -- structure ---------------------------------------------------------
 
     def eps_coords2(self) -> tuple[int, ...]:
@@ -123,10 +120,6 @@ class Weight:
 
     def delta_coords2(self) -> tuple[int, ...]:
         return self.coords2[self.shape[0]:]
-
-    def delta_sum2(self) -> int:
-        """Twice the sum of the delta coordinates (parity detector for odd roots)."""
-        return sum(self.delta_coords2())
 
     # -- display -----------------------------------------------------------
 

@@ -32,12 +32,12 @@ def test_all_lists_resolvable_public_names_and_no_modules():
         assert not isinstance(value, types.ModuleType), name
     for module in ("weights", "rootdata", "weyl", "series", "diagrams", "denominators", "theta", "kw"):
         assert module not in superdenom.__all__
-    for name in ("verify", "right_side", "WeylSum", "make_pair", "coset_reps", "CharSeries", "window4"):
+    for name in ("verify", "compare", "right_side", "WeylSum", "make_pair", "coset_reps", "CharSeries", "window4"):
         assert name in superdenom.__all__
 
 
 def test_removed_helpers_are_gone():
-    from superdenom import denominators, rootdata, series, weights, weyl
+    from superdenom import denominators, kw, rootdata, series, theta, weights, weyl
 
     for name in REMOVED:
         assert name not in superdenom.__all__
@@ -51,3 +51,10 @@ def test_removed_helpers_are_gone():
     assert not hasattr(weights.Weight, "delta_coord")
     assert "detail" not in denominators.IdentityReport.__dataclass_fields__
     assert not hasattr(rootdata.PositiveSystem, "is_positive")
+    assert not hasattr(weights.Weight, "delta_sum2")
+    assert not hasattr(weights.Weight, "is_zero")
+    assert not hasattr(rootdata.BasisOrder, "is_canonical")
+    assert not hasattr(denominators, "_report")
+    assert not hasattr(theta.DualPair, "_report")
+    assert not hasattr(kw, "_chain_report")
+    assert not hasattr(kw, "_fit_ratio")

@@ -107,20 +107,35 @@ def test_verification_failure_exit_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--identity", "princ-sd", "--family", "c", "--m", "2", "--n", "1"],
-    ["verify", "--identity", "glkk", "--k", "2"],
-    ["theta-verify", "--pair", "GL", "--n", "1", "--p", "1", "--q", "1"],
-    ["kw-check", "--family", "gl", "--m", "2", "--n", "1"],
-    ["dump-series", "--family", "b", "--m", "1", "--n", "1"],
+    ["verify", "--identity", "princ-sd", "--family", "c", "--m", "2", "--n", "1", "--depth", "-3"],
+    ["verify", "--identity", "glkk", "--k", "2", "--depth", "-3"],
+    ["theta-verify", "--pair", "GL", "--n", "1", "--p", "1", "--q", "1", "--depth", "-3"],
+    ["kw-check", "--family", "gl", "--m", "2", "--n", "1", "--depth", "-3"],
+    ["dump-series", "--family", "b", "--m", "1", "--n", "1", "--depth", "-3"],
+    ["theta-table", "--pair", "B", "--m", "1", "--n", "1", "--bound", "-2"],
 ])
 def test_negative_depth_exit_2(capsys, argv):
     # a negative depth leaves an empty window, where every check would pass
-    # without comparing a coefficient
-    code = main(argv + ["--depth", "-3"])
+    # without comparing a coefficient; a negative bound, an empty table
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "--depth" in captured.err
+    assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("family,m,n,condition", [
+    ("gl", 1, 2, "m >= n"),
+    ("b", 1, 2, "m > n"),
+    ("d", 1, 2, "m >= n"),
+])
+def test_kw_check_uncovered_rank_exit_2(capsys, family, m, n, condition):
+    code = main(["kw-check", "--family", family, "--m", str(m), "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    expected = f"error: the {family.upper()}-type natural-module identities need {condition}"
+    assert captured.err.splitlines() == [expected]
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):

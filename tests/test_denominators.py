@@ -218,6 +218,28 @@ def test_glkk_lemma(k):
     assert rep.constant == str(Fraction(1, k))
 
 
+@pytest.mark.parametrize("broken", ["side", "ratio"])
+def test_glkk_failure_report(monkeypatch, broken):
+    # doubling one side, or the stated ratio, must turn the verdict red and
+    # name the first weight where the two sides differ
+    from superdenom import denominators
+
+    true_sides = denominators.glkk_sides
+
+    def doubled(k, depth):
+        left, rhs, ratio = true_sides(k, depth)
+        return (left.scale(2), rhs, ratio) if broken == "side" else (left, rhs, 2 * ratio)
+
+    monkeypatch.setattr(denominators, "glkk_sides", doubled)
+    rep = verify_glkk(2, depth=4)
+    assert rep.passed is False
+    assert rep.identity_kind == "glkk"
+    assert rep.subset == "k=2"
+    assert rep.constant == ("1/2" if broken == "side" else "1")
+    assert rep.first_mismatch is not None
+    assert rep.to_json()["verdict"] == "fail"
+
+
 def test_seconda_specializations():
     for fam, m, n in [("B", 1, 2), ("B", 2, 1)]:
         system = positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n))

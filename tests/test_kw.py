@@ -73,6 +73,17 @@ def test_b_with_equal_ranks_rejected():
         natural_supercharacter("B", 2, 2, base_system("GL", 2, 2))
 
 
+@pytest.mark.parametrize("fam,m,n,condition", [
+    ("GL", 1, 2, "m >= n"),
+    ("B", 2, 2, "m > n"),
+    ("D", 1, 2, "m >= n"),
+])
+def test_uncovered_ranks_rejected_before_the_chain(fam, m, n, condition):
+    for check in (verify_chv, verify_xx, verify_kwfor):
+        with pytest.raises(ValueError, match=condition):
+            check(fam, m, n, depth=4)
+
+
 def test_gamma_chain():
     sh = (3, 2)
     assert gamma_chain("GL", 3, 2) == [

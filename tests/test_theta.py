@@ -186,6 +186,28 @@ def test_duality_rejects_negative_depth(tag, kw):
         make_pair(tag, **kw).verify_duality(-1)
 
 
+@pytest.mark.parametrize("method,kind,subset", [
+    ("assembled_character", "theta-D1", "full table"),
+    ("assembled_x_character", "theta-D1-x", "x-component"),
+    ("d2_twin_sum", "theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator"),
+])
+def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
+    # doubling the series one check compares against makes that check fail,
+    # and its report is the one returned; its first mismatch is a weight
+    # where the true series is nonzero
+    pair = D1Pair(2, 1)
+    true = getattr(pair, method)(5)
+    monkeypatch.setattr(pair, method, lambda depth: true.scale(2))
+    rep = pair.verify_duality(5)
+    assert rep.passed is False
+    assert rep.identity_kind == kind
+    assert rep.subset == subset
+    assert rep.constant == "1"
+    assert rep.first_mismatch is not None
+    assert true.coeff(Weight(rep.first_mismatch, pair.system.shape)) != 0
+    assert rep.to_json()["verdict"] == "fail"
+
+
 def test_duality_d2_primed():
     rep = make_pair("D2'", m=2, n=1).verify_duality(6)
     assert rep.passed
