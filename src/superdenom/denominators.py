@@ -355,14 +355,17 @@ def compare(
 ) -> IdentityReport:
     """The one verdict routine: does right = ratio * left hold coefficient for
     coefficient on the common window of the two series?  ``system`` and
-    ``subset`` are the labels the report carries."""
+    ``subset`` are the labels the report carries.  A comparison with no term
+    of either series inside the window compared nothing and does not pass."""
     bad = left.mismatches(right, ratio)
+    t, ht4 = left.window_threshold(right), left.system.ht4
+    compared = any(t is None or ht4(w) >= t for side in (left, right) for w in side.terms)
     return IdentityReport(
         identity_kind=kind,
         system=system,
         subset=subset,
         depth=depth,
-        passed=not bad,
+        passed=compared and not bad,
         constant=str(ratio),
         first_mismatch=None if not bad else list(bad[0].coords2),
     )

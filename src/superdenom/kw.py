@@ -211,11 +211,10 @@ def highest_weight(system: PositiveSystem, sch: CharSeries) -> Weight:
     return max(sch.terms, key=lambda w: (system.ht4(w), w.coords2))
 
 
-def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[Weight]]]:
-    """Positive systems satisfying the highest-weight orthogonality condition
-    for the natural module, with their isotropic root sets."""
+def _condition_systems(family: str, m: int, n: int):
+    """Yield (system, betas), order by order, for the systems satisfying the
+    orthogonality condition; a caller that needs one stops at the first."""
     atp = atypicality(family, m, n)
-    out = []
     for order in all_basis_orders(family, m, n):
         system = positive_system(build_root_datum(family, m, n), order)
         sch = natural_supercharacter(family, m, n, system)
@@ -224,8 +223,13 @@ def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[W
             continue
         betas = kw_condition_roots(system, lam, atp)
         if betas is not None:
-            out.append((system, betas))
-    return out
+            yield system, betas
+
+
+def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[Weight]]]:
+    """Positive systems satisfying the highest-weight orthogonality condition
+    for the natural module, with their isotropic root sets."""
+    return list(_condition_systems(family, m, n))
 
 
 def verify_kwfor(
@@ -238,16 +242,17 @@ def verify_kwfor(
     """The highest-weight form over a system satisfying the orthogonality
     condition; checks the constant b = j_V / atp!."""
     atp = atypicality(family, m, n)
+    betas = None
     if system is None:
-        found = kw_systems(family, m, n)
-        if not found:
+        system, betas = next(_condition_systems(family, m, n), (None, None))
+        if system is None:
             raise ValueError("no simple system satisfies the orthogonality condition")
-        system = found[0][0]
     sch = natural_supercharacter(family, m, n, system)
     lam = highest_weight(system, sch)
-    betas = kw_condition_roots(system, lam, atp)
     if betas is None:
-        raise ValueError("the given system does not satisfy the orthogonality condition")
+        betas = kw_condition_roots(system, lam, atp)
+        if betas is None:
+            raise ValueError("the given system does not satisfy the orthogonality condition")
     T = window4(system, depth)
     left = (lhs(system, "sd", T - sch.ceiling4) * sch).truncate(T)
     W = full_weyl(system.datum)

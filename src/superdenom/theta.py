@@ -21,21 +21,26 @@ and the Enright-style sums over minimal coset representatives.
 Both routes, the table assembly and the duality check are written once on
 ``DualPair``.  Each pair supplies only what differs:
 
-* ``flip_set(key)``: the flip elements summed for one entry (a group of sign
-  flips for B, D1 and D2; coset representatives of W_c W_2 for GL);
-* ``_flip_label(key, w)``: the sign and the bucket ('+' or '-') of one flip;
-* ``_l2_shift()``: the shift of the L^2 lowest weights (-rho_1, or for GL
-  -rho_1 restricted to the u(p,q) Cartan);
-* ``levi_runs``: the coordinate runs its Levi block permutes, as half-open
-  slices of ``Weight.coords2`` (delta for Sp(2n,R), eps for D2, eps 1..p and
-  eps p+1..m for GL);
-* ``_tw``: the basis twist s_{eps_m} of the primed D2 pair (identity elsewhere).
+* its blocks: ``s2_block``, ``levi_block``, ``compact_block``, ``levi_root_set``,
+  ``nilradical`` and ``levi_runs`` (the Levi block's runs of ``coords2``);
+* ``table_keys(size)``: the table keys of one size (partitions with at most d
+  parts by default; pairs of partitions for GL);
+* ``labels(key)``: (sign, unshifted L^2 lowest weight) per entry of one key
+  (one "none" entry at mu by default; "+" at mu and "-" at nu for Sp(2n,R));
+* ``_compact_shift()``, ``_l2_shift()``: the shifts of the compact and the L^2
+  weights (0 and -rho_1; for GL -rho_1 on the u(n) and u(p,q) Cartans);
+* ``flip_set(key)`` and ``_flip_label(key, w)``: the flips summed for one
+  entry, and the sign and bucket ('+' or '-') of one flip.
+
+B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``,
+set by the class attributes ``block`` ("d" or "e"), ``block_flips`` and
+``compact_flips`` ("all" for W(B) = W(C), "even" for W(D)).  The basis twist
+s_{eps_m} of the primed D2 pair is read off the one -1 sign of its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
@@ -142,8 +147,18 @@ class DualPair:
     hooks named in the module docstring."""
 
     tag = ""
+    twist: WeylElement | None = None
 
     # -- hooks with defaults ---------------------------------------------------
+
+    def table_keys(self, size: int) -> list:
+        return partitions_at_most(self.d, size)
+
+    def labels(self, key) -> list[tuple[str, Weight]]:
+        return [("none", self.mu(key))]
+
+    def _compact_shift(self) -> Weight:
+        return Weight.zero(self.system.shape)
 
     def _l2_shift(self) -> Weight:
         return -self.system.rho1
@@ -151,10 +166,22 @@ class DualPair:
     def _flip_label(self, key, w: WeylElement) -> tuple[int, str]:
         return sgn(w), "+"
 
-    def _tw(self, x: Weight) -> Weight:
-        return x
-
     # -- common ------------------------------------------------------------
+
+    def sigma_set(self, bound: int) -> list[ThetaEntry]:
+        """The table up to size `bound`: per key, its shifted compact highest
+        weight and one entry per sign label."""
+        out = []
+        shift, compact_shift = self._l2_shift(), self._compact_shift()
+        for size in range(0, bound + 1):
+            for key in self.table_keys(size):
+                hw = compact_shift + self.compact_hw(key)
+                for sign, lowest in self.labels(key):
+                    out.append(ThetaEntry(self.tag, key, sign, hw, shift + lowest))
+        return out
+
+    def _tw(self, x: Weight) -> Weight:
+        return x if self.twist is None else self.twist.act(x)
 
     def oscillator_character(self, depth: int) -> CharSeries:
         sys_ = self.system
@@ -293,28 +320,33 @@ class DualPair:
         return compare(f"theta-{self.tag}", repr(self.system), "full table", depth, osc, total)
 
 
-def _delta_line(shape, coeffs) -> Weight:
-    acc = Weight.zero(shape)
-    for j, c in coeffs.items():
-        acc = acc + c * Weight.delta(j, shape)
-    return acc
+def _line(shape, kind: str, coeffs: dict) -> Weight:
+    """sum of c eps_i (kind "e") or c delta_i (kind "d") over coeffs {i: c}."""
+    unit = Weight.eps if kind == "e" else Weight.delta
+    return weight_sum((c * unit(i, shape) for i, c in coeffs.items()), shape)
 
 
 # ---------------------------------------------------------------------------
-# Sp(2n,R)-side pairs
+# one-block pairs
 
 
-class SpPair(DualPair):
-    """The pairs (O(k), Sp(2n,R)) with the order d_1 > ... > e_m.
+class OneBlockPair(DualPair):
+    """The pairs whose noncompact member acts on one coordinate block: the
+    deltas for Sp(2n,R) (B and D1), the eps for SO*(2m) (D2).
 
-    The noncompact side Sp(2n,R) lives on the delta coordinates and is the
-    same for k = 2m+1 (family B) and k = 2m (family D); the subclasses fix
-    the family and the compact Weyl group W(B_m) or W(D_m).
+    A subclass names its family and order variant, the noncompact ``block``
+    ("d" or "e"), the sign flips of its Weyl group (``block_flips``: "all" for
+    W(C_n), "even" for W(D_m)) and those of the compact Weyl group
+    (``compact_flips``).  A -1 sign in the basis order (only D2' has one)
+    twists the Levi block, the lowest weights and the Enright candidates by
+    the reflection in that symbol.
     """
 
     family = ""
     variant = ""
-    compact_flips = "all"  # W(B_m); "even" for W(D_m)
+    block = ""
+    block_flips = ""
+    compact_flips = ""
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
@@ -323,72 +355,87 @@ class SpPair(DualPair):
         self.system = positive_system(datum, distinguished_order(self.family, m, n, self.variant))
         sys_ = self.system
         sh = sys_.shape
+        for s in sys_.order.sequence:
+            if s.sign == -1:
+                self.twist = reflection(2 * s.functional(sh))
+        lo, hi = (0, m) if self.block == "e" else (m, m + n)
+        self.block_size = hi - lo
+        self.compact_kind, compact_size = ("d", n) if self.block == "e" else ("e", m)
         pos0 = set(sys_.positive_even)
-        c_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        a_pos = [a for a in c_pos if sum(a.delta_coords2()) == 0]
-        compact_pos = [a for a in pos0 if any(a.eps_coords2())]
-        self.s2_block = Block(sys_, c_pos, signed_permutations(sh, "d", range(1, n + 1), flips="all"))
-        self.levi_block = Block(sys_, a_pos, signed_permutations(sh, "d", range(1, n + 1)))
-        self.levi_runs = [(m, m + n)]
+        s2_pos = [a for a in pos0 if any(a.coords2[lo:hi])]
+        a_pos = [a for a in s2_pos if sum(self._tw(a).coords2[lo:hi]) == 0]
+        compact_pos = [a for a in pos0 if not any(a.coords2[lo:hi])]
+        block_range, compact_range = range(1, self.block_size + 1), range(1, compact_size + 1)
+        levi_elements = signed_permutations(sh, self.block, block_range)
+        if self.twist is not None:
+            t = self.twist
+            levi_elements = sorted((t.compose(w).compose(t) for w in levi_elements), key=WeylElement.sort_key)
+        s2_elements = signed_permutations(sh, self.block, block_range, flips=self.block_flips)
+        compact_elements = signed_permutations(sh, self.compact_kind, compact_range, flips=self.compact_flips)
+        self.s2_block = Block(sys_, s2_pos, s2_elements)
+        self.levi_block = Block(sys_, a_pos, levi_elements)
+        self.levi_runs = [(lo, hi)]
         self.levi_root_set = a_pos
-        self.nilradical = [a for a in c_pos if a not in set(a_pos)]
-        compact_elements = signed_permutations(sh, "e", range(1, m + 1), flips=self.compact_flips)
+        self.nilradical = [a for a in s2_pos if a not in set(a_pos)]
         self.compact_block = Block(sys_, compact_pos, compact_elements)
 
-    # weights ---------------------------------------------------------------
-
     def mu(self, a) -> Weight:
-        sh = self.system.shape
-        return _delta_line(sh, {self.n - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)})
-
-    def nu(self, a) -> Weight:
-        sh = self.system.shape
-        j = exact_parts(a)
-        coeffs = {r: Fraction(-1) for r in range(self.n - self.d - self.m + j, self.n - j + 1)}
-        for r in range(self.n - j + 1, self.n + 1):
-            coeffs[r] = coeffs.get(r, 0) - a[self.n - r]
-        return _delta_line(sh, {k: int(v) for k, v in coeffs.items()})
+        coeffs = {self.block_size - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)}
+        return self._tw(_line(self.system.shape, self.block, coeffs))
 
     def compact_hw(self, a) -> Weight:
+        return _line(self.system.shape, self.compact_kind, dict(enumerate(a, start=1)))
+
+    def flip_set(self, a) -> list[WeylElement]:
+        """The sign flips of the noncompact block on its first block_size - d
+        coordinates; the same for every entry.  They fix the last coordinate,
+        so they commute with the twist."""
+        flipped = range(1, self.block_size - self.d + 1)
         sh = self.system.shape
-        acc = Weight.zero(sh)
-        for r, x in enumerate(a, start=1):
-            if x:
-                acc = acc + x * Weight.eps(r, sh)
-        return acc
+        return signed_permutations(sh, self.block, flipped, permute=False, flips=self.block_flips)
+
+    def enright_candidates(self):
+        sh = self.system.shape
+        return [
+            self._tw(_line(sh, self.block, {i: 1, j: 1}))
+            for i in range(1, self.block_size + 1)
+            for j in range(i + 1, self.block_size + 1)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Sp(2n,R)-side pairs
+
+
+class SpPair(OneBlockPair):
+    """The pairs (O(k), Sp(2n,R)) with the order d_1 > ... > e_m.
+
+    The noncompact side Sp(2n,R) lives on the delta coordinates and is the
+    same for k = 2m+1 (family B) and k = 2m (family D); the subclasses fix
+    the family and the compact Weyl group W(B_m) or W(D_m).
+    """
+
+    block = "d"
+    block_flips = "all"
+    compact_flips = "all"  # W(B_m); "even" for W(D_m)
+
+    def nu(self, a) -> Weight:
+        j = exact_parts(a)
+        coeffs = dict.fromkeys(range(self.n - self.d - self.m + j, self.n - j + 1), -1)
+        for r in range(self.n - j + 1, self.n + 1):
+            coeffs[r] = coeffs.get(r, 0) - a[self.n - r]
+        return _line(self.system.shape, "d", coeffs)
 
     def in_extra_family(self, a) -> bool:
         """Membership in the extra index family P of the second sign character."""
         j = exact_parts(a)
         return self.d == self.m and j >= max(0, self.m + 1 - (self.n - self.d))
 
-    def sigma_set(self, bound: int) -> list[ThetaEntry]:
-        out = []
-        shift = self._l2_shift()
-        for size in range(0, bound + 1):
-            for a in partitions_at_most(self.d, size):
-                out.append(
-                    ThetaEntry(self.tag, a, "+", self.compact_hw(a), shift + self.mu(a))
-                )
-                if self.in_extra_family(a):
-                    out.append(
-                        ThetaEntry(self.tag, a, "-", self.compact_hw(a), shift + self.nu(a))
-                    )
+    def labels(self, a) -> list[tuple[str, Weight]]:
+        out = [("+", self.mu(a))]
+        if self.in_extra_family(a):
+            out.append(("-", self.nu(a)))
         return out
-
-    def flip_set(self, a) -> list[WeylElement]:
-        """The delta sign flips on the first n - d coordinates; the same for
-        every entry."""
-        flipped = range(1, self.n - self.d + 1)
-        return signed_permutations(self.system.shape, "d", flipped, permute=False, flips="all")
-
-    def enright_candidates(self):
-        sh = self.system.shape
-        return [
-            Weight.delta(i, sh) + Weight.delta(j, sh)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +457,7 @@ class BPair(SpPair):
 # D2-pair
 
 
-class D2Pair(DualPair):
+class D2Pair(OneBlockPair):
     """(Sp(n), SO*(2m)) from D(m,n) with the order e_1 > ... > d_n.
 
     The primed variant carries -eps_m in the basis; its table is the
@@ -418,81 +465,14 @@ class D2Pair(DualPair):
     own oscillator character.
     """
 
+    family = "D"
+    block = "e"
+    block_flips = "even"
+    compact_flips = "all"
+
     def __init__(self, m: int, n: int, primed: bool = False):
-        self.tag = "D2'" if primed else "D2"
-        self.m, self.n = m, n
-        self.d = min(m, n)
-        self.primed = primed
-        datum = build_root_datum("D", m, n)
-        self.system = positive_system(
-            datum, distinguished_order("D", m, n, "D2'" if primed else "D2")
-        )
-        sys_ = self.system
-        sh = sys_.shape
-        self.flip = reflection(2 * Weight.eps(m, sh))  # s_{eps_m}
-        pos0 = set(sys_.positive_even)
-        d_pos = [a for a in pos0 if any(a.eps_coords2())]
-        a_pos = [a for a in d_pos if sum(self._tw(a).eps_coords2()) == 0]
-        c_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(sys_, d_pos, signed_permutations(sh, "e", range(1, m + 1), flips="even"))
-        self.levi_block = Block(sys_, a_pos, self._levi_elements())
-        self.levi_runs = [(0, m)]
-        self.levi_root_set = a_pos
-        self.nilradical = [a for a in d_pos if a not in set(a_pos)]
-        self.compact_block = Block(sys_, c_pos, signed_permutations(sh, "d", range(1, n + 1), flips="all"))
-
-    def _levi_elements(self):
-        """Permutations of the eps coordinates twisted by the basis sign."""
-        plain = signed_permutations(self.system.shape, "e", range(1, self.m + 1))
-        if not self.primed:
-            return plain
-        return sorted(
-            (self.flip.compose(w).compose(self.flip) for w in plain), key=WeylElement.sort_key
-        )
-
-    def _tw(self, w: Weight) -> Weight:
-        return self.flip.act(w) if self.primed else w
-
-    def mu(self, a) -> Weight:
-        sh = self.system.shape
-        acc = Weight.zero(sh)
-        for r in range(1, self.d + 1):
-            acc = acc - a[self.d - r] * Weight.eps(self.m - self.d + r, sh)
-        return self._tw(acc)
-
-    def compact_hw(self, a) -> Weight:
-        sh = self.system.shape
-        acc = Weight.zero(sh)
-        for r, x in enumerate(a, start=1):
-            if x:
-                acc = acc + x * Weight.delta(r, sh)
-        return acc
-
-    def sigma_set(self, bound: int) -> list[ThetaEntry]:
-        out = []
-        shift = self._l2_shift()
-        for size in range(0, bound + 1):
-            for a in partitions_at_most(self.d, size):
-                out.append(
-                    ThetaEntry(self.tag, a, "none", self.compact_hw(a), shift + self.mu(a))
-                )
-        return out
-
-    def flip_set(self, a) -> list[WeylElement]:
-        """The even eps sign flips on the first m - d coordinates; the same for
-        every entry.  They commute with the twist s_{eps_m}, so both variants
-        share them."""
-        flipped = range(1, self.m - self.d + 1)
-        return signed_permutations(self.system.shape, "e", flipped, permute=False, flips="even")
-
-    def enright_candidates(self):
-        sh = self.system.shape
-        cands = [
-            Weight.eps(i, sh) + Weight.eps(j, sh)
-            for i in range(1, self.m + 1)
-            for j in range(i + 1, self.m + 1)
-        ]
-        return [self._tw(c) for c in cands]
+        self.tag = self.variant = "D2'" if primed else "D2"
+        super().__init__(m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +561,13 @@ class D1Pair(SpPair):
         sh = sys_.shape
         m, n = self.m, self.n
         d1 = min(n, m - 1)
-        rho_hat = Weight.zero(sh)
-        for i in range(1, n + 1):
-            rho_hat = rho_hat + (n - (m - 1) - i) * Weight.delta(i, sh)
-        for i in range(1, m):
-            rho_hat = rho_hat + (m - i) * Weight.eps(i, sh)
-        brackets = []
-        for i in range(1, d1 + 1):
-            b = Weight.zero(sh)
-            for r in range(n - i + 1, n + 1):
-                b = b + Weight.delta(r, sh)
-            for r in range(1, i + 1):
-                b = b - Weight.eps(r, sh)
-            brackets.append(b)
+        rho_hat = _line(sh, "d", {i: n - (m - 1) - i for i in range(1, n + 1)})
+        rho_hat = rho_hat + _line(sh, "e", {i: m - i for i in range(1, m)})
+        brackets = [
+            _line(sh, "d", dict.fromkeys(range(n - i + 1, n + 1), 1))
+            - _line(sh, "e", dict.fromkeys(range(1, i + 1), 1))
+            for i in range(1, d1 + 1)
+        ]
         W = product_set(
             signed_permutations(sh, "d", range(1, n + 1)),
             signed_permutations(sh, "d", range(1, n - d1 + 1), permute=False, flips="even"),
@@ -642,11 +616,7 @@ class GLPair(DualPair):
         sh = sys_.shape
         pos0 = set(sys_.positive_even)
         am_pos = [a for a in pos0 if any(a.eps_coords2())]
-        c_pos = [
-            a
-            for a in am_pos
-            if not any(a.eps_coords2()[:p]) or not any(a.eps_coords2()[p:])
-        ]
+        c_pos = [a for a in am_pos if not any(a.eps_coords2()[:p]) or not any(a.eps_coords2()[p:])]
         an_pos = [a for a in pos0 if not any(a.eps_coords2())]
         self.s2_block = Block(sys_, am_pos, signed_permutations(sh, "e", range(1, self.m + 1)))
         levi_elements = product_set(
@@ -659,49 +629,31 @@ class GLPair(DualPair):
         self.nilradical = [a for a in am_pos if a not in set(c_pos)]
         self.compact_block = Block(sys_, an_pos, signed_permutations(sh, "d", range(1, n + 1)))
 
+    def table_keys(self, size: int) -> list:
+        """Pairs (a, b) of partitions with exactly k and h parts, k <= p,
+        h <= q, k + h <= d and |a| + |b| = size."""
+        return [
+            (a, b)
+            for k in range(0, min(self.p, self.d) + 1)
+            for h in range(0, min(self.q, self.d - k) + 1)
+            for sa in range(0, size + 1)
+            for a in partitions_at_most(k, sa)
+            if exact_parts(a) == k
+            for b in partitions_at_most(h, size - sa)
+            if exact_parts(b) == h
+        ]
+
     def mu(self, ab) -> Weight:
         a, b = ab
-        sh = self.system.shape
-        acc = Weight.zero(sh)
-        for s, x in enumerate(a, start=1):
-            acc = acc - x * Weight.eps(self.p - s + 1, sh)
-        for t, x in enumerate(b, start=1):
-            acc = acc + x * Weight.eps(self.p + t, sh)
-        return acc
+        coeffs = {self.p - s + 1: -x for s, x in enumerate(a, start=1)}
+        coeffs.update({self.p + t: x for t, x in enumerate(b, start=1)})
+        return _line(self.system.shape, "e", coeffs)
 
     def compact_hw(self, ab) -> Weight:
         a, b = ab
-        sh = self.system.shape
-        acc = Weight.zero(sh)
-        for t, x in enumerate(a, start=1):
-            acc = acc + x * Weight.delta(t, sh)
-        for u, x in enumerate(b, start=1):
-            acc = acc - x * Weight.delta(self.n - u + 1, sh)
-        return acc
-
-    def sigma_set(self, bound: int) -> list[ThetaEntry]:
-        out = []
-        for size in range(0, bound + 1):
-            for ka in range(0, min(self.p, self.d) + 1):
-                for h in range(0, min(self.q, self.d - ka) + 1):
-                    for sa in range(0, size + 1):
-                        for a in partitions_at_most(ka, sa):
-                            if exact_parts(a) != ka:
-                                continue
-                            for b in partitions_at_most(h, size - sa):
-                                if exact_parts(b) != h:
-                                    continue
-                                key = (a, b)
-                                out.append(
-                                    ThetaEntry(
-                                        self.tag,
-                                        key,
-                                        "none",
-                                        self._compact_shift() + self.compact_hw(key),
-                                        self._l2_shift() + self.mu(key),
-                                    )
-                                )
-        return out
+        coeffs = dict(enumerate(a, start=1))
+        coeffs.update({self.n - u + 1: -x for u, x in enumerate(b, start=1)})
+        return _line(self.system.shape, "d", coeffs)
 
     def _compact_shift(self) -> Weight:
         # -(rho_1 restricted to the u(n) Cartan)

@@ -58,3 +58,15 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta.DualPair, "_report")
     assert not hasattr(kw, "_chain_report")
     assert not hasattr(kw, "_fit_ratio")
+    assert not hasattr(theta, "_delta_line")
+    assert not hasattr(theta.D2Pair, "_levi_elements")
+
+
+def test_one_block_pairs_share_one_body():
+    from superdenom import theta
+
+    classes = [c for c in vars(theta).values() if isinstance(c, type) and c.__module__ == theta.__name__]
+    defining = lambda name: {c.__name__ for c in classes if name in vars(c)}
+    assert defining("sigma_set") == {"DualPair"}
+    for name in ("mu", "compact_hw", "flip_set", "enright_candidates"):
+        assert defining(name) == {"OneBlockPair", "GLPair"}, name

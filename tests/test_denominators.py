@@ -17,6 +17,7 @@ from superdenom.weyl import full_weyl
 from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
 from superdenom.denominators import (
     choose_expansion_system,
+    compare,
     with_safe_expansion,
     lhs,
     right_side,
@@ -154,6 +155,20 @@ def test_negative_depth_is_rejected_not_a_vacuous_pass():
         window4(system, -1)
     with pytest.raises(ValueError):
         verify_glkk(2, depth=-1)
+
+
+def test_compare_of_two_empty_series_does_not_pass():
+    # zero against zero agrees everywhere but compares no coefficient; one
+    # in-window term on either side makes the same comparison count
+    system = positive_system(build_root_datum("B", 1, 1), distinguished_order("B", 1, 1))
+    T = window4(system, 4)
+    zero = CharSeries.zero(system, T)
+    rep = compare("x", "s", "t", 0, zero, zero)
+    assert rep.passed is False and rep.first_mismatch is None
+    assert rep.to_json()["verdict"] == "fail"
+    one = CharSeries.monomial(system, system.rho).truncate(T)
+    assert compare("x", "s", "t", 0, one, one).passed
+    assert not compare("x", "s", "t", 0, zero, one).passed
 
 
 def test_identity_report_shape():

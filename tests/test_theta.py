@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -358,3 +360,53 @@ def test_assembled_characters_at_depth_d_restrict_those_at_depth_d_plus_3(tag, k
             assert narrow.threshold4 == wide.threshold4 == T
             assert narrow.terms == wide.terms, (tag, kw, depth, side.__name__)
             assert narrow.terms
+
+
+# sha256 of the compact JSON of each table at bound 6, and its length
+TABLE_DIGESTS = [
+    ("B", dict(m=1, n=2), "f728c0cdc4de8840a07f505a0a500aef9848b5b355ab0c94db136594980bb8c6", 13),
+    ("D1", dict(m=2, n=2), "35993273918b4dcfba3b03b83c8a94cdfdac32e34d9ae3b668878e83ba5b6153", 16),
+    ("D2", dict(m=2, n=1), "3ef53749aa5094116b2143351b91f186deec4add181a462a541abf2536273298", 7),
+    ("D2'", dict(m=2, n=1), "218066d81da9b479be00c33e1194df132d0be1b8efb6acb268972111e78e61f4", 7),
+    ("GL", dict(n=2, p=1, q=1), "91f5df4d496d3e708503b4c0abb1e4476a6ff897190bb17b2a874854a27afbc7", 28),
+]
+
+
+@pytest.mark.parametrize("tag,kw,digest,count", TABLE_DIGESTS)
+def test_theta_table_bytes_are_pinned(tag, kw, digest, count):
+    entries = make_pair(tag, **kw).sigma_set(6)
+    doc = json.dumps([e.to_json() for e in entries], sort_keys=True, separators=(",", ":"))
+    assert len(entries) == count
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+BLOCK_PAIRS = [
+    ("B", dict(m=1, n=1)),
+    ("B", dict(m=1, n=3)),
+    ("B", dict(m=2, n=2)),
+    ("D1", dict(m=2, n=1)),
+    ("D1", dict(m=3, n=2)),
+    ("D2", dict(m=2, n=1)),
+    ("D2", dict(m=3, n=1)),
+    ("D2'", dict(m=3, n=1)),
+    ("D2'", dict(m=3, n=2)),
+    ("GL", dict(n=2, p=1, q=2)),
+]
+
+
+@pytest.mark.parametrize("tag,kw", BLOCK_PAIRS)
+def test_each_block_is_the_group_its_roots_generate(tag, kw):
+    # the element lists are built by construction; each must be the closure
+    # of the reflections in the block's own positive roots, and the flips,
+    # the Enright candidates and the nilradical must live in the s2 block
+    pair = make_pair(tag, **kw)
+    sh = pair.system.shape
+    for name in ("s2_block", "levi_block", "compact_block"):
+        block = getattr(pair, name)
+        assert block.elements == enumerate_closure([reflection(a) for a in block.positive], sh), name
+    s2_group = set(pair.s2_block.elements)
+    for entry in pair.sigma_set(4):
+        assert set(pair.flip_set(entry.partition)) <= s2_group, entry.partition
+    assert set(pair.enright_candidates()) <= set(pair.s2_block.positive)
+    levi = set(pair.levi_root_set)
+    assert pair.nilradical == [a for a in pair.s2_block.positive if a not in levi]
