@@ -11,17 +11,17 @@ Geometric factors 1/(1 - s e^{-beta}) expand toward decreasing height for
 either sign of ht(beta); an exponent of height zero raises
 ``HeightZeroExponent``.
 
-``product_expansion``, the kernel behind every identity side, works on packed
-keys (Kronecker substitution, as in Monagan & Pearce's packed exponent
-vectors).  A weight's doubled coordinates become balanced base-2^B digits of
-one Python int, with its height as the most significant digit, so adding two
-weights, and their heights, is one integer addition, and comparing a key with
-a threshold key compares heights.  B is derived per call from the largest
-coordinate the product can reach, so no digit overflows.  Each factor's terms
-are in descending height, so the inner loop stops at the first term that
-falls below the window.  Weights are unpacked once, for the terms that
-survive; ``Weight`` stays the type at the boundary and the key of
-``CharSeries.terms``.
+``product_expansion``, the kernel behind every identity side, and the
+division in ``weyl_character`` work on packed keys (Kronecker substitution,
+as in Monagan & Pearce's packed exponent vectors).  A weight's doubled
+coordinates become balanced base-2^B digits of one Python int, with its
+height as the most significant digit, so adding two weights, and their
+heights, is one integer addition, and comparing two keys compares heights
+first.  B is derived per call from the largest coordinate a result can
+reach, so no digit overflows.  In the kernel each factor's terms are in
+descending height, so the inner loop stops at the first term that falls
+below the window.  Weights are unpacked once, for the terms that survive;
+``Weight`` stays the type at the boundary and the key of ``CharSeries.terms``.
 """
 
 from __future__ import annotations
@@ -374,14 +374,6 @@ def f_sum_quotient(
 # finite Weyl characters by exact division
 
 
-def weyl_numerator(system: PositiveSystem, elements: list[WeylElement], lam: Weight) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for w in elements:
-        x = w.act(lam)
-        out[x] = out.get(x, 0) + sgn(w)
-    return {k: v for k, v in out.items() if v}
-
-
 def weyl_character(
     system: PositiveSystem,
     elements: list[WeylElement],
@@ -393,30 +385,48 @@ def weyl_character(
     Computes sum_w sgn(w) e^{w(lam+rho)} / sum_w sgn(w) e^{w(rho)} by sparse
     division; the result is 0 when lam+rho is singular and picks up the sign
     of the sorting element when lam+rho is irregularly ordered.
+
+    The division runs on packed keys (see the module docstring), with digits
+    wide enough for |lam+rho|_inf + 3 |rho|_inf, which bounds every residual,
+    quotient and shift.  Keys break height ties on the last coordinate, not
+    in ``coords2`` order; the quotient is the same, since the leading term
+    e^rho of the denominator is unique by height (every block root is
+    positive) and an exact quotient of Laurent polynomials is unique.
     """
     ht4 = system.ht4
-    numer = weyl_numerator(system, elements, lam + rho_block)
-    denom = weyl_numerator(system, elements, rho_block)
-    key = lambda w: (ht4(w), w.coords2)
+    top = lam + rho_block
+    bits = (max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2))).bit_length() + 1
+    numer: dict[int, int] = {}
+    denom: dict[int, int] = {}
+    for w in elements:
+        s = sgn(w)
+        for alt, x in ((numer, top), (denom, rho_block)):
+            y = w.act(x)
+            k = _pack(y.coords2, ht4(y), bits)
+            alt[k] = alt.get(k, 0) + s
+    numer, denom = ({k: c for k, c in alt.items() if c} for alt in (numer, denom))
     if not denom:
         raise ValueError("singular block rho: not a valid block system")
-    dmax = max(denom, key=key)
+    dmax = max(denom)
     if denom[dmax] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
-    quot: dict[Weight, int] = {}
+    quot: dict[int, int] = {}
     steps = 0
     while numer:
         steps += 1
         if steps > 200000:
             raise RuntimeError("character division did not terminate")
-        nmax = max(numer, key=key)
+        nmax = max(numer)
         c = numer[nmax]
         shift = nmax - dmax
-        quot[shift] = quot.get(shift, 0) + c
-        for w, cw in denom.items():
-            x = w + shift
-            numer[x] = numer.get(x, 0) - c * cw
-            if numer[x] == 0:
+        quot[shift] = c
+        for k, ck in denom.items():
+            x = shift + k
+            v = numer.get(x, 0) - c * ck
+            if v:
+                numer[x] = v
+            else:
                 del numer[x]
-    ceiling = max((ht4(w) for w in quot), default=0)
-    return CharSeries(system, quot, NEG_INF, ceiling)
+    unpack = _unpacker(bits, len(top.coords2))
+    terms = {Weight._trusted(unpack(k), system.shape): c for k, c in quot.items()}
+    return CharSeries._trusted(system, terms, NEG_INF, max(map(ht4, terms), default=0))

@@ -65,6 +65,46 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     return CharSeries(system, acc, threshold4, total_ceiling)
 
 
+def reference_weyl_character(system, elements, rho_block, lam):
+    """sum_w sgn(w) e^{w(lam+rho)} / sum_w sgn(w) e^{w(rho)} by sparse
+    division on ``Weight`` keys, taking the leading term in the order of
+    (height, coords2)."""
+    ht4 = system.ht4
+
+    def alternant(x):
+        out = {}
+        for w in elements:
+            y = w.act(x)
+            out[y] = out.get(y, 0) + sgn(w)
+        return {k: v for k, v in out.items() if v}
+
+    numer = alternant(lam + rho_block)
+    denom = alternant(rho_block)
+    key = lambda w: (ht4(w), w.coords2)
+    if not denom:
+        raise ValueError("singular block rho: not a valid block system")
+    dmax = max(denom, key=key)
+    if denom[dmax] != 1:
+        raise AssertionError("block rho is not regular dominant for the block")
+    quot = {}
+    steps = 0
+    while numer:
+        steps += 1
+        if steps > 200000:
+            raise RuntimeError("character division did not terminate")
+        nmax = max(numer, key=key)
+        c = numer[nmax]
+        shift = nmax - dmax
+        quot[shift] = quot.get(shift, 0) + c
+        for w, cw in denom.items():
+            x = w + shift
+            numer[x] = numer.get(x, 0) - c * cw
+            if numer[x] == 0:
+                del numer[x]
+    ceiling = max((ht4(w) for w in quot), default=0)
+    return CharSeries(system, quot, None, ceiling)
+
+
 def signed_sum(elements, body):
     """F_U = sum over w in U of sgn(w) body(w), where body(w) is the series of
     w(Y); accumulated one element at a time."""

@@ -21,6 +21,7 @@ REMOVED = [
     "rhs_migliore",
     "_rhs_migliore",
     "factorial",
+    "weyl_numerator",
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from superdenom.weights import Weight
 from superdenom.rootdata import all_basis_orders, build_root_datum, standard_order, positive_system
 from superdenom.series import CharSeries, HeightZeroExponent, product_expansion, weyl_character
-from superdenom.weyl import full_weyl, signed_permutations
+from superdenom.theta import make_pair
+from superdenom.weyl import full_weyl, sgn, signed_permutations
 
-from _oracles import reference_product_expansion, signed_sum
+from _oracles import reference_product_expansion, reference_weyl_character, signed_sum
 
 
 def gl21_system():
@@ -167,6 +169,20 @@ def test_weyl_character_sorting_sign():
     assert ch.terms == {Weight.zero(system.shape): -1}
 
 
+def test_weyl_character_error_paths():
+    # an A_1 group {1, s_alpha} with a rho it cannot divide by
+    system = gl21_system()
+    alpha = sl2_block(system)
+    block = signed_permutations(system.shape, "e", [1, 2])
+    with pytest.raises(ValueError):
+        weyl_character(system, block, Weight.zero(system.shape), alpha)  # singular rho
+    with pytest.raises(AssertionError):
+        weyl_character(system, block, -alpha.half(), alpha)  # leading term -e^{alpha/2}
+    with pytest.raises(RuntimeError):
+        # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
+        weyl_character(system, block, alpha, -alpha.half())
+
+
 def test_series_json_sorted_and_stable():
     system = gl21_system()
     T = -3 * system.unit4
@@ -299,3 +315,79 @@ def test_product_expansion_matches_reference(case):
     assert got.ceiling4 == want.ceiling4
     assert all(c != 0 for c in got.terms.values())
     assert all(T <= system.ht4(w) <= got.ceiling4 for w in got.terms)
+
+
+# -- packed character division against the Weight-keyed reference loop --------
+
+_PAIRS = (
+    [("B", dict(m=m, n=n)) for m, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]]
+    + [("D1", dict(m=m, n=n)) for m, n in [(2, 1), (2, 2), (3, 1)]]
+    + [(tag, dict(m=m, n=n)) for tag in ("D2", "D2'") for m, n in [(1, 2), (2, 1), (2, 2), (3, 1)]]
+    + [("GL", dict(n=n, p=p, q=q)) for n, p, q in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]]
+)
+
+
+@functools.cache
+def _pair_blocks(i):
+    """The s2, Levi and compact blocks of pair i of _PAIRS, and the x-block of
+    a D1 pair."""
+    tag, kw = _PAIRS[i]
+    pair = make_pair(tag, **kw)
+    return [pair.s2_block, pair.levi_block, pair.compact_block] + ([pair.x_block] if tag == "D1" else [])
+
+
+def _invariant_directions(block):
+    """Weights fixed by every element of the block group: for each
+    coordinate, the sum of its images, scaled to entries 0 and +-1."""
+    sh = block.system.shape
+    out = []
+    for i in range(sum(sh)):
+        unit = Weight([2 if j == i else 0 for j in range(sum(sh))], sh)
+        total = [sum(c) for c in zip(*(w.act(unit).coords2 for w in block.elements))]
+        top = max(map(abs, total))
+        if top:
+            d = Weight([2 * c // top for c in total], sh)
+            if d not in out and -d not in out:
+                out.append(d)
+    return out
+
+
+@st.composite
+def _character_case(draw):
+    """A block of some pair, and lam + rho dominant, irregular (a Weyl image
+    of a dominant weight), or singular (fixed by a reflection of the group);
+    for "edge", a dominant or irregular lam plus a large weight fixed by the
+    group, with coordinates +-(2^k - 1), so that the digit width changes."""
+    blocks = _pair_blocks(draw(st.integers(0, len(_PAIRS) - 1)))
+    block = draw(st.sampled_from(blocks))
+    system, rho, elements = block.system, block.rho, block.elements
+    sh = system.shape
+    kind = draw(st.sampled_from(["dominant", "irregular", "singular", "edge"]))
+    x = Weight([2 * draw(st.integers(-2, 2)) for _ in range(sum(sh))], sh)
+    dominant = max((w.act(x) for w in elements), key=system.ht4)
+    if kind == "singular":
+        generic = Weight(range(1, sum(sh) + 1), sh)
+        reflections = [w for w in elements if sgn(w) == -1 and w.act(w.act(generic)) == generic]
+        assume(reflections)
+        s = draw(st.sampled_from(reflections))
+        return block, kind, x + s.act(x) - rho
+    if kind == "dominant":
+        lam = dominant
+    else:
+        lam = draw(st.sampled_from(elements)).act(dominant + rho) - rho
+    if kind == "edge":
+        for d in _invariant_directions(block):
+            lam = lam + draw(st.sampled_from([-1, 1])) * (2 ** draw(st.integers(1, 20)) - 1) * d
+    return block, kind, lam
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_character_case())
+def test_weyl_character_matches_reference(case):
+    block, kind, lam = case
+    want = reference_weyl_character(block.system, block.elements, block.rho, lam)
+    got = weyl_character(block.system, block.elements, block.rho, lam)
+    assert got.terms == want.terms
+    assert kind != "singular" or not got.terms
+    assert got.threshold4 == want.threshold4
+    assert got.ceiling4 == want.ceiling4

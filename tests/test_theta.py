@@ -182,6 +182,12 @@ def test_duality(tag, kw):
     assert rep.passed, (tag, kw, rep.first_mismatch)
 
 
+def test_d1_3_2_duality_at_depth_12():
+    # the largest D1 duality check: its finite characters dominate the time
+    rep = make_pair("D1", m=3, n=2).verify_duality(12)
+    assert rep.passed, rep.first_mismatch
+
+
 @pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=1)), ("D1", dict(m=2, n=1))])
 def test_duality_rejects_negative_depth(tag, kw):
     with pytest.raises(ValueError):
