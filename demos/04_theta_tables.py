@@ -6,9 +6,10 @@ highest-weight module on the noncompact side.  The branching identity
 
     oscillator character = sum over entries of compact x L^2 characters
 
-is checked coefficient-exactly, as is the agreement of the two independent
-routes to the L^2 characters (sign-character bookkeeping vs minimal coset
-representatives).
+is checked coefficient-exactly on a window.  The two independent routes to
+the L^2 characters (sign-character bookkeeping vs minimal coset
+representatives) are finite sums of Levi characters in front of one common
+tail, and they are compared as whole characters.
 """
 
 from superdenom import make_pair
@@ -29,7 +30,6 @@ for tag, kw in [
     rep = pair.verify_duality(8)
     print(f"  branching identity at depth 8: {'pass' if rep.passed else 'FAIL'}")
     entry = pair.sigma_set(2)[-1]
-    l2 = pair.l2_character(entry, 8)
-    en = pair.enright_character(entry, 8)
-    print(f"  Enright route equals the flip-group route: {l2.agrees_with(en)}")
+    rep = pair.verify_enright(entry)
+    print(f"  Enright route equals the flip-group route as whole characters: {rep.passed}")
     print()

@@ -179,14 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, family=True, depth=True):
-        if family:
-            sp.add_argument("--family", required=True, choices=["gl", "b", "c", "d", "GL", "B", "C", "D"])
-            sp.add_argument("--m", type=int, required=True)
-            sp.add_argument("--n", type=int, required=True)
+    def common(sp, depth=True):
+        sp.add_argument("--family", required=True, choices=["gl", "b", "c", "d", "GL", "B", "C", "D"])
+        sp.add_argument("--m", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True)
         if depth:
             sp.add_argument("--depth", type=_nonnegative, default=8)
-        sp.add_argument("--format", choices=["json", "text"], default="json")
 
     sp = sub.add_parser("verify", help="check a denominator identity")
     sp.add_argument("--identity", required=True, choices=list(IDENTITY_KINDS))
@@ -196,18 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, help="rank for the gl(k,k) lemma")
     sp.add_argument("--orders", default="all", help='"all", "distinguished", or explicit JSON')
     sp.add_argument("--depth", type=_nonnegative, default=8)
-    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("list-arc-diagrams", help="enumerate arc diagrams")
     common(sp, depth=False)
     sp.add_argument("--orders", default="all")
+    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_list_arc_diagrams)
 
     sp = sub.add_parser("reduce-diagram", help="reduce a diagram to a simple one")
     common(sp, depth=False)
     sp.add_argument("--order", required=True, help="basis order as JSON")
     sp.add_argument("--arcs", required=True, help="arc list as JSON")
+    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_reduce_diagram)
 
     sp = sub.add_parser("theta-table", help="emit a Theta correspondence table")
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
     sp.add_argument("--depth", type=_nonnegative, default=8)
-    sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.set_defaults(fn=cmd_theta_verify)
 
     sp = sub.add_parser("kw-check", help="natural-representation character identities")

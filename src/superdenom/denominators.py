@@ -325,7 +325,7 @@ class IdentityReport:
     identity_kind: str
     system: str
     subset: str
-    depth: int
+    depth: int | None
     passed: bool
     constant: str = "1"
     first_mismatch: list | None = None
@@ -348,15 +348,17 @@ def compare(
     kind: str,
     system: str,
     subset: str,
-    depth: int,
+    depth: int | None,
     left: CharSeries,
     right: CharSeries,
     ratio: Fraction = Fraction(1),
 ) -> IdentityReport:
     """The one verdict routine: does right = ratio * left hold coefficient for
-    coefficient on the common window of the two series?  ``system`` and
-    ``subset`` are the labels the report carries.  A comparison with no term
-    of either series inside the window compared nothing and does not pass."""
+    coefficient on the common window of the two series?  ``system``,
+    ``subset`` and ``depth`` are the labels the report carries; the depth is
+    None when both series are exact and whole characters are compared.  A
+    comparison with no term of either series inside the window compared
+    nothing and does not pass."""
     bad = left.mismatches(right, ratio)
     t, ht4 = left.window_threshold(right), left.system.ht4
     compared = any(t is None or ht4(w) >= t for side in (left, right) for w in side.terms)

@@ -26,6 +26,7 @@ below the window.  Weights are unpacked once, for the terms that survive;
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -129,21 +130,33 @@ class CharSeries:
 
     def __mul__(self, other: "CharSeries") -> "CharSeries":
         """Exact convolution with the window-soundness rule: the product is
-        complete above max(t_a + ceil_b, t_b + ceil_a)."""
+        complete above max(t_a + ceil_b, t_b + ceil_a).  Heights add, so the
+        larger operand's terms are taken in descending height and each row
+        stops at the first pair below the window."""
         self._same_space(other)
         a, b = self, other
         if len(b.terms) < len(a.terms):
             a, b = b, a
         ht4 = self.system.ht4
         t = _product_threshold(a.threshold4, a.ceiling4, b.threshold4, b.ceiling4)
+        column = sorted(((ht4(w), w, c) for w, c in b.terms.items()), key=lambda x: -x[0])
         out: dict[Weight, int] = {}
         for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
+            lim = -math.inf if t is None else t - ht4(wa)
+            for hb, wb, cb in column:
+                if hb < lim:
+                    break
                 w = wa + wb
-                if t is not None and ht4(w) < t:
-                    continue
                 out[w] = out.get(w, 0) + ca * cb
-        return CharSeries(self.system, out, t, a.ceiling4 + b.ceiling4)
+        terms = {w: c for w, c in out.items() if c}
+        return CharSeries._trusted(self.system, terms, t, a.ceiling4 + b.ceiling4)
+
+    def tightened(self) -> "CharSeries":
+        """The same series with its ceiling lowered to its highest term."""
+        if not self.terms:
+            return self
+        top = max(map(self.system.ht4, self.terms))
+        return CharSeries._trusted(self.system, self.terms, self.threshold4, top)
 
     def truncate(self, threshold4: int) -> "CharSeries":
         if self.threshold4 is not None and threshold4 < self.threshold4:

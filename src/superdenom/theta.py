@@ -14,9 +14,12 @@ characters for the noncompact side, and checks the branching identity
 
     ch M = sum over entries of (compact character) x (L^2 character)
 
-coefficient-exactly on a window.  The unitary-side characters come in two
-independent routes: the sign-character bookkeeping sums over the flip groups,
-and the Enright-style sums over minimal coset representatives.
+coefficient-exactly on a window.  Every L^2 character is a finite sum of
+Levi characters times one tail prod 1/(1 - e^{-beta}) over the nilradical.
+The sum comes by two independent routes: the sign-character bookkeeping over
+the flip groups (``l2_levi_sum``) and Enright's minimal coset representatives
+(``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
+compares the two finite sums as whole characters, with no window.
 
 Both routes, the table assembly and the duality check are written once on
 ``DualPair``.  Each pair supplies only what differs:
@@ -185,10 +188,7 @@ class DualPair:
 
     def oscillator_character(self, depth: int) -> CharSeries:
         sys_ = self.system
-        T = window4(sys_, depth, top=-sys_.rho1)
-        return product_expansion(
-            sys_, T, -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd]
-        )
+        return product_expansion(sys_, self._window(depth), -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd])
 
     def _sorted_in_block(self, x: Weight):
         """Dominant representative w.r.t. the compact Levi block and the sign
@@ -206,17 +206,25 @@ class DualPair:
             c[lo:hi] = sorted(run, reverse=True)
         return self._tw(Weight(c, self.system.shape)), sign
 
-    def v2_character(self, lam: Weight, threshold4: int) -> CharSeries:
-        """Parabolic Verma character for a Levi-dominant highest weight."""
+    def _window(self, depth: int) -> int:
+        return window4(self.system, depth, top=-self.system.rho1)
+
+    def _levi_sum(self, summands) -> CharSeries:
+        """sum c ch_Levi(lam) over (c, lam) pairs, exact, with the ceiling of
+        its highest term: a sum's stated ceiling stays loose after cancellation."""
+        acc = CharSeries.zero(self.system)
+        for c, lam in summands:
+            acc = acc + self.levi_block.character(lam).scale(c)
+        return acc.tightened()
+
+    def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
+        """finite x the nilradical tail on {ht >= threshold4}, for a finite
+        series complete there and with a tight ceiling: one tail expansion."""
         sys_ = self.system
-        fin = self.levi_block.character(lam)
-        tail = product_expansion(
-            sys_,
-            threshold4 - fin.ceiling4,
-            Weight.zero(sys_.shape),
-            geom=[(b, 1) for b in self.nilradical],
-        )
-        return (fin * tail).truncate(threshold4)
+        if finite.is_zero_on_window():
+            return CharSeries.zero(sys_, threshold4)
+        geom = [(b, 1) for b in self.nilradical]
+        return finite * product_expansion(sys_, threshold4 - finite.ceiling4, Weight.zero(sys_.shape), geom=geom)
 
     def l2_summands(self, key) -> list[tuple[int, Weight, str]]:
         """(coefficient, Levi-dominant weight of V^2, bucket) triples from the
@@ -233,21 +241,14 @@ class DualPair:
             out.append((c_w * sign, dom - rho2, bucket))
         return out
 
-    def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
-        sys_ = self.system
-        T = (
-            window4(sys_, depth_or_threshold, top=-sys_.rho1)
-            if depth
-            else depth_or_threshold
-        )
+    def l2_levi_sum(self, entry: ThetaEntry) -> CharSeries:
+        """The L^2 character before the tail: the flip-sum summands of its bucket."""
         want = "+" if entry.sign in ("+", "none") else "-"
-        acc = CharSeries.zero(sys_, T)
-        key = entry.partition
-        for coeff, lam, bucket in self.l2_summands(key):
-            if bucket != want:
-                continue
-            acc = acc + self.v2_character(lam, T).scale(coeff)
-        return acc
+        return self._levi_sum((c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want)
+
+    def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
+        T = self._window(depth_or_threshold) if depth else depth_or_threshold
+        return self._with_tail(self.l2_levi_sum(entry), T)
 
     def compact_character(self, entry: ThetaEntry) -> CharSeries:
         return self.compact_block.character(entry.compact_weight)
@@ -281,36 +282,43 @@ class DualPair:
         reps = coset_reps(group, csub, key=lambda w: (lengths[w], w.sort_key()), left=True)
         return EnrightData(lam0, group, roots, reps, lengths)
 
-    def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
-        sys_ = self.system
-        T = window4(sys_, depth, top=-sys_.rho1)
+    def enright_levi_sum(self, entry: ThetaEntry) -> CharSeries:
+        """The Enright character before the tail: one per minimal representative."""
         data = self.enright(entry)
-        acc = CharSeries.zero(sys_, T)
+        summands = []
         for w in data.min_reps:
             res = self._sorted_in_block(w.act(data.lam))
             if res is None:
                 raise AssertionError("minimal representative hit a singular weight")
-            dom, _ = res
-            sign = -1 if data.lengths[w] % 2 else 1
-            acc = acc + self.v2_character(dom - self.s2_block.rho, T).scale(sign)
-        return acc
+            summands.append((-1 if data.lengths[w] % 2 else 1, res[0] - self.s2_block.rho))
+        return self._levi_sum(summands)
+
+    def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
+        return self._with_tail(self.enright_levi_sum(entry), self._window(depth))
+
+    def verify_enright(self, entry: ThetaEntry) -> IdentityReport:
+        """Enright's formula for one entry as an identity of finite Levi sums:
+        the tail is invertible, so equality here is equality on every window,
+        and the report carries no depth."""
+        left, right = self.l2_levi_sum(entry), self.enright_levi_sum(entry)
+        subset = f"a={entry.partition} sign={entry.sign}"
+        return compare(f"theta-{self.tag}-enright", repr(self.system), subset, None, left, right)
 
     # -- duality -------------------------------------------------------------
 
     def _assembled(self, depth: int, finite) -> CharSeries:
         """The sum over the table of finite(entry) x L^2(entry) on the window
-        of depth `depth` below e^{-rho_1}; entries whose finite character
-        vanishes are skipped."""
-        sys_ = self.system
-        T = window4(sys_, depth, top=-sys_.rho1)
-        acc = CharSeries.zero(sys_, T)
+        of depth `depth` below e^{-rho_1}: finite x Levi sum, each factor cut
+        to the window, summed and times one tail; finite = 0 is skipped."""
+        T = self._window(depth)
+        acc = CharSeries.zero(self.system, T)
         for entry in self.sigma_set(depth):
             fin = finite(entry)
             if fin.is_zero_on_window():
                 continue
-            l2 = self.l2_character(entry, T - fin.ceiling4, depth=False)
-            acc = acc + (fin * l2).truncate(T)
-        return acc
+            levi = self.l2_levi_sum(entry)
+            acc = acc + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
+        return self._with_tail(acc.tightened(), T)
 
     def assembled_character(self, depth: int) -> CharSeries:
         return self._assembled(depth, self.compact_character)
@@ -541,7 +549,7 @@ class D1Pair(SpPair):
         monomials survive, pairing delta_i +- eps_m into 2 delta_i."""
         sys_ = self.system
         sh = sys_.shape
-        T = window4(sys_, depth, top=-sys_.rho1)
+        T = self._window(depth)
         geom = []
         for i in range(1, self.n + 1):
             for j in range(1, self.m):
@@ -573,7 +581,7 @@ class D1Pair(SpPair):
             signed_permutations(sh, "d", range(1, n - d1 + 1), permute=False, flips="even"),
             self.x_block.elements,
         )
-        T = window4(sys_, depth, top=-sys_.rho1)
+        T = self._window(depth)
         denom_lead = self.s2_block.rho + self.x_block.rho
         Tsum = T + sys_.ht4(denom_lead)
         num = f_sum_quotient(sys_, W, "sgn", Tsum, rho_hat, geom=[(b, 1) for b in brackets])

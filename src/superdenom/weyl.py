@@ -71,7 +71,7 @@ class WeylElement:
             out[self.eps_perm[i]] += self.eps_signs[i] * c[i]
         for j in range(n):
             out[m + self.del_perm[j]] += self.del_signs[j] * c[m + j]
-        return Weight(out, (m, n))
+        return Weight._trusted(tuple(out), (m, n))
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other (self o other)."""

@@ -6,7 +6,8 @@ out directly from its definition.
 
 import itertools
 
-from superdenom.series import CharSeries
+from superdenom.denominators import window4
+from superdenom.series import CharSeries, product_expansion
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import sgn
 
@@ -165,3 +166,53 @@ def uses_interior_fork(s, m):
             if eps[i] < 0 and any(c < 0 for c in dls):
                 return True
     return False
+
+
+def _reference_v2_character(pair, lam, threshold4):
+    """The parabolic Verma character ch_Levi(lam) x prod 1/(1 - e^{-beta})
+    over the nilradical, with the tail expanded for this one summand."""
+    sys_ = pair.system
+    fin = pair.levi_block.character(lam)
+    tail = product_expansion(
+        sys_, threshold4 - fin.ceiling4, Weight.zero(sys_.shape), geom=[(b, 1) for b in pair.nilradical]
+    )
+    return (fin * tail).truncate(threshold4)
+
+
+def reference_l2_character(pair, entry, threshold4):
+    """The L^2 character of one table entry on {ht >= threshold4}, summed one
+    flip-sum summand at a time, each with its own tail."""
+    want = "+" if entry.sign in ("+", "none") else "-"
+    acc = CharSeries.zero(pair.system, threshold4)
+    for coeff, lam, bucket in pair.l2_summands(entry.partition):
+        if bucket == want:
+            acc = acc + _reference_v2_character(pair, lam, threshold4).scale(coeff)
+    return acc
+
+
+def reference_enright_character(pair, entry, threshold4):
+    """The Enright character of one table entry on {ht >= threshold4}: the
+    signed sum over the minimal coset representatives, each with its own
+    tail."""
+    data = pair.enright(entry)
+    acc = CharSeries.zero(pair.system, threshold4)
+    for w in data.min_reps:
+        dom, _ = pair._sorted_in_block(w.act(data.lam))
+        sign = -1 if data.lengths[w] % 2 else 1
+        acc = acc + _reference_v2_character(pair, dom - pair.s2_block.rho, threshold4).scale(sign)
+    return acc
+
+
+def reference_assembled(pair, depth, finite):
+    """The sum over the table of finite(entry) x L^2(entry) on the window of
+    depth `depth` below e^{-rho_1}, each L^2 character expanded on the window
+    its finite factor lifts into the result."""
+    threshold4 = window4(pair.system, depth, top=-pair.system.rho1)
+    acc = CharSeries.zero(pair.system, threshold4)
+    for entry in pair.sigma_set(depth):
+        fin = finite(entry)
+        if fin.is_zero_on_window():
+            continue
+        l2 = reference_l2_character(pair, entry, threshold4 - fin.ceiling4)
+        acc = acc + (fin * l2).truncate(threshold4)
+    return acc

@@ -61,6 +61,7 @@ def test_removed_helpers_are_gone():
     assert not hasattr(kw, "_fit_ratio")
     assert not hasattr(theta, "_delta_line")
     assert not hasattr(theta.D2Pair, "_levi_elements")
+    assert not hasattr(theta.DualPair, "v2_character")
 
 
 def test_one_block_pairs_share_one_body():

@@ -95,6 +95,21 @@ def test_config_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "glkk", "--k", "2", "--depth", "2"],
+    ["theta-verify", "--pair", "GL", "--n", "1", "--p", "1", "--q", "1", "--depth", "2"],
+    ["kw-check", "--family", "gl", "--m", "2", "--n", "1", "--depth", "2"],
+    ["dump-series", "--family", "b", "--m", "1", "--n", "1", "--depth", "2"],
+])
+def test_json_only_commands_reject_format(capsys, argv):
+    # these commands print JSON only, so they take no --format option
+    code = main(argv + ["--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_verification_failure_exit_1(capsys, monkeypatch):
     broken = denominators.IdentityReport(
         identity_kind="glkk", system="x", subset="k=2", depth=2, passed=False

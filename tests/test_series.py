@@ -256,6 +256,25 @@ def test_scale_matches_filtering_constructor(case, k):
     _assert_same_series(a.scale(k), want)
 
 
+@settings(deadline=None, max_examples=200)
+@given(case=_series_pair())
+def test_mul_matches_the_whole_convolution_cut_to_the_window(case):
+    # each row of the product stops at the first pair below the window; the
+    # result must still be the whole convolution cut to the window
+    system, a, b = case
+    for x, y in ((a, b), (b, a), (a, a)):
+        full = {}
+        for wx, cx in x.terms.items():
+            for wy, cy in y.terms.items():
+                full[wx + wy] = full.get(wx + wy, 0) + cx * cy
+        edges = [t + c for t, c in ((x.threshold4, y.ceiling4), (y.threshold4, x.ceiling4)) if t is not None]
+        want = CharSeries(system, full, max(edges, default=None), x.ceiling4 + y.ceiling4)
+        got = x * y
+        assert got.terms == want.terms
+        assert (got.threshold4, got.ceiling4) == (want.threshold4, want.ceiling4)
+        assert all(c != 0 for c in got.terms.values())
+
+
 # -- the packed kernel against the Weight-keyed reference loop -----------------
 
 _KERNEL_SYSTEMS = [("GL", 2, 1), ("GL", 1, 2), ("B", 1, 1), ("C", 2, 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -9,6 +10,8 @@ from superdenom.theta import make_pair, BPair, D1Pair, D2Pair, GLPair, partition
 from superdenom.denominators import window4
 from superdenom.series import CharSeries
 from superdenom.weyl import enumerate_closure, reflection
+
+from _oracles import reference_assembled, reference_enright_character, reference_l2_character
 
 DUALITY_CASES = [
     ("B", dict(m=1, n=1)),
@@ -223,11 +226,71 @@ def test_duality_d2_primed():
 
 @pytest.mark.parametrize("tag,kw", DUALITY_CASES)
 def test_enright_equals_l2(tag, kw):
+    # whole characters: the two finite Levi sums are equal and nonzero
     pair = make_pair(tag, **kw)
     for entry in pair.sigma_set(6):
-        l2 = pair.l2_character(entry, 6)
-        en = pair.enright_character(entry, 6)
-        assert l2.agrees_with(en), (tag, kw, entry.partition, entry.sign)
+        rep = pair.verify_enright(entry)
+        assert rep.passed, (tag, kw, entry.partition, entry.sign)
+        doc = rep.to_json()
+        assert doc["identity"] == f"theta-{pair.tag}-enright" and doc["depth"] is None
+        assert doc["subset"] == f"a={entry.partition} sign={entry.sign}"
+
+
+def _enright_mutants(pair):
+    """Three deliberate faults, each a (method name, replacement) pair: one
+    extra Levi character on the flip-sum side, the last minimal
+    representative dropped, and the sign of the last one flipped."""
+    l2, enright = pair.l2_levi_sum, pair.enright
+
+    def extra(entry):
+        return l2(entry) + pair.levi_block.character(entry.l2_lowest)
+
+    def dropped(entry):
+        data = enright(entry)
+        return dataclasses.replace(data, min_reps=data.min_reps[:-1])
+
+    def flipped(entry):
+        data = enright(entry)
+        last = data.min_reps[-1]
+        return dataclasses.replace(data, lengths={**data.lengths, last: data.lengths[last] + 1})
+
+    return [("l2_levi_sum", extra), ("enright", dropped), ("enright", flipped)]
+
+
+@pytest.mark.parametrize("tag,kw", DUALITY_CASES + [("B", dict(m=1, n=3)), ("GL", dict(n=1, p=3, q=1))])
+@pytest.mark.parametrize("mutant", range(3))
+def test_verify_enright_fails_under_each_deliberate_mutation(monkeypatch, tag, kw, mutant):
+    pair = make_pair(tag, **kw)
+    name, fault = _enright_mutants(pair)[mutant]
+    monkeypatch.setattr(pair, name, fault)
+    for entry in pair.sigma_set(6):
+        rep = pair.verify_enright(entry)
+        assert not rep.passed and rep.first_mismatch is not None, (name, entry.partition, entry.sign)
+
+
+@pytest.mark.parametrize("tag,kw", DUALITY_CASES)
+def test_factored_characters_match_the_per_summand_route_byte_for_byte(tag, kw):
+    # one Levi sum times one tail gives the very bytes of the route that
+    # expands the tail for every summand, in both forms of l2_character, for
+    # the Enright characters and for the assembled characters
+    pair = make_pair(tag, **kw)
+    sys_ = pair.system
+    dump = lambda s: json.dumps(s.to_json(), sort_keys=True)
+    for depth in (5, 8):
+        T = window4(sys_, depth, top=-sys_.rho1)
+        for entry in pair.sigma_set(depth):
+            want = dump(reference_l2_character(pair, entry, T))
+            assert dump(pair.l2_character(entry, depth)) == want, (depth, entry)
+            assert dump(pair.enright_character(entry, depth)) == dump(reference_enright_character(pair, entry, T))
+            shifted = T - pair.compact_character(entry).ceiling4
+            want = dump(reference_l2_character(pair, entry, shifted))
+            assert dump(pair.l2_character(entry, shifted, depth=False)) == want, (depth, entry)
+        sides = [("assembled_character", pair.compact_character)]
+        if isinstance(pair, D1Pair):
+            sides.append(("assembled_x_character", pair.x_character))
+        for name, finite in sides:
+            got = dump(getattr(pair, name)(depth))
+            assert got == dump(reference_assembled(pair, depth, finite)), (name, depth)
 
 
 def test_enright_group_shapes():
