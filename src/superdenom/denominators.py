@@ -17,10 +17,18 @@ the constant C.  ``right_side`` builds it for each kind:
                        denominators over S
 * migliore           : U = W_0 = Z W_B' W#(B') with bracket exponents and
                        C = C_g / (|T| prod (ht(gamma)+1)/2)
+* seconda-sd         : B(m,n) distinguished order, U = W(A_{n-1}) x {delta
+                       flips on the first n-d} x W(B_m), bracket exponents
+* seconda-d2-sd      : D(m,n) D2 order, U = W(A_{m-1}) x {even eps flips on
+                       the first m-d} x W(C_n), bracket exponents
+* seconda-w1-sd      : D(m,n) D2 order with m > n, the same sum over the
+                       product group W_1
 * glkk               : the gl(k,k) lemma relating the two all-isotropic sums
 
-The compact dual pair specializations (``seconda_sum`` and its kin) are
-WeylSums over named product groups.
+The three seconda kinds are the compact dual pair specializations of the
+master identity; they are claimed only on their distinguished order, and
+``right_side`` rejects every other one.  Kinds ending in ``-d`` equate
+e^rho R, every other kind e^rho Ř.
 
 Every check, here and in ``theta``, reports through ``compare``, which
 compares truncated series coefficient-exactly on the intersection window;
@@ -39,6 +47,7 @@ from .rootdata import (
     RootDatum,
     PositiveSystem,
     build_root_datum,
+    distinguished_order,
     positive_system,
     standard_order,
 )
@@ -53,9 +62,17 @@ from .weyl import (
     signed_permutations,
 )
 from .series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
-from .diagrams import ArcDiagram, enumerate_diagrams
+from .diagrams import ArcDiagram
 
-IDENTITY_KINDS = ("kwg-d", "kwg-sd", "princ-d", "princ-sd", "mm-d", "mm-sd", "migliore", "glkk")
+IDENTITY_KINDS = (
+    "kwg-d", "kwg-sd", "princ-d", "princ-sd", "mm-d", "mm-sd", "migliore",
+    "seconda-sd", "seconda-d2-sd", "seconda-w1-sd", "glkk",
+)
+
+
+def _flavor(kind: str) -> str:
+    """The left side of identity ``kind``: "d" for e^rho R, "sd" for e^rho Ř."""
+    return "d" if kind.endswith("-d") else "sd"
 
 
 def c_g(datum: RootDatum) -> int:
@@ -202,13 +219,14 @@ def right_side(
 
     kwg takes S (default the isotropic set of a simple diagram X), which must
     be simple, isotropic and maximal; every other kind takes the diagram X, and
-    migliore also B' (see ``migliore_groups``).
+    migliore also B' (see ``migliore_groups``).  The seconda kinds raise
+    ``ValueError`` off their distinguished order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
     if kind == "glkk":
         raise ValueError("use verify_glkk for the gl(k,k) lemma")
-    sd = kind.endswith("sd") or kind == "migliore"
+    sd = _flavor(kind) == "sd"
     sign = "sgn_prime" if sd else "sgn"
     s = 1 if sd else -1
     if kind.startswith("kwg"):
@@ -235,8 +253,10 @@ def right_side(
     if kind.startswith("princ"):
         geom = [(X.bracket(g), 1 if sd else -X.root_sign(g)) for g in iso]
         return WeylSum(full_weyl(system.datum), sign, system.rho, geom, constant=princ_constant(system, X))
-    W0, t_size = migliore_groups(system, X, bprime)
     geom = [(X.bracket(g), 1) for g in iso]
+    if kind.startswith("seconda"):
+        return WeylSum(_seconda_group(kind, system), sign, system.rho, geom)
+    W0, t_size = migliore_groups(system, X, bprime)
     return WeylSum(W0, sign, system.rho, geom, constant=princ_constant(system, X) / t_size)
 
 
@@ -282,6 +302,33 @@ def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
     Z = coset_reps(full_weyl(datum), w_bprime_full)
     W0 = product_set(Z, H)
     return W0, t_size
+
+
+def _seconda_group(kind: str, system: PositiveSystem) -> list[WeylElement]:
+    """The product group of a compact dual pair specialization, on the one
+    order where the paper claims it: the distinguished order of B(m,n) for
+    seconda-sd, and the D2 order of D(m,n) for the other two."""
+    datum = system.datum
+    m, n, d, shape = datum.m, datum.n, datum.defect, datum.shape
+    family, variant = ("B", "") if kind == "seconda-sd" else ("D", "D2")
+    if datum.family != family or system.order != distinguished_order(family, m, n, variant):
+        raise ValueError(f"{kind} holds only on the distinguished {variant or family} order of {family}({m},{n})")
+    if kind == "seconda-sd":
+        return product_set(
+            signed_permutations(shape, "d", range(1, n + 1)),
+            signed_permutations(shape, "d", range(1, n - d + 1), permute=False, flips="all"),
+            signed_permutations(shape, "e", range(1, m + 1), flips="all"),
+        )
+    tail = signed_permutations(shape, "d", range(1, n + 1), flips="all")
+    even_flips = signed_permutations(shape, "e", range(1, m - d + 1), permute=False, flips="even")
+    if kind == "seconda-d2-sd":
+        return product_set(signed_permutations(shape, "e", range(1, m + 1)), even_flips, tail)
+    if m <= n:
+        raise ValueError("seconda-w1-sd needs m > n")
+    a_small = signed_permutations(shape, "e", range(m - d + 1, m + 1))
+    z = coset_reps(signed_permutations(shape, "e", range(1, m + 1)), a_small)
+    s = reflection(2 * Weight.eps(m - d, shape)).compose(reflection(2 * Weight.eps(m - d + 1, shape)))
+    return product_set(z, even_flips, [s], a_small, tail)
 
 
 def _separating_system(system: PositiveSystem, sums) -> PositiveSystem:
@@ -385,91 +432,14 @@ def verify(
     spec = right_side(kind, system, X, S, bprime)
     system = _separating_system(system, [spec])
     T = window4(system, depth)
-    flavor = "sd" if kind.endswith("sd") or kind == "migliore" else "d"
     if kind.startswith("kwg"):
         label = f"S={[repr(b) for b, _ in spec.geom]}"
     else:
         label = f"arcs={list(X.arcs)}"
-    left, right = lhs(system, flavor, T), spec.expand(system, T)
+    left, right = lhs(system, _flavor(kind), T), spec.expand(system, T)
     return compare(kind, repr(system), label, depth, left, right, spec.constant)
 
 
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
     left, rhs, ratio = glkk_sides(k, depth)
     return compare("glkk", f"gl({k},{k}) all-isotropic", f"k={k}", depth, rhs, left, ratio)
-
-
-# ---------------------------------------------------------------------------
-# named product-group specializations (compact dual pair sums)
-
-
-def _first_diagram_sums(
-    system: PositiveSystem, depth: int, *groups
-) -> tuple[PositiveSystem, int, list[CharSeries]]:
-    """For the first arc diagram of the system and each element list W, the
-    sum over W of sgn'(w) w(e^rho / prod (1 - e^{-[[gamma]]})).
-
-    The sums are expanded along one functional that keeps every image of a
-    bracket exponent under every listed group off height zero; returns that
-    system, its window of the given depth, and the sums."""
-    X = enumerate_diagrams(system)[0]
-    geom = [(X.bracket(g), 1) for g in X.isotropic_set()]
-    sums = [WeylSum(W, "sgn_prime", system.rho, geom) for W in groups]
-    system = _separating_system(system, sums)
-    T = window4(system, depth)
-    return system, T, [ws.expand(system, T) for ws in sums]
-
-
-def _d2_group(shape: tuple[int, int], d: int) -> list[WeylElement]:
-    """W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
-    m, n = shape
-    return product_set(
-        signed_permutations(shape, "e", range(1, m + 1)),
-        signed_permutations(shape, "e", range(1, m - d + 1), permute=False, flips="even"),
-        signed_permutations(shape, "d", range(1, n + 1), flips="all"),
-    )
-
-
-def seconda_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
-    """B(m,n) distinguished order: e^rho Ř vs the sum over
-    W(A_{n-1}) x {delta sign flips on the first n-d} x W(B_m)."""
-    datum = system.datum
-    m, n, shape = datum.m, datum.n, datum.shape
-    W = product_set(
-        signed_permutations(shape, "d", range(1, n + 1)),
-        signed_permutations(shape, "d", range(1, n - datum.defect + 1), permute=False, flips="all"),
-        signed_permutations(shape, "e", range(1, m + 1), flips="all"),
-    )
-    system, T, (rhs,) = _first_diagram_sums(system, depth, W)
-    return lhs(system, "sd", T), rhs
-
-
-def seconda_d2_sum(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
-    """D(m,n) D2 order: e^rho Ř vs the sum over
-    W(A_{m-1}) x {even eps flips on the first m-d} x W(C_n)."""
-    datum = system.datum
-    system, T, (rhs,) = _first_diagram_sums(system, depth, _d2_group(datum.shape, datum.defect))
-    return lhs(system, "sd", T), rhs
-
-
-def w_equal_w1_sums(system: PositiveSystem, depth: int) -> tuple[CharSeries, CharSeries]:
-    """D(m,n) with m > n: the W-sum and the W_1-sum of the D2 identity agree."""
-    datum = system.datum
-    m, n, d, shape = datum.m, datum.n, datum.defect, datum.shape
-    if m <= n:
-        raise ValueError("the W = W_1 comparison needs m > n")
-    a_full = signed_permutations(shape, "e", range(1, m + 1))
-    a_small = signed_permutations(shape, "e", range(m - d + 1, m + 1))
-    z = coset_reps(a_full, a_small)
-    s = reflection(2 * Weight.eps(m - d, shape)).compose(
-        reflection(2 * Weight.eps(m - d + 1, shape))
-    )
-    W1 = product_set(
-        z,
-        signed_permutations(shape, "e", range(1, m - d + 1), permute=False, flips="even"),
-        [s],
-        a_small,
-        signed_permutations(shape, "d", range(1, n + 1), flips="all"),
-    )
-    _, _, (sum_w, sum_w1) = _first_diagram_sums(system, depth, _d2_group(shape, d), W1)
-    return sum_w, sum_w1

@@ -144,7 +144,7 @@ def _fit_report(
     if window:
         probe = max(window, key=lambda w: (ht4(w), w.coords2))
         ratio = Fraction(left.coeff(probe), right.coeff(probe))
-        fitted = ratio if right.agrees_with(left, ratio) else None
+        fitted = ratio if not right.mismatches(left, ratio) else None
     return KWReport(identity, family, m, n, depth, fitted == stated, fitted, stated, atypicality(family, m, n))
 
 

@@ -181,9 +181,6 @@ class CharSeries:
                 bad.append(w)
         return sorted(bad, key=lambda w: w.coords2)
 
-    def agrees_with(self, other: "CharSeries", ratio: Fraction = Fraction(1)) -> bool:
-        return not self.mismatches(other, ratio)
-
     def __repr__(self) -> str:
         items = self.support_sorted()[:8]
         body = " + ".join(f"{self.terms[w]}*e^({w})" for w in items)

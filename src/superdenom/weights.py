@@ -78,14 +78,14 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords2, other.coords2)), self.shape)
+        return Weight._trusted(tuple(a + b for a, b in zip(self.coords2, other.coords2)), self.shape)
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords2, other.coords2)), self.shape)
+        return Weight._trusted(tuple(a - b for a, b in zip(self.coords2, other.coords2)), self.shape)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords2), self.shape)
+        return Weight._trusted(tuple(-a for a in self.coords2), self.shape)
 
     def __mul__(self, k: int) -> "Weight":
         return Weight(tuple(k * a for a in self.coords2), self.shape)

@@ -20,14 +20,12 @@ from superdenom.rootdata import (
 )
 from superdenom.diagrams import enumerate_diagrams, reduce_to_simple, apply_moves, build_nice
 from superdenom.denominators import (
+    compare,
     verify,
     verify_glkk,
     erho_pair,
     lhs,
     window4,
-    seconda_sum,
-    seconda_d2_sum,
-    w_equal_w1_sums,
 )
 from superdenom.series import product_expansion
 from superdenom.weyl import full_weyl, sgn_prime
@@ -127,19 +125,14 @@ def test_criterion_4_mm():
 
 
 def test_criterion_5_migliore_specializations():
+    checks = [("seconda-sd", "B", 1, 2, ""), ("seconda-sd", "B", 2, 1, "")]
+    checks += [("seconda-d2-sd", "D", m, n, "D2") for m, n in [(1, 2), (2, 2)]]
+    checks += [("seconda-w1-sd", "D", 2, 1, "D2")]
     ok = True
-    for fam, m, n in [("B", 1, 2), ("B", 2, 1)]:
-        system = positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n))
-        L, R = seconda_sum(system, 8)
-        ok = ok and L.agrees_with(R)
-    for m, n in [(1, 2), (2, 2)]:
-        system = positive_system(build_root_datum("D", m, n), distinguished_order("D", m, n, "D2"))
-        L, R = seconda_d2_sum(system, 8)
-        ok = ok and L.agrees_with(R)
-    system = positive_system(build_root_datum("D", 2, 1), distinguished_order("D", 2, 1, "D2"))
-    A, B = w_equal_w1_sums(system, 8)
-    ok = ok and A.agrees_with(B)
-    _report("5 master-identity specializations (B, D2, W = W_1)", ok)
+    for kind, fam, m, n, variant in checks:
+        system = positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n, variant))
+        ok = ok and all(verify(kind, system, X=X, depth=8).passed for X in enumerate_diagrams(system))
+    _report("5 master-identity specializations (B, D2, W = W_1)", ok, f"{len(checks)} checks")
 
 
 def test_criterion_6_glkk():
@@ -167,7 +160,7 @@ def _property_a():
                 if not is_isotropic(alpha):
                     continue
                 L, R = erho_pair(system, alpha, 6)
-                if not L.agrees_with(R.scale(-1)):
+                if not compare("odd reflection", repr(system), repr(alpha), 6, L, R, Fraction(-1)).passed:
                     return False
     return True
 
@@ -188,7 +181,7 @@ def _property_b():
                     geom=[(wl.act(a), 1) for a in system.positive_odd],
                     poly=[(wl.act(a), 1) for a in system.positive_even],
                 )
-                if not F.agrees_with(twisted, sgn_prime(wl, fam)):
+                if not compare("sgn' twist", repr(system), repr(wl), 5, F, twisted, sgn_prime(wl, fam)).passed:
                     return False
     return True
 

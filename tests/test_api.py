@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import superdenom
@@ -22,6 +24,10 @@ REMOVED = [
     "_rhs_migliore",
     "factorial",
     "weyl_numerator",
+    "seconda_sum",
+    "seconda_d2_sum",
+    "w_equal_w1_sums",
+    "_first_diagram_sums",
 ]
 
 
@@ -62,6 +68,35 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta, "_delta_line")
     assert not hasattr(theta.D2Pair, "_levi_elements")
     assert not hasattr(theta.DualPair, "v2_character")
+    assert not hasattr(series.CharSeries, "agrees_with")
+
+
+def _calls_by_function(name: str) -> set[str]:
+    """``module.function`` for every call in the package to a function or
+    method called ``name``, by the innermost function it is made in."""
+    out = set()
+    for path in pathlib.Path(superdenom.__file__).parent.glob("*.py"):
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    out.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return out
+
+
+def test_compare_is_the_one_verdict_rule():
+    # every report is built in compare, and every coefficient comparison is
+    # made there or in the constant fit of the natural-module identities
+    assert _calls_by_function("IdentityReport") == {"denominators.compare"}
+    assert _calls_by_function("mismatches") == {"denominators.compare", "kw._fit_report"}
 
 
 def test_one_block_pairs_share_one_body():

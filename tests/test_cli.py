@@ -29,6 +29,26 @@ def test_verify_glkk(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_verify_seconda_on_its_distinguished_order(capsys):
+    code, out = run(
+        capsys, "verify", "--identity", "seconda-sd", "--family", "b",
+        "--m", "1", "--n", "2", "--orders", "distinguished", "--depth", "5",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass" and len(doc["checks"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["seconda-d2-sd", "seconda-w1-sd"])
+def test_verify_seconda_off_its_order_exit_2(capsys, kind):
+    # "distinguished" on family D starts with the D1 order, where neither
+    # D-type specialization is claimed
+    code = main(["verify", "--identity", kind, "--family", "d", "--m", "2", "--n", "1", "--orders", "distinguished"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "holds only on the distinguished D2 order" in captured.err
+
+
 def test_list_arc_diagrams_contains_gl54_reference(capsys):
     order = json.dumps(
         [{"kind": k, "idx": i, "sign": 1} for k, i in

@@ -27,9 +27,6 @@ from superdenom.denominators import (
     window4,
     c_g,
     princ_constant,
-    seconda_sum,
-    seconda_d2_sum,
-    w_equal_w1_sums,
     migliore_groups,
 )
 
@@ -195,7 +192,8 @@ def test_erho_sign_flip_all_small_systems():
                 if not is_isotropic(alpha):
                     continue
                 L, R = erho_pair(system, alpha, 5)
-                assert L.agrees_with(R.scale(-1)), (fam, m, n, order, alpha)
+                rep = compare("odd reflection", repr(system), repr(alpha), 5, L, R, Fraction(-1))
+                assert rep.passed, (fam, m, n, order, alpha)
 
 
 def test_interval_reflection_invariance_of_p_sum():
@@ -223,7 +221,7 @@ def test_interval_reflection_invariance_of_p_sum():
                 geom=[(D.bracket(g), 1) for g in D.isotropic_set()],
             ).scale(scale)
 
-        assert p_sum(X).agrees_with(p_sum(Y)), pattern
+        assert compare("interval reflection", repr(system), pattern, 7, p_sum(X), p_sum(Y)).passed, pattern
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -255,30 +253,101 @@ def test_glkk_failure_report(monkeypatch, broken):
     assert rep.to_json()["verdict"] == "fail"
 
 
+# The compact dual pair specializations, each on the systems it is checked
+# on: the distinguished order of B(m,n), and the D2 order of D(m,n).
+SECONDA_SYSTEMS = {
+    "seconda-sd": [("B", 1, 2), ("B", 2, 1), ("B", 2, 2)],
+    "seconda-d2-sd": [("D", 1, 2), ("D", 2, 1), ("D", 2, 2)],
+    "seconda-w1-sd": [("D", 2, 1), ("D", 3, 1), ("D", 3, 2)],
+}
+SECONDA_CASES = [(kind, *rank) for kind, ranks in SECONDA_SYSTEMS.items() for rank in ranks]
+
+
+def _seconda_system(fam, m, n):
+    variant = "" if fam == "B" else "D2"
+    return positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n, variant))
+
+
+def _verify_with(monkeypatch, mutate, kind, system, depth):
+    # verify, with its right side passed through ``mutate``
+    from superdenom import denominators
+
+    true_right_side = denominators.right_side
+    monkeypatch.setattr(denominators, "right_side", lambda *a, **k: mutate(true_right_side(*a, **k)))
+    return verify(kind, system, X=enumerate_diagrams(system)[0], depth=depth)
+
+
 def test_seconda_specializations():
-    for fam, m, n in [("B", 1, 2), ("B", 2, 1)]:
-        system = positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n))
-        L, R = seconda_sum(system, 7)
-        assert L.agrees_with(R)
-    for m, n in [(1, 2), (2, 2)]:
-        system = positive_system(build_root_datum("D", m, n), distinguished_order("D", m, n, "D2"))
-        L, R = seconda_d2_sum(system, 7)
-        assert L.agrees_with(R)
+    for kind, fam, m, n in SECONDA_CASES:
+        system = _seconda_system(fam, m, n)
+        (X,) = enumerate_diagrams(system)
+        rep = verify(kind, system, X=X, depth=5)
+        assert rep.passed and rep.constant == "1", (kind, fam, m, n)
+
+
+@pytest.mark.parametrize("kind,fam,m,n", SECONDA_CASES)
+@pytest.mark.parametrize("mutation", ["constant", "last"])
+def test_seconda_fails_under_each_deliberate_mutation(monkeypatch, kind, fam, m, n, mutation):
+    # a doubled constant, or the last group element dropped
+    if mutation == "constant":
+        mutate = lambda spec: replace(spec, constant=2 * spec.constant)
+    else:
+        mutate = lambda spec: replace(spec, group=spec.group[:-1])
+    assert not _verify_with(monkeypatch, mutate, kind, _seconda_system(fam, m, n), 5).passed
+
+
+def test_seconda_fails_with_sgn_in_place_of_sgn_prime(monkeypatch):
+    rep = _verify_with(monkeypatch, lambda spec: replace(spec, sign="sgn"), "seconda-sd", _seconda_system("B", 1, 2), 5)
+    assert not rep.passed and rep.first_mismatch is not None
+
+
+def test_seconda_rejects_every_other_order():
+    rejected = 0
+    for kind, ranks in SECONDA_SYSTEMS.items():
+        for fam, m, n in ranks:
+            home = _seconda_system(fam, m, n).order
+            datum = build_root_datum(fam, m, n)
+            for order in all_basis_orders(fam, m, n):
+                if order == home:
+                    continue
+                system = positive_system(datum, order)
+                with pytest.raises(ValueError, match="holds only on the distinguished"):
+                    right_side(kind, system, enumerate_diagrams(system)[0])
+                rejected += 1
+    assert rejected == 44
+    # and on the other family
+    system = _seconda_system("D", 2, 1)
+    with pytest.raises(ValueError):
+        right_side("seconda-sd", system, enumerate_diagrams(system)[0])
 
 
 def test_w_equal_w1():
-    system = positive_system(build_root_datum("D", 2, 1), distinguished_order("D", 2, 1, "D2"))
-    A, B = w_equal_w1_sums(system, 7)
-    assert A.agrees_with(B)
+    # the sums over W and over W_1 of the D2 identity agree term for term
+    for m, n in [(2, 1), (3, 1)]:
+        base = _seconda_system("D", m, n)
+        X = enumerate_diagrams(base)[0]
+        sums = [right_side(kind, base, X) for kind in ("seconda-d2-sd", "seconda-w1-sd")]
+        system = choose_expansion_system(base, [w.act(b) for ws in sums for w in ws.group for b, _ in ws.geom])
+        T = window4(system, 5)
+        W, W1 = (ws.expand(system, T) for ws in sums)
+        assert compare("W = W_1", repr(system), "", 5, W, W1).passed, (m, n)
+    # and the W_1 sum needs m > n
+    system = _seconda_system("D", 2, 2)
+    with pytest.raises(ValueError, match="m > n"):
+        right_side("seconda-w1-sd", system, enumerate_diagrams(system)[0])
 
 
-def test_w_equal_w1_with_height_zero_bracket_images():
+def test_w_equal_w1_with_height_zero_bracket_images(monkeypatch):
     # some W_1-image of a bracket exponent of D(3,2) in the D2 order has
-    # principal height zero, so the sums need a perturbed functional
-    system = positive_system(build_root_datum("D", 3, 2), distinguished_order("D", 3, 2, "D2"))
-    A, B = w_equal_w1_sums(system, 4)
-    assert A.system.tiebreak != 0
-    assert A.terms and A.agrees_with(B)
+    # principal height zero, so verify compares on a perturbed functional
+    from superdenom import denominators
+
+    compared = []
+    true_compare = denominators.compare
+    monkeypatch.setattr(denominators, "compare", lambda *a: compared.append(a[4].system) or true_compare(*a))
+    system = _seconda_system("D", 3, 2)
+    assert verify("seconda-w1-sd", system, X=enumerate_diagrams(system)[0], depth=4).passed
+    assert [s.tiebreak != 0 for s in compared] == [True]
 
 
 def test_safe_expansion_retries_only_on_height_zero_exponents():
@@ -503,7 +572,8 @@ def test_princ_sd_fails_under_each_deliberate_mutation():
                 R = spec.expand(system, T)
                 geom = [(b, 1) for b in brackets]
                 assert R.terms == f_sum_quotient(system, W, "sgn_prime", T, system.rho, geom=geom).terms
-                assert L.agrees_with(R, spec.constant), (fam, m, n, str(order), X.arcs)
+                label = f"{fam}({m},{n}) {order} {X.arcs}"
+                assert compare("princ-sd", label, "", 4, L, R, spec.constant).passed, label
                 key = (fam, m, n, str(order), X.arcs)
                 checks += 1
                 if fam == "B":
@@ -511,7 +581,7 @@ def test_princ_sd_fails_under_each_deliberate_mutation():
                 if brackets != S:
                     nested.append(key)
                 for name, bad in mutants.items():
-                    if not L.agrees_with(bad.expand(system, T), bad.constant):
+                    if not compare(name, label, "", 4, L, bad.expand(system, T), bad.constant).passed:
                         red[name].append(key)
     assert checks == 32 and len(family_b) == 8 and len(nested) == 12
     assert len(red["constant"]) == len(red["identity"]) == checks

@@ -340,7 +340,7 @@ def test_prop_gl_decomposition_routes_2111():
     # (U(1), U(1,1)) pair agrees with the sharp-subgroup grouped route and
     # with the direct product expansion, at depth 8
     from superdenom.rootdata import build_root_datum, positive_system, distinguished_order
-    from superdenom.denominators import lhs, window4
+    from superdenom.denominators import compare, lhs, window4
     from superdenom.series import CharSeries, f_sum_quotient
     from superdenom.weyl import reflection, signed_permutations
 
@@ -361,13 +361,13 @@ def test_prop_gl_decomposition_routes_2111():
         wt = sys_.rho + pair.compact_hw(((), (b1,))) + pair.mu(((), (b1,)))
         if sys_.ht4(wt) >= T:
             total = total + CharSeries.monomial(sys_, wt)
-    assert left.agrees_with(total.truncate(T))
+    assert compare("partition route", repr(sys_), "", 8, left, total.truncate(T)).passed
 
     # grouped route: F-check over the sharp group of the single-arc quotient
     beta = Weight.eps(1, sh) - Weight.delta(1, sh)
     W = signed_permutations(sh, "e", [1, 2])
     grouped = f_sum_quotient(sys_, W, "sgn_prime", T, sys_.rho, geom=[(beta, 1)])
-    assert left.agrees_with(grouped)
+    assert compare("grouped route", repr(sys_), "", 8, left, grouped).passed
 
 
 def test_gl_sigma_set_index_family_smallest_rank():

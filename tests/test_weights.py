@@ -37,6 +37,18 @@ def test_arithmetic_and_equality():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         inner(Weight.eps(1, (1, 1)), Weight.eps(1, (2, 1)))
+    a, b = Weight.eps(1, (1, 1)), Weight.eps(1, (2, 1))
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, b)
+
+
+def test_sums_equal_the_same_weight_built_from_coordinates():
+    sh = (2, 1)
+    a, b = Weight((1, -3, 4), sh), Weight((2, 5, -4), sh)
+    for got, coords in [(a + b, (3, 2, 0)), (a - b, (-1, -8, 8)), (-a, (-1, 3, -4))]:
+        want = Weight(coords, sh)
+        assert got == want and hash(got) == hash(want) and got.shape == sh
 
 
 def test_json_roundtrip():
