@@ -10,7 +10,6 @@ family D and its extension by s_{eps_i}).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -27,7 +26,6 @@ def _max_group() -> int:
     return int(os.environ.get(MAX_GROUP_ENV, DEFAULT_MAX_GROUP))
 
 
-@functools.cache
 def _perm_parity(perm: tuple[int, ...]) -> int:
     seen = [False] * len(perm)
     parity = 1
@@ -95,15 +93,12 @@ class WeylElement:
 
 
 def sgn(w: WeylElement) -> int:
-    """Determinant of the action on the weight space, equal to (-1)^l(w).
-
-    Computed on first use and kept on the element, in its ``__dict__`` since
-    the dataclass is frozen; equality, hash and repr see only the fields."""
-    cache = w.__dict__
-    s = cache.get("_sgn")
-    if s is None:
-        s = _perm_parity(w.eps_perm) * _perm_parity(w.del_perm) * math.prod(w.eps_signs) * math.prod(w.del_signs)
-        cache["_sgn"] = s
+    """Determinant of the action on the weight space, equal to (-1)^l(w)."""
+    s = _perm_parity(w.eps_perm) * _perm_parity(w.del_perm)
+    for x in w.eps_signs:
+        s *= x
+    for x in w.del_signs:
+        s *= x
     return s
 
 

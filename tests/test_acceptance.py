@@ -126,7 +126,7 @@ def test_criterion_4_mm():
 
 def test_criterion_5_migliore_specializations():
     checks = [("seconda-sd", "B", 1, 2, ""), ("seconda-sd", "B", 2, 1, "")]
-    checks += [("seconda-d2-sd", "D", m, n, "D2") for m, n in [(1, 2), (2, 2)]]
+    checks += [("seconda-d2-sd", "D", m, n, "D2") for m, n in [(1, 2), (2, 1), (2, 2)]]
     checks += [("seconda-w1-sd", "D", 2, 1, "D2")]
     ok = True
     for kind, fam, m, n, variant in checks:

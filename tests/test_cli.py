@@ -4,6 +4,7 @@ import pytest
 
 from superdenom.cli import main
 from superdenom import denominators
+from superdenom.rootdata import distinguished_order
 
 
 def run(capsys, *argv):
@@ -33,6 +34,18 @@ def test_verify_seconda_on_its_distinguished_order(capsys):
     code, out = run(
         capsys, "verify", "--identity", "seconda-sd", "--family", "b",
         "--m", "1", "--n", "2", "--orders", "distinguished", "--depth", "5",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass" and len(doc["checks"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["seconda-d2-sd", "seconda-w1-sd"])
+def test_verify_seconda_on_the_d2_order_passed_as_json(capsys, kind):
+    order = json.dumps(distinguished_order("D", 2, 1, "D2").to_json())
+    code, out = run(
+        capsys, "verify", "--identity", kind, "--family", "d",
+        "--m", "2", "--n", "1", "--orders", order, "--depth", "5",
     )
     assert code == 0
     doc = json.loads(out)

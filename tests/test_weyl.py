@@ -96,14 +96,6 @@ def test_sgn_prime_examples():
     assert sgn_prime(t, "GL") == sgn(t) == -1
 
 
-def test_sgn_is_kept_on_the_element_outside_equality():
-    sh = (2, 2)
-    w = reflection(Weight.eps(1, sh) - Weight.eps(2, sh)).compose(reflection(2 * Weight.delta(1, sh)))
-    fresh = WeylElement(w.eps_perm, w.eps_signs, w.del_perm, w.del_signs)
-    assert sgn(w) == sgn(w) == 1
-    assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
-
-
 @pytest.mark.parametrize("family", ["B", "D", "GL"])
 def test_sgn_prime_is_homomorphism(family):
     datum = build_root_datum(family, 2, 1) if family != "GL" else build_root_datum("GL", 2, 2)
