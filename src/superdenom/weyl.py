@@ -154,24 +154,53 @@ def reflection(alpha: Weight) -> WeylElement:
     return _on_block(alpha.shape, kind, perm, signs)
 
 
+def _packed(w: WeylElement) -> tuple[int, ...]:
+    """w as signed images: entry i is +-(1 + the slot coordinate i goes to),
+    eps slots first, then the delta slots offset by m."""
+    m = len(w.eps_perm)
+    return tuple(s * (1 + p) for p, s in zip(w.eps_perm, w.eps_signs)) + tuple(
+        s * (1 + m + p) for p, s in zip(w.del_perm, w.del_signs)
+    )
+
+
+def _unpacked(t: tuple[int, ...], m: int) -> WeylElement:
+    """The inverse of ``_packed``."""
+    slots = [abs(x) - 1 for x in t]
+    signs = tuple([1 if x > 0 else -1 for x in t])
+    return WeylElement(tuple(slots[:m]), signs[:m], tuple([k - m for k in slots[m:]]), signs[m:])
+
+
 def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> list[WeylElement]:
-    """All products of the generators, deterministically ordered."""
+    """All products of the generators, deterministically ordered.
+
+    The search runs on packed signed images (see ``_packed``).  Each distinct
+    generator g becomes a lookup table of length 2(m + n) + 1 whose entry at
+    +-k is +-(packed g)[k - 1], read with a negative index for a negative
+    entry, so g o w is one lookup per entry of w.
+    """
     bound = _max_group()
-    ident = WeylElement.identity(shape)
+    m, n = shape
+    lookups = []
+    for g in dict.fromkeys(generators):
+        if g.shape != (m, n):
+            raise ValueError("shape mismatch")
+        img = _packed(g)
+        lookups.append([0, *img, *(-x for x in reversed(img))].__getitem__)
+    ident = tuple(range(1, m + n + 1))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in generators:
-                x = g.compose(w)
+            for g in lookups:
+                x = tuple(map(g, w))
                 if x not in seen:
                     seen.add(x)
                     if len(seen) > bound:
                         raise RuntimeError(f"group enumeration exceeded bound {bound}")
                     nxt.append(x)
         frontier = nxt
-    return sorted(seen, key=WeylElement.sort_key)
+    return sorted((_unpacked(t, m) for t in seen), key=WeylElement.sort_key)
 
 
 def product_set(*factors: list[WeylElement]) -> list[WeylElement]:
@@ -222,17 +251,13 @@ def weyl_order(datum: RootDatum) -> int:
 def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
     """W#, the reflections in the even block singled out by the sign of h_vee."""
     block = datum.dual_coxeter_sign
-    shape = datum.shape
-    fam = datum.family
     gens = []
     for a in datum.even_roots:
         eps_part = any(a.eps_coords2())
         if (block == EPS_BLOCK) != eps_part:
             continue
         gens.append(reflection(a))
-    if not gens:
-        return [WeylElement.identity(shape)]
-    return enumerate_closure(gens, shape)
+    return enumerate_closure(gens, datum.shape)
 
 
 def signed_permutations(

@@ -9,7 +9,7 @@ import itertools
 from superdenom.denominators import window4
 from superdenom.series import CharSeries, product_expansion
 from superdenom.weights import Weight, inner, is_isotropic
-from superdenom.weyl import sgn
+from superdenom.weyl import WeylElement, sgn
 
 
 def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), poly=()):
@@ -216,3 +216,21 @@ def reference_assembled(pair, depth, finite):
         l2 = reference_l2_character(pair, entry, threshold4 - fin.ceiling4)
         acc = acc + (fin * l2).truncate(threshold4)
     return acc
+
+
+def reference_closure(generators, shape):
+    """Every product of the generators, by breadth-first search on
+    ``WeylElement.compose``, sorted by ``WeylElement.sort_key``."""
+    ident = WeylElement.identity(shape)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in generators:
+                x = g.compose(w)
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return sorted(seen, key=WeylElement.sort_key)

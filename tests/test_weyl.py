@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superdenom import denominators, weyl
+from superdenom.diagrams import enumerate_diagrams
 from superdenom.weights import Weight
 from superdenom.rootdata import build_root_datum, positive_system, all_basis_orders, distinguished_order
 from superdenom.weyl import (
@@ -19,15 +22,107 @@ from superdenom.weyl import (
     enumerate_closure,
 )
 from superdenom.series import CharSeries
-from superdenom.denominators import compare, lhs, window4, c_g
+from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups
 
-from _oracles import signed_sum
+from _oracles import reference_closure, signed_sum
 
 
 def test_full_weyl_sizes_match_closed_form():
-    for fam, m, n in [("GL", 2, 1), ("GL", 2, 2), ("B", 1, 1), ("B", 2, 1), ("C", 2, 1), ("D", 2, 1), ("D", 2, 2)]:
+    for fam, m, n in [
+        ("GL", 2, 1), ("GL", 2, 2), ("GL", 4, 3), ("B", 1, 1), ("B", 2, 1), ("B", 3, 3),
+        ("C", 2, 1), ("C", 3, 1), ("D", 2, 1), ("D", 2, 2), ("D", 3, 3),
+    ]:
         datum = build_root_datum(fam, m, n)
         assert len(full_weyl(datum)) == weyl_order(datum)
+
+
+def _ranks_up_to(order):
+    """Every GL, B and D rank whose W_g has at most `order` elements, and C(m,1)
+    for m <= 3."""
+    ranks = [("C", m, 1) for m in (1, 2, 3)]
+    for fam in ("GL", "B", "D"):
+        for m, n in itertools.product(range(7), repeat=2):
+            try:
+                datum = build_root_datum(fam, m, n)
+            except ValueError:
+                continue
+            if weyl_order(datum) <= order:
+                ranks.append((fam, m, n))
+    return ranks
+
+
+def _check_closures(monkeypatch, module):
+    """Make every `enumerate_closure` call through `module` assert that its
+    list equals the reference closure, element for element and in order;
+    returns the list of the group orders seen."""
+    orders = []
+
+    def checked(generators, shape):
+        got = enumerate_closure(generators, shape)
+        # a repeated generator adds no product, so the reference skips repeats
+        assert got == reference_closure(list(dict.fromkeys(generators)), shape)
+        orders.append(len(got))
+        return got
+
+    monkeypatch.setattr(module, "enumerate_closure", checked)
+    return orders
+
+
+@pytest.mark.parametrize("fam,m,n", _ranks_up_to(3072))
+def test_named_groups_equal_the_reference_closure(monkeypatch, fam, m, n):
+    orders = _check_closures(monkeypatch, weyl)
+    datum = build_root_datum(fam, m, n)
+    assert len(full_weyl(datum)) == weyl_order(datum)
+    sharp_subgroup(datum)
+    assert len(orders) == 2
+
+
+def test_migliore_groups_equal_the_reference_closure(monkeypatch):
+    orders = _check_closures(monkeypatch, denominators)
+    for fam in ("B", "D"):
+        for order in all_basis_orders(fam, 2, 1):
+            system = positive_system(build_root_datum(fam, 2, 1), order)
+            for X in enumerate_diagrams(system):
+                migliore_groups(system, X)
+    assert orders and max(orders) > 1
+
+
+@st.composite
+def _generator_lists(draw):
+    fam, m, n = draw(st.sampled_from([("GL", 3, 2), ("B", 2, 1), ("B", 1, 2), ("C", 2, 1), ("D", 2, 2)]))
+    datum = build_root_datum(fam, m, n)
+    return draw(st.lists(st.sampled_from(datum.even_roots).map(reflection), max_size=8)), datum.shape
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_generator_lists())
+def test_closure_of_drawn_generators_equals_the_reference(case):
+    generators, shape = case
+    assert enumerate_closure(generators, shape) == reference_closure(generators, shape)
+
+
+def test_closure_of_no_generators_is_the_identity():
+    assert enumerate_closure([], (2, 1)) == [WeylElement.identity((2, 1))]
+
+
+def test_closure_rejects_a_generator_of_another_shape():
+    sh = (2, 1)
+    s12 = reflection(Weight.eps(1, sh) - Weight.eps(2, sh))
+    other = reflection(2 * Weight.delta(1, (1, 1)))
+    for generators in ([other], [s12, s12, other]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            enumerate_closure(generators, sh)
+
+
+@pytest.mark.parametrize("bound", [1, 5, 15])
+def test_closure_raises_past_the_group_bound(monkeypatch, bound):
+    datum = build_root_datum("B", 2, 1)  # |W_g| = 16
+    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", str(bound))
+    with pytest.raises(RuntimeError) as exc:
+        full_weyl(datum)
+    assert str(exc.value) == f"group enumeration exceeded bound {bound}"
+    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", "16")
+    assert len(full_weyl(datum)) == 16
 
 
 def test_gl21_group_is_two_elements():
