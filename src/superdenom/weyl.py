@@ -186,6 +186,9 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
             raise ValueError("shape mismatch")
         img = _packed(g)
         lookups.append([0, *img, *(-x for x in reversed(img))].__getitem__)
+    if not lookups:
+        # most Enright groups in theta are trivial; they need no search
+        return [WeylElement.identity((m, n))]
     ident = tuple(range(1, m + n + 1))
     seen = {ident}
     frontier = [ident]
