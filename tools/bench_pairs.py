@@ -73,6 +73,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
