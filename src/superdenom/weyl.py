@@ -203,7 +203,11 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
                         raise RuntimeError(f"group enumeration exceeded bound {bound}")
                     nxt.append(x)
         frontier = nxt
-    return sorted((_unpacked(t, m) for t in seen), key=WeylElement.sort_key)
+    # popping frees each packed tuple as its element is built, so the two
+    # forms of the group are never all alive at once
+    out = [_unpacked(seen.pop(), m) for _ in range(len(seen))]
+    out.sort(key=WeylElement.sort_key)
+    return out
 
 
 def product_set(*factors: list[WeylElement]) -> list[WeylElement]:

@@ -7,15 +7,16 @@ For every workload and every seed, runs `python3 perfbench/run.py --trace 0`
 once in each checkout, one process at a time: the parent first in the 1st,
 3rd, ... pair of a workload, the change first in the others, so that drift of
 the host's speed falls on both sides alike.  Then runs `--trace 1` once per
-side on `--trace-workload` at `--trace-seed`.  Each side runs its own
-perfbench files from its own checkout.
+side on frontier at seed 7.  Each side runs its own perfbench files from its
+own checkout.  The workloads, the run length (`run_seconds`) and the better
+direction of each metric are read from the change checkout's BENCHMARK.json.
 
 Writes one JSON document: the run design, a summary per workload and
 end-to-end metric (quartiles of each side, how many pairs each side won, the
 relative change of the median and the parent's interquartile range), the
 traced runs with every per-layer metric and the dominant layer, and every
-run's result.  The better direction of each metric is read from the change
-checkout's BENCHMARK.json.  Stdlib only.
+run's result.  At least 10 seeds are required, since fewer pairs cannot
+show a gain against the parent's spread.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import platform
 import statistics
 import subprocess
 import sys
+
+MIN_PAIRS = 10
+TRACE_WORKLOAD, TRACE_SEED = "frontier", 7
 
 
 def cpu_model() -> str:
@@ -73,8 +77,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) == 1:
-        values = values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
@@ -87,7 +89,8 @@ def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = {s: p for s, p in pairs.items() if len(p) == 2 and all("error" not in r for r in p.values())}
-        if not pairs:
+        if len(pairs) < MIN_PAIRS:
+            summary[workload] = f"only {len(pairs)} complete pairs; no summary below {MIN_PAIRS}"
             continue
         summary[workload] = {}
         for metric, direction in better.items():
@@ -115,46 +118,46 @@ def main() -> int:
     p.add_argument("--seeds", required=True, help="seed range A-B, used on every workload")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--what", default="", help="what the change does and the gain it claims")
-    p.add_argument("--workloads", default="grid,frontier,theta")
-    p.add_argument("--seconds", type=float, default=15)
-    p.add_argument("--trace-workload", default="frontier")
-    p.add_argument("--trace-seed", type=int, default=7)
     args = p.parse_args()
 
-    workloads = args.workloads.split(",")
     seeds = seed_range(args.seeds)
+    if len(seeds) < MIN_PAIRS:
+        p.error(f"--seeds must name at least {MIN_PAIRS} seeds")
     sides = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     runs = []
     for workload in workloads:
         for i, seed in enumerate(seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                r = run_once(sides[side], workload, seed, args.seconds, 0)
+                r = run_once(sides[side], workload, seed, seconds, 0)
                 runs.append({"workload": workload, "seed": seed, "side": side, **r})
                 status = "error" if "error" in r else f"correct={r['correct']} checks_per_s={r['checks_per_s']:.4g}"
                 print(f"{workload} seed {seed} {side}: {status}", file=sys.stderr, flush=True)
     traced = []
     for side in ("parent", "change"):
-        r = run_once(sides[side], args.trace_workload, args.trace_seed, args.seconds, 1)
-        traced.append({"workload": args.trace_workload, "seed": args.trace_seed, "side": side, "trace": 1, **r})
-        print(f"traced {args.trace_workload} {side}: correct={r['correct']}", file=sys.stderr, flush=True)
+        r = run_once(sides[side], TRACE_WORKLOAD, TRACE_SEED, seconds, 1)
+        traced.append({"workload": TRACE_WORKLOAD, "seed": TRACE_SEED, "side": side, "trace": 1, **r})
+        print(f"traced {TRACE_WORKLOAD} {side}: correct={r['correct']}", file=sys.stderr, flush=True)
 
     doc = {
         "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0 "
         f"(traced runs: --trace 1)",
         "host": f"{os.cpu_count()}-vCPU {cpu_model()}, Python {platform.python_version()}",
         "parent": revision(args.parent),
         "change": revision(args.change),
         "design": f"{len(seeds)} pairs per workload on seeds {args.seeds}; the parent ran first in the 1st, "
-        f"3rd, ... pair of each workload, the change in the others; one traced {args.trace_workload} run "
-        f"per side at seed {args.trace_seed}; one process at a time, each side from its own checkout "
+        f"3rd, ... pair of each workload, the change in the others; one traced {TRACE_WORKLOAD} run "
+        f"per side at seed {TRACE_SEED}; one process at a time, each side from its own checkout "
         f"with its own perfbench files",
         "summary": summarize(runs, workloads, better),
-        f"traced_{args.trace_workload}_seed_{args.trace_seed}": traced,
+        f"traced_{TRACE_WORKLOAD}_seed_{TRACE_SEED}": traced,
         "runs": runs,
     }
     with open(args.out, "w") as fh:
