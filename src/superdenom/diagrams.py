@@ -24,6 +24,7 @@ class ArcDiagram:
         self.order = order
         self.arcs = tuple(sorted(tuple(a) for a in arcs))
         self._validate()
+        self._roots = self._root_table()
 
     def _validate(self) -> None:
         seq = self.order.sequence
@@ -67,7 +68,7 @@ class ArcDiagram:
 
     def isotropic_set(self) -> list[Weight]:
         """S(X), ordered by arcs sorted by left endpoint."""
-        return [self.arc_root(a) for a in self.arcs]
+        return list(self._roots)
 
     def is_simple(self) -> bool:
         return all(j == i + 1 for i, j in self.arcs)
@@ -97,37 +98,32 @@ class ArcDiagram:
 
     # -- bracket weights ------------------------------------------------------
 
+    def _root_table(self) -> dict[Weight, tuple[tuple[int, int], Weight]]:
+        """gamma -> (its arc, [[gamma]]) for each gamma in S(X), in arc order."""
+        roots = {a: self.arc_root(a) for a in self.arcs}
+        table = {}
+        for arc, gamma in roots.items():
+            acc = gamma  # the arc itself: sn(gamma)^2 gamma
+            for b in self.nested_below(arc):
+                if b != arc:
+                    acc = acc + roots[b] if self.sn(b) == self.sn(arc) else acc - roots[b]
+            table[gamma] = (arc, acc)
+        return table
+
+    def _lookup(self, gamma: Weight) -> tuple[tuple[int, int], Weight]:
+        entry = self._roots.get(gamma)
+        if entry is None:
+            raise ValueError(f"{gamma} is not in S(X)")
+        return entry
+
     def bracket(self, gamma: Weight) -> Weight:
         """[[gamma]] = sum over arcs nested below gamma's arc of
         sn(gamma) sn(beta) beta."""
-        arc = self._arc_of(gamma)
-        sg = self.sn(arc)
-        acc = Weight.zero(self.shape)
-        for b in self.nested_below(arc):
-            acc = acc + (sg * self.sn(b)) * self.arc_root(b)
-        return acc
+        return self._lookup(gamma)[1]
 
     def open_bracket(self, gamma: Weight) -> Weight:
         """]]gamma[[ = [[gamma]] - gamma."""
         return self.bracket(gamma) - gamma
-
-    def bracket_interval(self, gamma: Weight) -> Weight:
-        """[[gamma]] computed from the interval description: all eps symbols
-        minus all delta symbols under the arc (times sn)."""
-        arc = self._arc_of(gamma)
-        i, j = arc
-        fs = self.order.functionals()
-        seq = self.order.sequence
-        acc = Weight.zero(self.shape)
-        for k in range(i, j + 1):
-            acc = acc + (1 if seq[k].kind == "e" else -1) * fs[k]
-        return self.sn(arc) * acc
-
-    def _arc_of(self, gamma: Weight) -> tuple[int, int]:
-        for a in self.arcs:
-            if self.arc_root(a) == gamma:
-                return a
-        raise ValueError(f"{gamma} is not in S(X)")
 
     def nesting_count(self) -> int:
         """Total number of strictly nested arc pairs: sum over gamma of |gamma^<|."""
@@ -139,7 +135,7 @@ class ArcDiagram:
 
     def gamma_le_size(self, gamma: Weight) -> int:
         """|gamma^<=| = number of arcs nested below gamma's arc, inclusive."""
-        return len(self.nested_below(self._arc_of(gamma)))
+        return len(self.nested_below(self._lookup(gamma)[0]))
 
     def root_sign(self, gamma: Weight) -> int:
         """sgn(gamma) = (-1)^(|gamma^<=| + 1)."""

@@ -188,6 +188,7 @@ class BasisOrder:
         self.m = m
         self.n = n
         self.sequence = seq
+        self._functionals = tuple(s.functional((m, n)) for s in seq)
 
     def sign_twin(self) -> "BasisOrder":
         """The same D-type order with the sign of eps_m negated."""
@@ -204,7 +205,8 @@ class BasisOrder:
         return (self.m, self.n)
 
     def functionals(self) -> list[Weight]:
-        return [s.functional(self.shape) for s in self.sequence]
+        """The weight of each symbol, in order; a fresh list on every call."""
+        return list(self._functionals)
 
     def swapped(self, pos: int) -> "BasisOrder":
         """Order with the symbols at positions pos, pos+1 exchanged."""

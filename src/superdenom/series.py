@@ -169,15 +169,21 @@ class CharSeries:
         return _max_threshold(self.threshold4, other.threshold4)
 
     def mismatches(self, other: "CharSeries", ratio: Fraction = Fraction(1)) -> list[Weight]:
-        """Weights in the common window where other != ratio * self."""
+        """Weights in the common window where other != ratio * self.
+
+        With ratio = p/q in lowest terms (q > 0), the test is
+        q * other != p * self, so integer coefficients stay integers.
+        """
         self._same_space(other)
         t = self.window_threshold(other)
         ht4 = self.system.ht4
+        p, q = ratio.numerator, ratio.denominator
+        mine, theirs = self.terms, other.terms
         bad = []
-        for w in set(self.terms) | set(other.terms):
+        for w in mine.keys() | theirs.keys():
             if t is not None and ht4(w) < t:
                 continue
-            if Fraction(other.coeff(w)) != ratio * self.coeff(w):
+            if q * theirs.get(w, 0) != p * mine.get(w, 0):
                 bad.append(w)
         return sorted(bad, key=lambda w: w.coords2)
 

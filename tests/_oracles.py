@@ -168,6 +168,22 @@ def uses_interior_fork(s, m):
     return False
 
 
+def reference_bracket(X, gamma):
+    """[[gamma]] from the interval description: sn(gamma) times the sum of
+    the eps symbols minus the delta symbols under gamma's arc.  The arc is
+    found by scanning the arcs, and every symbol's weight is built afresh."""
+    seq = X.order.sequence
+    fs = [s.functional(X.shape) for s in seq]
+    arc = next((a for a in X.arcs if fs[a[0]] - fs[a[1]] == gamma), None)
+    if arc is None:
+        raise ValueError(f"{gamma} is not in S(X)")
+    i, j = arc
+    acc = Weight.zero(X.shape)
+    for k in range(i, j + 1):
+        acc = acc + (1 if seq[k].kind == "e" else -1) * fs[k]
+    return (1 if seq[i].kind == "e" else -1) * acc
+
+
 def _reference_v2_character(pair, lam, threshold4):
     """The parabolic Verma character ch_Levi(lam) x prod 1/(1 - e^{-beta})
     over the nilradical, with the tail expanded for this one summand."""

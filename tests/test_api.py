@@ -44,7 +44,7 @@ def test_all_lists_resolvable_public_names_and_no_modules():
 
 
 def test_removed_helpers_are_gone():
-    from superdenom import denominators, kw, rootdata, series, theta, weights, weyl
+    from superdenom import denominators, diagrams, kw, rootdata, series, theta, weights, weyl
 
     for name in REMOVED:
         assert name not in superdenom.__all__
@@ -69,6 +69,7 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta.D2Pair, "_levi_elements")
     assert not hasattr(theta.DualPair, "v2_character")
     assert not hasattr(series.CharSeries, "agrees_with")
+    assert not hasattr(diagrams.ArcDiagram, "bracket_interval")
 
 
 def _calls_by_function(name: str) -> set[str]:

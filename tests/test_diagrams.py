@@ -1,6 +1,6 @@
 import pytest
 
-from superdenom.weights import Weight
+from superdenom.weights import Weight, weight_sum
 from superdenom.rootdata import (
     build_root_datum,
     standard_order,
@@ -18,13 +18,17 @@ from superdenom.diagrams import (
     build_nice,
 )
 
-from _oracles import definition_isotropic_sets, uses_interior_fork
+from _oracles import definition_isotropic_sets, reference_bracket, uses_interior_fork
 
 BIJECTION_GRID = (
     [("GL", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
     + [("B", m, n) for m in range(1, 4) for n in range(1, 4) if m + n <= 5]
     + [("D", m, n) for m in range(1, 4) for n in range(1, 4) if m + n <= 5]
 )
+# every GL/B/D rank with m + n <= 5, and C(m,1) for m <= 4
+TABLE_RANKS = [
+    (fam, m, n) for fam in ("GL", "B", "D") for m in range(1, 5) for n in range(1, 5) if m + n <= 5
+] + [("C", m, 1) for m in range(1, 5)]
 
 
 def gl54_system():
@@ -84,7 +88,60 @@ def test_d43_sets_with_both_last_signs():
 def test_bracket_interval_route_on_positive_vertices():
     X = gl54_diagram()
     for gamma in X.isotropic_set():
-        assert X.bracket(gamma) == X.bracket_interval(gamma)
+        assert X.bracket(gamma) == reference_bracket(X, gamma)
+
+
+def test_root_tables_equal_a_fresh_recomputation():
+    # every diagram of every order, D sign twins included
+    count = 0
+    for fam, m, n in TABLE_RANKS:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            for X in enumerate_diagrams(positive_system(datum, order)):
+                count += 1
+                seq = X.order.sequence
+                fs = [s.functional(X.shape) for s in seq]
+                assert X.order.functionals() == fs, X
+                roots = {a: fs[a[0]] - fs[a[1]] for a in sorted(X.arcs)}
+                assert X.isotropic_set() == list(roots.values()), X
+                sn = {a: 1 if seq[a[0]].kind == "e" else -1 for a in X.arcs}
+                for arc, gamma in roots.items():
+                    nested = [b for b in X.arcs if arc[0] <= b[0] and b[1] <= arc[1]]
+                    definition = weight_sum((sn[arc] * sn[b] * roots[b] for b in nested), X.shape)
+                    assert X.bracket(gamma) == definition == reference_bracket(X, gamma), (X, gamma)
+                    assert X.open_bracket(gamma) == definition - gamma, (X, gamma)
+                    assert X.gamma_le_size(gamma) == len(nested), (X, gamma)
+                    assert X.root_sign(gamma) == (-1) ** (len(nested) + 1), (X, gamma)
+    assert count == 344
+
+
+def test_root_table_lists_are_fresh():
+    X = gl54_diagram()
+    S = X.isotropic_set()
+    expected = list(S)
+    S.append(S[0])
+    S.reverse()
+    assert X.isotropic_set() == expected
+    fs = X.order.functionals()
+    fs.clear()
+    assert len(X.order.functionals()) == 9
+
+
+def test_weights_outside_s_of_x_are_refused():
+    X = gl54_diagram()
+    sh = (5, 4)
+    gamma = w(sh, d1=1, e2=-1)
+    outside = [
+        -gamma,
+        gamma + gamma,
+        w(sh, e1=1, d1=-1),
+        Weight.zero(sh),
+        Weight(gamma.coords2 + (0,), (6, 4)),
+    ]
+    for bad in outside:
+        for query in (X.bracket, X.open_bracket, X.root_sign, X.gamma_le_size):
+            with pytest.raises(ValueError, match=r"is not in S\(X\)"):
+                query(bad)
 
 
 def test_bracket_is_interval_group_invariant():

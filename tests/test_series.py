@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -255,6 +256,30 @@ def test_scale_matches_filtering_constructor(case, k):
     system, a, _ = case
     want = CharSeries(system, {w: k * c for w, c in a.terms.items()}, a.threshold4, a.ceiling4)
     _assert_same_series(a.scale(k), want)
+
+
+_RATIOS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_series_pair(), ratio=_RATIOS)
+def test_mismatches_match_the_fraction_comparison(case, ratio):
+    # integer cross-multiplication flags the same weights, in the same order,
+    # as comparing other.coeff(w) with ratio * self.coeff(w) as Fractions
+    system, a, b = case
+    for x, y in ((a, b), (b, a), (a, a)):
+        t = x.window_threshold(y)
+        want = sorted(
+            (w for w in set(x.terms) | set(y.terms)
+             if (t is None or system.ht4(w) >= t) and Fraction(y.coeff(w)) != ratio * x.coeff(w)),
+            key=lambda w: w.coords2,
+        )
+        assert x.mismatches(y, ratio) == want
+    r = Fraction(ratio)
+    assert not a.scale(r.denominator).mismatches(a.scale(r.numerator), ratio)
 
 
 @settings(deadline=None, max_examples=200)

@@ -8,15 +8,25 @@ once in each checkout, one process at a time: the parent first in the 1st,
 3rd, ... pair of a workload, the change first in the others, so that drift of
 the host's speed falls on both sides alike.  Then runs `--trace 1` once per
 side on frontier at seed 7.  Each side runs its own perfbench files from its
-own checkout.  The workloads, the run length (`run_seconds`) and the better
-direction of each metric are read from the change checkout's BENCHMARK.json.
+own checkout.  The workloads, the run length (`run_seconds`) and each
+metric's better direction and bound are read from the change checkout's
+BENCHMARK.json.
 
 Writes one JSON document: the run design, a summary per workload and
 end-to-end metric (quartiles of each side, how many pairs each side won, the
-relative change of the median and the parent's interquartile range), the
-traced runs with every per-layer metric and the dominant layer, and every
-run's result.  At least 10 seeds are required, since fewer pairs cannot
-show a gain against the parent's spread.  Stdlib only.
+relative change of the median, the parent's interquartile range and two
+verdicts, below), the traced runs with every per-layer metric and the
+dominant layer, and every run's result.
+
+  gain_shown    the change won at least nine tenths of the pairs, and its
+                median is better than the parent's by more than the
+                parent's interquartile range;
+  within_bound  the change's median is worse than the parent's by no more
+                than the metric's `bound` in BENCHMARK.json, taken as a
+                share of the parent's median.
+
+At least 10 seeds are required, since fewer pairs cannot show a gain against
+the parent's spread.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
-def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
+def summarize(runs: list[dict], workloads: list[str], better: dict, bound: dict) -> dict:
     summary = {}
     for workload in workloads:
         pairs: dict[int, dict] = {}
@@ -99,14 +109,19 @@ def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
             change = [b for _, b in both]
             sign = 1 if direction == "higher" else -1
             qp, qc = quartiles(parent), quartiles(change)
+            change_wins = sum(1 for a, b in both if sign * (b - a) > 0)
+            iqr = qp["q3"] - qp["q1"]
+            gain = sign * (qc["median"] - qp["median"])
             summary[workload][metric] = {
                 "parent": qp,
                 "change": qc,
-                "change_wins": sum(1 for a, b in both if sign * (b - a) > 0),
+                "change_wins": change_wins,
                 "parent_wins": sum(1 for a, b in both if sign * (a - b) > 0),
                 "pairs": len(both),
                 "median_change_rel": round(qc["median"] / qp["median"] - 1, 4) if qp["median"] else None,
-                "parent_iqr": round(qp["q3"] - qp["q1"], 6),
+                "parent_iqr": round(iqr, 6),
+                "gain_shown": 10 * change_wins >= 9 * len(both) and gain > iqr,
+                "within_bound": -gain <= bound[metric] * abs(qp["median"]),
             }
     return summary
 
@@ -129,6 +144,7 @@ def main() -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     runs = []
     for workload in workloads:
@@ -156,7 +172,7 @@ def main() -> int:
         f"3rd, ... pair of each workload, the change in the others; one traced {TRACE_WORKLOAD} run "
         f"per side at seed {TRACE_SEED}; one process at a time, each side from its own checkout "
         f"with its own perfbench files",
-        "summary": summarize(runs, workloads, better),
+        "summary": summarize(runs, workloads, better, bound),
         f"traced_{TRACE_WORKLOAD}_seed_{TRACE_SEED}": traced,
         "runs": runs,
     }
