@@ -2,8 +2,9 @@
 
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
 2 on configuration errors, 3 on an internal error (a failed internal bound or
-consistency check), so that 1 always means an identity failed.  JSON output
-is deterministic (sorted terms, decimal-string coefficients).
+consistency check, or any other exception that escapes a command), so that 1
+always means an identity failed.  JSON output is deterministic (sorted terms,
+decimal-string coefficients).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .rootdata import (
     build_root_datum,
@@ -93,7 +95,12 @@ def cmd_list_arc_diagrams(args) -> int:
 def cmd_reduce_diagram(args) -> int:
     family, m, n = args.family.upper(), args.m, args.n
     order = BasisOrder.from_json(family, m, n, json.loads(args.order))
-    X = ArcDiagram(order, [tuple(a) for a in json.loads(args.arcs)])
+    arcs = json.loads(args.arcs)
+    if not isinstance(arcs, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(type(k) is int for k in a) for a in arcs
+    ):
+        raise ValueError(f"--arcs must be a list of [i, j] pairs of integers, got {args.arcs}")
+    X = ArcDiagram(order, [tuple(a) for a in arcs])
     moves, final = reduce_to_simple(X)
     doc = {"moves": [list(mv) for mv in moves], "result": final.to_json()}
     if args.format == "json":
@@ -253,6 +260,11 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # any other escape is a defect, never a failed identity (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -323,16 +323,6 @@ def reduce_to_simple(X: ArcDiagram) -> tuple[list[tuple], ArcDiagram]:
     return moves, cur
 
 
-def apply_moves(X: ArcDiagram, moves: list[tuple]) -> ArcDiagram:
-    cur = X
-    for kind, pos in moves:
-        if kind == "odd":
-            cur = odd_reflect_diagram(cur, (pos, pos + 1))
-        else:
-            cur = interval_reflect(cur, pos)
-    return cur
-
-
 # ---------------------------------------------------------------------------
 # nice diagrams
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weights import Weight, inner, is_isotropic, weight_sum
+from .weights import Weight, is_isotropic, weight_sum
 
 FAMILIES = ("GL", "B", "C", "D")
 
@@ -152,7 +152,12 @@ class Symbol:
 
     @staticmethod
     def from_json(doc: dict) -> "Symbol":
-        return Symbol(doc["kind"], int(doc["idx"]), int(doc.get("sign", 1)))
+        """The inverse of ``to_json``, with "sign" 1 when absent; a document of
+        another shape raises ValueError."""
+        try:
+            return Symbol(doc["kind"], int(doc["idx"]), int(doc.get("sign", 1)))
+        except (TypeError, KeyError):
+            raise ValueError(f'a basis symbol is {{"kind": ..., "idx": ..., "sign": ...}}, got {doc!r}') from None
 
 
 class BasisOrder:
@@ -236,6 +241,10 @@ class BasisOrder:
 
     @staticmethod
     def from_json(family: str, m: int, n: int, doc: list) -> "BasisOrder":
+        """The inverse of ``to_json``; a document that is not a list of symbols
+        raises ValueError."""
+        if not isinstance(doc, list):
+            raise ValueError(f"a basis order is a list of symbols, got {doc!r}")
         return BasisOrder(family, m, n, [Symbol.from_json(d) for d in doc])
 
 
@@ -477,19 +486,6 @@ def odd_reflect(system: PositiveSystem, alpha: Weight) -> PositiveSystem:
     if new_system.rho != system.rho + alpha:
         raise AssertionError("rho shift under odd reflection failed")
     return new_system
-
-
-def reflect_simple_roots(simples: tuple[Weight, ...], alpha: Weight) -> set[Weight]:
-    """Serganova's rule for the simple roots after the odd reflection r_alpha."""
-    out = set()
-    for beta in simples:
-        if beta == alpha:
-            out.add(-alpha)
-        elif inner(alpha, beta) != 0:
-            out.add(alpha + beta)
-        else:
-            out.add(beta)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class Weight:
     @staticmethod
     def zero(shape: tuple[int, int]) -> "Weight":
         m, n = shape
-        return Weight((0,) * (m + n), shape)
+        return Weight._trusted((0,) * (m + n), (m, n))
 
     @staticmethod
     def eps(i: int, shape: tuple[int, int]) -> "Weight":
@@ -58,7 +58,7 @@ class Weight:
             raise ValueError(f"eps index {i} out of range for shape {shape}")
         c = [0] * (m + n)
         c[i - 1] = 2
-        return Weight(c, shape)
+        return Weight._trusted(tuple(c), (m, n))
 
     @staticmethod
     def delta(j: int, shape: tuple[int, int]) -> "Weight":
@@ -68,7 +68,7 @@ class Weight:
             raise ValueError(f"delta index {j} out of range for shape {shape}")
         c = [0] * (m + n)
         c[m + j - 1] = 2
-        return Weight(c, shape)
+        return Weight._trusted(tuple(c), (m, n))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -88,14 +88,14 @@ class Weight:
         return Weight._trusted(tuple(-a for a in self.coords2), self.shape)
 
     def __mul__(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords2), self.shape)
+        return Weight._trusted(tuple([k * a for a in self.coords2]), self.shape)
 
     __rmul__ = __mul__
 
     def half(self) -> "Weight":
         if any(a % 2 for a in self.coords2):
             raise ValueError(f"{self} is not divisible by 2 in the (1/2)Z lattice")
-        return Weight(tuple(a // 2 for a in self.coords2), self.shape)
+        return Weight._trusted(tuple([a // 2 for a in self.coords2]), self.shape)
 
     def __eq__(self, other) -> bool:
         return (

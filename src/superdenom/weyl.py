@@ -1,11 +1,13 @@
 """Signed-permutation Weyl groups and their named subgroups.
 
-Elements are stored as signed permutations acting separately on the eps and
-delta coordinates.  ``signed_permutations`` builds every named factor on one
-block: W(A), W(B) = W(C), W(D) and the groups of sign flips.  sgn is the
-determinant of the action; sgn' twists it by the sign flips that do not come
-from reflections in \\bar Delta_0 (delta flips in family B, eps flips in
-family D and its extension by s_{eps_i}).
+Each element is stored in one form, its signed image ``img``: entry i is
++-(1 + the slot that coordinate i goes to), the m eps slots first, so the eps
+and delta blocks are permuted and signed separately.  ``act``, ``compose``,
+``sgn`` and the closure search all read that tuple.  ``signed_permutations``
+builds every named factor on one block: W(A), W(B) = W(C), W(D) and the
+groups of sign flips.  sgn is the determinant of the action; sgn' twists it
+by the sign flips that do not come from reflections in \\bar Delta_0 (delta
+flips in family B, eps flips in family D and its extension by s_{eps_i}).
 """
 
 from __future__ import annotations
@@ -26,79 +28,71 @@ def _max_group() -> int:
     return int(os.environ.get(MAX_GROUP_ENV, DEFAULT_MAX_GROUP))
 
 
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """w(eps_i) = eps_signs[i] * eps_{eps_perm[i]}, likewise on deltas."""
+    """A signed permutation of the basis b_0, ..., b_{m+n-1} = eps_1, ...,
+    eps_m, delta_1, ..., delta_n, stored as its signed image: w(b_i) =
+    sign(img[i]) b_{|img[i]| - 1}.  Eps go to eps, and deltas to deltas."""
 
-    eps_perm: tuple[int, ...]
-    eps_signs: tuple[int, ...]
-    del_perm: tuple[int, ...]
-    del_signs: tuple[int, ...]
+    img: tuple[int, ...]
+    m: int
 
     @staticmethod
     def identity(shape: tuple[int, int]) -> "WeylElement":
         m, n = shape
-        return WeylElement(tuple(range(m)), (1,) * m, tuple(range(n)), (1,) * n)
+        return WeylElement(tuple(range(1, m + n + 1)), m)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.eps_perm), len(self.del_perm))
+        return (self.m, len(self.img) - self.m)
 
     def act(self, w: Weight) -> Weight:
-        m, n = w.shape
-        if (m, n) != self.shape:
+        if w.shape != self.shape:
             raise ValueError("shape mismatch")
-        out = [0] * (m + n)
-        c = w.coords2
-        for i in range(m):
-            out[self.eps_perm[i]] += self.eps_signs[i] * c[i]
-        for j in range(n):
-            out[m + self.del_perm[j]] += self.del_signs[j] * c[m + j]
-        return Weight._trusted(tuple(out), (m, n))
+        out = [0] * len(self.img)
+        for x, c in zip(self.img, w.coords2):
+            if x > 0:
+                out[x - 1] = c
+            else:
+                out[-x - 1] = -c
+        return Weight._trusted(tuple(out), w.shape)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other (self o other)."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        m, n = self.shape
-        ep = tuple(self.eps_perm[other.eps_perm[i]] for i in range(m))
-        es = tuple(other.eps_signs[i] * self.eps_signs[other.eps_perm[i]] for i in range(m))
-        dp = tuple(self.del_perm[other.del_perm[j]] for j in range(n))
-        ds = tuple(other.del_signs[j] * self.del_signs[other.del_perm[j]] for j in range(n))
-        return WeylElement(ep, es, dp, ds)
+        a = self.img
+        return WeylElement(tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in other.img]), self.m)
 
-    def sort_key(self):
-        return (self.eps_perm, self.eps_signs, self.del_perm, self.del_signs)
+    def sort_key(self) -> tuple[int, ...]:
+        """The eps slots, the eps signs (-1 first), the delta slots and the
+        delta signs, in one flat tuple."""
+        m, img = self.m, self.img
+        slots = [abs(x) for x in img]
+        signs = [1 if x > 0 else -1 for x in img]
+        return (*slots[:m], *signs[:m], *slots[m:], *signs[m:])
 
     def is_identity(self) -> bool:
-        m, n = self.shape
-        return self == WeylElement.identity((m, n))
+        return self.img == tuple(range(1, len(self.img) + 1))
+
+
+def _sign_product(entries) -> int:
+    return -1 if sum(x < 0 for x in entries) % 2 else 1
 
 
 def sgn(w: WeylElement) -> int:
-    """Determinant of the action on the weight space, equal to (-1)^l(w)."""
-    s = _perm_parity(w.eps_perm) * _perm_parity(w.del_perm)
-    for x in w.eps_signs:
-        s *= x
-    for x in w.del_signs:
-        s *= x
+    """Determinant of the action on the weight space, equal to (-1)^l(w): the
+    parity of the slot permutation times the product of the signs."""
+    img = w.img
+    s = _sign_product(img)
+    seen = [False] * len(img)
+    for i in range(len(img)):
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = abs(img[j]) - 1
+            if j != i:
+                s = -s
     return s
 
 
@@ -113,11 +107,9 @@ def sgn_prime(w: WeylElement, family: str) -> int:
     family = family.upper()
     s = sgn(w)
     if family == "B":
-        for x in w.del_signs:
-            s *= x
+        s *= _sign_product(w.img[w.m:])
     elif family == "D":
-        for x in w.eps_signs:
-            s *= x
+        s *= _sign_product(w.img[: w.m])
     return s
 
 
@@ -126,8 +118,10 @@ def _on_block(shape: tuple[int, int], kind: str, perm, signs) -> WeylElement:
     block, identity on the other."""
     m, n = shape
     if kind == "e":
-        return WeylElement(tuple(perm), tuple(signs), tuple(range(n)), (1,) * n)
-    return WeylElement(tuple(range(m)), (1,) * m, tuple(perm), tuple(signs))
+        img = [s * (1 + p) for p, s in zip(perm, signs)] + list(range(m + 1, m + n + 1))
+    else:
+        img = list(range(1, m + 1)) + [s * (1 + m + p) for p, s in zip(perm, signs)]
+    return WeylElement(tuple(img), m)
 
 
 def reflection(alpha: Weight) -> WeylElement:
@@ -154,29 +148,13 @@ def reflection(alpha: Weight) -> WeylElement:
     return _on_block(alpha.shape, kind, perm, signs)
 
 
-def _packed(w: WeylElement) -> tuple[int, ...]:
-    """w as signed images: entry i is +-(1 + the slot coordinate i goes to),
-    eps slots first, then the delta slots offset by m."""
-    m = len(w.eps_perm)
-    return tuple(s * (1 + p) for p, s in zip(w.eps_perm, w.eps_signs)) + tuple(
-        s * (1 + m + p) for p, s in zip(w.del_perm, w.del_signs)
-    )
-
-
-def _unpacked(t: tuple[int, ...], m: int) -> WeylElement:
-    """The inverse of ``_packed``."""
-    slots = [abs(x) - 1 for x in t]
-    signs = tuple([1 if x > 0 else -1 for x in t])
-    return WeylElement(tuple(slots[:m]), signs[:m], tuple([k - m for k in slots[m:]]), signs[m:])
-
-
 def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> list[WeylElement]:
     """All products of the generators, deterministically ordered.
 
-    The search runs on packed signed images (see ``_packed``).  Each distinct
-    generator g becomes a lookup table of length 2(m + n) + 1 whose entry at
-    +-k is +-(packed g)[k - 1], read with a negative index for a negative
-    entry, so g o w is one lookup per entry of w.
+    The search runs on signed images.  Each distinct generator g becomes a
+    lookup table of length 2(m + n) + 1 whose entry at +-k is +-g.img[k - 1],
+    read with a negative index for a negative entry, so g o w is one lookup
+    per entry of w.
     """
     bound = _max_group()
     m, n = shape
@@ -184,8 +162,7 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
     for g in dict.fromkeys(generators):
         if g.shape != (m, n):
             raise ValueError("shape mismatch")
-        img = _packed(g)
-        lookups.append([0, *img, *(-x for x in reversed(img))].__getitem__)
+        lookups.append([0, *g.img, *(-x for x in reversed(g.img))].__getitem__)
     if not lookups:
         # most Enright groups in theta are trivial; they need no search
         return [WeylElement.identity((m, n))]
@@ -203,11 +180,7 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
                         raise RuntimeError(f"group enumeration exceeded bound {bound}")
                     nxt.append(x)
         frontier = nxt
-    # popping frees each packed tuple as its element is built, so the two
-    # forms of the group are never all alive at once
-    out = [_unpacked(seen.pop(), m) for _ in range(len(seen))]
-    out.sort(key=WeylElement.sort_key)
-    return out
+    return sorted((WeylElement(x, m) for x in seen), key=WeylElement.sort_key)
 
 
 def product_set(*factors: list[WeylElement]) -> list[WeylElement]:

@@ -5,8 +5,10 @@ out directly from its definition.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from superdenom.denominators import window4
+from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
 from superdenom.series import CharSeries, product_expansion
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import WeylElement, sgn
@@ -234,19 +236,176 @@ def reference_assembled(pair, depth, finite):
     return acc
 
 
+def _perm_parity(perm):
+    seen = [False] * len(perm)
+    parity = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            parity = -parity
+    return parity
+
+
+@dataclass(frozen=True)
+class ReferenceElement:
+    """A signed permutation in four tuples: w(eps_i) = eps_signs[i] *
+    eps_{eps_perm[i]}, likewise on deltas.  Each block is permuted and signed
+    on its own, and every operation is written out from that definition."""
+
+    eps_perm: tuple
+    eps_signs: tuple
+    del_perm: tuple
+    del_signs: tuple
+
+    @staticmethod
+    def identity(shape):
+        m, n = shape
+        return ReferenceElement(tuple(range(m)), (1,) * m, tuple(range(n)), (1,) * n)
+
+    @staticmethod
+    def of(w: WeylElement) -> "ReferenceElement":
+        """The four tuples read off a ``WeylElement``'s signed image."""
+        m = w.shape[0]
+        slots = [abs(x) - 1 for x in w.img]
+        signs = tuple(1 if x > 0 else -1 for x in w.img)
+        return ReferenceElement(tuple(slots[:m]), signs[:m], tuple(k - m for k in slots[m:]), signs[m:])
+
+    def element(self) -> WeylElement:
+        m = len(self.eps_perm)
+        img = [s * (1 + p) for p, s in zip(self.eps_perm, self.eps_signs)]
+        img += [s * (1 + m + p) for p, s in zip(self.del_perm, self.del_signs)]
+        return WeylElement(tuple(img), m)
+
+    @property
+    def shape(self):
+        return (len(self.eps_perm), len(self.del_perm))
+
+    def act(self, w: Weight) -> Weight:
+        m, n = w.shape
+        out = [0] * (m + n)
+        c = w.coords2
+        for i in range(m):
+            out[self.eps_perm[i]] += self.eps_signs[i] * c[i]
+        for j in range(n):
+            out[m + self.del_perm[j]] += self.del_signs[j] * c[m + j]
+        return Weight(out, (m, n))
+
+    def compose(self, other: "ReferenceElement") -> "ReferenceElement":
+        """self after other (self o other)."""
+        m, n = self.shape
+        ep = tuple(self.eps_perm[other.eps_perm[i]] for i in range(m))
+        es = tuple(other.eps_signs[i] * self.eps_signs[other.eps_perm[i]] for i in range(m))
+        dp = tuple(self.del_perm[other.del_perm[j]] for j in range(n))
+        ds = tuple(other.del_signs[j] * self.del_signs[other.del_perm[j]] for j in range(n))
+        return ReferenceElement(ep, es, dp, ds)
+
+    def sort_key(self):
+        return (self.eps_perm, self.eps_signs, self.del_perm, self.del_signs)
+
+    def sgn(self) -> int:
+        s = _perm_parity(self.eps_perm) * _perm_parity(self.del_perm)
+        for x in self.eps_signs + self.del_signs:
+            s *= x
+        return s
+
+    def sgn_prime(self, family: str) -> int:
+        s = self.sgn()
+        for x in {"B": self.del_signs, "D": self.eps_signs}.get(family.upper(), ()):
+            s *= x
+        return s
+
+
+def reference_reflection(alpha: Weight) -> ReferenceElement:
+    """s_alpha(x) = x - 2 (x, alpha) / (alpha, alpha) alpha, read off the images
+    of the basis vectors; alpha must be a non-isotropic root of one block."""
+    m, n = alpha.shape
+    basis = [Weight.eps(i, alpha.shape) for i in range(1, m + 1)]
+    basis += [Weight.delta(j, alpha.shape) for j in range(1, n + 1)]
+    images = []
+    for x in basis:
+        c = 2 * inner(x, alpha) / inner(alpha, alpha)
+        assert c.denominator == 1
+        y = x - int(c) * alpha
+        (slot,) = [k for k, v in enumerate(y.coords2) if v]
+        images.append((slot, y.coords2[slot] // 2))
+    return ReferenceElement(
+        tuple(k for k, _ in images[:m]), tuple(s for _, s in images[:m]),
+        tuple(k - m for k, _ in images[m:]), tuple(s for _, s in images[m:]),
+    )
+
+
+def reference_signed_permutations(shape, kind, indices, permute=True, flips="none"):
+    """Every signed permutation of the whole block that moves only the listed
+    (1-based) indices, kept when it is allowed by ``permute`` and ``flips``,
+    sorted by the four-tuple key."""
+    m, n = shape
+    size = m if kind == "e" else n
+    moved = {i - 1 for i in indices}
+    out = []
+    for perm in itertools.permutations(range(size)):
+        for signs in itertools.product((1, -1), repeat=size):
+            if any((perm[i], signs[i]) != (i, 1) for i in range(size) if i not in moved):
+                continue
+            if not permute and any(perm[i] != i for i in range(size)):
+                continue
+            flipped = signs.count(-1)
+            if (flips == "none" and flipped) or (flips == "even" and flipped % 2):
+                continue
+            other = ReferenceElement.identity(shape)
+            if kind == "e":
+                out.append(ReferenceElement(perm, signs, other.del_perm, other.del_signs))
+            else:
+                out.append(ReferenceElement(other.eps_perm, other.eps_signs, perm, signs))
+    return [w.element() for w in sorted(out, key=ReferenceElement.sort_key)]
+
+
 def reference_closure(generators, shape):
     """Every product of the generators, by breadth-first search on
-    ``WeylElement.compose``, sorted by ``WeylElement.sort_key``."""
-    ident = WeylElement.identity(shape)
+    ``ReferenceElement.compose``, sorted by ``ReferenceElement.sort_key``."""
+    gens = [g if isinstance(g, ReferenceElement) else ReferenceElement.of(g) for g in generators]
+    ident = ReferenceElement.identity(shape)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in generators:
+            for g in gens:
                 x = g.compose(w)
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)
         frontier = nxt
-    return sorted(seen, key=WeylElement.sort_key)
+    return [w.element() for w in sorted(seen, key=ReferenceElement.sort_key)]
+
+
+def apply_moves(X: ArcDiagram, moves) -> ArcDiagram:
+    """X after the moves ``reduce_to_simple`` reports, one at a time: ("odd",
+    pos) is the odd reflection at (pos, pos + 1), any other move the interval
+    reflection at pos."""
+    cur = X
+    for kind, pos in moves:
+        if kind == "odd":
+            cur = odd_reflect_diagram(cur, (pos, pos + 1))
+        else:
+            cur = interval_reflect(cur, pos)
+    return cur
+
+
+def reflect_simple_roots(simples, alpha):
+    """Serganova's rule for the simple roots after the odd reflection r_alpha."""
+    out = set()
+    for beta in simples:
+        if beta == alpha:
+            out.add(-alpha)
+        elif inner(alpha, beta) != 0:
+            out.add(alpha + beta)
+        else:
+            out.add(beta)
+    return out

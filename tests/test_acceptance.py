@@ -18,7 +18,7 @@ from superdenom.rootdata import (
     standard_order,
     distinguished_order,
 )
-from superdenom.diagrams import enumerate_diagrams, reduce_to_simple, apply_moves, build_nice
+from superdenom.diagrams import enumerate_diagrams, reduce_to_simple, build_nice
 from superdenom.denominators import (
     compare,
     verify,
@@ -32,7 +32,7 @@ from superdenom.weyl import full_weyl, sgn_prime
 from superdenom.theta import make_pair
 from superdenom.kw import verify_chv, verify_kwfor, kw_systems
 
-from _oracles import definition_isotropic_sets, uses_interior_fork
+from _oracles import apply_moves, definition_isotropic_sets, uses_interior_fork
 
 
 def _report(name: str, ok: bool, extra: str = ""):

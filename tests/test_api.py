@@ -28,6 +28,8 @@ REMOVED = [
     "seconda_d2_sum",
     "w_equal_w1_sums",
     "_first_diagram_sums",
+    "apply_moves",
+    "reflect_simple_roots",
 ]
 
 
@@ -49,7 +51,7 @@ def test_removed_helpers_are_gone():
     for name in REMOVED:
         assert name not in superdenom.__all__
         assert not hasattr(superdenom, name), name
-        for module in (series, weyl, denominators):
+        for module in (series, weyl, denominators, diagrams, rootdata):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(weyl.WeylElement, "act_coords2")
     assert not hasattr(weyl.WeylElement, "inverse")
@@ -91,6 +93,64 @@ def _calls_by_function(name: str) -> set[str]:
 
         visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
     return out
+
+
+# functions and methods that no code in the package reads, each with the
+# reason it stays
+UNREFERENCED_KEPT = {
+    "denominators.with_safe_expansion": "perfbench's controls choose their functional with it",
+    "weyl.weyl_order": "perfbench bounds the frontier controls' group order with it",
+    "theta.DualPair.l2_character": "perfbench traces it, and its theta controls call the threshold form",
+    "theta.DualPair.enright_character": "perfbench's theta controls call it",
+    "denominators.erho_pair": "the odd-reflection check of acceptance criterion 7a",
+    "theta.DualPair.verify_enright": "the Enright verdict of acceptance criterion 9 and the README session",
+}
+
+
+def _public_surface():
+    """Every top-level function and public method of the package, as
+    ``module.name`` or ``module.Class.name`` mapped to its class (None for a
+    function), and for every name the package reads (as a name or an
+    attribute) the functions and methods it is read in (None outside them)."""
+    defs, readers = {}, {}
+
+    def read(node, scope):
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)):
+                readers.setdefault(name, set()).add(scope)
+
+    for path in pathlib.Path(superdenom.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{path.stem}.{node.name}"] = None
+                read(node, f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        qual = f"{path.stem}.{node.name}.{sub.name}"
+                        if not sub.name.startswith("_"):
+                            defs[qual] = node.name
+                        read(sub, qual)
+                    else:
+                        read(sub, None)
+            else:
+                read(node, None)
+    return defs, readers
+
+
+def test_every_function_is_read_exported_or_kept_for_a_reason():
+    # a method counts as exported when its class is in __all__
+    defs, readers = _public_surface()
+
+    def needed(qual):
+        name = qual.rsplit(".", 1)[1]
+        exported = (defs[qual] or name) in superdenom.__all__
+        return exported or any(scope != qual for scope in readers.get(name, ()))
+
+    assert sorted(q for q in defs if not needed(q) and q not in UNREFERENCED_KEPT) == []
+    # every kept name still exists and is still unreferenced
+    assert sorted(q for q in UNREFERENCED_KEPT if q not in defs or needed(q)) == []
 
 
 def test_compare_is_the_one_verdict_rule():

@@ -172,6 +172,25 @@ def test_negative_depth_exit_2(capsys, argv):
     assert argv[-2] in captured.err
 
 
+ORDER_22 = '[{"kind":"e","idx":1},{"kind":"d","idx":1},{"kind":"e","idx":2},{"kind":"d","idx":2}]'
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1", "--orders", "[1,2]"],
+     "error: a basis symbol is"),
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1", "--orders", '{"a":1}'],
+     "error: a basis order is a list of symbols"),
+    (["reduce-diagram", "--family", "gl", "--m", "2", "--n", "2", "--order", ORDER_22, "--arcs", "5"],
+     "error: --arcs must be a list of [i, j] pairs of integers"),
+])
+def test_json_of_the_wrong_shape_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("family,m,n,condition", [
     ("gl", 1, 2, "m >= n"),
     ("b", 1, 2, "m > n"),
@@ -193,3 +212,18 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["internal error: group enumeration exceeded bound 3"]
+
+
+def test_any_other_escaping_exception_exits_3(capsys, monkeypatch):
+    # a defect, such as a TypeError, must not read as a failed identity
+    import superdenom.cli as cli
+
+    def broken(k, depth):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "verify_glkk", broken)
+    code = main(["verify", "--identity", "glkk", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "internal error: TypeError: unsupported operand"

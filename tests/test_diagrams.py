@@ -14,11 +14,10 @@ from superdenom.diagrams import (
     odd_reflect_diagram,
     interval_reflect,
     reduce_to_simple,
-    apply_moves,
     build_nice,
 )
 
-from _oracles import definition_isotropic_sets, reference_bracket, uses_interior_fork
+from _oracles import apply_moves, definition_isotropic_sets, reference_bracket, uses_interior_fork
 
 BIJECTION_GRID = (
     [("GL", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]

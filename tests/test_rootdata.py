@@ -9,11 +9,12 @@ from superdenom.rootdata import (
     all_basis_orders,
     positive_system,
     odd_reflect,
-    reflect_simple_roots,
     distinguished_order,
     BasisOrder,
     Symbol,
 )
+
+from _oracles import reflect_simple_roots
 
 SMALL_GRID = [
     ("GL", m, n) for m in range(1, 4) for n in range(1, 4) if m + n <= 5

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from superdenom import denominators, weyl
 from superdenom.diagrams import enumerate_diagrams
 from superdenom.weights import Weight
-from superdenom.rootdata import build_root_datum, positive_system, all_basis_orders, distinguished_order
+from superdenom.rootdata import EPS_BLOCK, build_root_datum, positive_system, all_basis_orders, distinguished_order
 from superdenom.weyl import (
     WeylElement,
     sgn,
@@ -24,7 +24,13 @@ from superdenom.weyl import (
 from superdenom.series import CharSeries
 from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups
 
-from _oracles import reference_closure, signed_sum
+from _oracles import (
+    ReferenceElement,
+    reference_closure,
+    reference_reflection,
+    reference_signed_permutations,
+    signed_sum,
+)
 
 
 def test_full_weyl_sizes_match_closed_form():
@@ -167,6 +173,63 @@ def test_signed_permutations_are_the_groups_their_generators_generate(kind):
         signed_permutations(sh, kind, [1, 3, 4], flips="odd")
 
 
+@st.composite
+def _reference_elements(draw, shape):
+    m, n = shape
+    return ReferenceElement(
+        tuple(draw(st.permutations(range(m)))),
+        tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))),
+        tuple(draw(st.permutations(range(n)))),
+        tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))),
+    )
+
+
+@st.composite
+def _element_cases(draw):
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    refs = draw(st.lists(_reference_elements(shape), min_size=2, max_size=6))
+    coords = draw(st.lists(st.integers(-9, 9), min_size=sum(shape), max_size=sum(shape)))
+    return refs, Weight(coords, shape)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_element_cases())
+def test_elements_agree_with_the_four_tuple_reference(case):
+    refs, x = case
+    elements = [r.element() for r in refs]
+    assert [ReferenceElement.of(w) for w in elements] == refs
+    for r, w in zip(refs, elements):
+        assert w.shape == r.shape and w.is_identity() == (r == ReferenceElement.identity(r.shape))
+        assert w.act(x) == r.act(x)
+        assert sgn(w) == r.sgn()
+        for family in ("GL", "B", "C", "D"):
+            assert sgn_prime(w, family) == r.sgn_prime(family)
+    for (r, w), (r2, w2) in itertools.product(zip(refs, elements), repeat=2):
+        assert w.compose(w2) == r.compose(r2).element()
+        assert (w.sort_key() < w2.sort_key()) == (r.sort_key() < r2.sort_key())
+    order = sorted(range(len(refs)), key=lambda i: refs[i].sort_key())
+    assert sorted(elements, key=WeylElement.sort_key) == [elements[i] for i in order]
+
+
+@pytest.mark.parametrize("fam,m,n", [
+    ("GL", 2, 2), ("GL", 3, 2), ("B", 1, 2), ("B", 2, 1), ("B", 2, 2), ("C", 2, 1), ("D", 2, 1), ("D", 2, 2),
+])
+def test_named_groups_equal_the_reference_element_for_element(fam, m, n):
+    # the generators are reflections computed from the form, and the closure
+    # composes and sorts four-tuple elements
+    datum = build_root_datum(fam, m, n)
+    gens = [reference_reflection(a) for a in datum.even_roots]
+    assert full_weyl(datum) == reference_closure(gens, datum.shape)
+    eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
+    sharp = [g for a, g in zip(datum.even_roots, gens) if any(a.eps_coords2()) == eps_sharp]
+    assert sharp_subgroup(datum) == reference_closure(sharp, datum.shape)
+    for kind, size in (("e", m), ("d", n)):
+        for indices in (range(1, size + 1), range(2, size + 1)):
+            for permute, flips in itertools.product((True, False), ("none", "all", "even")):
+                got = signed_permutations(datum.shape, kind, indices, permute, flips)
+                assert got == reference_signed_permutations(datum.shape, kind, indices, permute, flips)
+
+
 def test_sgn_examples():
     sh = (2, 2)
     ident = WeylElement.identity(sh)
@@ -237,7 +300,7 @@ def test_coset_reps_left_cosets_by_length():
     a2 = signed_permutations(sh, "e", [1, 2])
 
     def length(w):
-        p = w.eps_perm
+        p = [abs(x) for x in w.img[: w.m]]
         return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
     reps = coset_reps(a3, a2, key=length, left=True)
@@ -280,7 +343,7 @@ def test_w_sharp_generators_b12():
     datum = build_root_datum("B", 1, 2)
     sharp = sharp_subgroup(datum)
     assert len(sharp) == 8
-    assert all(s.eps_perm == (0,) and s.eps_signs == (1,) for s in sharp)
+    assert all(s.img[:1] == (1,) for s in sharp)
 
 
 def test_sgn_prime_invariance_of_super_denominator():
