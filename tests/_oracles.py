@@ -348,6 +348,7 @@ def reference_signed_permutations(shape, kind, indices, permute=True, flips="non
     m, n = shape
     size = m if kind == "e" else n
     moved = {i - 1 for i in indices}
+    ident = ReferenceElement.identity(shape)
     out = []
     for perm in itertools.permutations(range(size)):
         for signs in itertools.product((1, -1), repeat=size):
@@ -358,11 +359,10 @@ def reference_signed_permutations(shape, kind, indices, permute=True, flips="non
             flipped = signs.count(-1)
             if (flips == "none" and flipped) or (flips == "even" and flipped % 2):
                 continue
-            other = ReferenceElement.identity(shape)
             if kind == "e":
-                out.append(ReferenceElement(perm, signs, other.del_perm, other.del_signs))
+                out.append(ReferenceElement(perm, signs, ident.del_perm, ident.del_signs))
             else:
-                out.append(ReferenceElement(other.eps_perm, other.eps_signs, perm, signs))
+                out.append(ReferenceElement(ident.eps_perm, ident.eps_signs, perm, signs))
     return [w.element() for w in sorted(out, key=ReferenceElement.sort_key)]
 
 

@@ -192,7 +192,7 @@ def _element_cases(draw):
     return refs, Weight(coords, shape)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=150)
 @given(case=_element_cases())
 def test_elements_agree_with_the_four_tuple_reference(case):
     refs, x = case
