@@ -151,15 +151,25 @@ def with_safe_expansion(system: PositiveSystem, compute):
 
 
 def lhs(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
-    """e^rho R (kind 'd') or e^rho Ř (kind 'sd') as a truncated series."""
-    s = 1 if kind == "sd" else -1
-    return product_expansion(
-        system,
-        threshold4,
-        system.rho,
-        geom=[(a, s) for a in system.positive_odd],
-        poly=[(a, 1) for a in system.positive_even],
-    )
+    """e^rho R (kind 'd') or e^rho Ř (kind 'sd') as a truncated series.
+
+    Every identity on a system has this same left side, so it is expanded
+    once per (kind, threshold4) and kept in a dict owned by the system: a
+    later call with the same key returns the same ``CharSeries`` object,
+    which lives as long as the system does.  Series are never changed in
+    place, so sharing one between checks is safe.
+    """
+    series = system._lhs.get((kind, threshold4))
+    if series is None:
+        s = 1 if kind == "sd" else -1
+        series = system._lhs[kind, threshold4] = product_expansion(
+            system,
+            threshold4,
+            system.rho,
+            geom=[(a, s) for a in system.positive_odd],
+            poly=[(a, 1) for a in system.positive_even],
+        )
+    return series
 
 
 def erho_pair(system: PositiveSystem, alpha: Weight, depth: int) -> tuple[CharSeries, CharSeries]:
@@ -312,7 +322,10 @@ def _seconda_group(kind: str, system: PositiveSystem) -> list[WeylElement]:
     m, n, d, shape = datum.m, datum.n, datum.defect, datum.shape
     family, variant = ("B", "") if kind == "seconda-sd" else ("D", "D2")
     if datum.family != family or system.order != distinguished_order(family, m, n, variant):
-        raise ValueError(f"{kind} holds only on the distinguished {variant or family} order of {family}({m},{n})")
+        raise ValueError(
+            f"{kind} holds only on the distinguished {variant or family} order of {family}({m},{n}); "
+            f"the input is {datum.family}({m},{n}) with the order {system.order!r}"
+        )
     if kind == "seconda-sd":
         return product_set(
             signed_permutations(shape, "d", range(1, n + 1)),

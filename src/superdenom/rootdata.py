@@ -153,11 +153,15 @@ class Symbol:
     @staticmethod
     def from_json(doc: dict) -> "Symbol":
         """The inverse of ``to_json``, with "sign" 1 when absent; a document of
-        another shape raises ValueError."""
+        another shape, or an "idx" or "sign" that is not a JSON integer (a
+        float, a boolean, a string), raises ValueError."""
         try:
-            return Symbol(doc["kind"], int(doc["idx"]), int(doc.get("sign", 1)))
+            kind, idx, sign = doc["kind"], doc["idx"], doc.get("sign", 1)
         except (TypeError, KeyError):
-            raise ValueError(f'a basis symbol is {{"kind": ..., "idx": ..., "sign": ...}}, got {doc!r}') from None
+            idx = sign = None
+        if type(idx) is int and type(sign) is int:
+            return Symbol(kind, idx, sign)
+        raise ValueError(f'a basis symbol is {{"kind": ..., "idx": <int>, "sign": <int>}}, got {doc!r}')
 
 
 class BasisOrder:
@@ -293,7 +297,12 @@ class PositiveSystem:
     default it is (4x) the principal height; ``with_tiebreak`` returns an
     equivalent system whose functional is a dominant multiple of the height
     plus a generic perturbation, for computations in which some Weyl image of
-    a denominator exponent lands on height zero.
+    a denominator exponent lands on height zero.  It returns one system per
+    seed, so the checks that pick the same perturbation share that system.
+
+    A system also owns the memo of its left sides e^rho R and e^rho Ř
+    (``denominators.lhs``), so those series live exactly as long as the
+    system they belong to.
     """
 
     TIEBREAK_SCALE = 1024  # height multiplier accompanying a perturbation
@@ -329,9 +338,17 @@ class PositiveSystem:
         self.rho0 = weight_sum(self.positive_even, self.shape).half()
         self.rho1 = weight_sum(self.positive_odd, self.shape).half()
         self.rho = self.rho0 - self.rho1
+        self._tiebreaks: dict[int, PositiveSystem] = {}
+        self._lhs: dict = {}  # (flavor, threshold4) -> CharSeries, see denominators.lhs
 
     def with_tiebreak(self, seed: int) -> "PositiveSystem":
-        return PositiveSystem(self.datum, self.order, tiebreak=seed)
+        """The system of the same order whose functional is perturbed by
+        ``seed``; built on the first call for a seed and returned again on
+        every later one."""
+        system = self._tiebreaks.get(seed)
+        if system is None:
+            system = self._tiebreaks[seed] = PositiveSystem(self.datum, self.order, tiebreak=seed)
+        return system
 
     # -- simple roots per family ------------------------------------------
 

@@ -38,6 +38,16 @@ NEG_INF = None  # threshold value meaning "exact everywhere"
 
 
 class CharSeries:
+    """A truncated series over a system: its nonzero terms inside the window
+    {ht4 >= threshold4} (every term when the threshold is None) and the
+    ceiling4 above which the full series has no term.
+
+    A series is a value: no operation changes one in place, each returns a
+    new series (which may share the terms dict of its operand).  So one
+    series may be shared, as ``denominators.lhs`` shares each left side
+    between the checks on its system.
+    """
+
     __slots__ = ("system", "terms", "threshold4", "ceiling4")
 
     def __init__(self, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int):

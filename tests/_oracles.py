@@ -68,6 +68,20 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     return CharSeries(system, acc, threshold4, total_ceiling)
 
 
+def reference_lhs(system, kind, threshold4):
+    """e^rho R (kind 'd') or e^rho Ř (kind 'sd') on the window, expanded
+    afresh on every call, as ``denominators.lhs`` did before it kept each
+    left side on its system."""
+    s = 1 if kind == "sd" else -1
+    return product_expansion(
+        system,
+        threshold4,
+        system.rho,
+        geom=[(a, s) for a in system.positive_odd],
+        poly=[(a, 1) for a in system.positive_even],
+    )
+
+
 def reference_weyl_character(system, elements, rho_block, lam):
     """sum_w sgn(w) e^{w(lam+rho)} / sum_w sgn(w) e^{w(rho)} by sparse
     division on ``Weight`` keys, taking the leading term in the order of

@@ -1,7 +1,10 @@
-"""The verdict fields of tools/bench_pairs.py's summary, on made-up runs."""
+"""tools/bench_pairs.py on made-up runs: the verdict fields of its summary,
+and which runs it asks for."""
 
 import importlib.util
+import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -41,3 +44,32 @@ def test_bound_is_a_share_of_the_parent_median_in_the_worse_direction():
     assert (lower["within_bound"], lower["gain_shown"], lower["parent_wins"]) == (True, False, 10)
     assert not _summary(PARENT, [p + 11 for p in PARENT], better="lower")["within_bound"]
     assert _summary(PARENT, [p - 30 for p in PARENT], better="lower")["gain_shown"]
+
+
+def test_every_workload_gets_one_traced_run_per_side_at_seed_7(tmp_path, monkeypatch):
+    workloads = ["grid", "frontier", "theta"]
+    bench = {
+        "run_seconds": 1,
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "checks_per_s", "better": "higher", "bound": 0.1}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, trace))
+        return {"correct": True, "attempted": 1, "failed": 0, "checks_per_s": 1.0}
+
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda checkout: checkout)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "P", "--change", str(tmp_path),
+                                      "--seeds", "1-10", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    doc = json.loads(out.read_text())
+    traced = [(r["workload"], r["side"], r["seed"], r["trace"]) for r in doc["traced_seed_7"]]
+    assert traced == [(w, side, 7, 1) for w in workloads for side in ("parent", "change")]
+    assert [c for c in calls if c[3] == 1] == [
+        (checkout, w, 7, 1) for w in workloads for checkout in ("P", str(tmp_path))
+    ]
+    assert len(doc["runs"]) == 2 * 10 * len(workloads) and all(c[3] == 0 for c in calls[:60])

@@ -62,6 +62,16 @@ def test_verify_seconda_off_its_order_exit_2(capsys, kind):
     assert "holds only on the distinguished D2 order" in captured.err
 
 
+def test_verify_seconda_off_its_family_names_both_algebras(capsys):
+    code = main(["verify", "--identity", "seconda-sd", "--family", "gl", "--m", "2", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: seconda-sd holds only on the distinguished B order of B(2,2); "
+        "the input is GL(2,2) with the order e1>e2>d1>d2\n"
+    )
+
+
 def test_list_arc_diagrams_contains_gl54_reference(capsys):
     order = json.dumps(
         [{"kind": k, "idx": i, "sign": 1} for k, i in
@@ -182,6 +192,13 @@ ORDER_22 = '[{"kind":"e","idx":1},{"kind":"d","idx":1},{"kind":"e","idx":2},{"ki
      "error: a basis order is a list of symbols"),
     (["reduce-diagram", "--family", "gl", "--m", "2", "--n", "2", "--order", ORDER_22, "--arcs", "5"],
      "error: --arcs must be a list of [i, j] pairs of integers"),
+    # a float or boolean index, or a string sign, is not read as an integer
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+      "--orders", '[{"kind":"e","idx":1.9},{"kind":"d","idx":1}]'], "error: a basis symbol is"),
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+      "--orders", '[{"kind":"e","idx":1},{"kind":"d","idx":true}]'], "error: a basis symbol is"),
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+      "--orders", '[{"kind":"e","idx":1,"sign":"1"},{"kind":"d","idx":1}]'], "error: a basis symbol is"),
 ])
 def test_json_of_the_wrong_shape_exit_2(capsys, argv, message):
     code = main(argv)

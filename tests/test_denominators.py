@@ -5,6 +5,7 @@ import pytest
 
 from superdenom.weights import Weight, is_isotropic
 from superdenom.rootdata import (
+    PositiveSystem,
     Symbol,
     build_root_datum,
     standard_order,
@@ -15,7 +16,9 @@ from superdenom.rootdata import (
 from superdenom.diagrams import ArcDiagram, enumerate_diagrams
 from superdenom.weyl import full_weyl
 from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
+from superdenom.cli import main
 from superdenom.denominators import (
+    IDENTITY_KINDS,
     choose_expansion_system,
     compare,
     with_safe_expansion,
@@ -29,6 +32,8 @@ from superdenom.denominators import (
     princ_constant,
     migliore_groups,
 )
+
+from _oracles import reference_lhs
 
 
 def _lhs_reversed(system, kind, threshold4):
@@ -589,3 +594,104 @@ def test_princ_sd_fails_under_each_deliberate_mutation():
     assert len(red["constant"]) == len(red["identity"]) == checks
     assert red["sgn"] == family_b
     assert red["gamma"] == nested
+
+
+# ---------------------------------------------------------------------------
+# the left side is expanded once per (system, flavor, window)
+
+
+def _same_series(got, want):
+    return (got.terms, got.threshold4, got.ceiling4) == (want.terms, want.threshold4, want.ceiling4)
+
+
+@pytest.mark.parametrize("fam,m,n", [("GL", 2, 2), ("B", 1, 2), ("B", 2, 2), ("D", 2, 2), ("C", 2, 1)])
+def test_lhs_equals_the_reference_on_every_order(fam, m, n):
+    datum = build_root_datum(fam, m, n)
+    for order in all_basis_orders(fam, m, n):
+        base = positive_system(datum, order)
+        for system in (base, base.with_tiebreak(13)):
+            # both flavors at both depths on one system, each asked twice, so
+            # that a memo keyed on less than (flavor, threshold) hands back a
+            # series of another key
+            for _ in range(2):
+                for depth in (3, 6):
+                    T = window4(system, depth)
+                    for flavor in ("sd", "d"):
+                        got = lhs(system, flavor, T)
+                        assert _same_series(got, reference_lhs(system, flavor, T)), (order, system.tiebreak, depth, flavor)
+
+
+def test_lhs_returns_one_series_per_flavor_and_window():
+    system = positive_system(build_root_datum("B", 1, 2), distinguished_order("B", 1, 2))
+    T, T2 = window4(system, 4), window4(system, 5)
+    sd = lhs(system, "sd", T)
+    assert lhs(system, "sd", T) is sd
+    assert lhs(system, "d", T) is not sd
+    assert lhs(system, "sd", T2) is not sd
+    assert lhs(system, "d", T) is lhs(system, "d", T)
+    # another system of the same order keeps its own left sides
+    twin = positive_system(system.datum, system.order)
+    assert lhs(twin, "sd", T) is not sd and _same_series(lhs(twin, "sd", T), sd)
+
+
+def test_with_tiebreak_returns_one_system_per_seed():
+    datum = build_root_datum("D", 2, 2)
+    for order in all_basis_orders("D", 2, 2):
+        base = positive_system(datum, order)
+        for seed in (1, 13):
+            perturbed = base.with_tiebreak(seed)
+            assert base.with_tiebreak(seed) is perturbed
+            assert perturbed.tiebreak == seed
+            assert perturbed._hvals2 == PositiveSystem(datum, order, tiebreak=seed)._hvals2
+        assert base.with_tiebreak(1) is not base.with_tiebreak(13)
+
+
+@pytest.mark.parametrize("fam,m,n,pattern", [("D", 2, 2, "dede"), ("GL", 3, 2, "edede")])
+def test_shared_left_sides_survive_every_check(monkeypatch, capsys, fam, m, n, pattern):
+    # verify of every kind on every diagram (the seconda kinds hold only on
+    # their distinguished orders), erho_pair and kw-check on one system share
+    # its memoized left sides and those of its perturbed systems; afterwards
+    # each one still equals a fresh expansion, so no check changed a shared
+    # series in place
+    import superdenom.kw as kw
+
+    systems = []
+
+    def recording_lhs(system, kind, threshold4):
+        systems.append(system)
+        return lhs(system, kind, threshold4)
+
+    monkeypatch.setattr(kw, "lhs", recording_lhs)
+    system = positive_system(build_root_datum(fam, m, n), standard_order(fam, m, n, pattern))
+    for X in enumerate_diagrams(system):
+        for kind in IDENTITY_KINDS:
+            if kind == "glkk" or kind.startswith("seconda") or (kind.startswith("kwg") and not X.is_simple()):
+                continue
+            assert verify(kind, system, X=X, depth=4).passed, (kind, X.arcs)
+    for alpha in system.simple_roots:
+        if is_isotropic(alpha):
+            erho_pair(system, alpha, 4)
+    assert main(["kw-check", "--family", fam, "--m", str(m), "--n", str(n), "--depth", "4"]) == 0
+    capsys.readouterr()
+    assert system._tiebreaks, "no check on this system chose a perturbed functional"
+    owners = {id(s): s for s in [system, *system._tiebreaks.values(), *systems]}.values()
+    memo = [(s, key, series) for s in owners for key, series in s._lhs.items()]
+    assert len(memo) >= 4
+    for s, (kind, T), series in memo:
+        assert _same_series(series, reference_lhs(s, kind, T)), (s, s.tiebreak, kind, T)
+
+
+def test_no_series_operation_changes_its_operands():
+    # a memoized left side is shared between checks, so every operation on
+    # a series must leave both operands as they were
+    system = positive_system(build_root_datum("B", 2, 2), distinguished_order("B", 2, 2))
+    T = window4(system, 5)
+    a, b = lhs(system, "sd", T), lhs(system, "d", window4(system, 3))
+    a_other_window = lhs(system, "sd", window4(system, 4))
+    operands = (a, b, a_other_window)
+    before = [(dict(s.terms), s.threshold4, s.ceiling4) for s in operands]
+    for x in operands:
+        for y in operands:
+            x + y, x - y, x * y, x.mismatches(y, Fraction(-1, 2))
+        x.scale(3), x.scale(0), x.tightened(), x.truncate(T + 8), x.to_json(), repr(x)
+    assert [(s.terms, s.threshold4, s.ceiling4) for s in operands] == before

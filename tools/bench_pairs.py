@@ -7,8 +7,9 @@ For every workload and every seed, runs `python3 perfbench/run.py --trace 0`
 once in each checkout, one process at a time: the parent first in the 1st,
 3rd, ... pair of a workload, the change first in the others, so that drift of
 the host's speed falls on both sides alike.  Then runs `--trace 1` once per
-side on frontier at seed 7.  Each side runs its own perfbench files from its
-own checkout.  The workloads, the run length (`run_seconds`) and each
+side on every workload at seed 7, so that a claim on any workload comes with
+its per-layer counts.  Each side runs its own perfbench files from its own
+checkout.  The workloads, the run length (`run_seconds`) and each
 metric's better direction and bound are read from the change checkout's
 BENCHMARK.json.
 
@@ -40,7 +41,7 @@ import subprocess
 import sys
 
 MIN_PAIRS = 10
-TRACE_WORKLOAD, TRACE_SEED = "frontier", 7
+TRACE_SEED = 7
 
 
 def cpu_model() -> str:
@@ -156,10 +157,11 @@ def main() -> int:
                 status = "error" if "error" in r else f"correct={r['correct']} checks_per_s={r['checks_per_s']:.4g}"
                 print(f"{workload} seed {seed} {side}: {status}", file=sys.stderr, flush=True)
     traced = []
-    for side in ("parent", "change"):
-        r = run_once(sides[side], TRACE_WORKLOAD, TRACE_SEED, seconds, 1)
-        traced.append({"workload": TRACE_WORKLOAD, "seed": TRACE_SEED, "side": side, "trace": 1, **r})
-        print(f"traced {TRACE_WORKLOAD} {side}: correct={r['correct']}", file=sys.stderr, flush=True)
+    for workload in workloads:
+        for side in ("parent", "change"):
+            r = run_once(sides[side], workload, TRACE_SEED, seconds, 1)
+            traced.append({"workload": workload, "seed": TRACE_SEED, "side": side, "trace": 1, **r})
+            print(f"traced {workload} {side}: correct={r['correct']}", file=sys.stderr, flush=True)
 
     doc = {
         "what": args.what,
@@ -169,11 +171,11 @@ def main() -> int:
         "parent": revision(args.parent),
         "change": revision(args.change),
         "design": f"{len(seeds)} pairs per workload on seeds {args.seeds}; the parent ran first in the 1st, "
-        f"3rd, ... pair of each workload, the change in the others; one traced {TRACE_WORKLOAD} run "
-        f"per side at seed {TRACE_SEED}; one process at a time, each side from its own checkout "
+        f"3rd, ... pair of each workload, the change in the others; one traced run per side and "
+        f"workload at seed {TRACE_SEED}; one process at a time, each side from its own checkout "
         f"with its own perfbench files",
         "summary": summarize(runs, workloads, better, bound),
-        f"traced_{TRACE_WORKLOAD}_seed_{TRACE_SEED}": traced,
+        f"traced_seed_{TRACE_SEED}": traced,
         "runs": runs,
     }
     with open(args.out, "w") as fh:
