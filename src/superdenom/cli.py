@@ -51,12 +51,12 @@ def cmd_verify(args) -> int:
     kind = args.identity
     if kind == "glkk":
         if args.k is None:
-            raise SystemExit2("the gl(k,k) lemma needs --k")
+            raise ValueError("the gl(k,k) lemma needs --k")
         rep = verify_glkk(args.k, args.depth)
         _emit(rep.to_json())
         return 0 if rep.passed else 1
     if args.family is None or args.m is None or args.n is None:
-        raise SystemExit2("this identity needs --family, --m and --n")
+        raise ValueError("this identity needs --family, --m and --n")
     family, m, n = args.family.upper(), args.m, args.n
     datum = build_root_datum(family, m, n)
     reports = []
@@ -117,15 +117,11 @@ def _pair_from_args(args):
     tag = args.pair.upper()
     if tag == "GL":
         if args.p is None or args.q is None:
-            raise SystemExit2("the GL pair needs --p and --q")
+            raise ValueError("the GL pair needs --p and --q")
         return make_pair("GL", n=args.n, p=args.p, q=args.q)
     if args.m is None:
-        raise SystemExit2(f"the {tag} pair needs --m")
+        raise ValueError(f"the {tag} pair needs --m")
     return make_pair(tag, m=args.m, n=args.n)
-
-
-class SystemExit2(Exception):
-    pass
 
 
 def _nonnegative(text: str) -> int:
@@ -255,7 +251,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError, json.JSONDecodeError, SystemExit2) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:

@@ -157,8 +157,11 @@ def lhs(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
     once per (kind, threshold4) and kept in a dict owned by the system: a
     later call with the same key returns the same ``CharSeries`` object,
     which lives as long as the system does.  Series are never changed in
-    place, so sharing one between checks is safe.
+    place, so sharing one between checks is safe.  Any other kind raises
+    ``ValueError`` before the dict is read.
     """
+    if kind not in ("d", "sd"):
+        raise ValueError(f"the left side is of kind 'd' or 'sd', got {kind!r}")
     series = system._lhs.get((kind, threshold4))
     if series is None:
         s = 1 if kind == "sd" else -1

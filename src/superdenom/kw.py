@@ -13,26 +13,24 @@ rho + Lambda gives the highest-weight form
 
     e^rho Ř sch V = b * F-check_W( e^{rho + Lambda} / prod (1 - e^{-beta_i}) )
 
-with b = j_V / atp(V)!.  Every identity is checked by fitting the constant
-from the series and verifying exact proportionality on the window.
+with b = j_V / atp(V)!.  Both are a ``WeylSum`` of the shape the
+``denominators`` identities have, so ``_sch_check`` runs them on that path:
+``_separating_system`` chooses the functional, ``lhs`` gives e^rho Ř, and
+``compare`` judges the constant fitted from the series on the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .weights import Weight, inner, is_isotropic
 from .rootdata import build_root_datum, standard_order, positive_system, PositiveSystem, all_basis_orders
 from .weyl import full_weyl
 from .series import CharSeries, f_sum_quotient
-from .denominators import (
-    lhs,
-    window4,
-    c_g,
-    choose_expansion_system,
-)
+from .denominators import WeylSum, _separating_system, c_g, compare, lhs, window4
 
 
 def atypicality(family: str, m: int, n: int) -> int:
@@ -118,25 +116,11 @@ class KWReport:
         }
 
 
-def _bracket_setup(family: str, m: int, n: int):
-    """The Weyl group, the bracket chain [[gamma_j]] = gamma_1 + ... + gamma_j
-    and a system whose expansion functional separates all their Weyl images."""
-    system = base_system(family, m, n)
-    brackets = []
-    acc = Weight.zero((m, n))
-    for g in gamma_chain(family, m, n):
-        acc = acc + g
-        brackets.append(acc)
-    W = full_weyl(system.datum)
-    images = [w.act(b) for w in W for b in brackets]
-    return choose_expansion_system(system, images), W, brackets
-
-
 def _fit_report(
     identity: str, family: str, m: int, n: int, depth: int, left: CharSeries, right: CharSeries, stated: Fraction
 ) -> KWReport:
     """Fit left = c * right on the common window (c is None when no constant
-    fits) and compare c with the stated constant."""
+    fits, as judged by ``compare``) and compare c with the stated constant."""
     t = left.window_threshold(right)
     ht4 = left.system.ht4
     window = [w for w, c in right.terms.items() if c and (t is None or ht4(w) >= t)]
@@ -144,42 +128,45 @@ def _fit_report(
     if window:
         probe = max(window, key=lambda w: (ht4(w), w.coords2))
         ratio = Fraction(left.coeff(probe), right.coeff(probe))
-        fitted = ratio if not right.mismatches(left, ratio) else None
+        if compare(identity, f"{family}({m},{n})", "", depth, right, left, ratio).passed:
+            fitted = ratio
     return KWReport(identity, family, m, n, depth, fitted == stated, fitted, stated, atypicality(family, m, n))
+
+
+def _sch_check(
+    identity: str, family: str, m: int, n: int, system: PositiveSystem, spec: WeylSum, depth: int, stated: Fraction
+) -> KWReport:
+    """Fit e^rho Ř sch V against the signed Weyl sum ``spec`` on a system
+    whose functional separates its denominator exponents."""
+    system = _separating_system(system, [spec])
+    T = window4(system, depth)
+    sch = natural_supercharacter(family, m, n, system)
+    left = (lhs(system, "sd", T - sch.ceiling4) * sch).truncate(T)
+    return _fit_report(identity, family, m, n, depth, left, spec.expand(system, T), stated)
 
 
 def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     """The bracket-denominator form of the supercharacter identity."""
-    sys_, W, brackets = _bracket_setup(family, m, n)
-    T = window4(sys_, depth)
-    sch = natural_supercharacter(family, m, n, sys_)
-    left = (lhs(sys_, "sd", T - sch.ceiling4) * sch).truncate(T)
+    system = base_system(family, m, n)
+    brackets = accumulate(gamma_chain(family, m, n))
     lam = Weight.eps(1, (m, n))
-    right = f_sum_quotient(
-        sys_, W, "sgn_prime", T, sys_.rho + lam, geom=[(b, 1) for b in brackets]
-    )
-    return _fit_report("chv", family, m, n, depth, left, right, stated_constants(family, m, n)[1])
+    spec = WeylSum(full_weyl(system.datum), "sgn_prime", system.rho + lam, [(b, 1) for b in brackets])
+    return _sch_check("chv", family, m, n, system, spec, depth, stated_constants(family, m, n)[1])
 
 
 def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     """The even-Weyl-group intermediate identity behind the supercharacter
     formula: the alternating sum of e^{rho_0+eps_1} - e^{rho_0+delta_1}
     against the odd-denominator quotient."""
-    sys_, W, brackets = _bracket_setup(family, m, n)
-    lam = Weight.eps(1, (m, n))
-    top = sys_.rho0 + lam
-    T = window4(sys_, depth, top=top)
-    left = f_sum_quotient(sys_, W, "sgn", T, top)
-    left = left + f_sum_quotient(sys_, W, "sgn", T, sys_.rho0 + Weight.delta(1, (m, n)), coeff=-1)
-    right = f_sum_quotient(
-        sys_,
-        W,
-        "sgn",
-        T,
-        top,
-        geom=[(b, 1) for b in brackets],
-        poly=[(a, 1) for a in sys_.positive_odd],
-    )
+    system = base_system(family, m, n)
+    geom = [(b, 1) for b in accumulate(gamma_chain(family, m, n))]
+    W = full_weyl(system.datum)
+    top = system.rho0 + Weight.eps(1, (m, n))
+    system = _separating_system(system, [WeylSum(W, "sgn", top, geom)])
+    T = window4(system, depth, top=top)
+    left = f_sum_quotient(system, W, "sgn", T, top)
+    left = left + f_sum_quotient(system, W, "sgn", T, system.rho0 + Weight.delta(1, (m, n)), coeff=-1)
+    right = f_sum_quotient(system, W, "sgn", T, top, geom=geom, poly=[(a, 1) for a in system.positive_odd])
     return _fit_report("xx", family, m, n, depth, left, right, stated_constants(family, m, n)[1])
 
 
@@ -240,24 +227,16 @@ def verify_kwfor(
     depth: int = 8,
 ) -> KWReport:
     """The highest-weight form over a system satisfying the orthogonality
-    condition; checks the constant b = j_V / atp!."""
+    condition (by default the first one); checks the constant b = j_V / atp!."""
     atp = atypicality(family, m, n)
-    betas = None
     if system is None:
-        system, betas = next(_condition_systems(family, m, n), (None, None))
+        system = next((s for s, _ in _condition_systems(family, m, n)), None)
         if system is None:
             raise ValueError("no simple system satisfies the orthogonality condition")
-    sch = natural_supercharacter(family, m, n, system)
-    lam = highest_weight(system, sch)
+    lam = highest_weight(system, natural_supercharacter(family, m, n, system))
+    betas = kw_condition_roots(system, lam, atp)
     if betas is None:
-        betas = kw_condition_roots(system, lam, atp)
-        if betas is None:
-            raise ValueError("the given system does not satisfy the orthogonality condition")
-    T = window4(system, depth)
-    left = (lhs(system, "sd", T - sch.ceiling4) * sch).truncate(T)
-    W = full_weyl(system.datum)
-    right = f_sum_quotient(
-        system, W, "sgn_prime", T, system.rho + lam, geom=[(b, 1) for b in betas]
-    )
-    _, jv = stated_constants(family, m, n)
-    return _fit_report("kwfor", family, m, n, depth, left, right, jv / factorial(atp))
+        raise ValueError("the given system does not satisfy the orthogonality condition")
+    spec = WeylSum(full_weyl(system.datum), "sgn_prime", system.rho + lam, [(b, 1) for b in betas])
+    stated = stated_constants(family, m, n)[1] / factorial(atp)
+    return _sch_check("kwfor", family, m, n, system, spec, depth, stated)

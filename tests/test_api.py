@@ -155,9 +155,10 @@ def test_every_function_is_read_exported_or_kept_for_a_reason():
 
 def test_compare_is_the_one_verdict_rule():
     # every report is built in compare, and every coefficient comparison is
-    # made there or in the constant fit of the natural-module identities
+    # made there: the constant fit of the natural-module identities judges
+    # its ratio through compare too
     assert _calls_by_function("IdentityReport") == {"denominators.compare"}
-    assert _calls_by_function("mismatches") == {"denominators.compare", "kw._fit_report"}
+    assert _calls_by_function("mismatches") == {"denominators.compare"}
 
 
 def test_one_block_pairs_share_one_body():

@@ -138,6 +138,20 @@ def test_config_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--identity", "glkk"], "the gl(k,k) lemma needs --k"),
+    (["verify", "--identity", "princ-sd"], "this identity needs --family, --m and --n"),
+    (["theta-verify", "--pair", "GL", "--n", "1"], "the GL pair needs --p and --q"),
+    (["theta-verify", "--pair", "B", "--n", "1"], "the B pair needs --m"),
+])
+def test_missing_arguments_exit_2_with_one_error_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--identity", "glkk", "--k", "2", "--depth", "2"],
     ["theta-verify", "--pair", "GL", "--n", "1", "--p", "1", "--q", "1", "--depth", "2"],

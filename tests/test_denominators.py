@@ -634,6 +634,16 @@ def test_lhs_returns_one_series_per_flavor_and_window():
     assert lhs(twin, "sd", T) is not sd and _same_series(lhs(twin, "sd", T), sd)
 
 
+def test_lhs_rejects_any_other_kind_before_the_memo():
+    # "sdd" used to be read as "d" and memoized under its own name
+    system = positive_system(build_root_datum("GL", 2, 1), distinguished_order("GL", 2, 1, "p0"))
+    T = window4(system, 3)
+    for kind in ("sdd", "princ-sd", "D", ""):
+        with pytest.raises(ValueError, match="'d' or 'sd'"):
+            lhs(system, kind, T)
+    assert system._lhs == {}
+
+
 def test_with_tiebreak_returns_one_system_per_seed():
     datum = build_root_datum("D", 2, 2)
     for order in all_basis_orders("D", 2, 2):

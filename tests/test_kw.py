@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import superdenom.kw as kw
 from superdenom.weights import Weight, inner
 from superdenom.kw import (
     atypicality,
@@ -168,3 +169,33 @@ def test_fitted_b_values_documented():
     for (fam, m, n), val in expect.items():
         rep = verify_kwfor(fam, m, n, depth=6)
         assert rep.fitted == val, (fam, m, n, rep.fitted)
+
+
+def test_each_check_fails_without_the_identity_element(monkeypatch):
+    full = kw.full_weyl
+    monkeypatch.setattr(kw, "full_weyl", lambda datum: [w for w in full(datum) if not w.is_identity()])
+    for fam, m, n in INSTANCES:
+        assert not verify_chv(fam, m, n, 6).passed, (fam, m, n)
+        assert not verify_kwfor(fam, m, n, depth=6).passed, (fam, m, n)
+        # on GL(2,1) [[gamma_1]] = eps_2 - delta_1 is itself a positive odd
+        # root, so each summand of xx collapses to e^{w(rho_0+eps_1)} -
+        # e^{w(rho_0+delta_1)} and the identity holds element by element
+        assert verify_xx(fam, m, n, 6).passed == ((fam, m, n) == ("GL", 2, 1)), (fam, m, n)
+
+
+def test_each_check_fails_with_j_v_doubled(monkeypatch):
+    stated = kw.stated_constants
+    fitted = {
+        (check.__name__, inst): check(*inst, depth=6).fitted
+        for check in (verify_chv, verify_xx, verify_kwfor)
+        for inst in INSTANCES
+    }
+
+    def doubled(family, m, n):
+        c, jv = stated(family, m, n)
+        return c, 2 * jv
+
+    monkeypatch.setattr(kw, "stated_constants", doubled)
+    for (name, inst), value in fitted.items():
+        rep = getattr(kw, name)(*inst, depth=6)
+        assert not rep.passed and rep.fitted == value, (name, inst)

@@ -11,7 +11,9 @@ The list holds the README examples; `verify` of every kind with `--orders
 all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6
 (a kind off its family or order exits 2, which is fingerprinted too), and the
 compact-pair kinds on their own orders; `theta-table` and `theta-verify` for
-each pair; `kw-check`; and `dump-series`.  Stdlib only.
+each pair; `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
+gamma chain drops a root; `dump-series`; and the calls that miss a required
+argument and exit 2.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,7 +56,14 @@ PAIRS = [
     "--pair GL --n 2 --p 1 --q 1",
 ]
 
-KW_RANKS = [("gl", 2, 1), ("gl", 3, 2), ("b", 2, 1), ("d", 2, 1), ("d", 3, 2)]
+KW_RANKS = [("gl", 2, 1), ("gl", 2, 2), ("gl", 3, 2), ("b", 2, 1), ("d", 2, 1), ("d", 2, 2), ("d", 3, 2)]
+
+MISSING_ARGUMENTS = [
+    "verify --identity glkk",
+    "verify --identity princ-sd",
+    "theta-verify --pair GL --n 1",
+    "theta-verify --pair B --n 1",
+]
 
 
 def calls() -> list[list[str]]:
@@ -79,6 +88,7 @@ def calls() -> list[list[str]]:
     for fam, m, n in VERIFY_RANKS:
         for what in ("lhs-sd", "lhs-d"):
             out.append(f"dump-series --family {fam} --m {m} --n {n} --what {what} --depth 6".split())
+    out += [line.split(" ") for line in MISSING_ARGUMENTS]
     return out
 
 
