@@ -635,7 +635,7 @@ def test_lhs_returns_one_series_per_flavor_and_window():
 
 
 def test_lhs_rejects_any_other_kind_before_the_memo():
-    # "sdd" used to be read as "d" and memoized under its own name
+    # a misspelt kind such as "sdd" is not read as "d", nor memoized
     system = positive_system(build_root_datum("GL", 2, 1), distinguished_order("GL", 2, 1, "p0"))
     T = window4(system, 3)
     for kind in ("sdd", "princ-sd", "D", ""):
