@@ -198,19 +198,25 @@ def highest_weight(system: PositiveSystem, sch: CharSeries) -> Weight:
     return max(sch.terms, key=lambda w: (system.ht4(w), w.coords2))
 
 
+def _condition(family: str, m: int, n: int, system: PositiveSystem) -> tuple[Weight, list[Weight]] | None:
+    """(lam, betas) when the system satisfies the orthogonality condition, else
+    None: lam is the natural module's highest weight, which must be eps_1 when
+    m = n, and betas are its ``kw_condition_roots``."""
+    lam = highest_weight(system, natural_supercharacter(family, m, n, system))
+    if m == n and lam != Weight.eps(1, (m, n)):
+        return None
+    betas = kw_condition_roots(system, lam, atypicality(family, m, n))
+    return None if betas is None else (lam, betas)
+
+
 def _condition_systems(family: str, m: int, n: int):
     """Yield (system, betas), order by order, for the systems satisfying the
     orthogonality condition; a caller that needs one stops at the first."""
-    atp = atypicality(family, m, n)
     for order in all_basis_orders(family, m, n):
         system = positive_system(build_root_datum(family, m, n), order)
-        sch = natural_supercharacter(family, m, n, system)
-        lam = highest_weight(system, sch)
-        if m == n and lam != Weight.eps(1, (m, n)):
-            continue
-        betas = kw_condition_roots(system, lam, atp)
-        if betas is not None:
-            yield system, betas
+        found = _condition(family, m, n, system)
+        if found is not None:
+            yield system, found[1]
 
 
 def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[Weight]]]:
@@ -228,15 +234,14 @@ def verify_kwfor(
 ) -> KWReport:
     """The highest-weight form over a system satisfying the orthogonality
     condition (by default the first one); checks the constant b = j_V / atp!."""
-    atp = atypicality(family, m, n)
     if system is None:
         system = next((s for s, _ in _condition_systems(family, m, n)), None)
         if system is None:
             raise ValueError("no simple system satisfies the orthogonality condition")
-    lam = highest_weight(system, natural_supercharacter(family, m, n, system))
-    betas = kw_condition_roots(system, lam, atp)
-    if betas is None:
+    found = _condition(family, m, n, system)
+    if found is None:
         raise ValueError("the given system does not satisfy the orthogonality condition")
+    lam, betas = found
     spec = WeylSum(full_weyl(system.datum), "sgn_prime", system.rho + lam, [(b, 1) for b in betas])
-    stated = stated_constants(family, m, n)[1] / factorial(atp)
+    stated = stated_constants(family, m, n)[1] / factorial(atypicality(family, m, n))
     return _sch_check("kwfor", family, m, n, system, spec, depth, stated)

@@ -1,9 +1,16 @@
 """Root data for gl(m,n), B(m,n), C(m+1), D(m,n) and positive systems.
 
 Roots are expressed in the eps/delta basis.  A positive system is encoded by
-a total order on the basis symbols; the simple roots are read off the order
-family by family, and every positive root is a nonnegative integer
-combination of them.
+a total order f_1 > ... > f_N on the signed basis symbols.  Its simple roots
+are the chain f_i - f_{i+1} and one last root that only the family and the
+kind of f_N decide: none (GL), f_N (B), 2f_N (f_N eps in C, delta in D) or
+the fork f_{N-1} + f_N.  The rest is read off that one decision.  The
+principal grading element h, which is 1 on every simple root, has f_j(h) =
+f_N(h) + N - j, where f_N(h) is 1 for f_N, 1/2 for 2f_N and 0 for the fork
+and in GL.  The coefficients of a weight on the simple roots are the partial
+sums of its coefficients on f_1, ..., f_N, halved for the last root except
+in B and corrected once at the fork, so cone membership
+(``PositiveSystem.in_positive_root_cone``) needs no linear solve.
 
 Family conventions (m = number of eps symbols, n = number of delta symbols):
 
@@ -169,9 +176,10 @@ class BasisOrder:
 
     Within each kind the indices must increase left to right (eps_1 before
     eps_2, ...), which fixes a canonical representative of the W_g-orbit.
-    A -1 sign is only allowed on eps_m in families C and D, and in D only
-    when eps_m is not the last symbol (when it is last, both signs give the
-    same simple roots and the + choice is canonical).
+    A -1 sign is only allowed on eps_m, in families C and D.  In D, when
+    eps_m is the last symbol both signs give the same simple roots; the
+    +eps_m order is the canonical one (``all_basis_orders`` lists it), and
+    ``sign_twin`` builds the other, which ``odd_reflect`` uses.
     """
 
     def __init__(self, family: str, m: int, n: int, sequence: list[Symbol]):
@@ -289,6 +297,19 @@ def all_basis_orders(family: str, m: int, n: int) -> list[BasisOrder]:
 # ---------------------------------------------------------------------------
 # positive systems
 
+def _last_simple_root(order: BasisOrder, fs: list[Weight]) -> tuple[str, Weight | None, int]:
+    """The family's simple root after the chain f_i - f_{i+1} (Kac 1977), by
+    name and value, with the 2x principal height of f_N that it forces: none
+    in GL, f_N in B, 2f_N when f_N is eps in C or delta in D, and otherwise
+    the fork f_{N-1} + f_N."""
+    if order.family == "GL":
+        return "none", None, 0
+    if order.family == "B":
+        return "f", fs[-1], 2
+    if order.sequence[-1].kind == ("e" if order.family == "C" else "d"):
+        return "2f", 2 * fs[-1], 1
+    return "fork", fs[-2] + fs[-1], 0
+
 
 class PositiveSystem:
     """Positive roots, simple roots and rho-vectors attached to a basis order.
@@ -314,8 +335,24 @@ class PositiveSystem:
         self.order = order
         self.shape = datum.shape
         self.tiebreak = tiebreak
-        self.simple_roots = self._simple_roots()
-        base = self._height_values()
+        fs = order.functionals()
+        self._last, last, last2 = _last_simple_root(order, fs)
+        chain = tuple(fs[i] - fs[i + 1] for i in range(len(fs) - 1))
+        self.simple_roots = chain if last is None else chain + (last,)
+        roots = set(datum.roots)
+        if any(a not in roots for a in self.simple_roots):
+            raise AssertionError(f"a simple root of {order} is not a root")
+        # (slot of w.coords2, sign) of each f_j, in order
+        self._slots = tuple(
+            (s.idx - 1 if s.kind == "e" else datum.m + s.idx - 1, s.sign) for s in order.sequence
+        )
+        # 2x the principal grading element h on each basis vector: alpha(h) = 1
+        # on every simple root, so f_j(h) = f_N(h) + N - j, and 2 f_N(h) = last2
+        N = len(fs)
+        base = [0] * N
+        for j, (slot, sign) in enumerate(self._slots, 1):
+            base[slot] = sign * (last2 + 2 * (N - j))
+        base = tuple(base)
         if tiebreak == 0:
             self.unit4 = 4
             self._hvals2 = base
@@ -350,54 +387,6 @@ class PositiveSystem:
             system = self._tiebreaks[seed] = PositiveSystem(self.datum, self.order, tiebreak=seed)
         return system
 
-    # -- simple roots per family ------------------------------------------
-
-    def _simple_roots(self) -> tuple[Weight, ...]:
-        fam = self.datum.family
-        fs = self.order.functionals()
-        simples = [fs[i] - fs[i + 1] for i in range(len(fs) - 1)]
-        if fam == "B":
-            simples.append(fs[-1])
-        elif fam in ("C", "D"):
-            last_kind = self.order.sequence[-1].kind
-            sp_kind = "e" if fam == "C" else "d"
-            if last_kind == sp_kind:
-                simples.append(2 * fs[-1])
-            else:
-                simples.append(fs[-2] + fs[-1])
-        allroots = set(self.datum.roots)
-        for a in simples:
-            if a not in allroots:
-                raise AssertionError(f"simple root candidate {a} is not a root")
-        return tuple(simples)
-
-    def _height_values(self) -> tuple[int, ...]:
-        """2x the value of the principal grading element on each basis vector.
-
-        The principal element h_pr satisfies alpha(h_pr) = 1 for every simple
-        root; the leftover degree of freedom (GL center) is pinned by giving
-        the last symbol the smallest value.
-        """
-        fam = self.datum.family
-        N = self.datum.m + self.datum.n
-        if fam == "GL":
-            vals2 = [2 * (N - j) for j in range(1, N + 1)]
-        elif fam == "B":
-            vals2 = [2 * (N - j + 1) for j in range(1, N + 1)]
-        else:
-            last_kind = self.order.sequence[-1].kind
-            sp_kind = "e" if fam == "C" else "d"
-            if last_kind == sp_kind:
-                vals2 = [2 * (N - j) + 1 for j in range(1, N + 1)]
-            else:
-                vals2 = [2 * (N - j) for j in range(1, N + 1)]
-        out = [0] * N
-        m = self.datum.m
-        for symbol, v2 in zip(self.order.sequence, vals2):
-            slot = symbol.idx - 1 if symbol.kind == "e" else m + symbol.idx - 1
-            out[slot] = symbol.sign * v2
-        return tuple(out)
-
     # -- heights ------------------------------------------------------------
 
     def ht4(self, w: Weight) -> int:
@@ -417,52 +406,27 @@ class PositiveSystem:
     def positive_roots(self) -> tuple[Weight, ...]:
         return self.positive_even + self.positive_odd
 
-    def simple_coefficients(self, w: Weight) -> list[Fraction] | None:
-        """Coefficients of w in the simple-root basis, or None if w is not in
-        their rational span."""
-        cols = [list(a.coords2) for a in self.simple_roots]
-        target = list(w.coords2)
-        ncols = len(cols)
-        nrows = len(target)
-        mat = [[Fraction(cols[c][r]) for c in range(ncols)] + [Fraction(target[r])] for r in range(nrows)]
-        pivots = []
-        row = 0
-        for col in range(ncols):
-            piv = next((r for r in range(row, nrows) if mat[r][col] != 0), None)
-            if piv is None:
-                continue
-            mat[row], mat[piv] = mat[piv], mat[row]
-            pv = mat[row][col]
-            mat[row] = [x / pv for x in mat[row]]
-            for r in range(nrows):
-                if r != row and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-            pivots.append(col)
-            row += 1
-            if row == nrows:
-                break
-        sol = [Fraction(0)] * ncols
-        for r, col in enumerate(pivots):
-            sol[col] = mat[r][ncols]
-        for r in range(len(pivots), nrows):
-            if mat[r][ncols] != 0:
-                return None
-        # verify (also catches free columns)
-        acc = [Fraction(0)] * nrows
-        for c in range(ncols):
-            for r in range(nrows):
-                acc[r] += sol[c] * cols[c][r]
-        if acc != [Fraction(t) for t in target]:
-            return None
-        return sol
-
     def in_positive_root_cone(self, w: Weight) -> bool:
-        """Whether w is a nonnegative integer combination of simple roots."""
-        sol = self.simple_coefficients(w)
-        if sol is None:
-            return False
-        return all(x.denominator == 1 and x >= 0 for x in sol)
+        """Whether w is a nonnegative integer combination of simple roots.
+
+        With x_j the doubled coefficient of f_j in w and S_i = x_1 + ... + x_i,
+        the doubled coefficient of f_i - f_{i+1} is S_i, and that of the last
+        root is S_N for f_N and S_N / 2 for 2f_N or the fork, which also
+        leaves (S_{N-1} - x_N) / 2 on f_{N-1} - f_N.  In GL, S_N must be 0.
+        """
+        x = [sign * w.coords2[slot] for slot, sign in self._slots]
+        S = list(itertools.accumulate(x))
+        q = [2 * s for s in S[:-1]]  # 4x the coefficients
+        if self._last == "none":
+            if S[-1]:
+                return False
+        elif self._last == "f":
+            q.append(2 * S[-1])
+        else:
+            if self._last == "fork":
+                q[-1] = S[-2] - x[-1]
+            q.append(S[-1])
+        return all(c >= 0 and c % 4 == 0 for c in q)
 
     def __repr__(self) -> str:
         return f"PositiveSystem({self.datum.family}({self.datum.m},{self.datum.n}), {self.order})"
@@ -486,19 +450,12 @@ def odd_reflect(system: PositiveSystem, alpha: Weight) -> PositiveSystem:
     if not is_isotropic(alpha):
         raise ValueError(f"{alpha} is not isotropic")
 
-    def find_swap(order: BasisOrder):
-        fs = order.functionals()
-        return next((i for i in range(len(fs) - 1) if fs[i] - fs[i + 1] == alpha), None)
-
     order = system.order
-    pos = find_swap(order)
-    if pos is None and system.datum.family == "D":
-        twin = order.sign_twin()
-        pos = find_swap(twin)
-        if pos is not None:
-            order = twin
-    if pos is None:
-        raise ValueError(f"{alpha} is not realizable as an adjacent exchange")
+    pos = system.simple_roots.index(alpha)
+    if pos == len(order.sequence) - 1:  # the last root, not a chain root
+        if system.datum.family != "D":
+            raise ValueError(f"{alpha} is not realizable as an adjacent exchange")
+        order, pos = order.sign_twin(), pos - 1
     new_system = PositiveSystem(system.datum, order.swapped(pos))
     if new_system.rho != system.rho + alpha:
         raise AssertionError("rho shift under odd reflection failed")

@@ -108,11 +108,6 @@ class Weight:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other: "Weight") -> bool:
-        # lexicographic on coordinates; used only for deterministic ordering
-        self._check(other)
-        return self.coords2 < other.coords2
-
     # -- structure ---------------------------------------------------------
 
     def eps_coords2(self) -> tuple[int, ...]:

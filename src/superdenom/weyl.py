@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .weights import Weight
 from .rootdata import RootDatum, EPS_BLOCK
 
-MAX_GROUP_ENV = "SUPERDENOM_MAX_GROUP"
-DEFAULT_MAX_GROUP = 10_000_000
-
-
-def _max_group() -> int:
-    return int(os.environ.get(MAX_GROUP_ENV, DEFAULT_MAX_GROUP))
+MAX_GROUP = 10_000_000  # closure searches past this many elements raise RuntimeError
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
     read with a negative index for a negative entry, so g o w is one lookup
     per entry of w.
     """
-    bound = _max_group()
+    bound = MAX_GROUP
     m, n = shape
     lookups = []
     for g in dict.fromkeys(generators):

@@ -6,6 +6,7 @@ out directly from its definition.
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from superdenom.denominators import window4
 from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
@@ -423,3 +424,82 @@ def reflect_simple_roots(simples, alpha):
         else:
             out.add(beta)
     return out
+
+
+def reference_height_values(system):
+    """2x the principal height of each basis vector, by the family case split:
+    f_j takes N - j + 1 in B, N - j + 1/2 when f_N is C's eps or D's delta,
+    and N - j otherwise (GL pins f_N to 0)."""
+    fam = system.datum.family
+    m, N = system.datum.m, system.datum.m + system.datum.n
+    if fam == "GL":
+        vals2 = [2 * (N - j) for j in range(1, N + 1)]
+    elif fam == "B":
+        vals2 = [2 * (N - j + 1) for j in range(1, N + 1)]
+    elif system.order.sequence[-1].kind == ("e" if fam == "C" else "d"):
+        vals2 = [2 * (N - j) + 1 for j in range(1, N + 1)]
+    else:
+        vals2 = [2 * (N - j) for j in range(1, N + 1)]
+    out = [0] * N
+    for symbol, v2 in zip(system.order.sequence, vals2):
+        slot = symbol.idx - 1 if symbol.kind == "e" else m + symbol.idx - 1
+        out[slot] = symbol.sign * v2
+    return tuple(out)
+
+
+def reference_simple_coefficients(system, w):
+    """The coefficients of w in the simple roots, by Gaussian elimination over
+    the rationals, or None when w is not in their span."""
+    cols = [a.coords2 for a in system.simple_roots]
+    ncols, nrows = len(cols), len(w.coords2)
+    mat = [[Fraction(col[r]) for col in cols] + [Fraction(w.coords2[r])] for r in range(nrows)]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, nrows) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        mat[row] = [x / mat[row][col] for x in mat[row]]
+        for r in range(nrows):
+            if r != row and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
+        pivots.append(col)
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = mat[r][ncols]
+    combo = [sum(c * col[r] for c, col in zip(sol, cols)) for r in range(nrows)]
+    return sol if combo == list(w.coords2) else None
+
+
+def reference_in_cone(system, w):
+    """Whether w is a nonnegative integer combination of the simple roots."""
+    sol = reference_simple_coefficients(system, w)
+    return sol is not None and all(x.denominator == 1 and x >= 0 for x in sol)
+
+
+def reference_odd_reflect_order(system, alpha):
+    """The order after the odd reflection at the isotropic simple root alpha,
+    found by searching the adjacent differences of the order and, in family D,
+    of its sign twin; ValueError when alpha is not an isotropic simple root
+    or neither order holds it."""
+    if alpha not in system.simple_roots:
+        raise ValueError(f"{alpha} is not a simple root")
+    if not is_isotropic(alpha):
+        raise ValueError(f"{alpha} is not isotropic")
+
+    def find_swap(order):
+        fs = order.functionals()
+        return next((i for i in range(len(fs) - 1) if fs[i] - fs[i + 1] == alpha), None)
+
+    order = system.order
+    pos = find_swap(order)
+    if pos is None and system.datum.family == "D":
+        twin = order.sign_twin()
+        pos = find_swap(twin)
+        if pos is not None:
+            order = twin
+    if pos is None:
+        raise ValueError(f"{alpha} is not realizable as an adjacent exchange")
+    return order.swapped(pos)

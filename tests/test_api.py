@@ -72,6 +72,9 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta.DualPair, "v2_character")
     assert not hasattr(series.CharSeries, "agrees_with")
     assert not hasattr(diagrams.ArcDiagram, "bracket_interval")
+    assert not hasattr(rootdata.PositiveSystem, "simple_coefficients")
+    assert "__lt__" not in vars(weights.Weight)  # object's own __lt__ is always there
+    assert not hasattr(weyl, "_max_group") and not hasattr(weyl, "MAX_GROUP_ENV")
 
 
 def _calls_by_function(name: str) -> set[str]:

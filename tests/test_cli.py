@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superdenom.cli import main
-from superdenom import denominators
+from superdenom import denominators, weyl
 from superdenom.rootdata import distinguished_order
 
 
@@ -237,7 +237,7 @@ def test_kw_check_uncovered_rank_exit_2(capsys, family, m, n, condition):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", "3")
+    monkeypatch.setattr(weyl, "MAX_GROUP", 3)
     code = main(["verify", "--identity", "princ-sd", "--family", "b", "--m", "2", "--n", "2", "--depth", "3"])
     captured = capsys.readouterr()
     assert code == 3

@@ -19,3 +19,11 @@ def test_first_two_calls_print_one_stable_digest_line_each():
         assert re.fullmatch("[0-9a-f]{64}", digest) and shown == " ".join(argv)
     assert lines[0] != lines[1]
     assert [fingerprint.fingerprint(argv) for argv in first] == lines
+
+
+def test_each_demo_prints_one_stable_digest_line():
+    scripts = sorted((ROOT / "demos").glob("*.py"))
+    lines = [fingerprint.demo_fingerprint(script) for script in scripts]
+    assert [line.split("  ", 1)[1] for line in lines] == [f"demos/{script.name}" for script in scripts]
+    assert len(set(lines)) == len(scripts)
+    assert [fingerprint.demo_fingerprint(script) for script in scripts] == lines

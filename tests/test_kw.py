@@ -4,6 +4,7 @@ import pytest
 
 import superdenom.kw as kw
 from superdenom.weights import Weight, inner
+from superdenom.rootdata import all_basis_orders, build_root_datum, positive_system
 from superdenom.kw import (
     atypicality,
     natural_supercharacter,
@@ -140,6 +141,26 @@ def test_kwfor_same_b_across_systems():
         assert rep.passed
         values.add(rep.fitted)
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("fam,order", [
+    ("GL", "d1>e1>e2>d2"),
+    ("GL", "d1>e1>d2>e2"),
+    ("GL", "d1>d2>e1>e2"),
+    ("D", "d1>e1>e2>d2"),
+    ("D", "d1>e1>d2>e2"),
+    ("D", "d1>d2>e1>e2"),
+    ("D", "d1>e1>-e2>d2"),
+])
+def test_kwfor_rejects_a_system_whose_highest_weight_is_delta_1(fam, order):
+    # for m = n the condition holds on these orders only for lam = delta_1,
+    # which the identity does not cover; the default search skips them too
+    (basis_order,) = [o for o in all_basis_orders(fam, 2, 2) if repr(o) == order]
+    system = positive_system(build_root_datum(fam, 2, 2), basis_order)
+    assert highest_weight(system, natural_supercharacter(fam, 2, 2, system)) == Weight.delta(1, (2, 2))
+    assert order not in [repr(s.order) for s, _ in kw_systems(fam, 2, 2)]
+    with pytest.raises(ValueError, match="does not satisfy the orthogonality condition"):
+        verify_kwfor(fam, 2, 2, system=system, depth=5)
 
 
 def test_kw_condition_search():

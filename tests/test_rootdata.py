@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superdenom.diagrams import enumerate_diagrams
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.rootdata import (
     build_root_datum,
@@ -14,7 +17,12 @@ from superdenom.rootdata import (
     Symbol,
 )
 
-from _oracles import reflect_simple_roots
+from _oracles import (
+    reference_height_values,
+    reference_in_cone,
+    reference_odd_reflect_order,
+    reflect_simple_roots,
+)
 
 SMALL_GRID = [
     ("GL", m, n) for m in range(1, 4) for n in range(1, 4) if m + n <= 5
@@ -218,3 +226,65 @@ def test_unsupported_ranks():
         build_root_datum("B", 2, 0)
     with pytest.raises(ValueError):
         build_root_datum("GL", 0, 0)
+
+
+# every rank with m + n <= 5 of GL, B and D, and C(1..4,1)
+ORACLE_GRID = (
+    [("GL", m, n) for m in range(6) for n in range(6) if 1 <= m + n <= 5]
+    + [("B", m, n) for m in range(5) for n in range(1, 6) if m + n <= 5]
+    + [("D", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
+    + [("C", m, 1) for m in range(1, 5)]
+)
+
+
+@functools.cache
+def systems(family, m, n):
+    """A system for every canonical order and, in D, every sign twin."""
+    orders = all_basis_orders(family, m, n)
+    if family == "D":
+        orders += [o.sign_twin() for o in orders if o.sign_twin() not in orders]
+    datum = build_root_datum(family, m, n)
+    return [positive_system(datum, order) for order in orders]
+
+
+def _odd_reflect_outcome(reflect, system, alpha):
+    try:
+        return reflect(system, alpha)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("family,m,n", ORACLE_GRID)
+def test_heights_and_cone_match_the_oracles(family, m, n):
+    for system in systems(family, m, n):
+        assert system._base_hvals2 == reference_height_values(system), system
+        assert all(system.height(a) == 1 for a in system.simple_roots), system
+        brackets = [X.bracket(g) for X in enumerate_diagrams(system) for g in X.isotropic_set()]
+        for w in system.datum.roots + tuple(brackets):
+            assert system.in_positive_root_cone(w) == reference_in_cone(system, w), (system, w)
+
+
+@pytest.mark.parametrize("family,m,n", ORACLE_GRID)
+def test_odd_reflect_matches_the_swap_search(family, m, n):
+    for system in systems(family, m, n):
+        for alpha in system.datum.roots:
+            got = _odd_reflect_outcome(lambda s, a: odd_reflect(s, a).order, system, alpha)
+            assert got == _odd_reflect_outcome(reference_odd_reflect_order, system, alpha), (system, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rank=st.sampled_from(ORACLE_GRID),
+    pick=st.integers(0, 63),
+    coeffs=st.lists(st.integers(-1, 3), min_size=5, max_size=5),
+    noise=st.one_of(st.just([0] * 5), st.lists(st.integers(-2, 2), min_size=5, max_size=5)),
+)
+def test_cone_matches_the_oracle_on_drawn_weights(rank, pick, coeffs, noise):
+    # a combination of simple roots, kept or moved by a half-integral offset,
+    # so that both members and near misses of the cone are drawn
+    options = systems(*rank)
+    system = options[pick % len(options)]
+    N = sum(system.shape)
+    coords2 = [e + sum(c * a.coords2[i] for c, a in zip(coeffs, system.simple_roots)) for i, e in enumerate(noise[:N])]
+    w = Weight(coords2, system.shape)
+    assert system.in_positive_root_cone(w) == reference_in_cone(system, w), (system, w)

@@ -120,11 +120,11 @@ def test_closure_rejects_a_generator_of_another_shape():
 @pytest.mark.parametrize("bound", [1, 5, 15])
 def test_closure_raises_past_the_group_bound(monkeypatch, bound):
     datum = build_root_datum("B", 2, 1)  # |W_g| = 16
-    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", str(bound))
+    monkeypatch.setattr(weyl, "MAX_GROUP", bound)
     with pytest.raises(RuntimeError) as exc:
         full_weyl(datum)
     assert str(exc.value) == f"group enumeration exceeded bound {bound}"
-    monkeypatch.setenv("SUPERDENOM_MAX_GROUP", "16")
+    monkeypatch.setattr(weyl, "MAX_GROUP", 16)
     assert len(full_weyl(datum)) == 16
 
 

@@ -1,11 +1,12 @@
-"""Print one digest per CLI call, so that two checkouts' outputs compare by `diff`.
+"""Print one digest per CLI call and per demo, so that two checkouts' outputs compare by `diff`.
 
     python3 tools/fingerprint.py > after.txt
 
-Runs a fixed list of `superdenom` calls in-process, against the `src` of the
-checkout this script sits in, and prints one line per call:
+Runs a fixed list of `superdenom` calls, then every `demos/*.py` script, all
+in-process against the `src` of the checkout this script sits in, and prints
+one line each:
 
-    <sha256 of stdout, stderr and the exit status>  <argv>
+    <sha256 of stdout, stderr and the exit status>  <argv, or demos/<script>>
 
 The list holds the README examples; `verify` of every kind with `--orders
 all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6
@@ -13,7 +14,8 @@ all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6
 compact-pair kinds on their own orders; `theta-table` and `theta-verify` for
 each pair; `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
-argument and exit 2.  Stdlib only.
+argument and exit 2.  The demos print what no CLI call does: simple roots,
+odd reflections and root-cone verdicts.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import hashlib
 import io
 import json
 import pathlib
+import runpy
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from superdenom.cli import main  # noqa: E402
 from superdenom.denominators import IDENTITY_KINDS  # noqa: E402
@@ -92,16 +96,35 @@ def calls() -> list[list[str]]:
     return out
 
 
-def fingerprint(argv: list[str]) -> str:
-    """The digest line of one call: its stdout, its stderr and its exit status."""
+def _digest(run, label: str) -> str:
+    """The digest line of one in-process run: its stdout, its stderr and the
+    exit status that ``run`` returns."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = run()
     text = f"{out.getvalue()}\n--stderr--\n{err.getvalue()}\nexit {code}\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return f"{digest}  {' '.join(argv)}"
+    return f"{digest}  {label}"
+
+
+def fingerprint(argv: list[str]) -> str:
+    """The digest line of one call: its stdout, its stderr and its exit status."""
+    return _digest(lambda: main(argv), " ".join(argv))
+
+
+def demo_fingerprint(script: pathlib.Path) -> str:
+    """The digest line of one demo script, run as ``__main__``; a script that
+    raises fails this tool rather than printing a digest."""
+
+    def run() -> int:
+        runpy.run_path(str(script), run_name="__main__")
+        return 0
+
+    return _digest(run, f"demos/{script.name}")
 
 
 if __name__ == "__main__":
     for argv in calls():
         print(fingerprint(argv), flush=True)
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        print(demo_fingerprint(script), flush=True)
