@@ -18,7 +18,7 @@ from .rootdata import (
     build_root_datum,
     positive_system,
     all_basis_orders,
-    distinguished_order,
+    distinguished_orders,
     BasisOrder,
 )
 from .diagrams import ArcDiagram, enumerate_diagrams, reduce_to_simple
@@ -31,14 +31,7 @@ def _resolve_orders(args, family, m, n):
     if args.orders == "all":
         return all_basis_orders(family, m, n)
     if args.orders == "distinguished":
-        fam = family.upper()
-        if fam == "GL":
-            return [distinguished_order("GL", m, n, f"p{p}") for p in range(m + 1)]
-        if fam == "B":
-            return [distinguished_order("B", m, n)]
-        if fam == "D":
-            return [distinguished_order("D", m, n, v) for v in ("D1", "D2", "D2'")]
-        return [distinguished_order("C", m, 1, v) for v in ("C1", "C2")]
+        return distinguished_orders(family, m, n)
     doc = json.loads(args.orders)
     return [BasisOrder.from_json(family, m, n, doc)]
 

@@ -37,15 +37,16 @@ nothing is floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .weights import Weight, is_isotropic, weight_sum
 from .rootdata import (
     EPS_BLOCK,
+    FAMILY_BLOCKS,
     RootDatum,
     PositiveSystem,
+    block_weyl,
     build_root_datum,
     distinguished_order,
     positive_system,
@@ -76,18 +77,11 @@ def _flavor(kind: str) -> str:
 
 
 def c_g(datum: RootDatum) -> int:
-    """|W_g / W#| in terms of family and defect (table of explicit values)."""
-    d = datum.defect
-    fam = datum.family
-    if fam == "GL":
-        return math.factorial(d)
-    if fam == "B":
-        return (2 ** d) * math.factorial(d)
-    if fam == "C":
-        return 1
-    if datum.m > datum.n:
-        return (2 ** d) * math.factorial(d)
-    return (2 ** (d - 1)) * math.factorial(d) if d >= 1 else 1
+    """|W_g / W#|: the order of the Weyl group of the even block that W# does
+    not act on."""
+    eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
+    other, size = (delta_type, datum.n) if datum.dual_coxeter_sign == EPS_BLOCK else (eps_type, datum.m)
+    return block_weyl(other, size)[1]
 
 
 def princ_constant(system: PositiveSystem, X: ArcDiagram) -> Fraction:

@@ -39,13 +39,18 @@ def atypicality(family: str, m: int, n: int) -> int:
 
 def _check_rank(family: str, m: int, n: int) -> None:
     """Reject the families and ranks that the natural-module identities do not
-    cover: gl and D need m >= n, B needs m > n."""
+    cover: gl and D need m >= n, B needs m > n.  The stated constant is read
+    off the algebra of rank (m - 1, n), so gl also needs m + n >= 2 and D
+    needs m >= 2 (at D(1,1) the fit is 1 against a stated 1/2)."""
     family = family.upper()
     if family not in ("GL", "B", "D"):
         raise ValueError("natural-module identities cover GL, B, D")
     if m < n or (family == "B" and m == n):
         cond = "m > n" if family == "B" else "m >= n"
         raise ValueError(f"the {family}-type natural-module identities need {cond}")
+    if (family == "GL" and m + n < 2) or (family == "D" and m < 2):
+        cond = "m + n >= 2" if family == "GL" else "m >= 2"
+        raise ValueError(f"the {family}-type natural-module identities need {cond}, got {family}({m},{n})")
 
 
 def natural_supercharacter(family: str, m: int, n: int, system: PositiveSystem) -> CharSeries:

@@ -12,29 +12,45 @@ sums of its coefficients on f_1, ..., f_N, halved for the last root except
 in B and corrected once at the fork, so cone membership
 (``PositiveSystem.in_positive_root_cone``) needs no linear solve.
 
-Family conventions (m = number of eps symbols, n = number of delta symbols):
+Each family is two even blocks, one on the eps and one on the delta
+coordinates, plus its odd roots (m = number of eps symbols, n = number of
+delta symbols).  ``FAMILY_BLOCKS`` declares this once:
 
-* GL(m,n): even roots eps_i - eps_j, delta_k - delta_l; odd roots
-  +-(eps_i - delta_k).
-* B(m,n): even +-{eps_i +- eps_j, eps_i, delta_k +- delta_l, 2 delta_k};
-  odd +-{delta_k +- eps_i, delta_k}.  Requires n >= 1.
-* C(m): one delta symbol (n = 1); even +-{eps_i +- eps_j, 2 eps_i}; odd
-  +-{delta_1 +- eps_i}.  This is the superalgebra usually called C(m+1).
-* D(m,n): even +-{eps_i +- eps_j, delta_k +- delta_l, 2 delta_k}; odd
-  +-{eps_i +- delta_k}.  Requires m, n >= 1.
+    family   eps block  delta block  2 h_vee    odd roots
+    GL(m,n)  A          A            2(m-n)     +-(eps_i - delta_k)
+    B(m,n)   B          C            2(m-n)-1   +-eps_i +- delta_k, +-delta_k
+    C(m)     C          none         positive   +-eps_i +- delta_1
+    D(m,n)   D          C            2(m-n-1)   +-eps_i +- delta_k
+
+A block on coordinates f has the even roots f_i - f_j (A) or +-f_i +- f_j,
+and also +-f_i (B) or +-2f_i (C).  B needs n >= 1, D needs m, n >= 1, and
+C(m), usually called C(m+1), has n = 1.  W# is the Weyl group of the eps
+block when 2 h_vee >= 0, else of the delta block; C_g = |W_g/W#| is the
+order of the other block's group (``block_weyl``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .weights import Weight, is_isotropic, weight_sum
 
-FAMILIES = ("GL", "B", "C", "D")
+# Each family as two even blocks, the type of the root system on the eps and
+# on the delta coordinates ("" for none), and twice its dual Coxeter number
+# h_vee (Kac 1977), of which only the sign is read.
+FAMILY_BLOCKS = {
+    "GL": ("A", "A", lambda m, n: 2 * (m - n)),
+    "B": ("B", "C", lambda m, n: 2 * (m - n) - 1),
+    "C": ("C", "", lambda m, n: 1),  # positive
+    "D": ("D", "C", lambda m, n: 2 * (m - n - 1)),
+}
+FAMILIES = tuple(FAMILY_BLOCKS)
 
-# sign of the dual Coxeter number, deciding which even block carries W#
+# the even block that carries W#: the eps block when 2 h_vee >= 0, which
+# resolves the h_vee = 0 cases gl(n,n) and D(n+1,n) to it
 EPS_BLOCK = "positive-eps-block"
 DELTA_BLOCK = "positive-delta-block"
 
@@ -67,71 +83,44 @@ def build_root_datum(family: str, m: int, n: int) -> RootDatum:
         raise ValueError(f"unknown family {family!r}")
     if m < 0 or n < 0:
         raise ValueError("ranks must be nonnegative")
+    if family == "GL" and m + n == 0:
+        raise ValueError("gl(0,0) is not supported")
+    if family == "B" and n < 1:
+        raise ValueError("B(m,n) needs n >= 1")
+    if family == "C" and (n != 1 or m < 1):
+        raise ValueError("family C carries exactly one delta symbol (n = 1)" if n != 1 else "C needs m >= 1")
+    if family == "D" and (m < 1 or n < 1):
+        raise ValueError("D(m,n) needs m, n >= 1")
+    eps_type, delta_type, h2 = FAMILY_BLOCKS[family]
     shape = (m, n)
     eps = [Weight.eps(i, shape) for i in range(1, m + 1)]
     dl = [Weight.delta(j, shape) for j in range(1, n + 1)]
     even: list[Weight] = []
-    odd: list[Weight] = []
-
-    if family == "GL":
-        if m + n == 0:
-            raise ValueError("gl(0,0) is not supported")
-        even += [eps[i] - eps[j] for i in range(m) for j in range(m) if i != j]
-        even += [dl[k] - dl[l] for k in range(n) for l in range(n) if k != l]
-        for e in eps:
-            for d in dl:
-                odd += [e - d, d - e]
-    elif family == "B":
-        if n < 1:
-            raise ValueError("B(m,n) needs n >= 1")
-        for i, j in itertools.combinations(range(m), 2):
-            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
-        even += [e for e in eps] + [-e for e in eps]
-        for k, l in itertools.combinations(range(n), 2):
-            even += [dl[k] + dl[l], dl[k] - dl[l], -dl[k] - dl[l], dl[l] - dl[k]]
-        even += [2 * d for d in dl] + [-2 * d for d in dl]
-        for d in dl:
-            for e in eps:
-                odd += [d + e, d - e, -d - e, e - d]
-        odd += [d for d in dl] + [-d for d in dl]
-    elif family == "C":
-        if n != 1:
-            raise ValueError("family C carries exactly one delta symbol (n = 1)")
-        if m < 1:
-            raise ValueError("C needs m >= 1")
-        for i, j in itertools.combinations(range(m), 2):
-            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
-        even += [2 * e for e in eps] + [-2 * e for e in eps]
-        d = dl[0]
-        for e in eps:
-            odd += [d + e, d - e, -d - e, e - d]
-    else:  # D
-        if m < 1 or n < 1:
-            raise ValueError("D(m,n) needs m, n >= 1")
-        for i, j in itertools.combinations(range(m), 2):
-            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
-        for k, l in itertools.combinations(range(n), 2):
-            even += [dl[k] + dl[l], dl[k] - dl[l], -dl[k] - dl[l], dl[l] - dl[k]]
-        even += [2 * d for d in dl] + [-2 * d for d in dl]
-        for e in eps:
-            for d in dl:
-                odd += [e + d, e - d, -e - d, d - e]
-
-    sign = _dual_coxeter_sign(family, m, n)
+    for kind, fs in ((eps_type, eps), (delta_type, dl)):
+        for f, g in itertools.combinations(fs, 2):
+            even += [f - g, g - f] if kind == "A" else [f + g, f - g, -f - g, g - f]
+        if kind in ("B", "C"):  # the short roots +-f (B) or the long roots +-2f (C)
+            even += [c * f for c in ((1, -1) if kind == "B" else (2, -2)) for f in fs]
+    signs = [(1, -1), (-1, 1)] if eps_type == "A" else [(1, 1), (1, -1), (-1, -1), (-1, 1)]
+    odd = [s * e + t * d for e in eps for d in dl for s, t in signs]
+    if eps_type == "B":  # the zero weight that gives a B block +-eps_i also gives +-delta_k
+        odd += [c * d for c in (1, -1) for d in dl]
+    sign = EPS_BLOCK if h2(m, n) >= 0 else DELTA_BLOCK
     return RootDatum(family, m, n, tuple(even), tuple(odd), sign)
 
 
-def _dual_coxeter_sign(family: str, m: int, n: int) -> str:
-    # h_vee: GL m-n, B m-n-1/2, C positive on the eps block, D m-n-1.
-    # The h_vee = 0 cases (gl(n,n), D(n+1,n)) are resolved to the eps block;
-    # the identity suite validates that choice.
-    if family == "GL":
-        return DELTA_BLOCK if m < n else EPS_BLOCK
-    if family == "B":
-        return EPS_BLOCK if m > n else DELTA_BLOCK
-    if family == "C":
-        return EPS_BLOCK
-    return EPS_BLOCK if m >= n + 1 else DELTA_BLOCK
+def block_weyl(kind: str, k: int) -> tuple[str, int]:
+    """The sign flips (as ``weyl.signed_permutations`` takes them) and the
+    order of the Weyl group of an even block of type ``kind`` on k
+    coordinates: "none" and k! for A, "all" and 2^k k! for B and C, "even"
+    and 2^(k-1) k! for D, and the trivial group for no block."""
+    if kind == "A":
+        return "none", math.factorial(k)
+    if kind in ("B", "C"):
+        return "all", 2**k * math.factorial(k)
+    if kind == "D":
+        return "even", 2 ** max(k - 1, 0) * math.factorial(k)
+    return "none", 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +289,14 @@ def all_basis_orders(family: str, m: int, n: int) -> list[BasisOrder]:
 def _last_simple_root(order: BasisOrder, fs: list[Weight]) -> tuple[str, Weight | None, int]:
     """The family's simple root after the chain f_i - f_{i+1} (Kac 1977), by
     name and value, with the 2x principal height of f_N that it forces: none
-    in GL, f_N in B, 2f_N when f_N is eps in C or delta in D, and otherwise
-    the fork f_{N-1} + f_N."""
-    if order.family == "GL":
+    in GL, f_N in B, 2f_N when the block of f_N is of type C (the eps of C,
+    the deltas of D), and otherwise the fork f_{N-1} + f_N."""
+    eps_type, delta_type, _ = FAMILY_BLOCKS[order.family]
+    if eps_type == "A":
         return "none", None, 0
-    if order.family == "B":
+    if eps_type == "B":
         return "f", fs[-1], 2
-    if order.sequence[-1].kind == ("e" if order.family == "C" else "d"):
+    if (eps_type if order.sequence[-1].kind == "e" else delta_type) == "C":
         return "2f", 2 * fs[-1], 1
     return "fork", fs[-2] + fs[-1], 0
 
@@ -501,3 +491,11 @@ def distinguished_order(family: str, m: int, n: int, variant: str = "") -> Basis
             return standard_order("C", m, 1, "d" + "e" * m)
         raise ValueError("C variants: C1, C2")
     raise ValueError(f"unknown family {family!r}")
+
+
+def distinguished_orders(family: str, m: int, n: int) -> list[BasisOrder]:
+    """Every distinguished order of the family: GL p0, ..., pm, B, D1, D2,
+    D2' and C1, C2."""
+    family = family.upper()
+    variants = {"GL": [f"p{p}" for p in range(m + 1)], "D": ["D1", "D2", "D2'"], "C": ["C1", "C2"]}
+    return [distinguished_order(family, m, n, v) for v in variants.get(family, [""])]

@@ -36,8 +36,8 @@ Both routes, the table assembly and the duality check are written once on
   entry, and the sign and bucket ('+' or '-') of one flip.
 
 B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``,
-set by the class attributes ``block`` ("d" or "e"), ``block_flips`` and
-``compact_flips`` ("all" for W(B) = W(C), "even" for W(D)).  The basis twist
+set by the class attribute ``block`` ("d" or "e"); the sign flips of both
+Weyl groups are read off the family's block types.  The basis twist
 s_{eps_m} of the primed D2 pair is read off the one -1 sign of its order.
 """
 
@@ -47,6 +47,8 @@ from dataclasses import dataclass
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
+    FAMILY_BLOCKS,
+    block_weyl,
     build_root_datum,
     distinguished_order,
     positive_system,
@@ -342,19 +344,17 @@ class OneBlockPair(DualPair):
     """The pairs whose noncompact member acts on one coordinate block: the
     deltas for Sp(2n,R) (B and D1), the eps for SO*(2m) (D2).
 
-    A subclass names its family and order variant, the noncompact ``block``
-    ("d" or "e"), the sign flips of its Weyl group (``block_flips``: "all" for
-    W(C_n), "even" for W(D_m)) and those of the compact Weyl group
-    (``compact_flips``).  A -1 sign in the basis order (only D2' has one)
-    twists the Levi block, the lowest weights and the Enright candidates by
-    the reflection in that symbol.
+    A subclass names its family and order variant and the noncompact
+    ``block`` ("d" or "e").  The Weyl groups of the noncompact and the compact
+    block are those of the family's block types (``rootdata.FAMILY_BLOCKS``):
+    W(C_n) on the deltas, W(B_m) or W(D_m) on the eps.  A -1 sign in the
+    basis order (only D2' has one) twists the Levi block, the lowest weights
+    and the Enright candidates by the reflection in that symbol.
     """
 
     family = ""
     variant = ""
     block = ""
-    block_flips = ""
-    compact_flips = ""
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
@@ -369,6 +369,10 @@ class OneBlockPair(DualPair):
         lo, hi = (0, m) if self.block == "e" else (m, m + n)
         self.block_size = hi - lo
         self.compact_kind, compact_size = ("d", n) if self.block == "e" else ("e", m)
+        eps_type, delta_type, _ = FAMILY_BLOCKS[self.family]
+        types = {"e": eps_type, "d": delta_type}
+        self.block_flips = block_weyl(types[self.block], self.block_size)[0]
+        compact_flips = block_weyl(types[self.compact_kind], compact_size)[0]
         pos0 = set(sys_.positive_even)
         s2_pos = [a for a in pos0 if any(a.coords2[lo:hi])]
         a_pos = [a for a in s2_pos if sum(self._tw(a).coords2[lo:hi]) == 0]
@@ -379,7 +383,7 @@ class OneBlockPair(DualPair):
             t = self.twist
             levi_elements = sorted((t.compose(w).compose(t) for w in levi_elements), key=WeylElement.sort_key)
         s2_elements = signed_permutations(sh, self.block, block_range, flips=self.block_flips)
-        compact_elements = signed_permutations(sh, self.compact_kind, compact_range, flips=self.compact_flips)
+        compact_elements = signed_permutations(sh, self.compact_kind, compact_range, flips=compact_flips)
         self.s2_block = Block(sys_, s2_pos, s2_elements)
         self.levi_block = Block(sys_, a_pos, levi_elements)
         self.levi_runs = [(lo, hi)]
@@ -420,12 +424,10 @@ class SpPair(OneBlockPair):
 
     The noncompact side Sp(2n,R) lives on the delta coordinates and is the
     same for k = 2m+1 (family B) and k = 2m (family D); the subclasses fix
-    the family and the compact Weyl group W(B_m) or W(D_m).
+    the family, and with it the compact Weyl group W(B_m) or W(D_m).
     """
 
     block = "d"
-    block_flips = "all"
-    compact_flips = "all"  # W(B_m); "even" for W(D_m)
 
     def nu(self, a) -> Weight:
         j = exact_parts(a)
@@ -475,8 +477,6 @@ class D2Pair(OneBlockPair):
 
     family = "D"
     block = "e"
-    block_flips = "even"
-    compact_flips = "all"
 
     def __init__(self, m: int, n: int, primed: bool = False):
         self.tag = self.variant = "D2'" if primed else "D2"
@@ -498,7 +498,6 @@ class D1Pair(SpPair):
     tag = "D1"
     family = "D"
     variant = "D1"
-    compact_flips = "even"
 
     def __init__(self, m: int, n: int):
         if m < 2:

@@ -8,16 +8,16 @@ builds every named factor on one block: W(A), W(B) = W(C), W(D) and the
 groups of sign flips.  sgn is the determinant of the action; sgn' twists it
 by the sign flips that do not come from reflections in \\bar Delta_0 (delta
 flips in family B, eps flips in family D and its extension by s_{eps_i}).
+The family's two blocks come from ``rootdata.FAMILY_BLOCKS``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .weights import Weight
-from .rootdata import RootDatum, EPS_BLOCK
+from .rootdata import FAMILY_BLOCKS, RootDatum, EPS_BLOCK, block_weyl
 
 MAX_GROUP = 10_000_000  # closure searches past this many elements raise RuntimeError
 
@@ -93,16 +93,17 @@ def sgn(w: WeylElement) -> int:
 def sgn_prime(w: WeylElement, family: str) -> int:
     """Sign counting only reflections from \\bar Delta_0^+.
 
-    In family B the delta sign flips come from the long roots 2 delta_k whose
-    halves are odd roots, so they do not count; in family D (including the
-    extension by the s_{eps_i}) the eps flips do not count.  In GL and C
+    Next to a B eps block (family B) the delta sign flips come from the long
+    roots 2 delta_k whose halves are odd roots, so they do not count; a D
+    eps block (family D, including the extension by the s_{eps_i}) has no
+    reflection that flips one sign, so its flips do not count.  In GL and C
     sgn' coincides with sgn.
     """
-    family = family.upper()
+    eps_type = FAMILY_BLOCKS[family.upper()][0]
     s = sgn(w)
-    if family == "B":
+    if eps_type == "B":
         s *= _sign_product(w.img[w.m:])
-    elif family == "D":
+    elif eps_type == "D":
         s *= _sign_product(w.img[: w.m])
     return s
 
@@ -212,26 +213,17 @@ def full_weyl(datum: RootDatum) -> list[WeylElement]:
 
 
 def weyl_order(datum: RootDatum) -> int:
-    fam, m, n = datum.family, datum.m, datum.n
-    if fam == "GL":
-        return math.factorial(m) * math.factorial(n)
-    if fam == "B":
-        return (2 ** m) * math.factorial(m) * (2 ** n) * math.factorial(n)
-    if fam == "C":
-        return (2 ** m) * math.factorial(m)
-    return (2 ** max(m - 1, 0)) * math.factorial(m) * (2 ** n) * math.factorial(n)
+    """|W_g|, the product of the orders of the two blocks' Weyl groups."""
+    eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
+    return block_weyl(eps_type, datum.m)[1] * block_weyl(delta_type, datum.n)[1]
 
 
 def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
-    """W#, the reflections in the even block singled out by the sign of h_vee."""
-    block = datum.dual_coxeter_sign
-    gens = []
-    for a in datum.even_roots:
-        eps_part = any(a.eps_coords2())
-        if (block == EPS_BLOCK) != eps_part:
-            continue
-        gens.append(reflection(a))
-    return enumerate_closure(gens, datum.shape)
+    """W#, the Weyl group of the even block singled out by the sign of h_vee."""
+    eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
+    on_eps = datum.dual_coxeter_sign == EPS_BLOCK
+    kind, block, size = ("e", eps_type, datum.m) if on_eps else ("d", delta_type, datum.n)
+    return signed_permutations(datum.shape, kind, range(1, size + 1), flips=block_weyl(block, size)[0])
 
 
 def signed_permutations(

@@ -5,11 +5,13 @@ out directly from its definition.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from superdenom.denominators import window4
 from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
+from superdenom.rootdata import DELTA_BLOCK, EPS_BLOCK, RootDatum
 from superdenom.series import CharSeries, product_expansion
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import WeylElement, sgn
@@ -503,3 +505,109 @@ def reference_odd_reflect_order(system, alpha):
     if pos is None:
         raise ValueError(f"{alpha} is not realizable as an adjacent exchange")
     return order.swapped(pos)
+
+
+def reference_root_datum(family, m, n):
+    """The root datum written out family by family: the even and odd roots
+    of each family listed by hand, and the sign of h_vee by its own case
+    split (``reference_dual_coxeter_sign``); raises the same ValueError
+    messages as ``build_root_datum``."""
+    family = family.upper()
+    if family not in ("GL", "B", "C", "D"):
+        raise ValueError(f"unknown family {family!r}")
+    if m < 0 or n < 0:
+        raise ValueError("ranks must be nonnegative")
+    shape = (m, n)
+    eps = [Weight.eps(i, shape) for i in range(1, m + 1)]
+    dl = [Weight.delta(j, shape) for j in range(1, n + 1)]
+    even, odd = [], []
+    if family == "GL":
+        if m + n == 0:
+            raise ValueError("gl(0,0) is not supported")
+        even += [eps[i] - eps[j] for i in range(m) for j in range(m) if i != j]
+        even += [dl[k] - dl[l] for k in range(n) for l in range(n) if k != l]
+        for e in eps:
+            for d in dl:
+                odd += [e - d, d - e]
+    elif family == "B":
+        if n < 1:
+            raise ValueError("B(m,n) needs n >= 1")
+        for i, j in itertools.combinations(range(m), 2):
+            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
+        even += [e for e in eps] + [-e for e in eps]
+        for k, l in itertools.combinations(range(n), 2):
+            even += [dl[k] + dl[l], dl[k] - dl[l], -dl[k] - dl[l], dl[l] - dl[k]]
+        even += [2 * d for d in dl] + [-2 * d for d in dl]
+        for d in dl:
+            for e in eps:
+                odd += [d + e, d - e, -d - e, e - d]
+        odd += [d for d in dl] + [-d for d in dl]
+    elif family == "C":
+        if n != 1:
+            raise ValueError("family C carries exactly one delta symbol (n = 1)")
+        if m < 1:
+            raise ValueError("C needs m >= 1")
+        for i, j in itertools.combinations(range(m), 2):
+            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
+        even += [2 * e for e in eps] + [-2 * e for e in eps]
+        d = dl[0]
+        for e in eps:
+            odd += [d + e, d - e, -d - e, e - d]
+    else:
+        if m < 1 or n < 1:
+            raise ValueError("D(m,n) needs m, n >= 1")
+        for i, j in itertools.combinations(range(m), 2):
+            even += [eps[i] + eps[j], eps[i] - eps[j], -eps[i] - eps[j], eps[j] - eps[i]]
+        for k, l in itertools.combinations(range(n), 2):
+            even += [dl[k] + dl[l], dl[k] - dl[l], -dl[k] - dl[l], dl[l] - dl[k]]
+        even += [2 * d for d in dl] + [-2 * d for d in dl]
+        for e in eps:
+            for d in dl:
+                odd += [e + d, e - d, -e - d, d - e]
+    return RootDatum(family, m, n, tuple(even), tuple(odd), reference_dual_coxeter_sign(family, m, n))
+
+
+def reference_dual_coxeter_sign(family, m, n):
+    """h_vee: GL m-n, B m-n-1/2, C positive on the eps block, D m-n-1; the
+    h_vee = 0 cases (gl(n,n), D(n+1,n)) go to the eps block."""
+    if family == "GL":
+        return DELTA_BLOCK if m < n else EPS_BLOCK
+    if family == "B":
+        return EPS_BLOCK if m > n else DELTA_BLOCK
+    if family == "C":
+        return EPS_BLOCK
+    return EPS_BLOCK if m >= n + 1 else DELTA_BLOCK
+
+
+def reference_weyl_order(datum):
+    """|W_g| by a closed form per family."""
+    fam, m, n = datum.family, datum.m, datum.n
+    if fam == "GL":
+        return math.factorial(m) * math.factorial(n)
+    if fam == "B":
+        return (2 ** m) * math.factorial(m) * (2 ** n) * math.factorial(n)
+    if fam == "C":
+        return (2 ** m) * math.factorial(m)
+    return (2 ** max(m - 1, 0)) * math.factorial(m) * (2 ** n) * math.factorial(n)
+
+
+def reference_c_g(datum):
+    """|W_g / W#| by a closed form per family in the defect d = min(m, n)."""
+    d = datum.defect
+    fam = datum.family
+    if fam == "GL":
+        return math.factorial(d)
+    if fam == "B":
+        return (2 ** d) * math.factorial(d)
+    if fam == "C":
+        return 1
+    if datum.m > datum.n:
+        return (2 ** d) * math.factorial(d)
+    return (2 ** (d - 1)) * math.factorial(d) if d >= 1 else 1
+
+
+def reference_sharp_generators(datum):
+    """The reflections in the even roots of the block that the sign of h_vee
+    singles out, the eps block for ``EPS_BLOCK``."""
+    eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
+    return [reference_reflection(a) for a in datum.even_roots if any(a.eps_coords2()) == eps_sharp]

@@ -226,6 +226,8 @@ def test_json_of_the_wrong_shape_exit_2(capsys, argv, message):
     ("gl", 1, 2, "m >= n"),
     ("b", 1, 2, "m > n"),
     ("d", 1, 2, "m >= n"),
+    ("d", 1, 1, "m >= 2, got D(1,1)"),
+    ("gl", 1, 0, "m + n >= 2, got GL(1,0)"),
 ])
 def test_kw_check_uncovered_rank_exit_2(capsys, family, m, n, condition):
     code = main(["kw-check", "--family", family, "--m", str(m), "--n", str(n)])

@@ -4,8 +4,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superdenom.denominators import c_g
 from superdenom.diagrams import enumerate_diagrams
 from superdenom.weights import Weight, inner, is_isotropic
+from superdenom.weyl import enumerate_closure, full_weyl, sharp_subgroup, weyl_order
 from superdenom.rootdata import (
     build_root_datum,
     standard_order,
@@ -13,11 +15,16 @@ from superdenom.rootdata import (
     positive_system,
     odd_reflect,
     distinguished_order,
+    distinguished_orders,
     BasisOrder,
     Symbol,
 )
 
 from _oracles import (
+    reference_c_g,
+    reference_root_datum,
+    reference_sharp_generators,
+    reference_weyl_order,
     reference_height_values,
     reference_in_cone,
     reference_odd_reflect_order,
@@ -226,6 +233,49 @@ def test_unsupported_ranks():
         build_root_datum("B", 2, 0)
     with pytest.raises(ValueError):
         build_root_datum("GL", 0, 0)
+
+
+# every family and rank with m + n <= 6, blocks of size 0 and the rejected
+# ranks included, and two spellings the family check must handle
+FAMILY_GRID = [
+    (family, m, n) for family in ("GL", "B", "C", "D") for m in range(-1, 7) for n in range(-1, 7) if m + n <= 6
+] + [("gl", 2, 1), ("E", 1, 1)]
+
+
+@pytest.mark.parametrize("family,m,n", FAMILY_GRID)
+def test_family_table_matches_the_per_family_oracles(family, m, n):
+    # the roots, the h_vee sign, |W_g|, C_g and W# against the family-by-family
+    # definitions; a rank the oracle rejects must be rejected with its message
+    try:
+        ref = reference_root_datum(family, m, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_root_datum(family, m, n)
+        assert str(got.value) == str(exc)
+        return
+    datum = build_root_datum(family, m, n)
+    assert (datum.family, datum.m, datum.n) == (ref.family, ref.m, ref.n)
+    for mine, theirs in ((datum.even_roots, ref.even_roots), (datum.odd_roots, ref.odd_roots)):
+        assert len(mine) == len(set(mine)) and set(mine) == set(theirs)
+    assert datum.dual_coxeter_sign == ref.dual_coxeter_sign
+    sharp = sharp_subgroup(datum)
+    assert weyl_order(datum) == reference_weyl_order(ref)
+    assert c_g(datum) == reference_c_g(ref) == weyl_order(datum) // len(sharp)
+    if weyl_order(datum) <= 10_000:  # all but B(0,6), whose 46,080 elements take seconds
+        # the closure of the filtered reflections is a route independent of
+        # sharp_subgroup, and is itself checked against reference_closure
+        gens = [g.element() for g in reference_sharp_generators(ref)]
+        assert sharp == enumerate_closure(gens, datum.shape)
+        assert len(full_weyl(datum)) == weyl_order(datum)
+
+
+def test_distinguished_orders_list_every_variant():
+    assert [repr(o) for o in distinguished_orders("gl", 2, 1)] == ["d1>e1>e2", "e1>d1>e2", "e1>e2>d1"]
+    assert distinguished_orders("B", 2, 1) == [distinguished_order("B", 2, 1)]
+    assert distinguished_orders("D", 2, 1) == [distinguished_order("D", 2, 1, v) for v in ("D1", "D2", "D2'")]
+    assert distinguished_orders("C", 2, 1) == [distinguished_order("C", 2, 1, v) for v in ("C1", "C2")]
+    with pytest.raises(ValueError, match="unknown family 'E'"):
+        distinguished_orders("E", 2, 1)
 
 
 # every rank with m + n <= 5 of GL, B and D, and C(1..4,1)

@@ -28,6 +28,7 @@ from _oracles import (
     ReferenceElement,
     reference_closure,
     reference_reflection,
+    reference_sharp_generators,
     reference_signed_permutations,
     signed_sum,
 )
@@ -76,11 +77,12 @@ def _check_closures(monkeypatch, module):
 
 @pytest.mark.parametrize("fam,m,n", _ranks_up_to(3072))
 def test_named_groups_equal_the_reference_closure(monkeypatch, fam, m, n):
+    # full_weyl is the one closure; sharp_subgroup lists its block directly
     orders = _check_closures(monkeypatch, weyl)
     datum = build_root_datum(fam, m, n)
     full_weyl(datum)
-    sharp_subgroup(datum)
-    assert len(orders) == 2
+    assert sharp_subgroup(datum) == reference_closure(reference_sharp_generators(datum), datum.shape)
+    assert len(orders) == 1
 
 
 def test_migliore_groups_equal_the_reference_closure(monkeypatch):

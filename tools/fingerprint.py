@@ -9,8 +9,9 @@ one line each:
     <sha256 of stdout, stderr and the exit status>  <argv, or demos/<script>>
 
 The list holds the README examples; `verify` of every kind with `--orders
-all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6
-(a kind off its family or order exits 2, which is fingerprinted too), and the
+all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6,
+and on GL(0,2), GL(3,0) and B(0,2), which have an even block of size 0 (a
+kind off its family or order exits 2, which is fingerprinted too), and the
 compact-pair kinds on their own orders; `theta-table` and `theta-verify` for
 each pair; `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
@@ -50,7 +51,10 @@ README = [
     "dump-series --family b --m 1 --n 1 --what lhs-sd --depth 6",
 ]
 
-VERIFY_RANKS = [("gl", 2, 2), ("gl", 3, 2), ("b", 1, 2), ("b", 2, 2), ("c", 2, 1), ("d", 2, 1), ("d", 3, 2)]
+VERIFY_RANKS = [
+    ("gl", 2, 2), ("gl", 3, 2), ("b", 1, 2), ("b", 2, 2), ("c", 2, 1), ("d", 2, 1), ("d", 3, 2),
+    ("gl", 0, 2), ("gl", 3, 0), ("b", 0, 2),
+]
 
 PAIRS = [
     "--pair B --m 1 --n 2",
