@@ -5,10 +5,13 @@ Every identity but glkk has the form
     e^rho R (kind d) or e^rho Ř (kind sd) = C * sum over w in U of
         sign(w) w(e^lambda / prod (1 - s e^{-beta})),
 
-and a ``WeylSum`` records the five things that vary between identities: the
-group U, the sign (sgn or sgn'), the leading exponent lambda (with an
-optional integer coefficient), the exponents beta with their signs s, and
-the constant C.  ``right_side`` builds it for each kind:
+and a ``WeylSum`` records what varies between identity sides: the group U,
+the sign (sgn or sgn'), the leading exponent lambda (with an optional integer
+coefficient), the exponents beta with their signs s, the finite factors
+(1 - s e^{-b}) in ``poly``, and the constant C.  The left side is the record
+over the trivial group with the even roots as ``poly``, and so are both
+sides of the odd reflection; glkk puts its W-invariant factor in ``poly``.
+``right_side`` builds the right side of each kind:
 
 * kwg-d / kwg-sd     : U = W#, simple isotropic denominators S
 * princ-d / princ-sd : U = W_g with bracket exponents and the constant
@@ -62,7 +65,7 @@ from .weyl import (
     product_set,
     signed_permutations,
 )
-from .series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
+from .series import CharSeries, HeightZeroExponent, f_sum_quotient
 from .diagrams import ArcDiagram
 
 IDENTITY_KINDS = (
@@ -145,7 +148,8 @@ def with_safe_expansion(system: PositiveSystem, compute):
 
 
 def lhs(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
-    """e^rho R (kind 'd') or e^rho Ř (kind 'sd') as a truncated series.
+    """e^rho R (kind 'd') or e^rho Ř (kind 'sd') as a truncated series, from
+    its record over the trivial group (``_erho_side``).
 
     Every identity on a system has this same left side, so it is expanded
     once per (kind, threshold4) and kept in a dict owned by the system: a
@@ -159,37 +163,16 @@ def lhs(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
     series = system._lhs.get((kind, threshold4))
     if series is None:
         s = 1 if kind == "sd" else -1
-        series = system._lhs[kind, threshold4] = product_expansion(
-            system,
-            threshold4,
-            system.rho,
-            geom=[(a, s) for a in system.positive_odd],
-            poly=[(a, 1) for a in system.positive_even],
-        )
+        side = _erho_side(system, system.rho, [(a, s) for a in system.positive_odd])
+        series = system._lhs[kind, threshold4] = side.expand(system, threshold4)
     return series
 
 
-def erho_pair(system: PositiveSystem, alpha: Weight, depth: int) -> tuple[CharSeries, CharSeries]:
-    """(e^rho R-check, e^{rho'} R-check') for the odd reflection at alpha.
-
-    The reflected side is built directly from the root lists (alpha replaced
-    by -alpha, rho shifted), expanded along the original system's functional,
-    so it covers the fork reflections that leave the order-encoded family.
-    The two series must be negatives of each other on the window.
-    """
-    if alpha not in system.simple_roots or not is_isotropic(alpha):
-        raise ValueError("need an isotropic simple root")
-    T = window4(system, depth)
-    left = lhs(system, "sd", T)
-    odd = [a for a in system.positive_odd if a != alpha] + [-alpha]
-    right = product_expansion(
-        system,
-        T,
-        system.rho + alpha,
-        geom=[(a, 1) for a in odd],
-        poly=[(a, 1) for a in system.positive_even],
-    )
-    return left, right
+def _erho_side(system: PositiveSystem, leading: Weight, geom: list[tuple[Weight, int]]) -> WeylSum:
+    """e^leading prod (1 - e^{-a}) over the positive even roots / prod over geom,
+    as a record over the trivial group."""
+    poly = [(a, 1) for a in system.positive_even]
+    return WeylSum([WeylElement.identity(system.shape)], "sgn", leading, geom, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +181,9 @@ def erho_pair(system: PositiveSystem, alpha: Weight, depth: int) -> tuple[CharSe
 
 @dataclass(frozen=True)
 class WeylSum:
-    """One right side: constant * sum over w in group of
-    sign(w) w(coeff e^leading / prod over (beta, s) in geom of (1 - s e^{-beta}))."""
+    """One identity side: constant * sum over w in group of sign(w)
+    w(coeff e^leading prod over (b, s) in poly of (1 - s e^{-b}) / prod over
+    (beta, s) in geom of (1 - s e^{-beta}))."""
 
     group: list[WeylElement]
     sign: str  # "sgn" or "sgn_prime"
@@ -207,12 +191,11 @@ class WeylSum:
     geom: list[tuple[Weight, int]]
     coeff: int = 1
     constant: Fraction = Fraction(1)
+    poly: list[tuple[Weight, int]] = ()
 
     def expand(self, system: PositiveSystem, threshold4: int) -> CharSeries:
         """The signed Weyl sum (without the constant) on the window."""
-        return f_sum_quotient(
-            system, self.group, self.sign, threshold4, self.leading, geom=self.geom, coeff=self.coeff
-        )
+        return f_sum_quotient(system, self.group, self.sign, threshold4, self.leading, self.geom, self.poly, self.coeff)
 
 
 def right_side(
@@ -356,19 +339,18 @@ def glkk_sides(k: int, depth: int) -> tuple[CharSeries, CharSeries, Fraction]:
     """Both sides of the all-isotropic gl(k,k) lemma at the given depth.
 
     Returns (lhs_sum, rhs_series, ratio) with the claim lhs = ratio * rhs.
+    W(gl(k,k)) permutes the eps's and the delta's separately, so the factor
+    1 - e^{-sum beta} of the right side is W-invariant and sits in its ``poly``.
     """
     datum = build_root_datum("GL", k, k)
-    order_pattern = "ed" * k
-    system = positive_system(datum, standard_order("GL", k, k, order_pattern))
+    system = positive_system(datum, standard_order("GL", k, k, "ed" * k))
     betas = [Weight.eps(i, (k, k)) - Weight.delta(i, (k, k)) for i in range(1, k + 1)]
     W = full_weyl(datum)
     zero = Weight.zero((k, k))
     T = window4(system, depth, top=zero)
-    left = f_sum_quotient(system, W, "sgn_prime", T, zero, geom=[(b, 1) for b in betas[1:]])
-    core = f_sum_quotient(system, W, "sgn_prime", T, zero, geom=[(b, 1) for b in betas])
-    total = weight_sum(betas, (k, k))
-    rhs = core * CharSeries.one_minus_exp(system, total)
-    return left, rhs, Fraction(1, k)
+    left = WeylSum(W, "sgn_prime", zero, [(b, 1) for b in betas[1:]])
+    right = WeylSum(W, "sgn_prime", zero, [(b, 1) for b in betas], poly=[(weight_sum(betas, (k, k)), 1)])
+    return left.expand(system, T), right.expand(system, T), Fraction(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +424,7 @@ def verify(
     spec = right_side(kind, system, X, S, bprime)
     system = _separating_system(system, [spec])
     T = window4(system, depth)
-    if kind.startswith("kwg"):
-        label = f"S={[repr(b) for b, _ in spec.geom]}"
-    else:
-        label = f"arcs={list(X.arcs)}"
+    label = f"S={[repr(b) for b, _ in spec.geom]}" if kind.startswith("kwg") else f"arcs={list(X.arcs)}"
     left, right = lhs(system, _flavor(kind), T), spec.expand(system, T)
     return compare(kind, repr(system), label, depth, left, right, spec.constant)
 
@@ -453,3 +432,20 @@ def verify(
 def verify_glkk(k: int, depth: int = 6) -> IdentityReport:
     left, rhs, ratio = glkk_sides(k, depth)
     return compare("glkk", f"gl({k},{k}) all-isotropic", f"k={k}", depth, rhs, left, ratio)
+
+
+def verify_odd_reflection(system: PositiveSystem, alpha: Weight, depth: int) -> IdentityReport:
+    """e^rho Ř = -e^{rho'} Ř' for the odd reflection at alpha.
+
+    The reflected side is built directly from the root lists (alpha replaced
+    by -alpha, rho + alpha leading), expanded along the original system's
+    functional, so it covers the fork reflections that leave the
+    order-encoded family.
+    """
+    if alpha not in system.simple_roots or not is_isotropic(alpha):
+        raise ValueError("need an isotropic simple root")
+    T = window4(system, depth)
+    odd = [a for a in system.positive_odd if a != alpha] + [-alpha]
+    reflected = _erho_side(system, system.rho + alpha, [(a, 1) for a in odd])
+    left, right = lhs(system, "sd", T), reflected.expand(system, T)
+    return compare("odd reflection", repr(system), repr(alpha), depth, left, right, Fraction(-1))

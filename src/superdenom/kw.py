@@ -29,7 +29,7 @@ from math import factorial
 from .weights import Weight, inner, is_isotropic
 from .rootdata import build_root_datum, standard_order, positive_system, PositiveSystem, all_basis_orders
 from .weyl import full_weyl
-from .series import CharSeries, f_sum_quotient
+from .series import CharSeries
 from .denominators import WeylSum, _separating_system, c_g, compare, lhs, window4
 
 
@@ -167,12 +167,12 @@ def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     geom = [(b, 1) for b in accumulate(gamma_chain(family, m, n))]
     W = full_weyl(system.datum)
     top = system.rho0 + Weight.eps(1, (m, n))
-    system = _separating_system(system, [WeylSum(W, "sgn", top, geom)])
+    right = WeylSum(W, "sgn", top, geom, poly=[(a, 1) for a in system.positive_odd])
+    system = _separating_system(system, [right])
     T = window4(system, depth, top=top)
-    left = f_sum_quotient(system, W, "sgn", T, top)
-    left = left + f_sum_quotient(system, W, "sgn", T, system.rho0 + Weight.delta(1, (m, n)), coeff=-1)
-    right = f_sum_quotient(system, W, "sgn", T, top, geom=geom, poly=[(a, 1) for a in system.positive_odd])
-    return _fit_report("xx", family, m, n, depth, left, right, stated_constants(family, m, n)[1])
+    left = WeylSum(W, "sgn", top, []).expand(system, T)
+    left = left + WeylSum(W, "sgn", system.rho0 + Weight.delta(1, (m, n)), [], coeff=-1).expand(system, T)
+    return _fit_report("xx", family, m, n, depth, left, right.expand(system, T), stated_constants(family, m, n)[1])
 
 
 def kw_condition_roots(system: PositiveSystem, lam: Weight, atp: int) -> list[Weight] | None:

@@ -475,6 +475,8 @@ def distinguished_order(family: str, m: int, n: int, variant: str = "") -> Basis
             raise ValueError("p out of range")
         return standard_order("GL", m, n, "e" * p + "d" * n + "e" * (m - p))
     if family == "B":
+        if variant:
+            raise ValueError(f"B has one distinguished order, with variant '', got {variant!r}")
         return standard_order("B", m, n, "d" * n + "e" * m)
     if family == "D":
         if variant == "D1":
@@ -485,6 +487,8 @@ def distinguished_order(family: str, m: int, n: int, variant: str = "") -> Basis
             return standard_order("D", m, n, "e" * m + "d" * n, eps_last_sign=-1)
         raise ValueError("D variants: D1, D2, D2'")
     if family == "C":
+        if n != 1:
+            raise ValueError("family C carries exactly one delta symbol (n = 1)")
         if variant == "C1":
             return standard_order("C", m, 1, "e" * m + "d")
         if variant == "C2":

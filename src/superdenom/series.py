@@ -79,15 +79,6 @@ class CharSeries:
     def monomial(system: PositiveSystem, w: Weight, coeff: int = 1) -> "CharSeries":
         return CharSeries(system, {w: coeff}, NEG_INF, system.ht4(w))
 
-    @staticmethod
-    def one_minus_exp(system: PositiveSystem, beta: Weight, sign: int = 1) -> "CharSeries":
-        """The finite factor 1 - sign * e^{-beta}."""
-        terms = {Weight.zero(system.shape): 1}
-        nb = -beta
-        terms[nb] = terms.get(nb, 0) - sign
-        ceiling = max(0, system.ht4(nb))
-        return CharSeries(system, terms, NEG_INF, ceiling)
-
     # -- bookkeeping ---------------------------------------------------------
 
     def _same_space(self, other: "CharSeries") -> None:
@@ -377,23 +368,22 @@ def f_sum_quotient(
     poly: Iterable[tuple[Weight, int]] = (),
     coeff: int = 1,
 ) -> CharSeries:
-    """Signed sum over U of w(coeff e^leading / prod(1-s e^{-beta}) * prod(1-s e^{-b'}))."""
+    """Signed sum over U of w(coeff e^leading / prod(1-s e^{-beta}) * prod(1-s e^{-b'})), with the
+    largest piece ceiling as its ceiling (the zero series for an empty U); the sign is "sgn" or "sgn_prime"."""
+    if sign_kind not in ("sgn", "sgn_prime"):
+        raise ValueError(f"the sign is 'sgn' or 'sgn_prime', got {sign_kind!r}")
     geom = list(geom)
     poly = list(poly)
     fam = system.datum.family
-    acc = CharSeries.zero(system, threshold4)
+    acc = None
     for w in U:
         s = sgn(w) if sign_kind == "sgn" else sgn_prime(w, fam)
         piece = product_expansion(
-            system,
-            threshold4,
-            w.act(leading),
-            coeff=s * coeff,
-            geom=[(w.act(b), sg) for b, sg in geom],
-            poly=[(w.act(b), sg) for b, sg in poly],
+            system, threshold4, w.act(leading), coeff=s * coeff,
+            geom=[(w.act(b), sg) for b, sg in geom], poly=[(w.act(b), sg) for b, sg in poly],
         )
-        acc = acc + piece
-    return acc
+        acc = piece if acc is None else acc + piece
+    return CharSeries.zero(system, threshold4) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ from .weyl import (
     product_set,
     sgn,
 )
-from .series import CharSeries, weyl_character, product_expansion, f_sum_quotient
-from .denominators import IdentityReport, compare, window4
+from .series import CharSeries, weyl_character, product_expansion
+from .denominators import IdentityReport, WeylSum, compare, window4
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ class D1Pair(SpPair):
         T = self._window(depth)
         denom_lead = self.s2_block.rho + self.x_block.rho
         Tsum = T + sys_.ht4(denom_lead)
-        num = f_sum_quotient(sys_, W, "sgn", Tsum, rho_hat, geom=[(b, 1) for b in brackets])
+        num = WeylSum(W, "sgn", rho_hat, [(b, 1) for b in brackets]).expand(sys_, Tsum)
         inv = product_expansion(
             sys_, T - num.ceiling4, -denom_lead,
             geom=[(a, 1) for a in self.s2_block.positive + self.x_block.positive],

@@ -17,6 +17,12 @@ from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import WeylElement, sgn
 
 
+def one_minus_exp(system, beta):
+    """The finite factor 1 - e^{-beta}, exact, with the ceiling of its
+    higher term."""
+    return CharSeries(system, {Weight.zero(system.shape): 1, -beta: -1}, None, max(0, system.ht4(-beta)))
+
+
 def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), poly=()):
     """coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta}) on
     the window {ht >= threshold4}, multiplied out on ``Weight`` keys with

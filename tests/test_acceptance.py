@@ -6,7 +6,6 @@ zero throughout); the depths are fixed here and nothing is calibrated later.
 
 import itertools
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -23,7 +22,7 @@ from superdenom.denominators import (
     compare,
     verify,
     verify_glkk,
-    erho_pair,
+    verify_odd_reflection,
     lhs,
     window4,
 )
@@ -159,8 +158,7 @@ def _property_a():
             for alpha in system.simple_roots:
                 if not is_isotropic(alpha):
                     continue
-                L, R = erho_pair(system, alpha, 6)
-                if not compare("odd reflection", repr(system), repr(alpha), 6, L, R, Fraction(-1)).passed:
+                if not verify_odd_reflection(system, alpha, 6).passed:
                     return False
     return True
 

@@ -30,6 +30,7 @@ REMOVED = [
     "_first_diagram_sums",
     "apply_moves",
     "reflect_simple_roots",
+    "erho_pair",
 ]
 
 
@@ -105,7 +106,7 @@ UNREFERENCED_KEPT = {
     "weyl.weyl_order": "perfbench bounds the frontier controls' group order with it",
     "theta.DualPair.l2_character": "perfbench traces it, and its theta controls call the threshold form",
     "theta.DualPair.enright_character": "perfbench's theta controls call it",
-    "denominators.erho_pair": "the odd-reflection check of acceptance criterion 7a",
+    "denominators.verify_odd_reflection": "the odd-reflection check of acceptance criterion 7a",
     "theta.DualPair.verify_enright": "the Enright verdict of acceptance criterion 9 and the README session",
 }
 
@@ -162,6 +163,24 @@ def test_compare_is_the_one_verdict_rule():
     # its ratio through compare too
     assert _calls_by_function("IdentityReport") == {"denominators.compare"}
     assert _calls_by_function("mismatches") == {"denominators.compare"}
+
+
+def test_every_identity_side_is_a_weyl_sum_record():
+    # the signed Weyl sum is expanded only through WeylSum.expand, and the
+    # kernel is called directly only by the sum and by theta's four
+    # single-product characters, which are not Weyl sums
+    from superdenom import kw, series
+
+    assert _calls_by_function("f_sum_quotient") == {"denominators.expand"}
+    assert _calls_by_function("product_expansion") == {
+        "series.f_sum_quotient",
+        "theta.oscillator_character",
+        "theta._with_tail",
+        "theta.oscillator_x_character",
+        "theta.d2_twin_sum",
+    }
+    assert not hasattr(kw, "f_sum_quotient") and not hasattr(kw, "product_expansion")
+    assert not hasattr(series.CharSeries, "one_minus_exp")
 
 
 def test_one_block_pairs_share_one_body():

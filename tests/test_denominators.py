@@ -14,7 +14,7 @@ from superdenom.rootdata import (
     distinguished_order,
 )
 from superdenom.diagrams import ArcDiagram, enumerate_diagrams
-from superdenom.weyl import full_weyl
+from superdenom.weyl import WeylElement, full_weyl, sgn, sgn_prime
 from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion
 from superdenom.cli import main
 from superdenom.denominators import (
@@ -26,7 +26,8 @@ from superdenom.denominators import (
     right_side,
     verify,
     verify_glkk,
-    erho_pair,
+    verify_odd_reflection,
+    WeylSum,
     window4,
     c_g,
     princ_constant,
@@ -196,8 +197,7 @@ def test_erho_sign_flip_all_small_systems():
             for alpha in system.simple_roots:
                 if not is_isotropic(alpha):
                     continue
-                L, R = erho_pair(system, alpha, 5)
-                rep = compare("odd reflection", repr(system), repr(alpha), 5, L, R, Fraction(-1))
+                rep = verify_odd_reflection(system, alpha, 5)
                 assert rep.passed, (fam, m, n, order, alpha)
 
 
@@ -273,13 +273,14 @@ def _seconda_system(fam, m, n):
     return positive_system(build_root_datum(fam, m, n), distinguished_order(fam, m, n, variant))
 
 
-def _verify_with(monkeypatch, mutate, kind, system, depth):
-    # verify, with its right side passed through ``mutate``
+def _verify_with(monkeypatch, mutate, kind, system, depth, X=None):
+    # verify, with its right side passed through ``mutate``, on X (default
+    # the system's first diagram)
     from superdenom import denominators
 
     true_right_side = denominators.right_side
     monkeypatch.setattr(denominators, "right_side", lambda *a, **k: mutate(true_right_side(*a, **k)))
-    return verify(kind, system, X=enumerate_diagrams(system)[0], depth=depth)
+    return verify(kind, system, X=enumerate_diagrams(system)[0] if X is None else X, depth=depth)
 
 
 def test_seconda_specializations():
@@ -596,6 +597,114 @@ def test_princ_sd_fails_under_each_deliberate_mutation():
     assert red["gamma"] == nested
 
 
+RECORD_MUTATION_RANKS = [("GL", 2, 1), ("GL", 2, 2), ("B", 1, 1), ("B", 1, 2), ("B", 2, 1), ("D", 2, 1), ("D", 2, 2)]
+RECORD_MUTATION_KINDS = ("kwg-d", "kwg-sd", "princ-d", "mm-d", "mm-sd")
+OTHER_SIGN = {"sgn": "sgn_prime", "sgn_prime": "sgn"}
+
+
+def test_verify_fails_under_each_record_mutation(monkeypatch):
+    # verify, with its right side passed through dataclasses.replace: a
+    # doubled constant or a dropped identity element turns every check red,
+    # and sgn and sgn' swapped turns red exactly the checks whose group
+    # holds an element on which the two signs differ
+    from superdenom import denominators
+
+    mutants = {
+        "constant": lambda spec: replace(spec, constant=2 * spec.constant),
+        "identity": lambda spec: replace(spec, group=[w for w in spec.group if not w.is_identity()]),
+        "sign": lambda spec: replace(spec, sign=OTHER_SIGN[spec.sign]),
+    }
+    red = {name: [] for name in mutants}
+    checks, signs_differ = [], []
+    for fam, m, n in RECORD_MUTATION_RANKS:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            system = positive_system(datum, order)
+            for X in enumerate_diagrams(system):
+                for kind in RECORD_MUTATION_KINDS:
+                    if kind.startswith("kwg") and not X.is_simple():
+                        continue
+                    key = (fam, m, n, repr(order), X.arcs, kind)
+                    assert verify(kind, system, X=X, depth=4).passed, key
+                    checks.append(key)
+                    group = denominators.right_side(kind, system, X).group
+                    if any(sgn(w) != sgn_prime(w, fam) for w in group):
+                        signs_differ.append(key)
+                    for name, mutate in mutants.items():
+                        if not _verify_with(monkeypatch, mutate, kind, system, 4, X).passed:
+                            red[name].append(key)
+                        monkeypatch.undo()
+    assert len(checks) == 196 and len(signs_differ) == 34
+    assert red["constant"] == red["identity"] == checks
+    assert red["sign"] == signs_differ
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_glkk_fails_without_its_finite_factor(monkeypatch, k):
+    from superdenom import denominators
+
+    no_poly = lambda *a, **kw: replace(WeylSum(*a, **kw), poly=())
+    monkeypatch.setattr(denominators, "WeylSum", no_poly)
+    rep = verify_glkk(k, depth=6)
+    assert not rep.passed and rep.first_mismatch is not None
+
+
+def test_odd_reflection_fails_with_alpha_kept():
+    # the reflected side with alpha in place of -alpha among its odd roots
+    from superdenom import denominators
+
+    def alpha_kept(alpha):
+        def build(*args, **kwargs):
+            side = WeylSum(*args, **kwargs)
+            return replace(side, geom=[(-b if b == -alpha else b, s) for b, s in side.geom])
+
+        return build
+
+    checks = red = 0
+    for fam, m, n in [("GL", 2, 2), ("B", 1, 2), ("D", 2, 2)]:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            for alpha in positive_system(datum, order).simple_roots:
+                if not is_isotropic(alpha):
+                    continue
+                assert verify_odd_reflection(positive_system(datum, order), alpha, 4).passed
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(denominators, "WeylSum", alpha_kept(alpha))
+                    red += not verify_odd_reflection(positive_system(datum, order), alpha, 4).passed
+                checks += 1
+    assert checks == red == 36
+
+
+def test_one_element_record_is_the_product_expansion():
+    # a one-element Weyl sum keeps the kernel's exact ceiling, negative ones
+    # included, and an empty group gives the zero series on the window
+    orders = 0
+    for fam, m, n in [("GL", 1, 2), ("GL", 2, 3), ("B", 1, 2), ("D", 2, 3), ("GL", 1, 3)]:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            orders += 1
+            system = positive_system(datum, order)
+            T = window4(system, 4)
+            for s in (1, -1):
+                geom = [(a, s) for a in system.positive_odd]
+                poly = [(a, 1) for a in system.positive_even]
+                side = WeylSum([WeylElement.identity(system.shape)], "sgn", system.rho, geom, poly=poly)
+                want = product_expansion(system, T, system.rho, geom=geom, poly=poly)
+                assert _same_series(side.expand(system, T), want), (order, s)
+                empty = replace(side, group=[]).expand(system, T)
+                assert _same_series(empty, CharSeries.zero(system, T))
+    assert orders == 36
+
+
+@pytest.mark.parametrize("sign", ["sgn'", "sgnprime", "SGN", "", "sgn_prime "])
+def test_weyl_sum_rejects_an_unknown_sign(sign):
+    # a misspelt sign is not read as sgn'
+    system = positive_system(build_root_datum("GL", 2, 1), distinguished_order("GL", 2, 1, "p0"))
+    side = WeylSum(full_weyl(system.datum), sign, system.rho, [])
+    with pytest.raises(ValueError, match="'sgn' or 'sgn_prime'"):
+        side.expand(system, window4(system, 3))
+
+
 # ---------------------------------------------------------------------------
 # the left side is expanded once per (system, flavor, window)
 
@@ -659,10 +768,10 @@ def test_with_tiebreak_returns_one_system_per_seed():
 @pytest.mark.parametrize("fam,m,n,pattern", [("D", 2, 2, "dede"), ("GL", 3, 2, "edede")])
 def test_shared_left_sides_survive_every_check(monkeypatch, capsys, fam, m, n, pattern):
     # verify of every kind on every diagram (the seconda kinds hold only on
-    # their distinguished orders), erho_pair and kw-check on one system share
-    # its memoized left sides and those of its perturbed systems; afterwards
-    # each one still equals a fresh expansion, so no check changed a shared
-    # series in place
+    # their distinguished orders), the odd reflections and kw-check on one
+    # system share its memoized left sides and those of its perturbed
+    # systems; afterwards each one still equals a fresh expansion, so no
+    # check changed a shared series in place
     import superdenom.kw as kw
 
     systems = []
@@ -680,7 +789,7 @@ def test_shared_left_sides_survive_every_check(monkeypatch, capsys, fam, m, n, p
             assert verify(kind, system, X=X, depth=4).passed, (kind, X.arcs)
     for alpha in system.simple_roots:
         if is_isotropic(alpha):
-            erho_pair(system, alpha, 4)
+            verify_odd_reflection(system, alpha, 4)
     assert main(["kw-check", "--family", fam, "--m", str(m), "--n", str(n), "--depth", "4"]) == 0
     capsys.readouterr()
     assert system._tiebreaks, "no check on this system chose a perturbed functional"

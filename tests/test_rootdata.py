@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,31 @@ def test_distinguished_orders_list_every_variant():
     assert distinguished_orders("C", 2, 1) == [distinguished_order("C", 2, 1, v) for v in ("C1", "C2")]
     with pytest.raises(ValueError, match="unknown family 'E'"):
         distinguished_orders("E", 2, 1)
+
+
+@pytest.mark.parametrize(
+    "family,m,n,variant,message",
+    [
+        # B has only the empty variant, and C only n = 1 (the message is
+        # build_root_datum's); the other rows keep their old messages
+        ("B", 2, 1, "nonsense", "B has one distinguished order, with variant '', got 'nonsense'"),
+        ("B", 2, 1, "D2", "B has one distinguished order, with variant '', got 'D2'"),
+        ("C", 2, 5, "C1", "family C carries exactly one delta symbol (n = 1)"),
+        ("C", 2, 0, "C2", "family C carries exactly one delta symbol (n = 1)"),
+        ("C", 2, 1, "C3", "C variants: C1, C2"),
+        ("D", 2, 1, "", "D variants: D1, D2, D2'"),
+        ("GL", 2, 1, "", "GL distinguished orders need variant 'p<int>'"),
+        ("GL", 2, 1, "p3", "p out of range"),
+        ("E", 2, 1, "", "unknown family 'E'"),
+    ],
+)
+def test_distinguished_order_rejects_what_it_does_not_name(family, m, n, variant, message):
+    with pytest.raises(ValueError) as err:
+        distinguished_order(family, m, n, variant)
+    assert str(err.value) == message
+    if family == "C" and n != 1:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_root_datum(family, m, n)
 
 
 # every rank with m + n <= 5 of GL, B and D, and C(1..4,1)
