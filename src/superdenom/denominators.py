@@ -399,8 +399,8 @@ def compare(
     comparison with no term of either series inside the window compared
     nothing and does not pass."""
     bad = left.mismatches(right, ratio)
-    t, ht4 = left.window_threshold(right), left.system.ht4
-    compared = any(t is None or ht4(w) >= t for side in (left, right) for w in side.terms)
+    t = left.window_threshold(right)
+    compared = any((side if t is None else side.truncate(t)).packed for side in (left, right))
     return IdentityReport(
         identity_kind=kind,
         system=system,

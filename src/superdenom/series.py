@@ -11,22 +11,27 @@ Geometric factors 1/(1 - s e^{-beta}) expand toward decreasing height for
 either sign of ht(beta); an exponent of height zero raises
 ``HeightZeroExponent``.
 
-``product_expansion``, the kernel behind every identity side, and the
-division in ``weyl_character`` work on packed keys (Kronecker substitution,
-as in Monagan & Pearce's packed exponent vectors).  A weight's doubled
-coordinates become balanced base-2^B digits of one Python int, with its
-height as the most significant digit, so adding two weights, and their
-heights, is one integer addition, and comparing two keys compares heights
-first.  B is derived per call from the largest coordinate a result can
-reach, so no digit overflows.  In the kernel each factor's terms are in
-descending height, so the inner loop stops at the first term that falls
-below the window.  Weights are unpacked once, for the terms that survive;
-``Weight`` stays the type at the boundary and the key of ``CharSeries.terms``.
+A series keys its terms by packed integers (Kronecker substitution, as in
+Monagan & Pearce's packed exponent vectors): a weight's doubled coordinates
+are balanced base-2^B digits of one int, under its height as the most
+significant digit.  Adding keys adds weights and heights; since the lower
+digits sum to less than half of 2^(B dim), comparing keys compares heights
+first, so a height filter compares a key with one cut and the top key holds
+the top height.  B comes from the ladder 16, 32, 48, ... and is kept on the
+series; every step that forms keys (the kernel ``product_expansion``, the
+division in ``weyl_character`` and ``*``) bounds the coordinates it can
+reach and widens B rather than overflow a digit, and an operand of a
+narrower B is re-encoded.  The kernel takes each factor's terms in
+descending height, so its inner loop stops at the first term below the
+window.  ``Weight`` stays at the boundary: the constructor takes
+``{Weight: c}``, and ``terms``, ``coeff``, ``support_sorted``, ``to_json``,
+``repr`` and the weights ``mismatches`` returns unpack keys as they go.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable
 
@@ -40,33 +45,32 @@ NEG_INF = None  # threshold value meaning "exact everywhere"
 class CharSeries:
     """A truncated series over a system: its nonzero terms inside the window
     {ht4 >= threshold4} (every term when the threshold is None) and the
-    ceiling4 above which the full series has no term.
+    ceiling4 above which the full series has no term.  ``packed`` maps each
+    term's key, with digits ``bits`` wide, to its coefficient; ``terms`` is
+    a read-only view of the same map keyed by ``Weight``.
 
     A series is a value: no operation changes one in place, each returns a
-    new series (which may share the terms dict of its operand).  So one
+    new series (which may share the packed dict of its operand).  So one
     series may be shared, as ``denominators.lhs`` shares each left side
     between the checks on its system.
     """
 
-    __slots__ = ("system", "terms", "threshold4", "ceiling4")
+    __slots__ = ("system", "packed", "bits", "threshold4", "ceiling4")
 
     def __init__(self, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int):
-        self.system = system
-        self.terms = {w: c for w, c in terms.items() if c != 0}
-        self.threshold4 = threshold4
-        self.ceiling4 = ceiling4
-        if threshold4 is not None:
-            self.terms = {w: c for w, c in self.terms.items() if system.ht4(w) >= threshold4}
+        ht4, bits = system.ht4, _width(max((abs(x) for w in terms for x in w.coords2), default=0))
+        packed = {
+            _pack(w.coords2, ht4(w), bits): c for w, c in terms.items()
+            if c != 0 and (threshold4 is None or ht4(w) >= threshold4)
+        }
+        self.system, self.packed, self.bits, self.threshold4, self.ceiling4 = system, packed, bits, threshold4, ceiling4
 
     @classmethod
-    def _trusted(cls, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int) -> "CharSeries":
-        """Wrap terms that are already nonzero and inside the window, skipping
-        the filters of __init__.  The dict is taken over, not copied."""
+    def _trusted(cls, system: PositiveSystem, packed: dict[int, int], bits: int, threshold4: int | None, ceiling4: int) -> "CharSeries":
+        """Wrap packed terms that are already nonzero and inside the window,
+        skipping the filters of __init__.  The dict is taken over, not copied."""
         out = cls.__new__(cls)
-        out.system = system
-        out.terms = terms
-        out.threshold4 = threshold4
-        out.ceiling4 = ceiling4
+        out.system, out.packed, out.bits, out.threshold4, out.ceiling4 = system, packed, bits, threshold4, ceiling4
         return out
 
     # -- constructors -------------------------------------------------------
@@ -85,11 +89,27 @@ class CharSeries:
         if self.system.shape != other.system.shape or self.system._hvals2 != other.system._hvals2:
             raise ValueError("series live over different reference systems")
 
+    def _unpacked(self):
+        """(weight, coefficient) for every term, in the order of ``packed``."""
+        unpack, shape = _unpacker(self.bits, len(self.system._hvals2)), self.system.shape
+        return ((Weight._trusted(unpack(k), shape), c) for k, c in self.packed.items())
+
+    def _at(self, bits: int) -> dict[int, int]:
+        """The packed terms re-encoded at a width no narrower than their own."""
+        ht4 = self.system.ht4
+        return self.packed if bits == self.bits else {_pack(w.coords2, ht4(w), bits): c for w, c in self._unpacked()}
+
+    @property
+    def terms(self) -> Mapping[Weight, int]:
+        return _Terms(self)
+
     def coeff(self, w: Weight) -> int:
-        return self.terms.get(w, 0)
+        if w.shape != self.system.shape or max(map(abs, w.coords2), default=0) >> (self.bits - 1):
+            return 0  # a coordinate too wide for the digits: no term has it
+        return self.packed.get(_pack(w.coords2, self.system.ht4(w), self.bits), 0)
 
     def is_zero_on_window(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def support_sorted(self) -> list[Weight]:
         return sorted(self.terms, key=lambda w: (-self.system.ht4(w), w.coords2))
@@ -97,72 +117,78 @@ class CharSeries:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "CharSeries") -> "CharSeries":
-        """Sum on the common window.  Both operands already hold only nonzero
-        terms at ht4 >= their own threshold, so only the operand with the
-        lower threshold is filtered by height, and keys that cancel during the
-        merge are dropped on the spot."""
+        """Sum on the common window, at the wider of the two widths.  Both
+        operands already hold only nonzero terms at ht4 >= their own
+        threshold, so only the operand with the lower threshold is filtered
+        by height, and keys that cancel during the merge are dropped on the
+        spot."""
         self._same_space(other)
+        bits = max(self.bits, other.bits)
         t = _max_threshold(self.threshold4, other.threshold4)
-        ht4 = self.system.ht4
+        cut = _cut(t, bits * len(self.system._hvals2))
         if self.threshold4 == t:
-            terms = dict(self.terms)
+            terms = dict(self._at(bits))
         else:
-            terms = {w: c for w, c in self.terms.items() if ht4(w) >= t}
+            terms = {k: c for k, c in self._at(bits).items() if k >= cut}
         filter_other = other.threshold4 != t
-        for w, c in other.terms.items():
-            if filter_other and ht4(w) < t:
+        for k, c in other._at(bits).items():
+            if filter_other and k < cut:
                 continue
-            c += terms.get(w, 0)
+            c += terms.get(k, 0)
             if c:
-                terms[w] = c
+                terms[k] = c
             else:
-                del terms[w]
-        return CharSeries._trusted(self.system, terms, t, max(self.ceiling4, other.ceiling4))
+                del terms[k]
+        return CharSeries._trusted(self.system, terms, bits, t, max(self.ceiling4, other.ceiling4))
 
     def __sub__(self, other: "CharSeries") -> "CharSeries":
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "CharSeries":
-        if k == 0:
-            return CharSeries(self.system, {}, self.threshold4, self.ceiling4)
-        return CharSeries._trusted(
-            self.system, {w: k * c for w, c in self.terms.items()}, self.threshold4, self.ceiling4
-        )
+        terms = {key: k * c for key, c in self.packed.items()} if k else {}
+        return CharSeries._trusted(self.system, terms, self.bits, self.threshold4, self.ceiling4)
 
     def __mul__(self, other: "CharSeries") -> "CharSeries":
         """Exact convolution with the window-soundness rule: the product is
-        complete above max(t_a + ceil_b, t_b + ceil_a).  Heights add, so the
-        larger operand's terms are taken in descending height and each row
-        stops at the first pair below the window."""
+        complete above max(t_a + ceil_b, t_b + ceil_a).  The digits are
+        widened when the sum of the operands' largest coordinates needs it.
+        Keys add, so the larger operand's terms are taken in descending key
+        order and each row stops at the first pair below the window."""
         self._same_space(other)
         a, b = self, other
-        if len(b.terms) < len(a.terms):
+        if len(b.packed) < len(a.packed):
             a, b = b, a
-        ht4 = self.system.ht4
+        bound = sum(max((abs(x) for w, _ in s._unpacked() for x in w.coords2), default=0) for s in (a, b))
+        bits = max(a.bits, b.bits, _width(bound))
         t = _product_threshold(a.threshold4, a.ceiling4, b.threshold4, b.ceiling4)
-        column = sorted(((ht4(w), w, c) for w, c in b.terms.items()), key=lambda x: -x[0])
-        out: dict[Weight, int] = {}
-        for wa, ca in a.terms.items():
-            lim = -math.inf if t is None else t - ht4(wa)
-            for hb, wb, cb in column:
-                if hb < lim:
+        cut = _cut(t, bits * len(self.system._hvals2))
+        column = sorted(b._at(bits).items(), reverse=True)
+        out: dict[int, int] = {}
+        for ka, ca in a._at(bits).items():
+            lim = -math.inf if cut is None else cut - ka
+            for kb, cb in column:
+                if kb < lim:
                     break
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-        terms = {w: c for w, c in out.items() if c}
-        return CharSeries._trusted(self.system, terms, t, a.ceiling4 + b.ceiling4)
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+        terms = {k: c for k, c in out.items() if c}
+        return CharSeries._trusted(self.system, terms, bits, t, a.ceiling4 + b.ceiling4)
 
     def tightened(self) -> "CharSeries":
-        """The same series with its ceiling lowered to its highest term."""
-        if not self.terms:
+        """The same series with its ceiling lowered to its highest term, the
+        height digit of its top key."""
+        if not self.packed:
             return self
-        top = max(map(self.system.ht4, self.terms))
-        return CharSeries._trusted(self.system, self.terms, self.threshold4, top)
+        shift = self.bits * len(self.system._hvals2)
+        top = (max(self.packed) + (1 << (shift - 1))) >> shift
+        return CharSeries._trusted(self.system, self.packed, self.bits, self.threshold4, top)
 
     def truncate(self, threshold4: int) -> "CharSeries":
         if self.threshold4 is not None and threshold4 < self.threshold4:
             raise ValueError("cannot widen the window by truncation")
-        return CharSeries(self.system, self.terms, threshold4, self.ceiling4)
+        cut = _cut(threshold4, self.bits * len(self.system._hvals2))
+        terms = {k: c for k, c in self.packed.items() if k >= cut}
+        return CharSeries._trusted(self.system, terms, self.bits, threshold4, self.ceiling4)
 
     # -- comparison ------------------------------------------------------------
 
@@ -176,28 +202,28 @@ class CharSeries:
         q * other != p * self, so integer coefficients stay integers.
         """
         self._same_space(other)
-        t = self.window_threshold(other)
-        ht4 = self.system.ht4
+        bits = max(self.bits, other.bits)
+        cut = _cut(self.window_threshold(other), bits * len(self.system._hvals2))
         p, q = ratio.numerator, ratio.denominator
-        mine, theirs = self.terms, other.terms
-        bad = []
-        for w in mine.keys() | theirs.keys():
-            if t is not None and ht4(w) < t:
-                continue
-            if q * theirs.get(w, 0) != p * mine.get(w, 0):
-                bad.append(w)
+        mine, theirs = self._at(bits), other._at(bits)
+        unpack, shape = _unpacker(bits, len(self.system._hvals2)), self.system.shape
+        bad = [
+            Weight._trusted(unpack(k), shape)
+            for k in mine.keys() | theirs.keys()
+            if (cut is None or k >= cut) and q * theirs.get(k, 0) != p * mine.get(k, 0)
+        ]
         return sorted(bad, key=lambda w: w.coords2)
 
     def __repr__(self) -> str:
         items = self.support_sorted()[:8]
-        body = " + ".join(f"{self.terms[w]}*e^({w})" for w in items)
-        more = "" if len(self.terms) <= 8 else f" ... ({len(self.terms)} terms)"
+        body = " + ".join(f"{self.coeff(w)}*e^({w})" for w in items)
+        more = "" if len(self.packed) <= 8 else f" ... ({len(self.packed)} terms)"
         return f"CharSeries[{body}{more}; t4={self.threshold4}, c4={self.ceiling4}]"
 
     def to_json(self) -> dict:
         doc_terms = [
             {"coords2": list(w.coords2), "coeff": str(c)}
-            for w, c in sorted(self.terms.items(), key=lambda it: it[0].coords2)
+            for w, c in sorted(self._unpacked(), key=lambda it: it[0].coords2)
         ]
         t2 = None
         if self.threshold4 is not None:
@@ -205,23 +231,44 @@ class CharSeries:
         return {"threshold2": t2, "terms": doc_terms}
 
 
+class _Terms(Mapping):
+    """A series' terms keyed by ``Weight``, uncached: iterating unpacks each
+    key, and a lookup packs the weight."""
+
+    def __init__(self, series: CharSeries):
+        self._series = series
+
+    def __len__(self) -> int:
+        return len(self._series.packed)
+
+    def __iter__(self):
+        return (w for w, _ in self._series._unpacked())
+
+    def __getitem__(self, w: Weight) -> int:
+        c = self._series.coeff(w)
+        if not c:
+            raise KeyError(w)
+        return c
+
+
+def _width(bound: int) -> int:
+    """The narrowest width on the ladder 16, 32, 48, ... whose balanced
+    digits hold every integer of absolute value <= bound."""
+    return 16 * max(1, -(-(bound.bit_length() + 1) // 16))
+
+
+def _cut(threshold4: int | None, shift: int) -> int | None:
+    """The least key of height >= threshold4 with the height digit at bit
+    ``shift`` (None for no threshold)."""
+    return None if threshold4 is None else (threshold4 << shift) - (1 << (shift - 1))
+
+
 def _max_threshold(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+    return max((t for t in (a, b) if t is not None), default=None)
 
 
 def _product_threshold(ta, ca, tb, cb) -> int | None:
-    if ta is None and tb is None:
-        return None
-    cands = []
-    if ta is not None:
-        cands.append(ta + cb)
-    if tb is not None:
-        cands.append(tb + ca)
-    return max(cands)
+    return max((t + c for t, c in ((ta, cb), (tb, ca)) if t is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +350,7 @@ def product_expansion(
     h_lead = ht4(leading)
     total_ceiling = h_lead + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
-        return CharSeries.zero(system, threshold4)
+        return CharSeries(system, {}, threshold4, total_ceiling)
 
     other = sum(g_ceil) + sum(p_ceil)
     multiples = [
@@ -316,9 +363,8 @@ def product_expansion(
         bound += max(abs(k) for k, _ in terms) * max(map(abs, b.coords2))
     for b, _, _ in poly:
         bound += max(map(abs, b.coords2))
-    bits = bound.bit_length() + 1
-    dim = len(leading.coords2)
-    shift = bits * dim
+    bits = _width(bound)
+    shift = bits * len(leading.coords2)
 
     # each factor's (key, coefficient) terms in descending height
     factors: list[tuple[list[tuple[int, int]], int]] = []
@@ -334,10 +380,7 @@ def product_expansion(
     remaining = sum(c for _, c in factors)
     for fterms, c in factors:
         remaining -= c
-        # a key has height >= floor exactly when it is >= cut, because the
-        # coordinate digits below the height digit sum to less than half of
-        # 2^shift in absolute value
-        cut = ((threshold4 - remaining) << shift) - (1 << (shift - 1))
+        cut = _cut(threshold4 - remaining, shift)
         nxt: dict[int, int] = {}
         get = nxt.get
         for ka, ca in acc.items():
@@ -348,10 +391,8 @@ def product_expansion(
                 k = ka + kb
                 nxt[k] = get(k, 0) + ca * cb
         acc = nxt
-    shape = system.shape
-    unpack = _unpacker(bits, dim)
-    terms = {Weight._trusted(unpack(k), shape): c for k, c in acc.items() if c}
-    return CharSeries._trusted(system, terms, threshold4, total_ceiling)
+    terms = {k: c for k, c in acc.items() if c}
+    return CharSeries._trusted(system, terms, bits, threshold4, total_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +452,7 @@ def weyl_character(
     """
     ht4 = system.ht4
     top = lam + rho_block
-    bits = (max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2))).bit_length() + 1
+    bits = _width(max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2)))
     numer: dict[int, int] = {}
     denom: dict[int, int] = {}
     for w in elements:
@@ -443,6 +484,4 @@ def weyl_character(
                 numer[x] = v
             else:
                 del numer[x]
-    unpack = _unpacker(bits, len(top.coords2))
-    terms = {Weight._trusted(unpack(k), system.shape): c for k, c in quot.items()}
-    return CharSeries._trusted(system, terms, NEG_INF, max(map(ht4, terms), default=0))
+    return CharSeries._trusted(system, quot, bits, NEG_INF, 0).tightened()

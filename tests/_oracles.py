@@ -17,6 +17,88 @@ from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import WeylElement, sgn
 
 
+class ReferenceSeries:
+    """The truncated series as it was before packed keys: terms keyed by
+    ``Weight``, every operation written out on whole dicts and cut to its
+    window by the filtering constructor, heights read with ``ht4``."""
+
+    def __init__(self, system, terms, threshold4, ceiling4):
+        ht4 = system.ht4
+        self.system = system
+        self.terms = {w: c for w, c in terms.items() if c and (threshold4 is None or ht4(w) >= threshold4)}
+        self.threshold4 = threshold4
+        self.ceiling4 = ceiling4
+
+    @staticmethod
+    def zero(system, threshold4=None):
+        return ReferenceSeries(system, {}, threshold4, 0)
+
+    def coeff(self, w):
+        return self.terms.get(w, 0)
+
+    def is_zero_on_window(self):
+        return not self.terms
+
+    def support_sorted(self):
+        return sorted(self.terms, key=lambda w: (-self.system.ht4(w), w.coords2))
+
+    def window_threshold(self, other):
+        ts = [t for t in (self.threshold4, other.threshold4) if t is not None]
+        return max(ts, default=None)
+
+    def __add__(self, other):
+        merged = dict(self.terms)
+        for w, c in other.terms.items():
+            merged[w] = merged.get(w, 0) + c
+        return ReferenceSeries(self.system, merged, self.window_threshold(other), max(self.ceiling4, other.ceiling4))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, k):
+        return ReferenceSeries(self.system, {w: k * c for w, c in self.terms.items()}, self.threshold4, self.ceiling4)
+
+    def __mul__(self, other):
+        """The whole convolution, cut to the window on which it is complete:
+        max(t_a + ceil_b, t_b + ceil_a)."""
+        full = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                full[wa + wb] = full.get(wa + wb, 0) + ca * cb
+        pairs = ((self.threshold4, other.ceiling4), (other.threshold4, self.ceiling4))
+        t = max((t + c for t, c in pairs if t is not None), default=None)
+        return ReferenceSeries(self.system, full, t, self.ceiling4 + other.ceiling4)
+
+    def tightened(self):
+        if not self.terms:
+            return self
+        top = max(map(self.system.ht4, self.terms))
+        return ReferenceSeries(self.system, self.terms, self.threshold4, top)
+
+    def truncate(self, threshold4):
+        if self.threshold4 is not None and threshold4 < self.threshold4:
+            raise ValueError("cannot widen the window by truncation")
+        return ReferenceSeries(self.system, self.terms, threshold4, self.ceiling4)
+
+    def mismatches(self, other, ratio=Fraction(1)):
+        t = self.window_threshold(other)
+        bad = [
+            w for w in self.terms.keys() | other.terms.keys()
+            if (t is None or self.system.ht4(w) >= t) and Fraction(other.coeff(w)) != ratio * self.coeff(w)
+        ]
+        return sorted(bad, key=lambda w: w.coords2)
+
+    def to_json(self):
+        doc_terms = [
+            {"coords2": list(w.coords2), "coeff": str(c)}
+            for w, c in sorted(self.terms.items(), key=lambda it: it[0].coords2)
+        ]
+        t2 = None
+        if self.threshold4 is not None:
+            t2 = self.threshold4 / 2 if self.threshold4 % 2 else self.threshold4 // 2
+        return {"threshold2": t2, "terms": doc_terms}
+
+
 def one_minus_exp(system, beta):
     """The finite factor 1 - e^{-beta}, exact, with the ceiling of its
     higher term."""
@@ -27,7 +109,8 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     """coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta}) on
     the window {ht >= threshold4}, multiplied out on ``Weight`` keys with
     ``ht4`` evaluated for every pair of terms and the result built through
-    the filtering constructor of ``CharSeries``."""
+    the filtering constructor of ``ReferenceSeries``.  A product wholly
+    below the window is the empty series with the product's own ceiling."""
     ht4 = system.ht4
     geom = list(geom)
     poly = list(poly)
@@ -35,7 +118,7 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     p_ceil = [max(0, -ht4(b)) for b, _ in poly]
     total_ceiling = ht4(leading) + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
-        return CharSeries.zero(system, threshold4)
+        return ReferenceSeries(system, {}, threshold4, total_ceiling)
 
     factors = []
     other = sum(g_ceil) + sum(p_ceil)
@@ -74,7 +157,7 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
                     continue
                 nxt[w] = nxt.get(w, 0) + ca * cb
         acc = nxt
-    return CharSeries(system, acc, threshold4, total_ceiling)
+    return ReferenceSeries(system, acc, threshold4, total_ceiling)
 
 
 def reference_lhs(system, kind, threshold4):
@@ -128,7 +211,7 @@ def reference_weyl_character(system, elements, rho_block, lam):
             if numer[x] == 0:
                 del numer[x]
     ceiling = max((ht4(w) for w in quot), default=0)
-    return CharSeries(system, quot, None, ceiling)
+    return ReferenceSeries(system, quot, None, ceiling)
 
 
 def signed_sum(elements, body):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import types
 
@@ -181,6 +182,61 @@ def test_every_identity_side_is_a_weyl_sum_record():
     }
     assert not hasattr(kw, "f_sum_quotient") and not hasattr(kw, "product_expansion")
     assert not hasattr(series.CharSeries, "one_minus_exp")
+
+
+def _attribute_readers(attr: str) -> set[str]:
+    """``module.function`` or ``module.Class.function`` for every top-level
+    function or method of the package that reads an attribute called
+    ``attr`` (``module.<module>`` outside them)."""
+    out = set()
+    for path in pathlib.Path(superdenom.__file__).parent.glob("*.py"):
+
+        def visit(node, where, cls):
+            if isinstance(node, ast.ClassDef) and where is None:
+                cls = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and where is None:
+                where = ".".join(filter(None, (path.stem, cls, node.name)))
+            if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+                out.add(where or f"{path.stem}.<module>")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where, cls)
+
+        visit(ast.parse(path.read_text()), None, None)
+    return out
+
+
+def test_weight_keyed_terms_are_read_only_at_the_boundary():
+    # series work on packed keys; the Weight-keyed view is read only where a
+    # weight leaves the package, and by the natural-module fits in kw
+    boundary = {
+        "series.CharSeries.coeff",
+        "series.CharSeries.support_sorted",
+        "series.CharSeries.to_json",
+        "series.CharSeries.__repr__",
+        "series.CharSeries.mismatches",
+    }
+    readers = _attribute_readers("terms")
+    assert "series.CharSeries.support_sorted" in readers and "kw.highest_weight" in readers
+    assert {r for r in readers if not r.startswith("kw.")} <= boundary
+
+
+def test_highest_weight_keeps_its_coords2_tie_break():
+    # kw.highest_weight breaks a height tie by coords2; the key order breaks
+    # it on the last coordinate first, so the top key is the other weight
+    from superdenom import kw
+    from superdenom.rootdata import build_root_datum, positive_system, standard_order
+    from superdenom.series import CharSeries
+    from superdenom.weights import Weight
+
+    system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
+    probes = [Weight(c, system.shape) for c in itertools.product((-2, 0, 2), repeat=3)]
+    x, y = next(
+        (x, y) for x in probes for y in probes
+        if system.ht4(x) == system.ht4(y) and x.coords2 > y.coords2 and x.coords2[-1] < y.coords2[-1]
+    )
+    series = CharSeries(system, {x: 1, y: 1}, None, system.ht4(x))
+    assert max(series.packed) in CharSeries.monomial(system, y).packed
+    assert kw.highest_weight(system, series) == x
 
 
 def test_one_block_pairs_share_one_body():

@@ -12,7 +12,13 @@ from superdenom.series import CharSeries, HeightZeroExponent, product_expansion,
 from superdenom.theta import make_pair
 from superdenom.weyl import full_weyl, sgn, signed_permutations
 
-from _oracles import one_minus_exp, reference_product_expansion, reference_weyl_character, signed_sum
+from _oracles import (
+    ReferenceSeries,
+    one_minus_exp,
+    reference_product_expansion,
+    reference_weyl_character,
+    signed_sum,
+)
 
 
 def gl21_system():
@@ -185,6 +191,16 @@ def test_weyl_character_error_paths():
         weyl_character(system, block, alpha, -alpha.half())
 
 
+def test_a_product_wholly_below_the_window_keeps_its_own_ceiling():
+    # e^a for the first simple root a of GL(2,1) e1>d1>e2 has height 4 < 8:
+    # no term survives, and the ceiling is the product's own, not 0
+    system = gl21_system()
+    assert repr(system.order) == "e1>d1>e2"
+    a = system.simple_roots[0]
+    for ser in (product_expansion(system, 8, a), reference_product_expansion(system, 8, a)):
+        assert not ser.terms and (ser.threshold4, ser.ceiling4) == (8, 4)
+
+
 def test_series_json_sorted_and_stable():
     system = gl21_system()
     T = -3 * system.unit4
@@ -299,6 +315,87 @@ def test_mul_matches_the_whole_convolution_cut_to_the_window(case):
         assert got.terms == want.terms
         assert (got.threshold4, got.ceiling4) == (want.threshold4, want.ceiling4)
         assert all(c != 0 for c in got.terms.values())
+
+
+# -- packed series against the Weight-keyed reference series ------------------
+
+# offsets that keep a term's coordinates within 16-bit digits, push them just
+# past (so a sum or product of two needs 32 bits), or far past
+_OFFSETS = st.sampled_from([2 ** 10, 2 ** 15 - 3, 2 ** 15, 2 ** 20, 2 ** 40])
+
+
+@st.composite
+def _reference_case(draw):
+    """A GL(2,1) system (perturbed or not) and two series built from the same
+    ``{Weight: c}`` dicts as a ``CharSeries`` and as a ``ReferenceSeries``.
+    Each term is a small weight, or a small weight plus one large offset of
+    the case, so the two series share keys while their digit widths may
+    differ; thresholds fall near the small heights or near the offset's."""
+    system = draw(st.sampled_from([gl21_system(), gl21_system().with_tiebreak(7)]))
+    sh = system.shape
+    offset = Weight([draw(_OFFSETS) * draw(st.sampled_from([-1, 0, 1])) for _ in range(3)], sh)
+    small = [Weight(c, sh) for c in draw(st.lists(_COORDS, min_size=1, max_size=8, unique=True))]
+    pool = small + [w + offset for w in small]
+    out = []
+    for _ in range(2):
+        terms = {w: draw(st.integers(-3, 3)) for w in draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))}
+        near = draw(st.sampled_from([0, system.ht4(offset)]))
+        t = draw(st.one_of(st.none(), st.integers(near - 12, near + 12)))
+        c = max(map(system.ht4, terms), default=0) + draw(st.integers(0, 4))
+        out.append((CharSeries(system, terms, t, c), ReferenceSeries(system, terms, t, c)))
+    return system, pool + [offset * 3, Weight([2 ** 60, 0, -1], sh)], out
+
+
+def _agrees(got, want, ordered=True):
+    """got, a CharSeries, equals the ReferenceSeries want: the same terms,
+    read through ``terms``, ``coeff`` and ``to_json``, the same window, and
+    with ``ordered`` the same term order."""
+    assert dict(got.terms) == want.terms
+    assert len(got.terms) == len(want.terms)
+    if ordered:
+        assert list(got.terms) == list(want.terms)
+    assert (got.threshold4, got.ceiling4) == (want.threshold4, want.ceiling4)
+    assert got.to_json() == want.to_json()
+    assert got.support_sorted() == want.support_sorted()
+    assert all(got.terms[w] == got.coeff(w) == c for w, c in want.terms.items())
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_reference_case(), k=st.integers(-3, 3), ratio=_RATIOS, lift=st.integers(0, 16))
+def test_series_operations_match_the_reference_series(case, k, ratio, lift):
+    system, probes, [(a, ra), (b, rb)] = case
+    _agrees(a, ra)
+    assert [a.coeff(w) for w in probes] == [ra.coeff(w) for w in probes]
+    assert a.is_zero_on_window() == ra.is_zero_on_window()
+    _agrees(a.scale(k), ra.scale(k))
+    _agrees(a.tightened(), ra.tightened())
+    for t in ([lift - 8] if a.threshold4 is None else [a.threshold4, a.threshold4 + lift]):
+        _agrees(a.truncate(t), ra.truncate(t))
+    if a.threshold4 is not None:
+        for s in (a, ra):
+            with pytest.raises(ValueError):
+                s.truncate(a.threshold4 - 1)
+    for (x, rx), (y, ry) in (((a, ra), (b, rb)), ((b, rb), (a, ra)), ((a, ra), (a, ra))):
+        _agrees(x + y, rx + ry)
+        _agrees(x - y, rx - ry)
+        _agrees(x * y, rx * ry, ordered=False)
+        assert x.mismatches(y, ratio) == rx.mismatches(ry, ratio)
+
+
+def test_a_product_widens_the_digits_it_needs():
+    # 2^15 - 1 fits a 16-bit balanced digit and twice it does not: the
+    # product of two such monomials moves to 32-bit digits, and a sum with a
+    # 16-bit series is taken at 32 bits
+    system = gl21_system()
+    w = Weight([2 ** 15 - 1, 0, -(2 ** 15 - 1)], system.shape)
+    x = CharSeries.monomial(system, w)
+    square = x * x
+    assert (x.bits, square.bits) == (16, 32)
+    assert dict(square.terms) == {w + w: 1}
+    one = CharSeries.monomial(system, Weight.zero(system.shape))
+    total = square + one
+    assert total.bits == 32 and dict(total.terms) == {w + w: 1, Weight.zero(system.shape): 1}
+    assert not total.mismatches(one + square)
 
 
 # -- the packed kernel against the Weight-keyed reference loop -----------------

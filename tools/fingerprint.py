@@ -12,7 +12,9 @@ The list holds the README examples; `verify` of every kind with `--orders
 all` on GL(2,2), GL(3,2), B(1,2), B(2,2), C(2,1), D(2,1) and D(3,2) at depth 6,
 and on GL(0,2), GL(3,0) and B(0,2), which have an even block of size 0 (a
 kind off its family or order exits 2, which is fingerprinted too), and the
-compact-pair kinds on their own orders; `theta-table` and `theta-verify` for
+compact-pair kinds on their own orders; `verify --identity princ-sd --orders
+distinguished --depth 3` on GL(4,3), B(3,2), D(3,2) and D(3,3), whose Weyl
+sums are the largest of the list; `theta-table` and `theta-verify` for
 each pair; `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
@@ -64,6 +66,9 @@ PAIRS = [
     "--pair GL --n 2 --p 1 --q 1",
 ]
 
+# the largest Weyl sums: princ-sd on a distinguished order at depth 3
+LARGE_RANKS = [("gl", 4, 3), ("b", 3, 2), ("d", 3, 2), ("d", 3, 3)]
+
 KW_RANKS = [("gl", 2, 1), ("gl", 2, 2), ("gl", 3, 2), ("b", 2, 1), ("d", 2, 1), ("d", 2, 2), ("d", 3, 2)]
 
 MISSING_ARGUMENTS = [
@@ -88,6 +93,8 @@ def calls() -> list[list[str]]:
         for m, n in [(2, 1), (3, 2)]:
             order = json.dumps(distinguished_order("D", m, n, "D2").to_json(), separators=(",", ":"))
             out.append(f"verify --identity {kind} --family d --m {m} --n {n} --orders {order} --depth 6".split())
+    for fam, m, n in LARGE_RANKS:
+        out.append(f"verify --identity princ-sd --family {fam} --m {m} --n {n} --orders distinguished --depth 3".split())
     for pair in PAIRS:
         out.append(f"theta-table {pair} --bound 6".split())
         out.append(f"theta-verify {pair} --depth 6".split())
