@@ -29,10 +29,6 @@ class ReferenceSeries:
         self.threshold4 = threshold4
         self.ceiling4 = ceiling4
 
-    @staticmethod
-    def zero(system, threshold4=None):
-        return ReferenceSeries(system, {}, threshold4, 0)
-
     def coeff(self, w):
         return self.terms.get(w, 0)
 
