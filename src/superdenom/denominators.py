@@ -60,7 +60,6 @@ from .weyl import (
     full_weyl,
     sharp_subgroup,
     reflection,
-    enumerate_closure,
     coset_reps,
     product_set,
     signed_permutations,
@@ -255,9 +254,11 @@ def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
 
     ``bprime`` is a set of basis symbols containing Supp(X) (default equal to
     it); symbols are compared by kind and index, so their signs are ignored.
-    W#(B') is generated by the reflections of Delta_0(B') in the even
-    block that the dual Coxeter number of the ambient algebra singles out, the
-    block that W# itself lives in (``datum.dual_coxeter_sign``).
+    W_B' is the product of the Weyl groups of the family's two block types
+    on the eps and on the delta indices of B'.  W#(B') is its factor on the
+    block that the dual Coxeter number of the ambient algebra singles out,
+    the block that W# itself lives in (``datum.dual_coxeter_sign``), and H is
+    W#(B') times the permutations of the other block's indices in B'.
     """
     datum = system.datum
     shape = datum.shape
@@ -272,24 +273,14 @@ def migliore_groups(system: PositiveSystem, X: ArcDiagram, bprime=None):
         raise ValueError(f"B' = {bprime} has a symbol outside the basis of shape {shape}")
     if not {(b.kind, b.idx) for b in X.support_symbols()} <= set(keys):
         raise ValueError(f"B' = {bprime} does not contain Supp(X) = {X.support_symbols()}")
-    eps_idx = [i for k, i in keys if k == "e"]
-    del_idx = [j for k, j in keys if k == "d"]
-    slots = {i - 1 for i in eps_idx} | {datum.m + j - 1 for j in del_idx}
-
-    def supported(a: Weight) -> bool:
-        return all(c == 0 or i in slots for i, c in enumerate(a.coords2))
-
-    sub_even = [a for a in datum.even_roots if supported(a)]
-    w_bprime_full = enumerate_closure([reflection(a) for a in sub_even], shape)
-    eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
-    sharp_roots = [a for a in sub_even if any(a.eps_coords2()) == eps_sharp]
-    w_sharp = enumerate_closure([reflection(a) for a in sharp_roots], shape)
-    perms = product_set(
-        signed_permutations(shape, "e", eps_idx), signed_permutations(shape, "d", del_idx)
-    )
-    H = enumerate_closure(perms + w_sharp, shape)
-    t_size = len(w_bprime_full) // len(H)
-    Z = coset_reps(full_weyl(datum), w_bprime_full)
+    types = dict(zip("ed", FAMILY_BLOCKS[datum.family]))
+    idx = {k: [i for kind, i in keys if kind == k] for k in "ed"}
+    block = {k: signed_permutations(shape, k, idx[k], flips=block_weyl(types[k], len(idx[k]))[0]) for k in "ed"}
+    sharp, other = "ed" if datum.dual_coxeter_sign == EPS_BLOCK else "de"
+    w_bprime = product_set(block["e"], block["d"])
+    H = sorted(product_set(block[sharp], signed_permutations(shape, other, idx[other])), key=WeylElement.sort_key)
+    t_size = len(w_bprime) // len(H)
+    Z = coset_reps(full_weyl(datum), w_bprime)
     W0 = product_set(Z, H)
     return W0, t_size
 

@@ -22,11 +22,11 @@ delta symbols).  ``FAMILY_BLOCKS`` declares this once:
     C(m)     C          none         positive   +-eps_i +- delta_1
     D(m,n)   D          C            2(m-n-1)   +-eps_i +- delta_k
 
-A block on coordinates f has the even roots f_i - f_j (A) or +-f_i +- f_j,
-and also +-f_i (B) or +-2f_i (C).  B needs n >= 1, D needs m, n >= 1, and
-C(m), usually called C(m+1), has n = 1.  W# is the Weyl group of the eps
-block when 2 h_vee >= 0, else of the delta block; C_g = |W_g/W#| is the
-order of the other block's group (``block_weyl``).
+A block on coordinates f has the even roots (``block_roots``) f_i - f_j (A)
+or +-f_i +- f_j, and also +-f_i (B) or +-2f_i (C).  B needs n >= 1, D needs
+m, n >= 1, and C(m), usually called C(m+1), has n = 1.  W# is the Weyl group
+of the eps block when 2 h_vee >= 0, else of the delta block; C_g = |W_g/W#|
+is the order of the other block's group (``block_weyl``).
 """
 
 from __future__ import annotations
@@ -95,18 +95,25 @@ def build_root_datum(family: str, m: int, n: int) -> RootDatum:
     shape = (m, n)
     eps = [Weight.eps(i, shape) for i in range(1, m + 1)]
     dl = [Weight.delta(j, shape) for j in range(1, n + 1)]
-    even: list[Weight] = []
-    for kind, fs in ((eps_type, eps), (delta_type, dl)):
-        for f, g in itertools.combinations(fs, 2):
-            even += [f - g, g - f] if kind == "A" else [f + g, f - g, -f - g, g - f]
-        if kind in ("B", "C"):  # the short roots +-f (B) or the long roots +-2f (C)
-            even += [c * f for c in ((1, -1) if kind == "B" else (2, -2)) for f in fs]
+    even = block_roots(eps_type, eps) + block_roots(delta_type, dl)
     signs = [(1, -1), (-1, 1)] if eps_type == "A" else [(1, 1), (1, -1), (-1, -1), (-1, 1)]
     odd = [s * e + t * d for e in eps for d in dl for s, t in signs]
     if eps_type == "B":  # the zero weight that gives a B block +-eps_i also gives +-delta_k
         odd += [c * d for c in (1, -1) for d in dl]
     sign = EPS_BLOCK if h2(m, n) >= 0 else DELTA_BLOCK
     return RootDatum(family, m, n, tuple(even), tuple(odd), sign)
+
+
+def block_roots(kind: str, fs: list[Weight]) -> list[Weight]:
+    """The roots of an even block of type ``kind`` on the coordinates ``fs``:
+    +-(f_i - f_j) for A, also +-(f_i + f_j) for B, C and D, and the short
+    roots +-f_i (B) or the long roots +-2f_i (C)."""
+    out: list[Weight] = []
+    for f, g in itertools.combinations(fs, 2):
+        out += [f - g, g - f] if kind == "A" else [f + g, f - g, -f - g, g - f]
+    if kind in ("B", "C"):
+        out += [c * f for c in ((1, -1) if kind == "B" else (2, -2)) for f in fs]
+    return out
 
 
 def block_weyl(kind: str, k: int) -> tuple[str, int]:

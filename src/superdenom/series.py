@@ -17,20 +17,19 @@ are balanced base-2^B digits of one int, under its height as the most
 significant digit.  Adding keys adds weights and heights; since the lower
 digits sum to less than half of 2^(B dim), comparing keys compares heights
 first, so a height filter compares a key with one cut and the top key holds
-the top height.  B comes from the ladder 16, 32, 48, ... and is kept on the
-series; every step that forms keys (the kernel ``product_expansion``, the
-division in ``weyl_character`` and ``*``) bounds the coordinates it can
-reach and widens B rather than overflow a digit, and an operand of a
-narrower B is re-encoded.  The kernel takes each factor's terms in
-descending height, so its inner loop stops at the first term below the
-window.  ``Weight`` stays at the boundary: the constructor takes
+the top height.  Each series keeps a bound on the absolute value of its
+coordinates, set by the step that forms its keys (the constructor, the
+kernel ``product_expansion``, the division in ``weyl_character``, ``+`` and
+``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
+holds it, so no digit overflows; an operand of a narrower B is re-encoded.
+The kernel takes each factor's terms in descending height, so its inner
+loop stops at the first term below the window.  ``Weight`` stays at the boundary: the constructor takes
 ``{Weight: c}``, and ``terms``, ``coeff``, ``support_sorted``, ``to_json``,
 ``repr`` and the weights ``mismatches`` returns unpack keys as they go.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable
@@ -46,8 +45,9 @@ class CharSeries:
     """A truncated series over a system: its nonzero terms inside the window
     {ht4 >= threshold4} (every term when the threshold is None) and the
     ceiling4 above which the full series has no term.  ``packed`` maps each
-    term's key, with digits ``bits`` wide, to its coefficient; ``terms`` is
-    a read-only view of the same map keyed by ``Weight``.
+    term's key, with digits ``bits`` wide, to its coefficient; no term has a
+    coordinate of absolute value above ``bound``.  ``terms`` is a read-only
+    view of the same map keyed by ``Weight``.
 
     A series is a value: no operation changes one in place, each returns a
     new series (which may share the packed dict of its operand).  So one
@@ -55,23 +55,28 @@ class CharSeries:
     between the checks on its system.
     """
 
-    __slots__ = ("system", "packed", "bits", "threshold4", "ceiling4")
+    __slots__ = ("system", "packed", "bound", "bits", "threshold4", "ceiling4")
 
     def __init__(self, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int):
-        ht4, bits = system.ht4, _width(max((abs(x) for w in terms for x in w.coords2), default=0))
-        packed = {
+        self._set(system, {}, max((abs(x) for w in terms for x in w.coords2), default=0), threshold4, ceiling4)
+        ht4, bits = system.ht4, self.bits
+        self.packed = {
             _pack(w.coords2, ht4(w), bits): c for w, c in terms.items()
             if c != 0 and (threshold4 is None or ht4(w) >= threshold4)
         }
-        self.system, self.packed, self.bits, self.threshold4, self.ceiling4 = system, packed, bits, threshold4, ceiling4
+
+    def _set(self, system, packed, bound, threshold4, ceiling4) -> "CharSeries":
+        self.system, self.packed, self.bound, self.threshold4, self.ceiling4 = system, packed, bound, threshold4, ceiling4
+        # the narrowest width on the ladder 16, 32, ... whose balanced digits hold +-bound
+        self.bits = 16 * max(1, -(-(bound.bit_length() + 1) // 16))
+        return self
 
     @classmethod
-    def _trusted(cls, system: PositiveSystem, packed: dict[int, int], bits: int, threshold4: int | None, ceiling4: int) -> "CharSeries":
-        """Wrap packed terms that are already nonzero and inside the window,
-        skipping the filters of __init__.  The dict is taken over, not copied."""
-        out = cls.__new__(cls)
-        out.system, out.packed, out.bits, out.threshold4, out.ceiling4 = system, packed, bits, threshold4, ceiling4
-        return out
+    def _trusted(cls, system: PositiveSystem, packed: dict[int, int], bound: int, threshold4: int | None, ceiling4: int) -> "CharSeries":
+        """Wrap packed terms that are nonzero, inside the window and within
+        ``bound``, skipping the filters of __init__; the dict is taken over,
+        not copied.  A step that forms keys wraps {} to learn B, then fills it."""
+        return cls.__new__(cls)._set(system, packed, bound, threshold4, ceiling4)
 
     # -- constructors -------------------------------------------------------
 
@@ -104,8 +109,8 @@ class CharSeries:
         return _Terms(self)
 
     def coeff(self, w: Weight) -> int:
-        if w.shape != self.system.shape or max(map(abs, w.coords2), default=0) >> (self.bits - 1):
-            return 0  # a coordinate too wide for the digits: no term has it
+        if w.shape != self.system.shape or max(map(abs, w.coords2), default=0) > self.bound:
+            return 0  # a coordinate beyond the bound: no term has it
         return self.packed.get(_pack(w.coords2, self.system.ht4(w), self.bits), 0)
 
     def is_zero_on_window(self) -> bool:
@@ -139,40 +144,31 @@ class CharSeries:
                 terms[k] = c
             else:
                 del terms[k]
-        return CharSeries._trusted(self.system, terms, bits, t, max(self.ceiling4, other.ceiling4))
+        return CharSeries._trusted(self.system, terms, max(self.bound, other.bound), t, max(self.ceiling4, other.ceiling4))
 
     def __sub__(self, other: "CharSeries") -> "CharSeries":
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "CharSeries":
         terms = {key: k * c for key, c in self.packed.items()} if k else {}
-        return CharSeries._trusted(self.system, terms, self.bits, self.threshold4, self.ceiling4)
+        return CharSeries._trusted(self.system, terms, self.bound, self.threshold4, self.ceiling4)
 
     def __mul__(self, other: "CharSeries") -> "CharSeries":
         """Exact convolution with the window-soundness rule: the product is
-        complete above max(t_a + ceil_b, t_b + ceil_a).  The digits are
-        widened when the sum of the operands' largest coordinates needs it.
-        Keys add, so the larger operand's terms are taken in descending key
-        order and each row stops at the first pair below the window."""
+        complete above max(t_a + ceil_b, t_b + ceil_a).  The operands' bounds
+        add, and the digits widen when their sum needs it.  The larger
+        operand's terms are taken in descending key order (``_convolve``)."""
         self._same_space(other)
         a, b = self, other
         if len(b.packed) < len(a.packed):
             a, b = b, a
-        bound = sum(max((abs(x) for w, _ in s._unpacked() for x in w.coords2), default=0) for s in (a, b))
-        bits = max(a.bits, b.bits, _width(bound))
         t = _product_threshold(a.threshold4, a.ceiling4, b.threshold4, b.ceiling4)
-        cut = _cut(t, bits * len(self.system._hvals2))
+        out = CharSeries._trusted(self.system, {}, a.bound + b.bound, t, a.ceiling4 + b.ceiling4)
+        bits = out.bits
         column = sorted(b._at(bits).items(), reverse=True)
-        out: dict[int, int] = {}
-        for ka, ca in a._at(bits).items():
-            lim = -math.inf if cut is None else cut - ka
-            for kb, cb in column:
-                if kb < lim:
-                    break
-                k = ka + kb
-                out[k] = out.get(k, 0) + ca * cb
-        terms = {k: c for k, c in out.items() if c}
-        return CharSeries._trusted(self.system, terms, bits, t, a.ceiling4 + b.ceiling4)
+        full = _convolve(a._at(bits), column, _cut(t, bits * len(self.system._hvals2)))
+        out.packed = {k: c for k, c in full.items() if c}
+        return out
 
     def tightened(self) -> "CharSeries":
         """The same series with its ceiling lowered to its highest term, the
@@ -181,14 +177,14 @@ class CharSeries:
             return self
         shift = self.bits * len(self.system._hvals2)
         top = (max(self.packed) + (1 << (shift - 1))) >> shift
-        return CharSeries._trusted(self.system, self.packed, self.bits, self.threshold4, top)
+        return CharSeries._trusted(self.system, self.packed, self.bound, self.threshold4, top)
 
     def truncate(self, threshold4: int) -> "CharSeries":
         if self.threshold4 is not None and threshold4 < self.threshold4:
             raise ValueError("cannot widen the window by truncation")
         cut = _cut(threshold4, self.bits * len(self.system._hvals2))
         terms = {k: c for k, c in self.packed.items() if k >= cut}
-        return CharSeries._trusted(self.system, terms, self.bits, threshold4, self.ceiling4)
+        return CharSeries._trusted(self.system, terms, self.bound, threshold4, self.ceiling4)
 
     # -- comparison ------------------------------------------------------------
 
@@ -249,12 +245,6 @@ class _Terms(Mapping):
         if not c:
             raise KeyError(w)
         return c
-
-
-def _width(bound: int) -> int:
-    """The narrowest width on the ladder 16, 32, 48, ... whose balanced
-    digits hold every integer of absolute value <= bound."""
-    return 16 * max(1, -(-(bound.bit_length() + 1) // 16))
 
 
 def _cut(threshold4: int | None, shift: int) -> int | None:
@@ -363,8 +353,8 @@ def product_expansion(
         bound += max(abs(k) for k, _ in terms) * max(map(abs, b.coords2))
     for b, _, _ in poly:
         bound += max(map(abs, b.coords2))
-    bits = _width(bound)
-    shift = bits * len(leading.coords2)
+    out = CharSeries._trusted(system, {}, bound, threshold4, total_ceiling)
+    bits, shift = out.bits, out.bits * len(leading.coords2)
 
     # each factor's (key, coefficient) terms in descending height
     factors: list[tuple[list[tuple[int, int]], int]] = []
@@ -380,19 +370,28 @@ def product_expansion(
     remaining = sum(c for _, c in factors)
     for fterms, c in factors:
         remaining -= c
-        cut = _cut(threshold4 - remaining, shift)
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for ka, ca in acc.items():
-            lim = cut - ka
-            for kb, cb in fterms:
-                if kb < lim:
-                    break
-                k = ka + kb
-                nxt[k] = get(k, 0) + ca * cb
-        acc = nxt
-    terms = {k: c for k, c in acc.items() if c}
-    return CharSeries._trusted(system, terms, bits, threshold4, total_ceiling)
+        acc = _convolve(acc, fterms, _cut(threshold4 - remaining, shift))
+    out.packed = {k: c for k, c in acc.items() if c}
+    return out
+
+
+def _convolve(acc: dict[int, int], column: list[tuple[int, int]], cut: int | None) -> dict[int, int]:
+    """The product of the terms ``acc`` and ``column`` on the keys >= cut
+    (every key for None), zero coefficients kept.  Keys add and ``column``
+    is in descending key order, so each row stops at its first key below
+    the cut."""
+    if cut is None:  # the least sum of two keys: no row stops
+        cut = min(acc, default=0) + (column[-1][0] if column else 0)
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in acc.items():
+        lim = cut - ka
+        for kb, cb in column:
+            if kb < lim:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,9 @@ def weyl_character(
     """
     ht4 = system.ht4
     top = lam + rho_block
-    bits = _width(max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2)))
+    bound = max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2))
+    out = CharSeries._trusted(system, {}, bound, NEG_INF, 0)
+    bits, quot = out.bits, out.packed
     numer: dict[int, int] = {}
     denom: dict[int, int] = {}
     for w in elements:
@@ -467,7 +468,6 @@ def weyl_character(
     dmax = max(denom)
     if denom[dmax] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
-    quot: dict[int, int] = {}
     steps = 0
     while numer:
         steps += 1
@@ -484,4 +484,4 @@ def weyl_character(
                 numer[x] = v
             else:
                 del numer[x]
-    return CharSeries._trusted(system, quot, bits, NEG_INF, 0).tightened()
+    return out.tightened()

@@ -24,8 +24,10 @@ compares the two finite sums as whole characters, with no window.
 Both routes, the table assembly and the duality check are written once on
 ``DualPair``.  Each pair supplies only what differs:
 
-* its blocks: ``s2_block``, ``levi_block``, ``compact_block``, ``levi_root_set``,
-  ``nilradical`` and ``levi_runs`` (the Levi block's runs of ``coords2``);
+* its blocks ``s2_block``, ``levi_block`` and ``compact_block``, each one
+  ``Block.of`` declaration of even blocks by type, and ``levi_runs`` (the
+  Levi block's runs of ``coords2``); the nilradical is the s2 block's
+  positive roots outside the Levi block;
 * ``table_keys(size)``: the table keys of one size (partitions with at most d
   parts by default; pairs of partitions for GL);
 * ``labels(key)``: (sign, unshifted L^2 lowest weight) per entry of one key
@@ -44,10 +46,12 @@ s_{eps_m} of the primed D2 pair is read off the one -1 sign of its order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
     FAMILY_BLOCKS,
+    block_roots,
     block_weyl,
     build_root_datum,
     distinguished_order,
@@ -108,6 +112,24 @@ class Block:
 
     def __post_init__(self):
         self.rho = weight_sum(self.positive, self.system.shape).half()
+
+    @classmethod
+    def of(cls, system: PositiveSystem, parts, twist: WeylElement | None = None) -> "Block":
+        """The block of ``parts``, each (kind, indices, type): an even block of
+        type ``type`` on the listed eps ("e") or delta ("d") coordinates, moved
+        by ``twist`` when given.  Its positive roots are the parts' roots of
+        positive height; its elements, the product of the parts' Weyl groups
+        conjugated by the twist, sorted by key."""
+        sh, tw = system.shape, (twist.act if twist else lambda x: x)
+        positive, groups = [], []
+        for kind, idx, typ in parts:
+            roots = block_roots(typ, [tw(_line(sh, kind, {i: 1})) for i in idx])
+            positive += [a for a in roots if system.principal_ht4(a) > 0]
+            groups.append(signed_permutations(sh, kind, idx, flips=block_weyl(typ, len(idx))[0]))
+        elements = product_set(*groups)
+        if twist is not None:
+            elements = [twist.compose(w).compose(twist) for w in elements]
+        return cls(system, positive, sorted(elements, key=WeylElement.sort_key))
 
     def character(self, lam: Weight) -> CharSeries:
         return weyl_character(self.system, self.elements, self.rho, lam)
@@ -219,6 +241,12 @@ class DualPair:
             acc = acc + self.levi_block.character(lam).scale(c)
         return acc.tightened()
 
+    @cached_property
+    def nilradical(self) -> list[Weight]:
+        """The s2 block's positive roots outside the Levi block."""
+        levi = set(self.levi_block.positive)
+        return [a for a in self.s2_block.positive if a not in levi]
+
     def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
         """finite x the nilradical tail on {ht >= threshold4}, for a finite
         series complete there and with a tight ceiling: one tail expansion."""
@@ -276,10 +304,11 @@ class DualPair:
         group = enumerate_closure(gens, sys_.shape)
         gset = set(group)
         roots = [a for a in s2_roots if reflection(a) in gset]
-        pos = [a for a in roots if a in set(self.s2_block.positive)]
+        s2_set, levi = set(self.s2_block.positive), set(self.levi_block.positive)
+        pos = [a for a in roots if a in s2_set]
         pos_set = set(pos)
         lengths = {w: sum(1 for a in pos if w.act(a) not in pos_set) for w in group}
-        compact = [a for a in pos if a in set(self.levi_root_set)]
+        compact = [a for a in pos if a in levi]
         csub = enumerate_closure([reflection(a) for a in compact], sys_.shape)
         reps = coset_reps(group, csub, key=lambda w: (lengths[w], w.sort_key()), left=True)
         return EnrightData(lam0, group, roots, reps, lengths)
@@ -362,34 +391,19 @@ class OneBlockPair(DualPair):
         datum = build_root_datum(self.family, m, n)
         self.system = positive_system(datum, distinguished_order(self.family, m, n, self.variant))
         sys_ = self.system
-        sh = sys_.shape
         for s in sys_.order.sequence:
             if s.sign == -1:
-                self.twist = reflection(2 * s.functional(sh))
-        lo, hi = (0, m) if self.block == "e" else (m, m + n)
-        self.block_size = hi - lo
+                self.twist = reflection(2 * s.functional(sys_.shape))
+        self.block_size = m if self.block == "e" else n
         self.compact_kind, compact_size = ("d", n) if self.block == "e" else ("e", m)
-        eps_type, delta_type, _ = FAMILY_BLOCKS[self.family]
-        types = {"e": eps_type, "d": delta_type}
+        types = dict(zip("ed", FAMILY_BLOCKS[self.family]))
         self.block_flips = block_weyl(types[self.block], self.block_size)[0]
-        compact_flips = block_weyl(types[self.compact_kind], compact_size)[0]
-        pos0 = set(sys_.positive_even)
-        s2_pos = [a for a in pos0 if any(a.coords2[lo:hi])]
-        a_pos = [a for a in s2_pos if sum(self._tw(a).coords2[lo:hi]) == 0]
-        compact_pos = [a for a in pos0 if not any(a.coords2[lo:hi])]
-        block_range, compact_range = range(1, self.block_size + 1), range(1, compact_size + 1)
-        levi_elements = signed_permutations(sh, self.block, block_range)
-        if self.twist is not None:
-            t = self.twist
-            levi_elements = sorted((t.compose(w).compose(t) for w in levi_elements), key=WeylElement.sort_key)
-        s2_elements = signed_permutations(sh, self.block, block_range, flips=self.block_flips)
-        compact_elements = signed_permutations(sh, self.compact_kind, compact_range, flips=compact_flips)
-        self.s2_block = Block(sys_, s2_pos, s2_elements)
-        self.levi_block = Block(sys_, a_pos, levi_elements)
-        self.levi_runs = [(lo, hi)]
-        self.levi_root_set = a_pos
-        self.nilradical = [a for a in s2_pos if a not in set(a_pos)]
-        self.compact_block = Block(sys_, compact_pos, compact_elements)
+        block_range = range(1, self.block_size + 1)
+        self.s2_block = Block.of(sys_, [(self.block, block_range, types[self.block])])
+        self.levi_block = Block.of(sys_, [(self.block, block_range, "A")], self.twist)
+        compact = (self.compact_kind, range(1, compact_size + 1), types[self.compact_kind])
+        self.compact_block = Block.of(sys_, [compact])
+        self.levi_runs = [(0, m) if self.block == "e" else (m, m + n)]
 
     def mu(self, a) -> Weight:
         coeffs = {self.block_size - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)}
@@ -504,18 +518,7 @@ class D1Pair(SpPair):
             raise ValueError("the O(2m) side needs m >= 2; m = 1 degenerates to a torus")
         super().__init__(m, n)
         # C_{m-1} block on eps_1..eps_{m-1} for the Kostant x-characters
-        x_elements = signed_permutations(self.system.shape, "e", range(1, m), flips="all")
-        self.x_block = Block(self.system, self._cm1_positive(), x_elements)
-
-    def _cm1_positive(self):
-        sh = self.system.shape
-        out = []
-        for i in range(1, self.m):
-            out.append(2 * Weight.eps(i, sh))
-            for j in range(i + 1, self.m):
-                out.append(Weight.eps(i, sh) - Weight.eps(j, sh))
-                out.append(Weight.eps(i, sh) + Weight.eps(j, sh))
-        return out
+        self.x_block = Block.of(self.system, [("e", range(1, m), "C")])
 
     def a_m(self, a) -> int:
         return a[self.m - 1] if self.m <= len(a) else 0
@@ -620,21 +623,10 @@ class GLPair(DualPair):
         datum = build_root_datum("GL", self.m, n)
         self.system = positive_system(datum, distinguished_order("GL", self.m, n, f"p{p}"))
         sys_ = self.system
-        sh = sys_.shape
-        pos0 = set(sys_.positive_even)
-        am_pos = [a for a in pos0 if any(a.eps_coords2())]
-        c_pos = [a for a in am_pos if not any(a.eps_coords2()[:p]) or not any(a.eps_coords2()[p:])]
-        an_pos = [a for a in pos0 if not any(a.eps_coords2())]
-        self.s2_block = Block(sys_, am_pos, signed_permutations(sh, "e", range(1, self.m + 1)))
-        levi_elements = product_set(
-            signed_permutations(sh, "e", range(1, p + 1)),
-            signed_permutations(sh, "e", range(p + 1, self.m + 1)),
-        )
-        self.levi_block = Block(sys_, c_pos, sorted(levi_elements, key=WeylElement.sort_key))
+        self.s2_block = Block.of(sys_, [("e", range(1, self.m + 1), "A")])
+        self.levi_block = Block.of(sys_, [("e", range(1, p + 1), "A"), ("e", range(p + 1, self.m + 1), "A")])
         self.levi_runs = [(0, p), (p, self.m)]
-        self.levi_root_set = c_pos
-        self.nilradical = [a for a in am_pos if a not in set(c_pos)]
-        self.compact_block = Block(sys_, an_pos, signed_permutations(sh, "d", range(1, n + 1)))
+        self.compact_block = Block.of(sys_, [("d", range(1, n + 1), "A")])
 
     def table_keys(self, size: int) -> list:
         """Pairs (a, b) of partitions with exactly k and h parts, k <= p,

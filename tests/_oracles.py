@@ -14,7 +14,16 @@ from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagra
 from superdenom.rootdata import DELTA_BLOCK, EPS_BLOCK, RootDatum
 from superdenom.series import CharSeries, product_expansion
 from superdenom.weights import Weight, inner, is_isotropic
-from superdenom.weyl import WeylElement, sgn
+from superdenom.weyl import (
+    WeylElement,
+    coset_reps,
+    enumerate_closure,
+    full_weyl,
+    product_set,
+    reflection,
+    sgn,
+    signed_permutations,
+)
 
 
 class ReferenceSeries:
@@ -696,3 +705,21 @@ def reference_sharp_generators(datum):
     singles out, the eps block for ``EPS_BLOCK``."""
     eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
     return [reference_reflection(a) for a in datum.even_roots if any(a.eps_coords2()) == eps_sharp]
+
+
+def reference_migliore_groups(system, X, bprime=None):
+    """W_0 = Z H and |T| = |W_B'| / |H| by closure searches: W_B' is generated
+    by the reflections in the even roots supported on B', W#(B') by those of
+    them in the block of W#, and H by W#(B') and the permutations of B'."""
+    datum, shape = system.datum, system.datum.shape
+    keys = [(b.kind, b.idx) for b in (X.support_symbols() if bprime is None else bprime)]
+    eps_idx = [i for k, i in keys if k == "e"]
+    del_idx = [j for k, j in keys if k == "d"]
+    slots = {i - 1 for i in eps_idx} | {datum.m + j - 1 for j in del_idx}
+    sub_even = [a for a in datum.even_roots if all(c == 0 or i in slots for i, c in enumerate(a.coords2))]
+    w_bprime = enumerate_closure([reflection(a) for a in sub_even], shape)
+    eps_sharp = datum.dual_coxeter_sign == EPS_BLOCK
+    w_sharp = enumerate_closure([reflection(a) for a in sub_even if any(a.eps_coords2()) == eps_sharp], shape)
+    perms = product_set(signed_permutations(shape, "e", eps_idx), signed_permutations(shape, "d", del_idx))
+    H = enumerate_closure(perms + w_sharp, shape)
+    return product_set(coset_reps(full_weyl(datum), w_bprime), H), len(w_bprime) // len(H)

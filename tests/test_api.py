@@ -166,6 +166,13 @@ def test_compare_is_the_one_verdict_rule():
     assert _calls_by_function("mismatches") == {"denominators.compare"}
 
 
+def test_only_the_full_group_and_the_enright_groups_search_a_closure():
+    # every other group is a product of the groups of the family's block
+    # types; W_g and theta's Enright groups, true reflection subgroups, are
+    # searched
+    assert _calls_by_function("enumerate_closure") == {"weyl.full_weyl", "theta.enright"}
+
+
 def test_every_identity_side_is_a_weyl_sum_record():
     # the signed Weyl sum is expanded only through WeylSum.expand, and the
     # kernel is called directly only by the sum and by theta's four

@@ -639,6 +639,40 @@ def test_verify_fails_under_each_record_mutation(monkeypatch):
     assert red["sign"] == signs_differ
 
 
+MIGLIORE_MUTATION_RANKS = [
+    ("GL", 2, 1), ("GL", 2, 2), ("B", 1, 1), ("B", 2, 1), ("B", 1, 2), ("D", 2, 1), ("D", 2, 2), ("C", 2, 1),
+]
+
+
+def test_migliore_fails_under_each_deliberate_mutation(monkeypatch):
+    # a doubled constant, and W_0 without its element w of highest ht(w(rho)),
+    # each turn every check red.  Dropping the identity is no fault here:
+    # the key-least coset representatives need not include it
+    def without_highest(system):
+        def mutate(spec):
+            top = max(spec.group, key=lambda w: (system.principal_ht4(w.act(spec.leading)), w.sort_key()))
+            return replace(spec, group=[w for w in spec.group if w != top])
+
+        return mutate
+
+    checks, red = 0, {"constant": 0, "highest": 0}
+    for fam, m, n in MIGLIORE_MUTATION_RANKS:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            system = positive_system(datum, order)
+            mutants = {
+                "constant": lambda spec: replace(spec, constant=2 * spec.constant),
+                "highest": without_highest(system),
+            }
+            for X in enumerate_diagrams(system):
+                assert verify("migliore", system, X=X, depth=4).passed, (fam, m, n, repr(order), X.arcs)
+                checks += 1
+                for name, mutate in mutants.items():
+                    red[name] += not _verify_with(monkeypatch, mutate, "migliore", system, 4, X).passed
+                    monkeypatch.undo()
+    assert checks == 48 and red == {"constant": 48, "highest": 48}
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_glkk_fails_without_its_finite_factor(monkeypatch, k):
     from superdenom import denominators

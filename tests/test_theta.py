@@ -306,7 +306,7 @@ def test_enright_group_shapes():
     ]:
         pair = make_pair(tag, **kw)
         sh = pair.system.shape
-        compact_roots = set(pair.s2_block.positive) & set(pair.levi_root_set)
+        compact_roots = set(pair.s2_block.positive) & set(pair.levi_block.positive)
         orders = []
         for e in pair.sigma_set(4):
             data = pair.enright(e)
@@ -477,5 +477,5 @@ def test_each_block_is_the_group_its_roots_generate(tag, kw):
     for entry in pair.sigma_set(4):
         assert set(pair.flip_set(entry.partition)) <= s2_group, entry.partition
     assert set(pair.enright_candidates()) <= set(pair.s2_block.positive)
-    levi = set(pair.levi_root_set)
+    levi = set(pair.levi_block.positive)
     assert pair.nilradical == [a for a in pair.s2_block.positive if a not in levi]

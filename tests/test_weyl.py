@@ -27,6 +27,7 @@ from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups
 from _oracles import (
     ReferenceElement,
     reference_closure,
+    reference_migliore_groups,
     reference_reflection,
     reference_sharp_generators,
     reference_signed_permutations,
@@ -85,14 +86,34 @@ def test_named_groups_equal_the_reference_closure(monkeypatch, fam, m, n):
     assert len(orders) == 1
 
 
-def test_migliore_groups_equal_the_reference_closure(monkeypatch):
-    orders = _check_closures(monkeypatch, denominators)
-    for fam in ("B", "D"):
-        for order in all_basis_orders(fam, 2, 1):
-            system = positive_system(build_root_datum(fam, 2, 1), order)
+MIGLIORE_ORACLE_RANKS = [
+    ("GL", 2, 1), ("GL", 2, 2), ("GL", 3, 1), ("GL", 3, 2), ("GL", 2, 3),
+    ("B", 1, 1), ("B", 1, 2), ("B", 2, 1), ("B", 2, 2), ("B", 1, 3),
+    ("C", 2, 1), ("C", 3, 1), ("D", 2, 1), ("D", 2, 2), ("D", 3, 1),
+]
+
+
+def test_migliore_groups_equal_the_reference_closure():
+    # W_B' and H are products of block groups; the oracle searches their
+    # closures, for every order, diagram and B' between Supp(X) and the basis
+    cases, nontrivial_t = 0, 0
+    for fam, m, n in MIGLIORE_ORACLE_RANKS:
+        datum = build_root_datum(fam, m, n)
+        for order in all_basis_orders(fam, m, n):
+            system = positive_system(datum, order)
             for X in enumerate_diagrams(system):
-                migliore_groups(system, X)
-    assert orders and max(orders) > 1
+                support = X.support_symbols()
+                rest = [s for s in order.sequence if (s.kind, s.idx) not in {(b.kind, b.idx) for b in support}]
+                for k in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, k):
+                        bprime = list(support) + list(extra)
+                        W0, t = migliore_groups(system, X, bprime)
+                        ref_W0, ref_t = reference_migliore_groups(system, X, bprime)
+                        assert (W0, t) == (ref_W0, ref_t), (fam, m, n, str(order), X.arcs, bprime)
+                        assert len(set(W0)) == len(W0)
+                        cases += 1
+                        nontrivial_t += t > 1
+    assert cases == 262 and nontrivial_t > 0
 
 
 @st.composite

@@ -15,7 +15,9 @@ kind off its family or order exits 2, which is fingerprinted too), and the
 compact-pair kinds on their own orders; `verify --identity princ-sd --orders
 distinguished --depth 3` on GL(4,3), B(3,2), D(3,2) and D(3,3), whose Weyl
 sums are the largest of the list; `theta-table` and `theta-verify` for
-each pair; `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
+each pair, on ranks whose blocks include an empty part (B(0,2), GL with
+p = 0 or q = 0), a one-coordinate part and the larger D1 x block of D1(3,1);
+`kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
 odd reflections and root-cone verdicts.  Stdlib only.
@@ -64,6 +66,13 @@ PAIRS = [
     "--pair D2 --m 2 --n 1",
     "--pair D2' --m 2 --n 1",
     "--pair GL --n 2 --p 1 --q 1",
+    # blocks with an empty part, a one-coordinate part or a larger x block
+    "--pair B --m 0 --n 2",
+    "--pair GL --n 1 --p 2 --q 0",
+    "--pair GL --n 2 --p 0 --q 2",
+    "--pair D1 --m 3 --n 1",
+    "--pair D2 --m 3 --n 1",
+    "--pair D2' --m 3 --n 2",
 ]
 
 # the largest Weyl sums: princ-sd on a distinguished order at depth 3
