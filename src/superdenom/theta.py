@@ -120,7 +120,7 @@ class Block:
         by ``twist`` when given.  Its positive roots are the parts' roots of
         positive height; its elements, the product of the parts' Weyl groups
         conjugated by the twist, sorted by key."""
-        sh, tw = system.shape, (twist.act if twist else lambda x: x)
+        sh, tw = system.shape, (twist.act if twist is not None else lambda x: x)
         positive, groups = [], []
         for kind, idx, typ in parts:
             roots = block_roots(typ, [tw(_line(sh, kind, {i: 1})) for i in idx])

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from superdenom import denominators, weyl
+from superdenom import weyl
 from superdenom.diagrams import enumerate_diagrams
 from superdenom.weights import Weight
 from superdenom.rootdata import EPS_BLOCK, build_root_datum, positive_system, all_basis_orders, distinguished_order
