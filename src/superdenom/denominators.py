@@ -208,13 +208,18 @@ def right_side(
 
     kwg takes S (default the isotropic set of a simple diagram X), which must
     be simple, isotropic and maximal; every other kind takes the diagram X, and
-    migliore also B' (see ``migliore_groups``).  The seconda kinds raise
-    ``ValueError`` off their distinguished order.
+    migliore also B' (see ``migliore_groups``).  X must be drawn on the
+    system's order or, for a D order ending in eps_m, on its sign twin.  The
+    seconda kinds raise ``ValueError`` off their distinguished order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
     if kind == "glkk":
         raise ValueError("use verify_glkk for the gl(k,k) lemma")
+    order = system.order
+    twin = order.sign_twin() if order.family == "D" and order.sequence[-1].kind == "e" else order
+    if X is not None and X.order not in (order, twin):
+        raise ValueError(f"the diagram is drawn on {X.order}, not on the system's order {order}")
     sd = _flavor(kind) == "sd"
     sign = "sgn_prime" if sd else "sgn"
     s = 1 if sd else -1

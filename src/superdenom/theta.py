@@ -21,32 +21,35 @@ the flip groups (``l2_levi_sum``) and Enright's minimal coset representatives
 (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
 compares the two finite sums as whole characters, with no window.
 
-Both routes, the table assembly and the duality check are written once on
-``DualPair``.  Each pair supplies only what differs:
+Both routes, the table assembly, the duality check and the construction of
+every pair are written once on ``DualPair``.  A pair declares its ``family``,
+order ``variant`` and noncompact ``block`` ("e" or "d"); the rest is read
+off its distinguished order: the s2 and the compact block (the family's
+block types on the two kinds of coordinate), the Levi block and
+``levi_runs`` (one A-type part per run of noncompact symbols: the p and
+the q run for GL, one run otherwise), the twist s_{eps_m} of D2' (its
+order's -1 sign), the nilradical (the s2 roots outside the Levi block) and
+its Enright candidates (its roots with two nonzero coordinates), and the
+L^2 and compact shifts (-rho_1 on the noncompact and the compact
+coordinates).  Each pair supplies only its hooks:
 
-* its blocks ``s2_block``, ``levi_block`` and ``compact_block``, each one
-  ``Block.of`` declaration of even blocks by type, and ``levi_runs`` (the
-  Levi block's runs of ``coords2``); the nilradical is the s2 block's
-  positive roots outside the Levi block;
+* ``mu(key)``, ``compact_hw(key)``: the unshifted L^2 lowest weight and the
+  compact highest weight of a table key;
 * ``table_keys(size)``: the table keys of one size (partitions with at most d
   parts by default; pairs of partitions for GL);
 * ``labels(key)``: (sign, unshifted L^2 lowest weight) per entry of one key
   (one "none" entry at mu by default; "+" at mu and "-" at nu for Sp(2n,R));
-* ``_compact_shift()``, ``_l2_shift()``: the shifts of the compact and the L^2
-  weights (0 and -rho_1; for GL -rho_1 on the u(n) and u(p,q) Cartans);
 * ``flip_set(key)`` and ``_flip_label(key, w)``: the flips summed for one
   entry, and the sign and bucket ('+' or '-') of one flip.
 
-B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``,
-set by the class attribute ``block`` ("d" or "e"); the sign flips of both
-Weyl groups are read off the family's block types.  The basis twist
-s_{eps_m} of the primed D2 pair is read off the one -1 sign of its order.
+B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
@@ -170,11 +173,32 @@ class EnrightData:
 
 
 class DualPair:
-    """Shared machinery; concrete pairs fill in the block structure and the
-    hooks named in the module docstring."""
+    """Shared machinery; a concrete pair declares ``family``, ``variant`` and
+    ``block`` and fills in the hooks named in the module docstring."""
 
     tag = ""
-    twist: WeylElement | None = None
+    family = ""
+    variant = ""
+    block = ""
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.d = min(m, n)
+        datum = build_root_datum(self.family, m, n)
+        self.system = sys_ = positive_system(datum, distinguished_order(self.family, m, n, self.variant))
+        seq = sys_.order.sequence
+        self.twist = next((reflection(2 * s.functional(sys_.shape)) for s in seq if s.sign == -1), None)
+        types, sizes = dict(zip("ed", FAMILY_BLOCKS[self.family])), {"e": m, "d": n}
+        self.compact_kind = "d" if self.block == "e" else "e"
+        self.block_size = sizes[self.block]
+        whole = lambda kind: [(kind, range(1, sizes[kind] + 1), types[kind])]
+        self.s2_block = Block.of(sys_, whole(self.block))
+        self.compact_block = Block.of(sys_, whole(self.compact_kind))
+        runs = [[s.idx for s in g] for kind, g in itertools.groupby(seq, lambda s: s.kind) if kind == self.block]
+        offset = 0 if self.block == "e" else m
+        self.levi_runs = [(offset + r[0] - 1, offset + r[-1]) for r in runs]
+        # GL(0, n) has no run: one empty part keeps the identity in the block
+        self.levi_block = Block.of(sys_, [(self.block, r, "A") for r in runs or [[]]], self.twist)
 
     # -- hooks with defaults ---------------------------------------------------
 
@@ -184,16 +208,16 @@ class DualPair:
     def labels(self, key) -> list[tuple[str, Weight]]:
         return [("none", self.mu(key))]
 
-    def _compact_shift(self) -> Weight:
-        return Weight.zero(self.system.shape)
-
-    def _l2_shift(self) -> Weight:
-        return -self.system.rho1
-
     def _flip_label(self, key, w: WeylElement) -> tuple[int, str]:
         return sgn(w), "+"
 
     # -- common ------------------------------------------------------------
+
+    def _l2_shift(self) -> Weight:
+        return -_restricted(self.system.rho1, self.block)
+
+    def _compact_shift(self) -> Weight:
+        return -_restricted(self.system.rho1, self.compact_kind)
 
     def sigma_set(self, bound: int) -> list[ThetaEntry]:
         """The table up to size `bound`: per key, its shifted compact highest
@@ -223,10 +247,7 @@ class DualPair:
             run = c[lo:hi]
             if len(set(run)) != len(run):
                 return None
-            for i in range(len(run)):
-                for j in range(i + 1, len(run)):
-                    if run[i] < run[j]:
-                        sign = -sign
+            sign *= (-1) ** sum(1 for x, y in itertools.combinations(run, 2) if x < y)
             c[lo:hi] = sorted(run, reverse=True)
         return self._tw(Weight(c, self.system.shape)), sign
 
@@ -246,6 +267,11 @@ class DualPair:
         """The s2 block's positive roots outside the Levi block."""
         levi = set(self.levi_block.positive)
         return [a for a in self.s2_block.positive if a not in levi]
+
+    def enright_candidates(self) -> list[Weight]:
+        """The nilradical roots with two nonzero coordinates; the long roots
+        2 delta_k of Sp(2n,R) are left out."""
+        return [a for a in self.nilradical if _support(a) == 2]
 
     def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
         """finite x the nilradical tail on {ht >= threshold4}, for a finite
@@ -294,12 +320,7 @@ class DualPair:
             pairing = 2 * inner(lam0, alpha) / inner(alpha, alpha)
             if not (pairing.denominator == 1 and pairing > 0):
                 continue
-            ok = True
-            for beta in s2_roots:
-                if inner(lam0, beta) == 0 and inner(alpha, beta) != 0:
-                    ok = False
-                    break
-            if ok:
+            if all(inner(lam0, beta) != 0 or inner(alpha, beta) == 0 for beta in s2_roots):
                 gens.append(reflection(alpha))
         group = enumerate_closure(gens, sys_.shape)
         gset = set(group)
@@ -337,22 +358,26 @@ class DualPair:
 
     # -- duality -------------------------------------------------------------
 
-    def _assembled(self, depth: int, finite) -> CharSeries:
-        """The sum over the table of finite(entry) x L^2(entry) on the window
-        of depth `depth` below e^{-rho_1}: finite x Levi sum, each factor cut
-        to the window, summed and times one tail; finite = 0 is skipped."""
+    def _assembled(self, depth: int, *finites) -> list[CharSeries]:
+        """Per finite, the sum over the table of finite(entry) x L^2(entry) on
+        the window of depth `depth` below e^{-rho_1}: finite x Levi sum, each
+        factor cut to the window, summed and times one tail; finite = 0 is
+        skipped, and an entry's Levi sum is built once, when some finite needs it."""
         T = self._window(depth)
-        acc = CharSeries.zero(self.system, T)
+        accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
-            fin = finite(entry)
-            if fin.is_zero_on_window():
-                continue
-            levi = self.l2_levi_sum(entry)
-            acc = acc + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
-        return self._with_tail(acc.tightened(), T)
+            levi = None
+            for k, finite in enumerate(finites):
+                fin = finite(entry)
+                if fin.is_zero_on_window():
+                    continue
+                if levi is None:
+                    levi = self.l2_levi_sum(entry)
+                accs[k] = accs[k] + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
+        return [self._with_tail(acc.tightened(), T) for acc in accs]
 
     def assembled_character(self, depth: int) -> CharSeries:
-        return self._assembled(depth, self.compact_character)
+        return self._assembled(depth, self.compact_character)[0]
 
     def verify_duality(self, depth: int) -> IdentityReport:
         osc, total = self.oscillator_character(depth), self.assembled_character(depth)
@@ -365,6 +390,17 @@ def _line(shape, kind: str, coeffs: dict) -> Weight:
     return weight_sum((c * unit(i, shape) for i, c in coeffs.items()), shape)
 
 
+def _restricted(w: Weight, kind: str) -> Weight:
+    """The eps ("e") or the delta ("d") part of w."""
+    m = w.shape[0]
+    return Weight([c if (i < m) == (kind == "e") else 0 for i, c in enumerate(w.coords2)], w.shape)
+
+
+def _support(w: Weight) -> int:
+    """The number of nonzero coordinates of w."""
+    return sum(1 for c in w.coords2 if c)
+
+
 # ---------------------------------------------------------------------------
 # one-block pairs
 
@@ -373,37 +409,9 @@ class OneBlockPair(DualPair):
     """The pairs whose noncompact member acts on one coordinate block: the
     deltas for Sp(2n,R) (B and D1), the eps for SO*(2m) (D2).
 
-    A subclass names its family and order variant and the noncompact
-    ``block`` ("d" or "e").  The Weyl groups of the noncompact and the compact
-    block are those of the family's block types (``rootdata.FAMILY_BLOCKS``):
-    W(C_n) on the deltas, W(B_m) or W(D_m) on the eps.  A -1 sign in the
-    basis order (only D2' has one) twists the Levi block, the lowest weights
-    and the Enright candidates by the reflection in that symbol.
+    Its hooks read that block: mu lies on its last d coordinates, and the
+    flips are the sign flips of its block type on the others.
     """
-
-    family = ""
-    variant = ""
-    block = ""
-
-    def __init__(self, m: int, n: int):
-        self.m, self.n = m, n
-        self.d = min(m, n)
-        datum = build_root_datum(self.family, m, n)
-        self.system = positive_system(datum, distinguished_order(self.family, m, n, self.variant))
-        sys_ = self.system
-        for s in sys_.order.sequence:
-            if s.sign == -1:
-                self.twist = reflection(2 * s.functional(sys_.shape))
-        self.block_size = m if self.block == "e" else n
-        self.compact_kind, compact_size = ("d", n) if self.block == "e" else ("e", m)
-        types = dict(zip("ed", FAMILY_BLOCKS[self.family]))
-        self.block_flips = block_weyl(types[self.block], self.block_size)[0]
-        block_range = range(1, self.block_size + 1)
-        self.s2_block = Block.of(sys_, [(self.block, block_range, types[self.block])])
-        self.levi_block = Block.of(sys_, [(self.block, block_range, "A")], self.twist)
-        compact = (self.compact_kind, range(1, compact_size + 1), types[self.compact_kind])
-        self.compact_block = Block.of(sys_, [compact])
-        self.levi_runs = [(0, m) if self.block == "e" else (m, m + n)]
 
     def mu(self, a) -> Weight:
         coeffs = {self.block_size - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)}
@@ -413,20 +421,16 @@ class OneBlockPair(DualPair):
         return _line(self.system.shape, self.compact_kind, dict(enumerate(a, start=1)))
 
     def flip_set(self, a) -> list[WeylElement]:
-        """The sign flips of the noncompact block on its first block_size - d
-        coordinates; the same for every entry.  They fix the last coordinate,
-        so they commute with the twist."""
-        flipped = range(1, self.block_size - self.d + 1)
-        sh = self.system.shape
-        return signed_permutations(sh, self.block, flipped, permute=False, flips=self.block_flips)
+        return self._flips
 
-    def enright_candidates(self):
-        sh = self.system.shape
-        return [
-            self._tw(_line(sh, self.block, {i: 1, j: 1}))
-            for i in range(1, self.block_size + 1)
-            for j in range(i + 1, self.block_size + 1)
-        ]
+    @cached_property
+    def _flips(self) -> list[WeylElement]:
+        """The sign flips of the noncompact block on its first block_size - d
+        coordinates, built once: they are the same for every entry.  They fix
+        the last coordinate, so they commute with the twist."""
+        flips = block_weyl(FAMILY_BLOCKS[self.family]["ed".index(self.block)], self.block_size)[0]
+        flipped = range(1, self.block_size - self.d + 1)
+        return signed_permutations(self.system.shape, self.block, flipped, permute=False, flips=flips)
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +552,15 @@ class D1Pair(SpPair):
 
     def oscillator_x_character(self, depth: int) -> CharSeries:
         """Trace of x t on the oscillator module: only the eps_m-paired
-        monomials survive, pairing delta_i +- eps_m into 2 delta_i."""
+        monomials survive, pairing delta_i +- eps_m into 2 delta_i, the
+        nilradical's roots on one coordinate."""
         sys_ = self.system
-        sh = sys_.shape
-        T = self._window(depth)
-        geom = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.m):
-                geom.append((Weight.delta(i, sh) - Weight.eps(j, sh), 1))
-                geom.append((Weight.delta(i, sh) + Weight.eps(j, sh), 1))
-            geom.append((2 * Weight.delta(i, sh), 1))
-        return product_expansion(sys_, T, -sys_.rho1, geom=geom)
+        geom = [a for a in sys_.positive_odd if not a.coords2[self.m - 1]]
+        geom += [b for b in self.nilradical if _support(b) == 1]
+        return product_expansion(sys_, self._window(depth), -sys_.rho1, geom=[(a, 1) for a in geom])
 
     def assembled_x_character(self, depth: int) -> CharSeries:
-        return self._assembled(depth, self.x_character)
+        return self._assembled(depth, self.x_character)[0]
 
     def d2_twin_sum(self, depth: int) -> CharSeries:
         """The x-twisted oscillator character reproduced from the D(n, m-1)
@@ -579,7 +578,7 @@ class D1Pair(SpPair):
             for i in range(1, d1 + 1)
         ]
         W = product_set(
-            signed_permutations(sh, "d", range(1, n + 1)),
+            self.levi_block.elements,
             signed_permutations(sh, "d", range(1, n - d1 + 1), permute=False, flips="even"),
             self.x_block.elements,
         )
@@ -594,15 +593,18 @@ class D1Pair(SpPair):
         return (num * inv).truncate(T)
 
     def verify_duality(self, depth: int) -> IdentityReport:
-        rep = super().verify_duality(depth)
+        """The torus, x and x-twin checks, the first two from one walk of the
+        table: the first failing report, else the torus report."""
+        total, total_x = self._assembled(depth, self.compact_character, self.x_character)
+        rep = compare("theta-D1", repr(self.system), "full table", depth, self.oscillator_character(depth), total)
         if not rep.passed:
             return rep
         osc_x = self.oscillator_x_character(depth)
         for kind, subset, other in (
-            ("theta-D1-x", "x-component", self.assembled_x_character),
-            ("theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator", self.d2_twin_sum),
+            ("theta-D1-x", "x-component", lambda: total_x),
+            ("theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator", lambda: self.d2_twin_sum(depth)),
         ):
-            x_rep = compare(kind, repr(self.system), subset, depth, osc_x, other(depth))
+            x_rep = compare(kind, repr(self.system), subset, depth, osc_x, other())
             if not x_rep.passed:
                 return x_rep
         return rep
@@ -615,18 +617,14 @@ class D1Pair(SpPair):
 class GLPair(DualPair):
     """(U(n), U(p,q)) from gl(m,n), m = p + q, distinguished order p."""
 
+    tag = "GL"
+    family = "GL"
+    block = "e"
+
     def __init__(self, n: int, p: int, q: int):
-        self.tag = "GL"
-        self.n, self.p, self.q = n, p, q
-        self.m = p + q
-        self.d = min(self.m, n)
-        datum = build_root_datum("GL", self.m, n)
-        self.system = positive_system(datum, distinguished_order("GL", self.m, n, f"p{p}"))
-        sys_ = self.system
-        self.s2_block = Block.of(sys_, [("e", range(1, self.m + 1), "A")])
-        self.levi_block = Block.of(sys_, [("e", range(1, p + 1), "A"), ("e", range(p + 1, self.m + 1), "A")])
-        self.levi_runs = [(0, p), (p, self.m)]
-        self.compact_block = Block.of(sys_, [("d", range(1, n + 1), "A")])
+        self.p, self.q = p, q
+        self.variant = f"p{p}"
+        super().__init__(p + q, n)
 
     def table_keys(self, size: int) -> list:
         """Pairs (a, b) of partitions with exactly k and h parts, k <= p,
@@ -654,18 +652,6 @@ class GLPair(DualPair):
         coeffs.update({self.n - u + 1: -x for u, x in enumerate(b, start=1)})
         return _line(self.system.shape, "d", coeffs)
 
-    def _compact_shift(self) -> Weight:
-        # -(rho_1 restricted to the u(n) Cartan)
-        sh = self.system.shape
-        r1 = self.system.rho1
-        return Weight([0] * self.m + [-c for c in r1.delta_coords2()], sh)
-
-    def _l2_shift(self) -> Weight:
-        # -(rho_1 restricted to the u(p,q) Cartan)
-        sh = self.system.shape
-        r1 = self.system.rho1
-        return Weight([-c for c in r1.eps_coords2()] + [0] * self.n, sh)
-
     def flip_set(self, ab) -> list[WeylElement]:
         """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}."""
         a, b = ab
@@ -678,25 +664,12 @@ class GLPair(DualPair):
         # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
         return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
 
-    def enright_candidates(self):
-        sh = self.system.shape
-        return [
-            Weight.eps(i, sh) - Weight.eps(j, sh)
-            for i in range(1, self.p + 1)
-            for j in range(self.p + 1, self.m + 1)
-        ]
-
 
 def make_pair(tag: str, **kw) -> DualPair:
     tag = tag.upper()
-    if tag == "B":
-        return BPair(kw["m"], kw["n"])
-    if tag == "D1":
-        return D1Pair(kw["m"], kw["n"])
-    if tag == "D2":
-        return D2Pair(kw["m"], kw["n"])
-    if tag == "D2'":
-        return D2Pair(kw["m"], kw["n"], primed=True)
     if tag == "GL":
         return GLPair(kw["n"], kw["p"], kw["q"])
-    raise ValueError(f"unknown pair {tag!r}")
+    one_block = {"B": BPair, "D1": D1Pair, "D2": D2Pair, "D2'": partial(D2Pair, primed=True)}
+    if tag not in one_block:
+        raise ValueError(f"unknown pair {tag!r}")
+    return one_block[tag](kw["m"], kw["n"])

@@ -13,6 +13,7 @@ from superdenom.denominators import window4
 from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
 from superdenom.rootdata import DELTA_BLOCK, EPS_BLOCK, RootDatum
 from superdenom.series import CharSeries, product_expansion
+from superdenom.theta import Block
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import (
     WeylElement,
@@ -723,3 +724,60 @@ def reference_migliore_groups(system, X, bprime=None):
     perms = product_set(signed_permutations(shape, "e", eps_idx), signed_permutations(shape, "d", del_idx))
     H = enumerate_closure(perms + w_sharp, shape)
     return product_set(coset_reps(full_weyl(datum), w_bprime), H), len(w_bprime) // len(H)
+
+
+def reference_pair_blocks(pair):
+    """Each pair's data as it was written out pair by pair before the pairs
+    were read off their distinguished orders: the parts of the s2, Levi and
+    compact blocks (as ``Block.of`` takes them, with the Levi twist),
+    ``levi_runs``, both shifts, the Enright candidates and the flip set of
+    a key (``flips``)."""
+    sys_ = pair.system
+    sh, m, n = sys_.shape, pair.m, pair.n
+    r1 = sys_.rho1
+    unit = lambda kind, i: Weight.eps(i, sh) if kind == "e" else Weight.delta(i, sh)
+    if pair.family == "GL":
+        p = pair.p
+        levi = [("e", range(1, p + 1), "A"), ("e", range(p + 1, m + 1), "A")]
+
+        def flips(ab):
+            k, h = (sum(1 for x in part if x > 0) for part in ab)
+            free = list(range(1, p - pair.d + h + 1)) + list(range(p + pair.d - k + 1, m + 1))
+            w2 = signed_permutations(sh, "e", free)
+            wc = Block.of(sys_, levi).elements
+            return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
+
+        return {
+            "s2": [("e", range(1, m + 1), "A")],
+            "levi": levi,
+            "compact": [("d", range(1, n + 1), "A")],
+            "twist": None,
+            "levi_runs": [(0, p), (p, m)],
+            "compact_shift": Weight([0] * m + [-c for c in r1.delta_coords2()], sh),
+            "l2_shift": Weight([-c for c in r1.eps_coords2()] + [0] * n, sh),
+            "candidates": [unit("e", i) - unit("e", j) for i in range(1, p + 1) for j in range(p + 1, m + 1)],
+            "flips": flips,
+        }
+    twist = None
+    for s in sys_.order.sequence:
+        if s.sign == -1:
+            twist = reflection(2 * s.functional(sh))
+    tw = (lambda x: x) if twist is None else twist.act
+    block, size = ("e", m) if pair.block == "e" else ("d", n)
+    other, other_size = ("d", n) if block == "e" else ("e", m)
+    types = {"B": {"e": "B", "d": "C"}, "D": {"e": "D", "d": "C"}}[pair.family]
+    flip_kind = {"B": "all", "C": "all", "D": "even"}[types[block]]
+    block_range = range(1, size + 1)
+    return {
+        "s2": [(block, block_range, types[block])],
+        "levi": [(block, block_range, "A")],
+        "compact": [(other, range(1, other_size + 1), types[other])],
+        "twist": twist,
+        "levi_runs": [(0, m) if block == "e" else (m, m + n)],
+        "compact_shift": Weight.zero(sh),
+        "l2_shift": -r1,
+        "candidates": [tw(unit(block, i) + unit(block, j)) for i in block_range for j in range(i + 1, size + 1)],
+        "flips": lambda a: signed_permutations(
+            sh, block, range(1, size - pair.d + 1), permute=False, flips=flip_kind
+        ),
+    }

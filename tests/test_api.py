@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import pathlib
 import types
@@ -252,5 +253,18 @@ def test_one_block_pairs_share_one_body():
     classes = [c for c in vars(theta).values() if isinstance(c, type) and c.__module__ == theta.__name__]
     defining = lambda name: {c.__name__ for c in classes if name in vars(c)}
     assert defining("sigma_set") == {"DualPair"}
-    for name in ("mu", "compact_hw", "flip_set", "enright_candidates"):
+    for name in ("enright_candidates", "_l2_shift", "_compact_shift"):
+        assert defining(name) == {"DualPair"}, name
+    for name in ("mu", "compact_hw", "flip_set"):
         assert defining(name) == {"OneBlockPair", "GLPair"}, name
+    assert "__init__" not in vars(theta.OneBlockPair)
+    # every block is declared once, by the constructors
+    tree = ast.parse(inspect.getsource(theta))
+    callers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Attribute) and node.attr == "of" and getattr(node.value, "id", None) == "Block"
+    }
+    assert callers == {"__init__"}

@@ -848,3 +848,25 @@ def test_no_series_operation_changes_its_operands():
             x + y, x - y, x * y, x.mismatches(y, Fraction(-1, 2))
         x.scale(3), x.scale(0), x.tightened(), x.truncate(T + 8), x.to_json(), repr(x)
     assert [(s.terms, s.threshold4, s.ceiling4) for s in operands] == before
+
+
+FOREIGN_RANKS = [("GL", 2, 1), ("B", 1, 1), ("D", 2, 1), ("GL", 2, 2), ("D", 2, 2), ("C", 2, 1)]
+
+
+@pytest.mark.parametrize("family,m,n", FOREIGN_RANKS)
+def test_a_diagram_drawn_on_another_order_is_rejected(family, m, n):
+    # a diagram of another order once gave a fail verdict or a
+    # ZeroDivisionError in princ_constant; the own diagrams, the sign twins
+    # that enumerate_diagrams adds to a D order ending in eps_m among them,
+    # still pass
+    datum = build_root_datum(family, m, n)
+    systems = [positive_system(datum, o) for o in all_basis_orders(family, m, n)]
+    diagrams = [enumerate_diagrams(s) for s in systems]
+    for kind in ("princ-sd", "mm-sd", "kwg-sd", "migliore"):
+        for s, own in zip(systems, diagrams):
+            for X in own:
+                if X.is_simple() or not kind.startswith("kwg"):
+                    assert verify(kind, s, X=X, depth=4).passed, (kind, s, X.arcs)
+            for X in (X for t, other in zip(systems, diagrams) if t is not s for X in other):
+                with pytest.raises(ValueError, match="drawn on"):
+                    right_side(kind, s, X=X)

@@ -1,17 +1,19 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from superdenom.weights import Weight, inner
-from superdenom.theta import make_pair, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
+from superdenom.theta import make_pair, Block, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
 from superdenom.denominators import window4
 from superdenom.series import CharSeries
 from superdenom.weyl import enumerate_closure, reflection
 
-from _oracles import reference_assembled, reference_enright_character, reference_l2_character
+from _oracles import reference_assembled, reference_enright_character, reference_l2_character, reference_pair_blocks
 
 DUALITY_CASES = [
     ("B", dict(m=1, n=1)),
@@ -34,6 +36,43 @@ def w(sh, **kw):
         base = Weight.eps(idx, sh) if kind == "e" else Weight.delta(idx, sh)
         acc = acc + c * base
     return acc
+
+
+# every pair rank whose blocks are compared with the pair-by-pair construction:
+# B(0..4, 1..4), D1(2..4, 1..4), D2 and D2'(1..4, 1..4), GL(n; p, q) with
+# n <= 3 and p, q <= 3 (GL(0; ...) with p = q = 0 has no eps run)
+BLOCK_RANKS = (
+    [("B", dict(m=m, n=n)) for m in range(5) for n in range(1, 5)]
+    + [("D1", dict(m=m, n=n)) for m in range(2, 5) for n in range(1, 5)]
+    + [(tag, dict(m=m, n=n)) for tag in ("D2", "D2'") for m in range(1, 5) for n in range(1, 5)]
+    + [("GL", dict(n=n, p=p, q=q)) for n in range(1, 4) for p in range(4) for q in range(4)]
+)
+
+
+def _same_block(block, ref):
+    return (set(block.positive), block.elements, block.rho) == (set(ref.positive), ref.elements, ref.rho)
+
+
+def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
+    # blocks, Levi runs, shifts, candidates and flips read off the order agree
+    # with the construction written out pair by pair, on 112 ranks
+    for tag, kw in BLOCK_RANKS:
+        pair = make_pair(tag, **kw)
+        ref = reference_pair_blocks(pair)
+        sys_ = pair.system
+        assert pair.twist == ref["twist"], (tag, kw)
+        for name, twist in (("s2", None), ("levi", ref["twist"]), ("compact", None)):
+            assert _same_block(getattr(pair, f"{name}_block"), Block.of(sys_, ref[name], twist)), (tag, kw, name)
+        assert pair._l2_shift() == ref["l2_shift"] and pair._compact_shift() == ref["compact_shift"], (tag, kw)
+        assert set(pair.enright_candidates()) == set(ref["candidates"]), (tag, kw)
+        assert len(pair.enright_candidates()) == len(ref["candidates"]), (tag, kw)
+        rng = random.Random(f"{tag}{sorted(kw.items())}")
+        probes = [Weight([rng.randint(-3, 3) for _ in range(sum(sys_.shape))], sys_.shape) for _ in range(30)]
+        old = copy.copy(pair)
+        old.levi_runs = ref["levi_runs"]
+        assert [pair._sorted_in_block(x) for x in probes] == [old._sorted_in_block(x) for x in probes], (tag, kw)
+        for key in (k for size in range(4) for k in pair.table_keys(size)):
+            assert pair.flip_set(key) == ref["flips"](key), (tag, kw, key)
 
 
 def test_partition_helpers():
@@ -197,18 +236,21 @@ def test_duality_rejects_negative_depth(tag, kw):
         make_pair(tag, **kw).verify_duality(-1)
 
 
-@pytest.mark.parametrize("method,kind,subset", [
-    ("assembled_character", "theta-D1", "full table"),
-    ("assembled_x_character", "theta-D1-x", "x-component"),
-    ("d2_twin_sum", "theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator"),
+@pytest.mark.parametrize("method,whole,kind,subset", [
+    ("compact_character", "assembled_character", "theta-D1", "full table"),
+    ("x_character", "assembled_x_character", "theta-D1-x", "x-component"),
+    ("d2_twin_sum", "d2_twin_sum", "theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator"),
 ])
-def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
-    # doubling the series one check compares against makes that check fail,
-    # and its report is the one returned; its first mismatch is a weight
-    # where the true series is nonzero
+def test_d1_duality_reports_the_broken_check(monkeypatch, method, whole, kind, subset):
+    # doubling the series one check compares against (through the finite
+    # characters for the two assembled sides) makes that check fail, and its
+    # report is the one returned; its first mismatch is a weight where the
+    # true series is nonzero
     pair = D1Pair(2, 1)
-    true = getattr(pair, method)(5)
-    monkeypatch.setattr(pair, method, lambda depth: true.scale(2))
+    true = getattr(pair, whole)(5)
+    honest = getattr(pair, method)
+    monkeypatch.setattr(pair, method, lambda arg: honest(arg).scale(2))
+    assert getattr(pair, whole)(5).terms == true.scale(2).terms
     rep = pair.verify_duality(5)
     assert rep.passed is False
     assert rep.identity_kind == kind

@@ -16,7 +16,9 @@ compact-pair kinds on their own orders; `verify --identity princ-sd --orders
 distinguished --depth 3` on GL(4,3), B(3,2), D(3,2) and D(3,3), whose Weyl
 sums are the largest of the list; `theta-table` and `theta-verify` for
 each pair, on ranks whose blocks include an empty part (B(0,2), GL with
-p = 0 or q = 0), a one-coordinate part and the larger D1 x block of D1(3,1);
+p = 0 or q = 0, and GL(0,2) with p = q = 0, which has no eps run), a
+one-coordinate part, the larger D1 x block of D1(3,1) and D2'(1,2), whose
+twist acts on its only eps;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
@@ -73,6 +75,9 @@ PAIRS = [
     "--pair D1 --m 3 --n 1",
     "--pair D2 --m 3 --n 1",
     "--pair D2' --m 3 --n 2",
+    # no eps run (p = q = 0); the twist on the only eps
+    "--pair GL --n 2 --p 0 --q 0",
+    "--pair D2' --m 1 --n 2",
 ]
 
 # the largest Weyl sums: princ-sd on a distinguished order at depth 3
