@@ -236,21 +236,23 @@ def test_duality_rejects_negative_depth(tag, kw):
         make_pair(tag, **kw).verify_duality(-1)
 
 
-@pytest.mark.parametrize("method,whole,kind,subset", [
-    ("compact_character", "assembled_character", "theta-D1", "full table"),
-    ("x_character", "assembled_x_character", "theta-D1-x", "x-component"),
-    ("d2_twin_sum", "d2_twin_sum", "theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator"),
+@pytest.mark.parametrize("method,kind,subset", [
+    ("assembled_character", "theta-D1", "full table"),
+    ("assembled_x_character", "theta-D1-x", "x-component"),
+    ("d2_twin_sum", "theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator"),
 ])
-def test_d1_duality_reports_the_broken_check(monkeypatch, method, whole, kind, subset):
-    # doubling the series one check compares against (through the finite
-    # characters for the two assembled sides) makes that check fail, and its
-    # report is the one returned; its first mismatch is a weight where the
-    # true series is nonzero
+def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
+    # doubling the series one check compares against makes that check fail,
+    # and its report is the one returned; its first mismatch is a weight
+    # where the true series is nonzero.  The duality check assembles both
+    # sums in one walk of the table, so they are doubled through their
+    # finite characters.
     pair = D1Pair(2, 1)
-    true = getattr(pair, whole)(5)
-    honest = getattr(pair, method)
-    monkeypatch.setattr(pair, method, lambda arg: honest(arg).scale(2))
-    assert getattr(pair, whole)(5).terms == true.scale(2).terms
+    true = getattr(pair, method)(5)
+    doubled = {"assembled_character": "compact_character", "assembled_x_character": "x_character"}.get(method, method)
+    honest = getattr(pair, doubled)
+    monkeypatch.setattr(pair, doubled, lambda arg: honest(arg).scale(2))
+    assert getattr(pair, method)(5).terms == true.scale(2).terms
     rep = pair.verify_duality(5)
     assert rep.passed is False
     assert rep.identity_kind == kind
