@@ -16,6 +16,9 @@ characters for the noncompact side, and checks the branching identity
 
 coefficient-exactly on a window.  Every L^2 character is a finite sum of
 Levi characters times one tail prod 1/(1 - e^{-beta}) over the nilradical.
+Its summands, Weyl images of one integral weight, go to the Levi character
+unsorted: the Weyl formula straightens each, with its sign, and is zero on a
+singular one (rho_2 - rho_Levi, half the nilradical's roots, is Levi-invariant).
 The sum comes by two independent routes: the sign-character bookkeeping over
 the flip groups (``l2_levi_sum``) and Enright's minimal coset representatives
 (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
@@ -25,13 +28,13 @@ Both routes, the table assembly, the duality check and the construction of
 every pair are written once on ``DualPair``.  A pair declares its ``family``,
 order ``variant`` and noncompact ``block`` ("e" or "d"); the rest is read
 off its distinguished order: the s2 and the compact block (the family's
-block types on the two kinds of coordinate), the Levi block and
-``levi_runs`` (one A-type part per run of noncompact symbols: the p and
-the q run for GL, one run otherwise), the twist s_{eps_m} of D2' (its
-order's -1 sign), the nilradical (the s2 roots outside the Levi block) and
-its Enright candidates (its roots with two nonzero coordinates), and the
-L^2 and compact shifts (-rho_1 on the noncompact and the compact
-coordinates).  Each pair supplies only its hooks:
+block types on the two kinds of coordinate), the Levi block (one A-type
+part per run of noncompact symbols: the p and the q run for GL, one run
+otherwise), the twist s_{eps_m} of D2' (its order's -1 sign), the
+nilradical (the s2 roots outside the Levi block) and its Enright candidates
+(its roots with two nonzero coordinates), and the L^2 and compact shifts
+(-rho_1 on the noncompact and the compact coordinates).  Each pair supplies
+only its hooks:
 
 * ``mu(key)``, ``compact_hw(key)``: the unshifted L^2 lowest weight and the
   compact highest weight of a table key;
@@ -195,8 +198,6 @@ class DualPair:
         self.s2_block = Block.of(sys_, whole(self.block))
         self.compact_block = Block.of(sys_, whole(self.compact_kind))
         runs = [[s.idx for s in g] for kind, g in itertools.groupby(seq, lambda s: s.kind) if kind == self.block]
-        offset = 0 if self.block == "e" else m
-        self.levi_runs = [(offset + r[0] - 1, offset + r[-1]) for r in runs]
         # GL(0, n) has no run: one empty part keeps the identity in the block
         self.levi_block = Block.of(sys_, [(self.block, r, "A") for r in runs or [[]]], self.twist)
 
@@ -238,19 +239,6 @@ class DualPair:
         sys_ = self.system
         return product_expansion(sys_, self._window(depth), -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd])
 
-    def _sorted_in_block(self, x: Weight):
-        """Dominant representative w.r.t. the compact Levi block and the sign
-        of the sorting permutation; None when singular."""
-        c = list(self._tw(x).coords2)
-        sign = 1
-        for lo, hi in self.levi_runs:
-            run = c[lo:hi]
-            if len(set(run)) != len(run):
-                return None
-            sign *= (-1) ** sum(1 for x, y in itertools.combinations(run, 2) if x < y)
-            c[lo:hi] = sorted(run, reverse=True)
-        return self._tw(Weight(c, self.system.shape)), sign
-
     def _window(self, depth: int) -> int:
         return window4(self.system, depth, top=-self.system.rho1)
 
@@ -283,18 +271,15 @@ class DualPair:
         return finite * product_expansion(sys_, threshold4 - finite.ceiling4, Weight.zero(sys_.shape), geom=geom)
 
     def l2_summands(self, key) -> list[tuple[int, Weight, str]]:
-        """(coefficient, Levi-dominant weight of V^2, bucket) triples from the
-        flip-group sum; bucket '+' feeds L^2(mu), '-' feeds L^2(nu)."""
+        """(coefficient, weight of V^2, bucket) triples, w(lam0) - rho2 for each
+        flip w; bucket '+' feeds L^2(mu), '-' feeds L^2(nu).  The weights need
+        not be Levi-dominant: the Levi character straightens them."""
         rho2 = self.s2_block.rho
         lam0 = self._l2_shift() + self.mu(key) + rho2
         out = []
         for w in self.flip_set(key):
-            res = self._sorted_in_block(w.act(lam0))
-            if res is None:
-                continue
-            dom, c_w = res
             sign, bucket = self._flip_label(key, w)
-            out.append((c_w * sign, dom - rho2, bucket))
+            out.append((sign, w.act(lam0) - rho2, bucket))
         return out
 
     def l2_levi_sum(self, entry: ThetaEntry) -> CharSeries:
@@ -339,10 +324,10 @@ class DualPair:
         data = self.enright(entry)
         summands = []
         for w in data.min_reps:
-            res = self._sorted_in_block(w.act(data.lam))
-            if res is None:
+            x = w.act(data.lam)
+            if any(inner(x, a) == 0 for a in self.levi_block.positive):
                 raise AssertionError("minimal representative hit a singular weight")
-            summands.append((-1 if data.lengths[w] % 2 else 1, res[0] - self.s2_block.rho))
+            summands.append((-1 if data.lengths[w] % 2 else 1, x - self.s2_block.rho))
         return self._levi_sum(summands)
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
@@ -625,6 +610,7 @@ class GLPair(DualPair):
         self.p, self.q = p, q
         self.variant = f"p{p}"
         super().__init__(p + q, n)
+        self._flips = {}
 
     def table_keys(self, size: int) -> list:
         """Pairs (a, b) of partitions with exactly k and h parts, k <= p,
@@ -653,16 +639,15 @@ class GLPair(DualPair):
         return _line(self.system.shape, "d", coeffs)
 
     def flip_set(self, ab) -> list[WeylElement]:
-        """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}."""
-        a, b = ab
-        k, h = exact_parts(a), exact_parts(b)
-        free = list(range(1, self.p - self.d + h + 1)) + list(
-            range(self.p + self.d - k + 1, self.m + 1)
-        )
-        w2 = signed_permutations(self.system.shape, "e", free)
-        wc = self.levi_block.elements
-        # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
-        return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
+        """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}, once per (k, h)."""
+        k, h = map(exact_parts, ab)
+        if (k, h) not in self._flips:
+            free = list(range(1, self.p - self.d + h + 1)) + list(range(self.p + self.d - k + 1, self.m + 1))
+            w2 = signed_permutations(self.system.shape, "e", free)
+            wc = self.levi_block.elements
+            # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
+            self._flips[k, h] = coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
+        return self._flips[k, h]
 
 
 def make_pair(tag: str, **kw) -> DualPair:

@@ -327,10 +327,27 @@ def reference_enright_character(pair, entry, threshold4):
     data = pair.enright(entry)
     acc = CharSeries.zero(pair.system, threshold4)
     for w in data.min_reps:
-        dom, _ = pair._sorted_in_block(w.act(data.lam))
+        dom, _ = reference_sorted_in_block(pair, w.act(data.lam))
         sign = -1 if data.lengths[w] % 2 else 1
         acc = acc + _reference_v2_character(pair, dom - pair.s2_block.rho, threshold4).scale(sign)
     return acc
+
+
+def reference_sorted_in_block(pair, x):
+    """The Levi-dominant representative of x and the sign of the sorting
+    permutation, or None when x is singular for the Levi block: each of
+    ``reference_pair_blocks``'s ``levi_runs`` of coordinates of the pair's
+    twisted x, sorted into decreasing order."""
+    tw = (lambda y: y) if pair.twist is None else pair.twist.act
+    c = list(tw(x).coords2)
+    sign = 1
+    for lo, hi in reference_pair_blocks(pair)["levi_runs"]:
+        run = c[lo:hi]
+        if len(set(run)) != len(run):
+            return None
+        sign *= (-1) ** sum(1 for a, b in itertools.combinations(run, 2) if a < b)
+        c[lo:hi] = sorted(run, reverse=True)
+    return tw(Weight(c, x.shape)), sign
 
 
 def reference_assembled(pair, depth, finite):

@@ -73,6 +73,10 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta, "_delta_line")
     assert not hasattr(theta.D2Pair, "_levi_elements")
     assert not hasattr(theta.DualPair, "v2_character")
+    # the Levi character straightens every summand: no run sort, no runs
+    assert not hasattr(theta.DualPair, "_sorted_in_block")
+    for pair in (theta.make_pair("B", m=1, n=2), theta.make_pair("GL", n=1, p=2, q=1)):
+        assert not hasattr(pair, "levi_runs"), pair.tag
     assert not hasattr(series.CharSeries, "agrees_with")
     assert not hasattr(diagrams.ArcDiagram, "bracket_interval")
     assert not hasattr(rootdata.PositiveSystem, "simple_coefficients")

@@ -260,3 +260,19 @@ def test_any_other_escaping_exception_exits_3(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "internal error: TypeError: unsupported operand"
+
+
+def test_an_internal_key_error_exits_3_not_2(capsys, monkeypatch):
+    # no input path raises KeyError, so one that escapes is a defect, not bad input
+    import superdenom.cli as cli
+
+    def broken(k, depth):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr(cli, "verify_glkk", broken)
+    code = main(["verify", "--identity", "glkk", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.splitlines()[-1] == "internal error: KeyError: 'missing table entry'"

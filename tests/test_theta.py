@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import json
@@ -13,7 +12,13 @@ from superdenom.denominators import window4
 from superdenom.series import CharSeries
 from superdenom.weyl import enumerate_closure, reflection
 
-from _oracles import reference_assembled, reference_enright_character, reference_l2_character, reference_pair_blocks
+from _oracles import (
+    reference_assembled,
+    reference_enright_character,
+    reference_l2_character,
+    reference_pair_blocks,
+    reference_sorted_in_block,
+)
 
 DUALITY_CASES = [
     ("B", dict(m=1, n=1)),
@@ -54,8 +59,8 @@ def _same_block(block, ref):
 
 
 def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
-    # blocks, Levi runs, shifts, candidates and flips read off the order agree
-    # with the construction written out pair by pair, on 112 ranks
+    # blocks, shifts, candidates and flips read off the order agree with the
+    # construction written out pair by pair, on 112 ranks
     for tag, kw in BLOCK_RANKS:
         pair = make_pair(tag, **kw)
         ref = reference_pair_blocks(pair)
@@ -66,11 +71,19 @@ def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
         assert pair._l2_shift() == ref["l2_shift"] and pair._compact_shift() == ref["compact_shift"], (tag, kw)
         assert set(pair.enright_candidates()) == set(ref["candidates"]), (tag, kw)
         assert len(pair.enright_candidates()) == len(ref["candidates"]), (tag, kw)
+        # the Levi character straightens what the pair-by-pair run sort
+        # sorted: on Levi-integral probes x = rho2 + 2 lam it is zero where the
+        # sort finds x singular, nonzero where x is already sorted, and else the
+        # sorted character times the sort's sign
         rng = random.Random(f"{tag}{sorted(kw.items())}")
-        probes = [Weight([rng.randint(-3, 3) for _ in range(sum(sys_.shape))], sys_.shape) for _ in range(30)]
-        old = copy.copy(pair)
-        old.levi_runs = ref["levi_runs"]
-        assert [pair._sorted_in_block(x) for x in probes] == [old._sorted_in_block(x) for x in probes], (tag, kw)
+        rho2, character = pair.s2_block.rho, pair.levi_block.character
+        for _ in range(20):
+            x = rho2 + 2 * Weight([rng.randint(-2, 2) for _ in range(sum(sys_.shape))], sys_.shape)
+            got, res = character(x - rho2), reference_sorted_in_block(pair, x)
+            if res is None or res[0] == x:
+                assert got.is_zero_on_window() == (res is None), (tag, kw, x)
+            else:
+                assert dict(got.terms) == dict(character(res[0] - rho2).scale(res[1]).terms), (tag, kw, x)
         for key in (k for size in range(4) for k in pair.table_keys(size)):
             assert pair.flip_set(key) == ref["flips"](key), (tag, kw, key)
 
@@ -263,6 +276,40 @@ def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
     assert rep.to_json()["verdict"] == "fail"
 
 
+def _duality_mutants(pair):
+    """Two deliberate faults, each a (method name, replacement) pair: every
+    compact character doubled, and the first flip-sum summand of every key
+    negated."""
+    compact, summands = pair.compact_character, pair.l2_summands
+
+    def doubled(entry):
+        return compact(entry).scale(2)
+
+    def negated(key):
+        (c, lam, bucket), *rest = summands(key)
+        return [(-c, lam, bucket)] + rest
+
+    return [("compact_character", doubled), ("l2_summands", negated)]
+
+
+@pytest.mark.parametrize("tag,kw", [
+    ("B", dict(m=1, n=2)),
+    ("B", dict(m=2, n=1)),
+    ("D2", dict(m=2, n=1)),
+    ("D2'", dict(m=2, n=1)),
+    ("GL", dict(n=2, p=1, q=1)),
+    ("GL", dict(n=1, p=2, q=1)),
+])
+@pytest.mark.parametrize("mutant", range(2))
+def test_duality_fails_under_each_deliberate_mutation(monkeypatch, tag, kw, mutant):
+    pair = make_pair(tag, **kw)
+    assert pair.verify_duality(8).passed
+    name, fault = _duality_mutants(pair)[mutant]
+    monkeypatch.setattr(pair, name, fault)
+    rep = pair.verify_duality(8)
+    assert not rep.passed and rep.first_mismatch is not None, (tag, kw, name)
+
+
 def test_duality_d2_primed():
     rep = make_pair("D2'", m=2, n=1).verify_duality(6)
     assert rep.passed
@@ -310,6 +357,19 @@ def test_verify_enright_fails_under_each_deliberate_mutation(monkeypatch, tag, k
     for entry in pair.sigma_set(6):
         rep = pair.verify_enright(entry)
         assert not rep.passed and rep.first_mismatch is not None, (name, entry.partition, entry.sign)
+
+
+@pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("D2'", dict(m=2, n=1)), ("GL", dict(n=1, p=2, q=1))])
+def test_enright_levi_sum_rejects_a_singular_minimal_representative(monkeypatch, tag, kw):
+    # a minimal representative never lands on a Levi-singular weight; the
+    # weight 0 is singular for every Levi block with a root, so it must raise
+    pair = make_pair(tag, **kw)
+    entry = pair.sigma_set(2)[-1]
+    honest = pair.enright
+    zero = Weight.zero(pair.system.shape)
+    monkeypatch.setattr(pair, "enright", lambda e: dataclasses.replace(honest(e), lam=zero))
+    with pytest.raises(AssertionError):
+        pair.enright_levi_sum(entry)
 
 
 @pytest.mark.parametrize("tag,kw", DUALITY_CASES)

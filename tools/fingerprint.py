@@ -18,7 +18,8 @@ sums are the largest of the list; `theta-table` and `theta-verify` for
 each pair, on ranks whose blocks include an empty part (B(0,2), GL with
 p = 0 or q = 0, and GL(0,2) with p = q = 0, which has no eps run), a
 one-coordinate part, the larger D1 x block of D1(3,1) and D2'(1,2), whose
-twist acts on its only eps;
+twist acts on its only eps, and on B(1,3), D1(2,3) and GL(1; 2,2), whose
+flip sums hold the most summands that are singular for the Levi block;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
@@ -78,6 +79,10 @@ PAIRS = [
     # no eps run (p = q = 0); the twist on the only eps
     "--pair GL --n 2 --p 0 --q 0",
     "--pair D2' --m 1 --n 2",
+    # flip sums with many singular summands (8, 11 and 2 over the table at bound 6)
+    "--pair B --m 1 --n 3",
+    "--pair D1 --m 2 --n 3",
+    "--pair GL --n 1 --p 2 --q 2",
 ]
 
 # the largest Weyl sums: princ-sd on a distinguished order at depth 3
