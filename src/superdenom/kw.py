@@ -161,8 +161,8 @@ def verify_chv(family: str, m: int, n: int, depth: int = 8) -> KWReport:
 
 def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     """The even-Weyl-group intermediate identity behind the supercharacter
-    formula: the alternating sum of e^{rho_0+eps_1} - e^{rho_0+delta_1}
-    against the odd-denominator quotient."""
+    formula: the alternating sum of e^{rho_0+eps_1} - e^{rho_0+delta_1} =
+    e^{rho_0+eps_1}(1 - e^{-(eps_1-delta_1)}) against the odd-denominator quotient."""
     system = base_system(family, m, n)
     geom = [(b, 1) for b in accumulate(gamma_chain(family, m, n))]
     W = full_weyl(system.datum)
@@ -170,8 +170,7 @@ def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
     right = WeylSum(W, "sgn", top, geom, poly=[(a, 1) for a in system.positive_odd])
     system = _separating_system(system, [right])
     T = window4(system, depth, top=top)
-    left = WeylSum(W, "sgn", top, []).expand(system, T)
-    left = left + WeylSum(W, "sgn", system.rho0 + Weight.delta(1, (m, n)), [], coeff=-1).expand(system, T)
+    left = WeylSum(W, "sgn", top, [], poly=[(Weight.eps(1, (m, n)) - Weight.delta(1, (m, n)), 1)]).expand(system, T)
     return _fit_report("xx", family, m, n, depth, left, right.expand(system, T), stated_constants(family, m, n)[1])
 
 

@@ -19,7 +19,8 @@ digits sum to less than half of 2^(B dim), comparing keys compares heights
 first, so a height filter compares a key with one cut and the top key holds
 the top height.  Each series keeps a bound on the absolute value of its
 coordinates, set by the step that forms its keys (the constructor, the
-kernel ``product_expansion``, the division in ``weyl_character``, ``+`` and
+kernel ``product_expansion``, the division in ``weyl_character`` (one per
+summand of a signed sum of finite characters, into one dict), ``+`` and
 ``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
 holds it, so no digit overflows; an operand of a narrower B is re-encoded.
 The kernel takes each factor's terms in descending height, so its inner
@@ -434,54 +435,60 @@ def weyl_character(
     system: PositiveSystem,
     elements: list[WeylElement],
     rho_block: Weight,
-    lam: Weight,
+    summands: Iterable[tuple[int, Weight]],
 ) -> CharSeries:
-    """Exact finite character by the Weyl formula for a block subsystem.
-
-    Computes sum_w sgn(w) e^{w(lam+rho)} / sum_w sgn(w) e^{w(rho)} by sparse
-    division; the result is 0 when lam+rho is singular and picks up the sign
-    of the sorting element when lam+rho is irregularly ordered.
+    """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, by the
+    Weyl formula for a block subsystem: the denominator sum_w sgn(w) e^{w(rho)}
+    is built once, each alternant sum_w sgn(w) e^{w(lam+rho)} is divided by it
+    on its own (each step rescans the top key, so a summed numerator is
+    slower), and c times the quotient goes into one dict.  A summand is 0 when
+    lam+rho is singular and picks up the sign of the sorting element when
+    lam+rho is irregularly ordered.
 
     The division runs on packed keys (see the module docstring), with digits
-    wide enough for |lam+rho|_inf + 3 |rho|_inf, which bounds every residual,
-    quotient and shift.  Keys break height ties on the last coordinate, not
-    in ``coords2`` order; the quotient is the same, since the leading term
-    e^rho of the denominator is unique by height (every block root is
-    positive) and an exact quotient of Laurent polynomials is unique.
+    wide enough for max |lam+rho|_inf + 3 |rho|_inf, which bounds every
+    residual, quotient and shift.  Keys break height ties on the last
+    coordinate, not in ``coords2`` order; the quotient is the same, since the
+    leading term e^rho of the denominator is unique by height (every block
+    root is positive) and an exact quotient of Laurent polynomials is unique.
     """
     ht4 = system.ht4
-    top = lam + rho_block
-    bound = max(map(abs, top.coords2)) + 3 * max(map(abs, rho_block.coords2))
-    out = CharSeries._trusted(system, {}, bound, NEG_INF, 0)
-    bits, quot = out.bits, out.packed
-    numer: dict[int, int] = {}
-    denom: dict[int, int] = {}
-    for w in elements:
-        s = sgn(w)
-        for alt, x in ((numer, top), (denom, rho_block)):
+    tops = [(c, lam + rho_block) for c, lam in summands]
+    bound = max((abs(x) for _, top in tops for x in top.coords2), default=0)
+    out = CharSeries._trusted(system, {}, bound + 3 * max(map(abs, rho_block.coords2)), NEG_INF, 0)
+    bits, signed, acc = out.bits, [(w, sgn(w)) for w in elements], {}
+
+    def alternant(x: Weight) -> dict[int, int]:
+        alt: dict[int, int] = {}
+        for w, s in signed:
             y = w.act(x)
             k = _pack(y.coords2, ht4(y), bits)
             alt[k] = alt.get(k, 0) + s
-    numer, denom = ({k: c for k, c in alt.items() if c} for alt in (numer, denom))
+        return {k: c for k, c in alt.items() if c}
+
+    denom = alternant(rho_block)
     if not denom:
         raise ValueError("singular block rho: not a valid block system")
     dmax = max(denom)
     if denom[dmax] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
-    steps = 0
-    while numer:
-        steps += 1
-        if steps > 200000:
-            raise RuntimeError("character division did not terminate")
-        nmax = max(numer)
-        c = numer[nmax]
-        shift = nmax - dmax
-        quot[shift] = c
-        for k, ck in denom.items():
-            x = shift + k
-            v = numer.get(x, 0) - c * ck
-            if v:
-                numer[x] = v
-            else:
-                del numer[x]
+    for coeff, top in tops:
+        numer = alternant(top)
+        steps = 0
+        while numer:
+            steps += 1
+            if steps > 200000:
+                raise RuntimeError("character division did not terminate")
+            nmax = max(numer)
+            c = numer[nmax]
+            shift = nmax - dmax
+            acc[shift] = acc.get(shift, 0) + coeff * c
+            for k, ck in denom.items():
+                x = shift + k
+                v = numer.get(x, 0) - c * ck
+                if v:
+                    numer[x] = v
+                else:
+                    del numer[x]
+    out.packed = {k: c for k, c in acc.items() if c}
     return out.tightened()

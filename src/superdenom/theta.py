@@ -16,12 +16,14 @@ characters for the noncompact side, and checks the branching identity
 
 coefficient-exactly on a window.  Every L^2 character is a finite sum of
 Levi characters times one tail prod 1/(1 - e^{-beta}) over the nilradical.
-Its summands, Weyl images of one integral weight, go to the Levi character
-unsorted: the Weyl formula straightens each, with its sign, and is zero on a
-singular one (rho_2 - rho_Levi, half the nilradical's roots, is Levi-invariant).
-The sum comes by two independent routes: the sign-character bookkeeping over
-the flip groups (``l2_levi_sum``) and Enright's minimal coset representatives
-(``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
+Every finite sum (L^2, Enright, compact, D1's x) is one ``Block.character``
+call on its signed weights.  The L^2 summands, Weyl images of one integral
+weight, go to it unsorted: the Weyl formula straightens each, with its sign,
+and is zero on a singular one (rho_2 - rho_Levi, half the nilradical's roots,
+is Levi-invariant).  The sum comes by two independent routes: the
+sign-character bookkeeping over the flip groups (``l2_levi_sum``) and
+Enright's minimal coset representatives, read off the Enright group's length
+table (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
 compares the two finite sums as whole characters, with no window.
 
 Both routes, the table assembly, the duality check and the construction of
@@ -137,8 +139,9 @@ class Block:
             elements = [twist.compose(w).compose(twist) for w in elements]
         return cls(system, positive, sorted(elements, key=WeylElement.sort_key))
 
-    def character(self, lam: Weight) -> CharSeries:
-        return weyl_character(self.system, self.elements, self.rho, lam)
+    def character(self, summands) -> CharSeries:
+        """sum c ch(lam) over the (c, lam) pairs of a finite sum, exact."""
+        return weyl_character(self.system, self.elements, self.rho, summands)
 
 
 @dataclass
@@ -242,14 +245,6 @@ class DualPair:
     def _window(self, depth: int) -> int:
         return window4(self.system, depth, top=-self.system.rho1)
 
-    def _levi_sum(self, summands) -> CharSeries:
-        """sum c ch_Levi(lam) over (c, lam) pairs, exact, with the ceiling of
-        its highest term: a sum's stated ceiling stays loose after cancellation."""
-        acc = CharSeries.zero(self.system)
-        for c, lam in summands:
-            acc = acc + self.levi_block.character(lam).scale(c)
-        return acc.tightened()
-
     @cached_property
     def nilradical(self) -> list[Weight]:
         """The s2 block's positive roots outside the Levi block."""
@@ -285,19 +280,18 @@ class DualPair:
     def l2_levi_sum(self, entry: ThetaEntry) -> CharSeries:
         """The L^2 character before the tail: the flip-sum summands of its bucket."""
         want = "+" if entry.sign in ("+", "none") else "-"
-        return self._levi_sum((c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want)
+        return self.levi_block.character((c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want)
 
     def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
         T = self._window(depth_or_threshold) if depth else depth_or_threshold
         return self._with_tail(self.l2_levi_sum(entry), T)
 
     def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        return self.compact_block.character(entry.compact_weight)
+        return self.compact_block.character([(1, entry.compact_weight)])
 
     # -- Enright route -------------------------------------------------------
 
     def enright(self, entry: ThetaEntry) -> EnrightData:
-        sys_ = self.system
         lam0 = entry.l2_lowest + self.s2_block.rho
         gens = []
         s2_roots = self.s2_block.positive + [-b for b in self.s2_block.positive]
@@ -307,16 +301,17 @@ class DualPair:
                 continue
             if all(inner(lam0, beta) != 0 or inner(alpha, beta) == 0 for beta in s2_roots):
                 gens.append(reflection(alpha))
-        group = enumerate_closure(gens, sys_.shape)
+        group = enumerate_closure(gens, self.system.shape)
         gset = set(group)
         roots = [a for a in s2_roots if reflection(a) in gset]
         s2_set, levi = set(self.s2_block.positive), set(self.levi_block.positive)
         pos = [a for a in roots if a in s2_set]
         pos_set = set(pos)
         lengths = {w: sum(1 for a in pos if w.act(a) not in pos_set) for w in group}
-        compact = [a for a in pos if a in levi]
-        csub = enumerate_closure([reflection(a) for a in compact], sys_.shape)
-        reps = coset_reps(group, csub, key=lambda w: (lengths[w], w.sort_key()), left=True)
+        # w is shortest in W_c w iff l(s_a w) > l(w), i.e. w^-1 a > 0, for all compact a > 0
+        compact = [reflection(a) for a in pos if a in levi]
+        reps = [w for w in group if all(lengths[s.compose(w)] > lengths[w] for s in compact)]
+        reps.sort(key=lambda w: (lengths[w], w.sort_key()))
         return EnrightData(lam0, group, roots, reps, lengths)
 
     def enright_levi_sum(self, entry: ThetaEntry) -> CharSeries:
@@ -328,7 +323,7 @@ class DualPair:
             if any(inner(x, a) == 0 for a in self.levi_block.positive):
                 raise AssertionError("minimal representative hit a singular weight")
             summands.append((-1 if data.lengths[w] % 2 else 1, x - self.s2_block.rho))
-        return self._levi_sum(summands)
+        return self.levi_block.character(summands)
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
         return self._with_tail(self.enright_levi_sum(entry), self._window(depth))
@@ -432,17 +427,23 @@ class SpPair(OneBlockPair):
 
     block = "d"
 
+    @property
+    def k(self) -> int:
+        return 2 * self.m + (self.family == "B")
+
     def nu(self, a) -> Weight:
         j = exact_parts(a)
-        coeffs = dict.fromkeys(range(self.n - self.d - self.m + j, self.n - j + 1), -1)
+        coeffs = dict.fromkeys(range(self.n - self.k + j + 1, self.n - j + 1), -1)
         for r in range(self.n - j + 1, self.n + 1):
-            coeffs[r] = coeffs.get(r, 0) - a[self.n - r]
+            coeffs[r] = -a[self.n - r]
         return _line(self.system.shape, "d", coeffs)
 
     def in_extra_family(self, a) -> bool:
-        """Membership in the extra index family P of the second sign character."""
+        """Kashiwara-Vergne: the det-twisted partner of the O(k) representation
+        with j nonzero parts has first column k - j; it differs from it when
+        2j < k and occurs with Sp(2n,R) when k - j <= n, with nu its weight."""
         j = exact_parts(a)
-        return self.d == self.m and j >= max(0, self.m + 1 - (self.n - self.d))
+        return 2 * j < self.k and self.k - j <= self.n
 
     def labels(self, a) -> list[tuple[str, Weight]]:
         out = [("+", self.mu(a))]
@@ -521,19 +522,16 @@ class D1Pair(SpPair):
     # compact characters -----------------------------------------------------
 
     def compact_character(self, entry: ThetaEntry) -> CharSeries:
+        """ch(hw), plus ch of its s_{eps_m} image on a "+" entry with a_m > 0."""
         hw = entry.compact_weight
-        base = self.compact_block.character(hw)
-        if entry.sign == "+" and self.a_m(entry.partition) > 0:
-            flipped = reflection(2 * Weight.eps(self.m, self.system.shape)).act(hw)
-            base = base + self.compact_block.character(flipped)
-        return base
+        twin = entry.sign == "+" and self.a_m(entry.partition) > 0
+        flipped = [(1, reflection(2 * Weight.eps(self.m, self.system.shape)).act(hw))] if twin else []
+        return self.compact_block.character([(1, hw)] + flipped)
 
     def x_character(self, entry: ThetaEntry) -> CharSeries:
         """Kostant's character of F^{+-}(hw) on the x-component (a_m = 0)."""
-        if self.a_m(entry.partition) > 0:
-            return CharSeries.zero(self.system)
-        ch = self.x_block.character(entry.compact_weight)
-        return ch if entry.sign == "+" else ch.scale(-1)
+        sign = 1 if entry.sign == "+" else -1
+        return self.x_block.character([] if self.a_m(entry.partition) > 0 else [(sign, entry.compact_weight)])
 
     def oscillator_x_character(self, depth: int) -> CharSeries:
         """Trace of x t on the oscillator module: only the eps_m-paired

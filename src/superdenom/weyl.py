@@ -259,16 +259,11 @@ def signed_permutations(
     return sorted(out, key=WeylElement.sort_key)
 
 
-def coset_reps(
-    big: list[WeylElement],
-    small: list[WeylElement],
-    key=WeylElement.sort_key,
-    left: bool = False,
-) -> list[WeylElement]:
+def coset_reps(big: list[WeylElement], small: list[WeylElement], left: bool = False) -> list[WeylElement]:
     """One representative per coset w*small (small*w when left) inside big.
 
-    The representative is the key-least element of its coset, and the result
-    is sorted by key; requires big to be a union of such cosets.
+    The representative is the sort_key-least element of its coset, and the
+    result is sorted by sort_key; requires big to be a union of such cosets.
     """
     small = list(small)
     covered: set[WeylElement] = set()
@@ -278,7 +273,7 @@ def coset_reps(
             continue
         coset = [u.compose(w) for u in small] if left else [w.compose(u) for u in small]
         covered.update(coset)
-        reps.append(min(coset, key=key))
+        reps.append(min(coset, key=WeylElement.sort_key))
     if len(reps) * len(small) != len(set(big)):
         raise ValueError("the big set is not a union of cosets of the small group")
-    return sorted(reps, key=key)
+    return sorted(reps, key=WeylElement.sort_key)

@@ -302,7 +302,7 @@ def _reference_v2_character(pair, lam, threshold4):
     """The parabolic Verma character ch_Levi(lam) x prod 1/(1 - e^{-beta})
     over the nilradical, with the tail expanded for this one summand."""
     sys_ = pair.system
-    fin = pair.levi_block.character(lam)
+    fin = pair.levi_block.character([(1, lam)])
     tail = product_expansion(
         sys_, threshold4 - fin.ceiling4, Weight.zero(sys_.shape), geom=[(b, 1) for b in pair.nilradical]
     )

@@ -73,6 +73,11 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta, "_delta_line")
     assert not hasattr(theta.D2Pair, "_levi_elements")
     assert not hasattr(theta.DualPair, "v2_character")
+    # a finite sum is one Block.character call, and the Enright representatives
+    # are read off the length table
+    assert not hasattr(theta.DualPair, "_levi_sum")
+    assert "key" not in inspect.signature(weyl.coset_reps).parameters
+    assert "theta.enright" not in _calls_by_function("coset_reps")
     # the Levi character straightens every summand: no run sort, no runs
     assert not hasattr(theta.DualPair, "_sorted_in_block")
     for pair in (theta.make_pair("B", m=1, n=2), theta.make_pair("GL", n=1, p=2, q=1)):

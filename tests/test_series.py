@@ -153,7 +153,7 @@ def test_weyl_character_sl2():
     sh = (1, 1)
     block_elems = signed_permutations(sh, "e", [1], flips="all")
     rho_b = Weight.eps(1, sh).half()
-    ch = weyl_character(system, block_elems, rho_b, Weight.eps(1, sh))
+    ch = weyl_character(system, block_elems, rho_b, [(1, Weight.eps(1, sh))])
     assert ch.terms == {Weight.eps(1, sh): 1, Weight.zero(sh): 1, -Weight.eps(1, sh): 1}
 
 
@@ -163,7 +163,7 @@ def test_weyl_character_singular_is_zero():
     alpha = sl2_block(system)
     block = signed_permutations(system.shape, "e", [1, 2])
     rho_b = alpha.half()
-    ch = weyl_character(system, block, rho_b, -rho_b)  # lambda + rho = 0
+    ch = weyl_character(system, block, rho_b, [(1, -rho_b)])  # lambda + rho = 0
     assert ch.is_zero_on_window()
 
 
@@ -173,7 +173,7 @@ def test_weyl_character_sorting_sign():
     alpha = sl2_block(system)
     block = signed_permutations(system.shape, "e", [1, 2])
     rho_b = alpha.half()
-    ch = weyl_character(system, block, rho_b, -alpha)  # s_alpha-image of 0
+    ch = weyl_character(system, block, rho_b, [(1, -alpha)])  # s_alpha-image of 0
     assert ch.terms == {Weight.zero(system.shape): -1}
 
 
@@ -183,12 +183,12 @@ def test_weyl_character_error_paths():
     alpha = sl2_block(system)
     block = signed_permutations(system.shape, "e", [1, 2])
     with pytest.raises(ValueError):
-        weyl_character(system, block, Weight.zero(system.shape), alpha)  # singular rho
+        weyl_character(system, block, Weight.zero(system.shape), [(1, alpha)])  # singular rho
     with pytest.raises(AssertionError):
-        weyl_character(system, block, -alpha.half(), alpha)  # leading term -e^{alpha/2}
+        weyl_character(system, block, -alpha.half(), [(1, alpha)])  # leading term -e^{alpha/2}
     with pytest.raises(RuntimeError):
         # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
-        weyl_character(system, block, alpha, -alpha.half())
+        weyl_character(system, block, alpha, [(1, -alpha.half())])
 
 
 def test_a_product_wholly_below_the_window_keeps_its_own_ceiling():
@@ -495,13 +495,14 @@ def _invariant_directions(block):
 
 
 @st.composite
-def _character_case(draw):
-    """A block of some pair, and lam + rho dominant, irregular (a Weyl image
-    of a dominant weight), or singular (fixed by a reflection of the group);
-    for "edge", a dominant or irregular lam plus a large weight fixed by the
-    group, with coordinates +-(2^k - 1), so that the digit width changes."""
-    blocks = _pair_blocks(draw(st.integers(0, len(_PAIRS) - 1)))
-    block = draw(st.sampled_from(blocks))
+def _character_case(draw, block=None):
+    """A block of some pair (``block`` when given), and lam + rho dominant,
+    irregular (a Weyl image of a dominant weight), or singular (fixed by a
+    reflection of the group); for "edge", a dominant or irregular lam plus a
+    large weight fixed by the group, with coordinates +-(2^k - 1), so that
+    the digit width changes."""
+    if block is None:
+        block = draw(st.sampled_from(_pair_blocks(draw(st.integers(0, len(_PAIRS) - 1)))))
     system, rho, elements = block.system, block.rho, block.elements
     sh = system.shape
     kind = draw(st.sampled_from(["dominant", "irregular", "singular", "edge"]))
@@ -528,8 +529,35 @@ def _character_case(draw):
 def test_weyl_character_matches_reference(case):
     block, kind, lam = case
     want = reference_weyl_character(block.system, block.elements, block.rho, lam)
-    got = weyl_character(block.system, block.elements, block.rho, lam)
+    got = weyl_character(block.system, block.elements, block.rho, [(1, lam)])
     assert got.terms == want.terms
     assert kind != "singular" or not got.terms
     assert got.threshold4 == want.threshold4
     assert got.ceiling4 == want.ceiling4
+
+
+@st.composite
+def _signed_sum(draw):
+    """A block and a signed list of its weights, each drawn as in
+    _character_case, with one summand repeated or cancelled."""
+    block = draw(_character_case())[0]
+    summands = [(draw(st.integers(-3, 3)), draw(_character_case(block))[2]) for _ in range(draw(st.integers(0, 4)))]
+    if summands:
+        c, lam = draw(st.sampled_from(summands))
+        summands.append((draw(st.sampled_from([c, -c])), lam))
+    return block, draw(st.permutations(summands))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_signed_sum())
+def test_block_character_is_the_signed_sum_of_reference_characters(case):
+    block, summands = case
+    want = {}
+    for c, lam in summands:
+        for x, k in reference_weyl_character(block.system, block.elements, block.rho, lam).terms.items():
+            want[x] = want.get(x, 0) + c * k
+    want = {x: k for x, k in want.items() if k}
+    got = block.character(summands)
+    assert got.terms == want
+    assert got.threshold4 is None
+    assert got.ceiling4 == max(map(block.system.ht4, want), default=0)

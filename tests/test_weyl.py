@@ -316,8 +316,9 @@ def test_coset_reps_rejects_a_set_that_is_not_a_union_of_cosets():
 
 
 def test_coset_reps_left_cosets_by_length():
-    # W(A_2)/W(A_1): on the left cosets W(A_1) w the length key picks the
-    # unique shortest element of each, and orders the result by length
+    # W(A_2)/W(A_1): the sort_key-least element of each left coset W(A_1) w
+    # (and of each right coset) is here its unique shortest element, and the
+    # result comes in sort_key order, which here is the order by length
     sh = (3, 1)
     a3 = signed_permutations(sh, "e", [1, 2, 3])
     a2 = signed_permutations(sh, "e", [1, 2])
@@ -326,21 +327,20 @@ def test_coset_reps_left_cosets_by_length():
         p = [abs(x) for x in w.img[: w.m]]
         return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
-    reps = coset_reps(a3, a2, key=length, left=True)
+    reps = coset_reps(a3, a2, left=True)
+    assert reps == sorted(reps, key=WeylElement.sort_key)
     assert [length(r) for r in reps] == [0, 1, 2]
     cosets = [{u.compose(r) for u in a2} for r in reps]
     assert set().union(*cosets) == set(a3)
     for r, coset in zip(reps, cosets):
+        assert r == min(coset, key=WeylElement.sort_key)
         assert all(length(x) > length(r) for x in coset - {r})
-    # the key, not the element order, picks the representative
-    longest = coset_reps(a3, a2, key=lambda w: -length(w), left=True)
-    assert [length(r) for r in longest] == [3, 2, 1]
-    for r in longest:
-        assert all(length(u.compose(r)) <= length(r) for u in a2)
-    # right cosets are different sets: the same key picks different elements
-    right = coset_reps(a3, a2, key=length)
+    # right cosets are different sets: the same rule picks different elements
+    right = coset_reps(a3, a2)
     assert [length(r) for r in right] == [0, 1, 2]
+    assert set().union(*({r.compose(u) for u in a2} for r in right)) == set(a3)
     assert {u.compose(reps[1]) for u in a2} != {right[1].compose(u) for u in a2}
+    assert reps[2] != right[2]
 
 
 def test_product_factorization_no_duplicates():

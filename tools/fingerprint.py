@@ -20,6 +20,8 @@ p = 0 or q = 0, and GL(0,2) with p = q = 0, which has no eps run), a
 one-coordinate part, the larger D1 x block of D1(3,1) and D2'(1,2), whose
 twist acts on its only eps, and on B(1,3), D1(2,3) and GL(1; 2,2), whose
 flip sums hold the most summands that are singular for the Levi block;
+`theta-verify` of D1(2,3) at depth 8, whose first term from the table's
+det-twisted entries for n > m lies below the depth-6 window;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
@@ -117,6 +119,9 @@ def calls() -> list[list[str]]:
     for pair in PAIRS:
         out.append(f"theta-table {pair} --bound 6".split())
         out.append(f"theta-verify {pair} --depth 6".split())
+    # the depth-6 window misses the D1(2,3) entry a = (1, 0) with the "-"
+    # label (degree 3 in the oscillator); depth 8 reaches it
+    out.append("theta-verify --pair D1 --m 2 --n 3 --depth 8".split())
     for fam, m, n in KW_RANKS:
         out.append(f"kw-check --family {fam} --m {m} --n {n} --depth 6".split())
     for fam, m, n in VERIFY_RANKS:
