@@ -5,7 +5,9 @@ ends have different type, whose spanned intervals contain as many eps as
 delta symbols, and which neither cross nor share endpoints.  Each diagram X
 yields the isotropic set S(X) = {left - right per arc}, and the bracket
 weights [[gamma]] that appear as exponents in the generalized denominator
-identities.
+identities.  Every nesting fact (niceness, the nesting count, the brackets,
+the root signs) is read off one relation, ``ArcDiagram.nested_below``.  The
+nice diagram of an order is the bracket matching of its type word.
 """
 
 from __future__ import annotations
@@ -55,16 +57,8 @@ class ArcDiagram:
     def shape(self) -> tuple[int, int]:
         return self.order.shape
 
-    def support_positions(self) -> set[int]:
-        return {p for arc in self.arcs for p in arc}
-
     def support_symbols(self):
-        return [self.order.sequence[p] for p in sorted(self.support_positions())]
-
-    def arc_root(self, arc: tuple[int, int]) -> Weight:
-        i, j = arc
-        fs = self.order.functionals()
-        return fs[i] - fs[j]
+        return [self.order.sequence[p] for p in sorted(p for arc in self.arcs for p in arc)]
 
     def isotropic_set(self) -> list[Weight]:
         """S(X), ordered by arcs sorted by left endpoint."""
@@ -90,17 +84,14 @@ class ArcDiagram:
 
     def is_nice(self) -> bool:
         """Nice: comparable arcs (nested) have equal sn."""
-        for a, b in itertools.combinations(self.arcs, 2):
-            if (a[0] <= b[0] and b[1] <= a[1]) or (b[0] <= a[0] and a[1] <= b[1]):
-                if self.sn(a) != self.sn(b):
-                    return False
-        return True
+        return all(self.sn(b) == self.sn(a) for a in self.arcs for b in self.nested_below(a))
 
     # -- bracket weights ------------------------------------------------------
 
     def _root_table(self) -> dict[Weight, tuple[tuple[int, int], Weight]]:
         """gamma -> (its arc, [[gamma]]) for each gamma in S(X), in arc order."""
-        roots = {a: self.arc_root(a) for a in self.arcs}
+        fs = self.order.functionals()
+        roots = {a: fs[a[0]] - fs[a[1]] for a in self.arcs}
         table = {}
         for arc, gamma in roots.items():
             acc = gamma  # the arc itself: sn(gamma)^2 gamma
@@ -127,11 +118,7 @@ class ArcDiagram:
 
     def nesting_count(self) -> int:
         """Total number of strictly nested arc pairs: sum over gamma of |gamma^<|."""
-        cnt = 0
-        for a, b in itertools.permutations(self.arcs, 2):
-            if a[0] < b[0] and b[1] < a[1]:
-                cnt += 1
-        return cnt
+        return sum(len(self.nested_below(a)) - 1 for a in self.arcs)
 
     def gamma_le_size(self, gamma: Weight) -> int:
         """|gamma^<=| = number of arcs nested below gamma's arc, inclusive."""
@@ -159,9 +146,7 @@ class ArcDiagram:
         width = 4
         depth_of = {}
         for arc in sorted(self.arcs, key=lambda a: a[1] - a[0]):
-            i, j = arc
-            inner_depths = [depth_of[a] for a in self.arcs if i <= a[0] and a[1] <= j and a != arc]
-            depth_of[arc] = 1 + max(inner_depths, default=0)
+            depth_of[arc] = 1 + max((depth_of[a] for a in self.nested_below(arc) if a != arc), default=0)
         maxd = max(depth_of.values(), default=0)
         lines = []
         for level in range(maxd, 0, -1):
@@ -206,7 +191,7 @@ def _matchings(word: tuple[str, ...]) -> tuple[tuple[tuple[int, int], ...], ...]
         for rest in _matchings(word[1:]):
             results.append(tuple((i + 1, j + 1) for i, j in rest))
     # first vertex matched with a partner making the interval [0, j] balanced;
-    # everything under the arc must then be fully matched
+    # the inside is then balanced too, so each of its matchings is perfect
     bal = 1 if t0 == "e" else -1
     for j in range(1, len(word)):
         bal += 1 if word[j] == "e" else -1
@@ -214,8 +199,7 @@ def _matchings(word: tuple[str, ...]) -> tuple[tuple[tuple[int, int], ...], ...]
             continue
         inside = word[1:j]
         outside = word[j + 1:]
-        inner_sets = [s for s in _matchings(inside) if 2 * len(s) == len(inside)]
-        for ins in inner_sets:
+        for ins in _matchings(inside):
             for outs in _matchings(outside):
                 arcs = ((0, j),) + tuple((a + 1, b + 1) for a, b in ins) + tuple(
                     (a + j + 1, b + j + 1) for a, b in outs
@@ -292,34 +276,22 @@ def reduce_to_simple(X: ArcDiagram) -> tuple[list[tuple], ArcDiagram]:
     """
     moves: list[tuple] = []
     cur = X
-    guard = 0
     while not cur.is_simple():
-        guard += 1
-        if guard > 10 * (len(cur.order.sequence) ** 2 + 10):
+        if len(moves) >= 10 * (len(cur.order.sequence) ** 2 + 10):
             raise RuntimeError("reduction did not terminate")
-        target = min(
-            (a for a in cur.arcs if a[1] > a[0] + 1),
-            key=lambda a: (a[1] - a[0], a[0]),
-        )
-        i, j = target
-        t0 = cur.order.sequence[i].kind
-        opp = "d" if t0 == "e" else "e"
+        i, j = min((a for a in cur.arcs if a[1] > a[0] + 1), key=lambda a: (a[1] - a[0], a[0]))
         # everything strictly below an innermost non-simple arc consists of
         # adjacent matched pairs; flip the first pair facing the wrong way
-        fixed = False
-        for t in range((j - i - 1) // 2):
-            a, b = i + 1 + 2 * t, i + 2 + 2 * t
-            if (a, b) not in cur.arcs:
-                raise AssertionError("inner vertices of an innermost arc must pair up")
-            if cur.order.sequence[a].kind != opp:
-                cur = odd_reflect_diagram(cur, (a, b))
-                moves.append(("odd", a))
-                fixed = True
-                break
-        if fixed:
-            continue
-        cur = interval_reflect(cur, i)
-        moves.append(("interval", i))
+        pairs = [(a, a + 1) for a in range(i + 1, j - 1, 2)]
+        if not set(pairs) <= set(cur.arcs):
+            raise AssertionError("inner vertices of an innermost arc must pair up")
+        seq = cur.order.sequence
+        wrong = next((a for a, _ in pairs if seq[a].kind == seq[i].kind), None)
+        if wrong is None:
+            cur, move = interval_reflect(cur, i), ("interval", i)
+        else:
+            cur, move = odd_reflect_diagram(cur, (wrong, wrong + 1)), ("odd", wrong)
+        moves.append(move)
     return moves, cur
 
 
@@ -328,31 +300,18 @@ def reduce_to_simple(X: ArcDiagram) -> tuple[list[tuple], ArcDiagram]:
 
 
 def build_nice(system: PositiveSystem) -> ArcDiagram:
-    """A diagram in which nested arcs share their sn, so every [[gamma]] lies
-    in the positive root cone.  Greedy: arc the tail of the leading same-type
-    run with the first symbol of the other type, repeat, recurse."""
+    """The bracket matching of the order's type word: scanning left to right,
+    each symbol closes the most recent open symbol of the other type and
+    otherwise opens.  Nested arcs then share their sn, so every [[gamma]]
+    lies in the positive root cone."""
     seq = system.order.sequence
-    positions = list(range(len(seq)))
+    opened: list[int] = []
     arcs: list[tuple[int, int]] = []
-
-    def kind(p: int) -> str:
-        return seq[p].kind
-
-    def go(active: list[int]) -> None:
-        kinds = {kind(p) for p in active}
-        if len(kinds) < 2:
-            return
-        t0 = kind(active[0])
-        cur = list(active)
-        while True:
-            split = next((ix for ix, p in enumerate(cur) if kind(p) != t0), None)
-            if split is None or split == 0:
-                break
-            arcs.append((cur[split - 1], cur[split]))
-            del cur[split - 1 : split + 1]
-        go(cur)
-
-    go(positions)
+    for p, s in enumerate(seq):
+        if opened and seq[opened[-1]].kind != s.kind:
+            arcs.append((opened.pop(), p))
+        else:
+            opened.append(p)
     X = ArcDiagram(system.order, arcs)
     if not X.is_nice():
         raise AssertionError("construction produced a non-nice diagram")

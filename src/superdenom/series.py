@@ -451,6 +451,10 @@ def weyl_character(
     coordinate, not in ``coords2`` order; the quotient is the same, since the
     leading term e^rho of the denominator is unique by height (every block
     root is positive) and an exact quotient of Laurent polynomials is unique.
+    Key order is additive, so an exact quotient has no key below
+    min(numerator) - min(denominator): a division whose next shift drops
+    below that floor is not exact, and its weight, not integral for the
+    block, raises ValueError.
     """
     ht4 = system.ht4
     tops = [(c, lam + rho_block) for c, lam in summands]
@@ -469,19 +473,18 @@ def weyl_character(
     denom = alternant(rho_block)
     if not denom:
         raise ValueError("singular block rho: not a valid block system")
-    dmax = max(denom)
+    dmax, dmin = max(denom), min(denom)
     if denom[dmax] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
     for coeff, top in tops:
         numer = alternant(top)
-        steps = 0
+        floor = min(numer, default=0) - dmin
         while numer:
-            steps += 1
-            if steps > 200000:
-                raise RuntimeError("character division did not terminate")
             nmax = max(numer)
             c = numer[nmax]
             shift = nmax - dmax
+            if shift < floor:
+                raise ValueError(f"{top - rho_block} is not integral for the block")
             acc[shift] = acc.get(shift, 0) + coeff * c
             for k, ck in denom.items():
                 x = shift + k

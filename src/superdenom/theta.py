@@ -649,10 +649,14 @@ class GLPair(DualPair):
 
 
 def make_pair(tag: str, **kw) -> DualPair:
+    """The pair ``tag`` on the ranks n, p and q (GL) or m and n (the others);
+    an unknown tag or a missing rank raises ValueError."""
     tag = tag.upper()
-    if tag == "GL":
-        return GLPair(kw["n"], kw["p"], kw["q"])
-    one_block = {"B": BPair, "D1": D1Pair, "D2": D2Pair, "D2'": partial(D2Pair, primed=True)}
-    if tag not in one_block:
+    pairs = {"GL": GLPair, "B": BPair, "D1": D1Pair, "D2": D2Pair, "D2'": partial(D2Pair, primed=True)}
+    if tag not in pairs:
         raise ValueError(f"unknown pair {tag!r}")
-    return one_block[tag](kw["m"], kw["n"])
+    ranks = ("n", "p", "q") if tag == "GL" else ("m", "n")
+    missing = [r for r in ranks if kw.get(r) is None]
+    if missing:
+        raise ValueError(f"the {tag} pair is missing rank {', '.join(missing)}")
+    return pairs[tag](*(kw[r] for r in ranks))

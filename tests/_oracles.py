@@ -527,6 +527,20 @@ def apply_moves(X: ArcDiagram, moves) -> ArcDiagram:
     return cur
 
 
+def reference_is_nice(X: ArcDiagram) -> bool:
+    """Nice, pair by pair: every two comparable (nested) arcs have equal sn."""
+    for a, b in itertools.combinations(X.arcs, 2):
+        if (a[0] <= b[0] and b[1] <= a[1]) or (b[0] <= a[0] and a[1] <= b[1]):
+            if X.sn(a) != X.sn(b):
+                return False
+    return True
+
+
+def reference_nesting_count(X: ArcDiagram) -> int:
+    """The number of ordered arc pairs (a, b) with b strictly inside a."""
+    return sum(1 for a, b in itertools.permutations(X.arcs, 2) if a[0] < b[0] and b[1] < a[1])
+
+
 def reflect_simple_roots(simples, alpha):
     """Serganova's rule for the simple roots after the odd reflection r_alpha."""
     out = set()

@@ -84,6 +84,10 @@ def test_removed_helpers_are_gone():
         assert not hasattr(pair, "levi_runs"), pair.tag
     assert not hasattr(series.CharSeries, "agrees_with")
     assert not hasattr(diagrams.ArcDiagram, "bracket_interval")
+    # every nesting fact reads nested_below; the arc roots come from one read
+    # of the order's functionals
+    assert not hasattr(diagrams.ArcDiagram, "arc_root")
+    assert not hasattr(diagrams.ArcDiagram, "support_positions")
     assert not hasattr(rootdata.PositiveSystem, "simple_coefficients")
     assert "__lt__" not in vars(weights.Weight)  # object's own __lt__ is always there
     assert not hasattr(weyl, "_max_group") and not hasattr(weyl, "MAX_GROUP_ENV")

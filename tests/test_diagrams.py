@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from superdenom.weights import Weight, weight_sum
@@ -17,7 +20,14 @@ from superdenom.diagrams import (
     build_nice,
 )
 
-from _oracles import apply_moves, definition_isotropic_sets, reference_bracket, uses_interior_fork
+from _oracles import (
+    apply_moves,
+    definition_isotropic_sets,
+    reference_bracket,
+    reference_is_nice,
+    reference_nesting_count,
+    uses_interior_fork,
+)
 
 BIJECTION_GRID = (
     [("GL", m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5]
@@ -289,6 +299,45 @@ def test_build_nice_brackets_in_positive_cone(family, m, n):
         assert X.is_nice()
         for gamma in X.isotropic_set():
             assert system.in_positive_root_cone(X.bracket(gamma)), (family, m, n, order)
+
+
+def _grid_systems():
+    """Every canonical order's positive system over BIJECTION_GRID."""
+    for family, m, n in BIJECTION_GRID:
+        datum = build_root_datum(family, m, n)
+        for order in all_basis_orders(family, m, n):
+            yield positive_system(datum, order)
+
+
+def test_diagram_layer_is_pinned():
+    # arcs, nesting, niceness, brackets, root signs and reduction moves of
+    # every diagram on the grid, and the nice diagram of every order
+    doc, count = [], 0
+    for system in _grid_systems():
+        rows = []
+        for X in enumerate_diagrams(system):
+            count += 1
+            S = X.isotropic_set()
+            rows.append({
+                "order": X.order.to_json(),
+                "arcs": X.arcs,
+                "nesting": X.nesting_count(),
+                "nice": X.is_nice(),
+                "brackets": [X.bracket(g).coords2 for g in S],
+                "signs": [X.root_sign(g) for g in S],
+                "moves": reduce_to_simple(X)[0],
+            })
+        doc.append({"order": system.order.to_json(), "nice": build_nice(system).arcs, "diagrams": rows})
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert count == 282
+    assert hashlib.sha256(text.encode()).hexdigest() == "bd666c46e9e0cae093b7e580a00a426b9d2c5be597757a1191da66655755ccd1"
+
+
+def test_nesting_reads_match_the_pairwise_references():
+    for system in _grid_systems():
+        for X in enumerate_diagrams(system) + [build_nice(system)]:
+            assert X.is_nice() == reference_is_nice(X), X
+            assert X.nesting_count() == reference_nesting_count(X), X
 
 
 def test_validation_rejects_bad_diagrams():

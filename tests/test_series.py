@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,9 +187,19 @@ def test_weyl_character_error_paths():
         weyl_character(system, block, Weight.zero(system.shape), [(1, alpha)])  # singular rho
     with pytest.raises(AssertionError):
         weyl_character(system, block, -alpha.half(), [(1, alpha)])  # leading term -e^{alpha/2}
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="not integral for the block"):
         # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
         weyl_character(system, block, alpha, [(1, -alpha.half())])
+
+
+def test_a_weight_not_integral_for_its_block_is_refused_at_once():
+    # delta_1/2 on B(1,2)'s Levi block (A_1 on the deltas): the division
+    # stops at the exact quotient's lowest key instead of running on
+    levi = make_pair("B", m=1, n=2).levi_block
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"1/2\*d1 is not integral for the block"):
+        levi.character([(1, Weight([0, 1, 0], (1, 2)))])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_a_product_wholly_below_the_window_keeps_its_own_ceiling():

@@ -88,6 +88,15 @@ def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
             assert pair.flip_set(key) == ref["flips"](key), (tag, kw, key)
 
 
+@pytest.mark.parametrize(
+    "tag,kw,missing",
+    [("GL", dict(n=1), "p, q"), ("GL", dict(p=1, q=1), "n"), ("B", dict(n=2), "m"), ("D1", dict(m=2), "n")],
+)
+def test_make_pair_names_a_missing_rank(tag, kw, missing):
+    with pytest.raises(ValueError, match=f"^the {tag} pair is missing rank {missing}$"):
+        make_pair(tag, **kw)
+
+
 def test_partition_helpers():
     assert partitions_at_most(2, 3) == [(3, 0), (2, 1)]
     assert partitions_at_most(0, 0) == [()]

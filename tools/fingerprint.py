@@ -22,6 +22,9 @@ twist acts on its only eps, and on B(1,3), D1(2,3) and GL(1; 2,2), whose
 flip sums hold the most summands that are singular for the Levi block;
 `theta-verify` of D1(2,3) at depth 8, whose first term from the table's
 det-twisted entries for n > m lies below the depth-6 window;
+`list-arc-diagrams` in text on D(2,2), which has sign twins and -eps_m
+orders, and on B(2,2); `reduce-diagram` of three nested arcs on the D(3,3)
+order d1 d2 d3 e1 e2 e3, which ends in eps_m and needs odd moves;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
 argument and exit 2.  The demos print what no CLI call does: simple roots,
@@ -92,6 +95,18 @@ LARGE_RANKS = [("gl", 4, 3), ("b", 3, 2), ("d", 3, 2), ("d", 3, 3)]
 
 KW_RANKS = [("gl", 2, 1), ("gl", 2, 2), ("gl", 3, 2), ("b", 2, 1), ("d", 2, 1), ("d", 2, 2), ("d", 3, 2)]
 
+# the diagram layer: sign twins and -eps_m orders (D), the B orders, and a
+# reduction whose innermost non-simple arc needs odd moves first
+NESTED_ORDER = json.dumps(
+    [{"kind": "d", "idx": i} for i in (1, 2, 3)] + [{"kind": "e", "idx": i} for i in (1, 2, 3)],
+    separators=(",", ":"),
+)
+DIAGRAMS = [
+    "list-arc-diagrams --family d --m 2 --n 2 --format text",
+    "list-arc-diagrams --family b --m 2 --n 2 --format text",
+    f"reduce-diagram --family d --m 3 --n 3 --order {NESTED_ORDER} --arcs [[0,5],[1,4],[2,3]] --format text",
+]
+
 MISSING_ARGUMENTS = [
     "verify --identity glkk",
     "verify --identity princ-sd",
@@ -122,6 +137,7 @@ def calls() -> list[list[str]]:
     # the depth-6 window misses the D1(2,3) entry a = (1, 0) with the "-"
     # label (degree 3 in the oscillator); depth 8 reaches it
     out.append("theta-verify --pair D1 --m 2 --n 3 --depth 8".split())
+    out += [line.split(" ") for line in DIAGRAMS]
     for fam, m, n in KW_RANKS:
         out.append(f"kw-check --family {fam} --m {m} --n {n} --depth 6".split())
     for fam, m, n in VERIFY_RANKS:
