@@ -43,7 +43,7 @@ from .denominators import (
     princ_constant,
     window4,
 )
-from .theta import make_pair, BPair, D1Pair, D2Pair, GLPair, ThetaEntry
+from .theta import make_pair, BPair, D1Pair, D2Pair, D2PrimePair, GLPair, ThetaEntry
 from .kw import verify_chv, verify_xx, verify_kwfor, natural_supercharacter, kw_systems
 
 # every public name imported above; the submodules, bound as a side effect of

@@ -27,8 +27,9 @@ table (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
 compares the two finite sums as whole characters, with no window.
 
 Both routes, the table assembly, the duality check and the construction of
-every pair are written once on ``DualPair``.  A pair declares its ``family``,
-order ``variant`` and noncompact ``block`` ("e" or "d"); the rest is read
+every pair are written once on ``DualPair``.  A pair declares its ``tag``
+(its key in ``PAIRS``) and ``ranks``, its ``family``, order ``variant`` and
+noncompact ``block`` ("e" or "d"); the rest is read
 off its distinguished order: the s2 and the compact block (the family's
 block types on the two kinds of coordinate), the Levi block (one A-type
 part per run of noncompact symbols: the p and the q run for GL, one run
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
@@ -155,14 +156,13 @@ class ThetaEntry:
     def to_json(self) -> dict:
         part = self.partition
         nested = len(part) == 2 and isinstance(part[0], tuple)
-        doc = {
+        return {
             "pair": self.pair,
             "partition": [list(part[0]), list(part[1])] if nested else list(part),
             "compact_weight": self.compact_weight.to_json(),
             "sign": self.sign,
             "l2_lowest": self.l2_lowest.to_json(),
         }
-        return doc
 
 
 @dataclass
@@ -179,13 +179,14 @@ class EnrightData:
 
 
 class DualPair:
-    """Shared machinery; a concrete pair declares ``family``, ``variant`` and
-    ``block`` and fills in the hooks named in the module docstring."""
+    """Shared machinery; a concrete pair declares what the module docstring
+    names and fills in its hooks.  ``ranks`` names the constructor's arguments."""
 
     tag = ""
     family = ""
     variant = ""
     block = ""
+    ranks = ("m", "n")
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
@@ -234,9 +235,6 @@ class DualPair:
                 for sign, lowest in self.labels(key):
                     out.append(ThetaEntry(self.tag, key, sign, hw, shift + lowest))
         return out
-
-    def _tw(self, x: Weight) -> Weight:
-        return x if self.twist is None else self.twist.act(x)
 
     def oscillator_character(self, depth: int) -> CharSeries:
         sys_ = self.system
@@ -395,7 +393,8 @@ class OneBlockPair(DualPair):
 
     def mu(self, a) -> Weight:
         coeffs = {self.block_size - self.d + r: -a[self.d - r] for r in range(1, self.d + 1)}
-        return self._tw(_line(self.system.shape, self.block, coeffs))
+        x = _line(self.system.shape, self.block, coeffs)
+        return x if self.twist is None else self.twist.act(x)
 
     def compact_hw(self, a) -> Weight:
         return _line(self.system.shape, self.compact_kind, dict(enumerate(a, start=1)))
@@ -459,8 +458,7 @@ class SpPair(OneBlockPair):
 class BPair(SpPair):
     """(O(2m+1), Sp(2n,R)) from B(m,n) with the distinguished order."""
 
-    tag = "B"
-    family = "B"
+    tag = family = "B"
 
     def _flip_label(self, a, w):
         # an even number of flips feeds L^2(mu), an odd number L^2(nu)
@@ -472,19 +470,19 @@ class BPair(SpPair):
 
 
 class D2Pair(OneBlockPair):
-    """(Sp(n), SO*(2m)) from D(m,n) with the order e_1 > ... > d_n.
+    """(Sp(n), SO*(2m)) from D(m,n) with the order e_1 > ... > d_n."""
 
-    The primed variant carries -eps_m in the basis; its table is the
-    s_{eps_m}-image of the unprimed one and is verified natively against its
-    own oscillator character.
-    """
-
+    tag = variant = "D2"
     family = "D"
     block = "e"
 
-    def __init__(self, m: int, n: int, primed: bool = False):
-        self.tag = self.variant = "D2'" if primed else "D2"
-        super().__init__(m, n)
+
+class D2PrimePair(D2Pair):
+    """D2 on the order that carries -eps_m in the basis; its table is the
+    s_{eps_m}-image of D2's and is verified natively against its own
+    oscillator character."""
+
+    tag = variant = "D2'"
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +497,8 @@ class D1Pair(SpPair):
     Kostant quotient over W(C_{m-1}).
     """
 
-    tag = "D1"
+    tag = variant = "D1"
     family = "D"
-    variant = "D1"
 
     def __init__(self, m: int, n: int):
         if m < 2:
@@ -600,9 +597,9 @@ class D1Pair(SpPair):
 class GLPair(DualPair):
     """(U(n), U(p,q)) from gl(m,n), m = p + q, distinguished order p."""
 
-    tag = "GL"
-    family = "GL"
+    tag = family = "GL"
     block = "e"
+    ranks = ("n", "p", "q")
 
     def __init__(self, n: int, p: int, q: int):
         self.p, self.q = p, q
@@ -648,15 +645,21 @@ class GLPair(DualPair):
         return self._flips[k, h]
 
 
+PAIRS = {c.tag: c for c in (BPair, D1Pair, D2Pair, D2PrimePair, GLPair)}
+
+
 def make_pair(tag: str, **kw) -> DualPair:
-    """The pair ``tag`` on the ranks n, p and q (GL) or m and n (the others);
-    an unknown tag or a missing rank raises ValueError."""
-    tag = tag.upper()
-    pairs = {"GL": GLPair, "B": BPair, "D1": D1Pair, "D2": D2Pair, "D2'": partial(D2Pair, primed=True)}
-    if tag not in pairs:
-        raise ValueError(f"unknown pair {tag!r}")
-    ranks = ("n", "p", "q") if tag == "GL" else ("m", "n")
-    missing = [r for r in ranks if kw.get(r) is None]
+    """The pair ``tag`` of ``PAIRS`` on its ``ranks``, a rank given as None
+    counting as not given; an unknown tag, a missing rank or a rank the pair
+    does not take raises ValueError."""
+    cls = PAIRS.get(tag.upper())
+    if cls is None:
+        raise ValueError(f"unknown pair {tag.upper()!r}")
+    kw = {r: v for r, v in kw.items() if v is not None}
+    missing = [r for r in cls.ranks if r not in kw]
     if missing:
-        raise ValueError(f"the {tag} pair is missing rank {', '.join(missing)}")
-    return pairs[tag](*(kw[r] for r in ranks))
+        raise ValueError(f"the {cls.tag} pair is missing rank {', '.join(missing)}")
+    extra = [r for r in kw if r not in cls.ranks]
+    if extra:
+        raise ValueError(f"the {cls.tag} pair takes no rank {', '.join(extra)}")
+    return cls(**kw)

@@ -281,3 +281,23 @@ def test_one_block_pairs_share_one_body():
         if isinstance(node, ast.Attribute) and node.attr == "of" and getattr(node.value, "id", None) == "Block"
     }
     assert callers == {"__init__"}
+
+
+def test_one_registry_names_the_pairs_and_their_ranks():
+    # the CLI's --pair choices, make_pair and the classes read one dict, and
+    # each class declares its tag and the ranks its constructor takes
+    import argparse
+
+    from superdenom import cli, theta
+
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("theta-table", "theta-verify"):
+        pair = next(a for a in subcommands.choices[command]._actions if a.dest == "pair")
+        assert pair.choices == list(theta.PAIRS), command
+    assert list(theta.PAIRS) == ["B", "D1", "D2", "D2'", "GL"]
+    for tag, cls in theta.PAIRS.items():
+        assert cls.tag == tag and isinstance(cls.ranks, tuple), tag
+        assert tuple(inspect.signature(cls).parameters) == cls.ranks, tag
+    # D2' is a subclass, not a flag
+    assert "__init__" not in vars(theta.D2Pair) and issubclass(theta.D2PrimePair, theta.D2Pair)
+    assert not hasattr(theta, "partial")

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +154,38 @@ def test_missing_arguments_exit_2_with_one_error_line(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["theta-table", "--pair", "B", "--m", "1", "--n", "1", "--p", "9", "--bound", "1"], "the B pair takes no rank p"),
+    (["theta-table", "--pair", "GL", "--n", "1", "--p", "1", "--q", "0", "--m", "7", "--bound", "1"],
+     "the GL pair takes no rank m"),
+    (["theta-verify", "--pair", "D2'", "--m", "2", "--n", "1", "--q", "1"], "the D2' pair takes no rank q"),
+])
+def test_a_rank_the_pair_does_not_take_exits_2_with_one_error_line(capsys, argv, message):
+    # a rank that would be silently ignored is most likely a typo
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_closed_stdout_keeps_the_exit_status_and_prints_nothing_to_stderr():
+    # the text listing of GL(5,4) is about 150 kB, more than a pipe holds, so
+    # the command is still writing when the reader closes the pipe after one line
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["list-arc-diagrams", "--family", "gl", "--m", "5", "--n", "4", "--format", "text"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superdenom.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

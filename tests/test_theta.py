@@ -97,6 +97,24 @@ def test_make_pair_names_a_missing_rank(tag, kw, missing):
         make_pair(tag, **kw)
 
 
+@pytest.mark.parametrize(
+    "tag,kw,extra",
+    [("B", dict(m=1, n=1, p=9), "p"), ("GL", dict(n=1, p=1, q=0, m=7), "m"), ("D2'", dict(m=2, n=1, p=1, q=2), "p, q")],
+)
+def test_make_pair_rejects_a_rank_the_pair_does_not_take(tag, kw, extra):
+    with pytest.raises(ValueError, match=f"^the {tag} pair takes no rank {extra}$"):
+        make_pair(tag, **kw)
+
+
+def test_make_pair_treats_a_rank_given_as_none_as_not_given():
+    pair = make_pair("B", m=1, n=2, p=None, q=None)
+    assert (type(pair), pair.m, pair.n) == (BPair, 1, 2)
+    pair = make_pair("gl", m=None, n=1, p=2, q=1)
+    assert (type(pair), pair.n, pair.p, pair.q) == (GLPair, 1, 2, 1)
+    with pytest.raises(ValueError, match="^the D1 pair is missing rank m$"):
+        make_pair("D1", m=None, n=2)
+
+
 def test_partition_helpers():
     assert partitions_at_most(2, 3) == [(3, 0), (2, 1)]
     assert partitions_at_most(0, 0) == [()]
@@ -305,20 +323,25 @@ def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
     assert rep.to_json()["verdict"] == "fail"
 
 
+def _doubled(method):
+    return lambda arg: method(arg).scale(2)
+
+
 def _duality_mutants(pair):
     """Two deliberate faults, each a (method name, replacement) pair: every
     compact character doubled, and the first flip-sum summand of every key
     negated."""
-    compact, summands = pair.compact_character, pair.l2_summands
-
-    def doubled(entry):
-        return compact(entry).scale(2)
+    summands = pair.l2_summands
 
     def negated(key):
         (c, lam, bucket), *rest = summands(key)
         return [(-c, lam, bucket)] + rest
 
-    return [("compact_character", doubled), ("l2_summands", negated)]
+    return [("compact_character", _doubled(pair.compact_character)), ("l2_summands", negated)]
+
+
+# D1 with n < m, n = m and n > m
+D1_MUTATION_RANKS = [("D1", dict(m=2, n=1)), ("D1", dict(m=2, n=2)), ("D1", dict(m=2, n=3))]
 
 
 @pytest.mark.parametrize("tag,kw", [
@@ -328,15 +351,29 @@ def _duality_mutants(pair):
     ("D2'", dict(m=2, n=1)),
     ("GL", dict(n=2, p=1, q=1)),
     ("GL", dict(n=1, p=2, q=1)),
-])
+] + D1_MUTATION_RANKS)
 @pytest.mark.parametrize("mutant", range(2))
 def test_duality_fails_under_each_deliberate_mutation(monkeypatch, tag, kw, mutant):
+    # on D1 both faults reach the torus check, which runs first
     pair = make_pair(tag, **kw)
     assert pair.verify_duality(8).passed
     name, fault = _duality_mutants(pair)[mutant]
     monkeypatch.setattr(pair, name, fault)
     rep = pair.verify_duality(8)
     assert not rep.passed and rep.first_mismatch is not None, (tag, kw, name)
+    assert rep.identity_kind == f"theta-{tag}", (tag, kw, name)
+
+
+@pytest.mark.parametrize("tag,kw", D1_MUTATION_RANKS)
+@pytest.mark.parametrize("name,kind", [("x_character", "theta-D1-x"), ("d2_twin_sum", "theta-D1-xtwin")])
+def test_d1_x_checks_fail_under_each_deliberate_mutation(monkeypatch, tag, kw, name, kind):
+    # a doubled x-character passes the torus check and fails the x check; a
+    # doubled twin sum passes both and fails the x-twin check
+    pair = make_pair(tag, **kw)
+    monkeypatch.setattr(pair, name, _doubled(getattr(pair, name)))
+    rep = pair.verify_duality(8)
+    assert not rep.passed and rep.first_mismatch is not None, (kw, name)
+    assert rep.identity_kind == kind, (kw, name)
 
 
 def test_duality_d2_primed():

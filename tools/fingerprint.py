@@ -27,8 +27,9 @@ orders, and on B(2,2); `reduce-diagram` of three nested arcs on the D(3,3)
 order d1 d2 d3 e1 e2 e3, which ends in eps_m and needs odd moves;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
 gamma chain drops a root; `dump-series`; and the calls that miss a required
-argument and exit 2.  The demos print what no CLI call does: simple roots,
-odd reflections and root-cone verdicts.  Stdlib only.
+argument or give a pair a rank it does not take, which exit 2.  The demos
+print what no CLI call does: simple roots, odd reflections and root-cone
+verdicts.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ MISSING_ARGUMENTS = [
     "theta-verify --pair B --n 1",
 ]
 
+# a rank the pair does not take exits 2
+UNUSED_RANKS = [
+    "theta-table --pair B --m 1 --n 1 --p 9 --bound 1",
+    "theta-table --pair GL --n 1 --p 1 --q 0 --m 7 --bound 1",
+]
+
 
 def calls() -> list[list[str]]:
     out = [line.split(" ") for line in README]
@@ -143,7 +150,7 @@ def calls() -> list[list[str]]:
     for fam, m, n in VERIFY_RANKS:
         for what in ("lhs-sd", "lhs-d"):
             out.append(f"dump-series --family {fam} --m {m} --n {n} --what {what} --depth 6".split())
-    out += [line.split(" ") for line in MISSING_ARGUMENTS]
+    out += [line.split(" ") for line in MISSING_ARGUMENTS + UNUSED_RANKS]
     return out
 
 
