@@ -23,6 +23,7 @@ from superdenom.weyl import (
     product_set,
     reflection,
     sgn,
+    sgn_prime,
     signed_permutations,
 )
 
@@ -178,6 +179,21 @@ def reference_lhs(system, kind, threshold4):
         geom=[(a, s) for a in system.positive_odd],
         poly=[(a, 1) for a in system.positive_even],
     )
+
+
+def reference_weyl_sum(system, U, sign_kind, threshold4, leading, geom=(), poly=(), coeff=1):
+    """The signed Weyl sum of ``series.f_sum_quotient`` as a left fold: each
+    element's ``product_expansion`` piece added with ``+`` to one growing
+    accumulator, in the order of U (the zero series for an empty U)."""
+    acc = None
+    for w in U:
+        s = sgn(w) if sign_kind == "sgn" else sgn_prime(w, system.datum.family)
+        piece = product_expansion(
+            system, threshold4, w.act(leading), coeff=s * coeff,
+            geom=[(w.act(b), sg) for b, sg in geom], poly=[(w.act(b), sg) for b, sg in poly],
+        )
+        acc = piece if acc is None else acc + piece
+    return CharSeries.zero(system, threshold4) if acc is None else acc
 
 
 def reference_weyl_character(system, elements, rho_block, lam):

@@ -1,9 +1,11 @@
 """tools/bench_pairs.py on made-up runs: the verdict fields of its summary,
-and which runs it asks for."""
+which runs it asks for, and the name it gives each checkout."""
 
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -73,3 +75,39 @@ def test_every_workload_gets_one_traced_run_per_side_at_seed_7(tmp_path, monkeyp
         (checkout, w, 7, 1) for w in workloads for checkout in ("P", str(tmp_path))
     ]
     assert len(doc["runs"]) == 2 * 10 * len(workloads) and all(c[3] == 0 for c in calls[:60])
+
+
+def _tree(path):
+    """A one-commit git tree with one source file, and its short hash."""
+    (path / "src" / "pkg").mkdir(parents=True)
+    (path / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"], ["rev-parse", "--short", "HEAD"]):
+        proc = subprocess.run(git + args, check=True, capture_output=True, text=True)
+    return proc.stdout.strip()
+
+
+def test_an_edited_copy_of_a_tree_gets_another_name(tmp_path):
+    clean = tmp_path / "clean"
+    head = _tree(clean)
+    name = bench_pairs.revision(str(clean))
+    assert name == f"{head}+src:{bench_pairs.src_digest(str(clean))}"
+    edited = shutil.copytree(clean, tmp_path / "edited")
+    assert bench_pairs.revision(str(edited)) == name
+    (edited / "src" / "pkg" / "mod.py").write_text("X = 2\n")
+    assert bench_pairs.revision(str(edited)).startswith(f"{head}+src:")
+    assert bench_pairs.revision(str(edited)) != name
+    # what running leaves under src/ does not change the name
+    (clean / "src" / "pkg" / "__pycache__").mkdir()
+    (clean / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.revision(str(clean)) == name
+
+
+def test_a_copy_without_git_is_named_by_its_digest(tmp_path):
+    head = _tree(tmp_path / "clean")
+    bare = shutil.copytree(tmp_path / "clean", tmp_path / "bare", ignore=shutil.ignore_patterns(".git"))
+    digest = bench_pairs.src_digest(str(bare))
+    assert len(digest) == 8 and bench_pairs.revision(str(tmp_path / "clean")) == f"{head}+src:{digest}"
+    assert bench_pairs.revision(str(bare)) == f"src:{digest}"
+    # the name does not depend on the directory's name
+    assert bench_pairs.revision(str(shutil.copytree(bare, tmp_path / "other"))) == f"src:{digest}"

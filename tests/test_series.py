@@ -6,10 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superdenom import series
 from superdenom.weights import Weight
-from superdenom.rootdata import all_basis_orders, build_root_datum, standard_order, positive_system
-from superdenom.denominators import compare
-from superdenom.series import CharSeries, HeightZeroExponent, product_expansion, weyl_character
+from superdenom.rootdata import (
+    all_basis_orders,
+    build_root_datum,
+    distinguished_orders,
+    positive_system,
+    standard_order,
+)
+from superdenom.denominators import choose_expansion_system, compare, right_side, verify, window4
+from superdenom.diagrams import enumerate_diagrams
+from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion, weyl_character
 from superdenom.theta import make_pair
 from superdenom.weyl import full_weyl, sgn, signed_permutations
 
@@ -18,6 +26,7 @@ from _oracles import (
     one_minus_exp,
     reference_product_expansion,
     reference_weyl_character,
+    reference_weyl_sum,
     signed_sum,
 )
 
@@ -572,3 +581,68 @@ def test_block_character_is_the_signed_sum_of_reference_characters(case):
     assert got.terms == want
     assert got.threshold4 is None
     assert got.ceiling4 == max(map(block.system.ht4, want), default=0)
+
+
+def _princ_sum(family, m, n, kind):
+    """The right side of ``kind`` on the first diagram of the first
+    distinguished order, on a system whose functional separates its
+    exponents, and the depth-4 window."""
+    datum = build_root_datum(family, m, n)
+    base = positive_system(datum, distinguished_orders(family, m, n)[0])
+    spec = right_side(kind, base, enumerate_diagrams(base)[0])
+    system = choose_expansion_system(base, [w.act(b) for w in spec.group for b, _ in spec.geom])
+    return system, spec, window4(system, 4)
+
+
+@pytest.mark.parametrize("kind,sign", [("princ-d", "sgn"), ("princ-sd", "sgn_prime")])
+@pytest.mark.parametrize("family,m,n", [("GL", 2, 2), ("B", 2, 1), ("D", 3, 2)])
+def test_weyl_sum_matches_the_left_fold_of_its_pieces(monkeypatch, family, m, n, kind, sign):
+    system, spec, T = _princ_sum(family, m, n, kind)
+    assert spec.sign == sign
+    args = (sign, T, spec.leading, spec.geom, spec.poly, spec.coeff)
+    W = list(spec.group)
+    for U in ([], W[:1], W):
+        got, want = f_sum_quotient(system, U, *args), reference_weyl_sum(system, U, *args)
+        assert got.terms == want.terms
+        assert (got.threshold4, got.ceiling4, got.bound) == (want.threshold4, want.ceiling4, want.bound)
+    shuffled = random.Random(29).sample(W, len(W))
+    assert f_sum_quotient(system, shuffled, *args).terms == f_sum_quotient(system, W, *args).terms
+    # the merges take as many additions as the fold, one per element but the
+    # first, and each puts the larger operand on the left, the one ``+`` copies
+    adds, add = [], CharSeries.__add__
+
+    def recording_add(a, b):
+        adds.append((len(a.packed), len(b.packed)))
+        return add(a, b)
+
+    monkeypatch.setattr(CharSeries, "__add__", recording_add)
+    f_sum_quotient(system, W, *args)
+    assert len(adds) == len(W) - 1
+    assert all(left >= right for left, right in adds)
+
+
+@pytest.mark.parametrize("family,m,n", [("D", 3, 3), ("B", 3, 2)])
+def test_weyl_sums_copy_a_few_times_the_terms_of_their_pieces(monkeypatch, family, m, n):
+    """``+`` copies its left operand.  Added into one growing accumulator,
+    the depth-3 princ-sd checks copy 44 (D(3,3)) and 30 (B(3,2)) times the
+    pieces' total terms; merged by size, about 4 to 5 times."""
+    copied, pieces = [0], [0]
+    add, expand = CharSeries.__add__, series.product_expansion
+
+    def counting_add(a, b):
+        copied[0] += len(a.packed)
+        return add(a, b)
+
+    def counting_expand(*args, **kwargs):
+        out = expand(*args, **kwargs)
+        pieces[0] += len(out.packed)
+        return out
+
+    monkeypatch.setattr(CharSeries, "__add__", counting_add)
+    monkeypatch.setattr(series, "product_expansion", counting_expand)
+    datum = build_root_datum(family, m, n)
+    for order in distinguished_orders(family, m, n):
+        system = positive_system(datum, order)
+        for X in enumerate_diagrams(system):
+            assert verify("princ-sd", system, X=X, depth=3).passed
+    assert 0 < copied[0] <= 8 * pieces[0]

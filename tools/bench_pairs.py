@@ -33,6 +33,7 @@ the parent's spread.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -55,11 +56,33 @@ def cpu_model() -> str:
     return "unknown"
 
 
+def src_digest(checkout: str) -> str:
+    """A short sha256 of the paths and bytes of the files under the
+    checkout's src/, leaving out what building leaves there (__pycache__,
+    *.egg-info)."""
+    root = os.path.join(checkout, "src")
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__" and not d.endswith(".egg-info"))
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            h.update(f"{os.path.relpath(path, root)}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()[:8]
+
+
 def revision(checkout: str) -> str:
+    """The checkout's short commit hash and the digest of its sources, as in
+    7b4eb39+src:1a2b3c4d, so that an uncommitted change is not named by its
+    parent alone; a checkout that is not the top of a git tree is named
+    src:1a2b3c4d."""
     proc = subprocess.run(
-        ["git", "-C", checkout, "rev-parse", "--short", "HEAD"], capture_output=True, text=True
+        ["git", "-C", checkout, "rev-parse", "--show-toplevel", "--short", "HEAD"], capture_output=True, text=True
     )
-    return proc.stdout.strip() if proc.returncode == 0 else os.path.basename(os.path.abspath(checkout))
+    lines = proc.stdout.split()
+    top = proc.returncode == 0 and len(lines) == 2 and os.path.samefile(lines[0], checkout)
+    return f"{lines[1]}+src:{src_digest(checkout)}" if top else f"src:{src_digest(checkout)}"
 
 
 def seed_range(text: str) -> list[int]:
