@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .weights import Weight, is_isotropic, weight_sum
+from .weights import Weight, inner, is_isotropic, weight_sum
 from .rootdata import (
     EPS_BLOCK,
     FAMILY_BLOCKS,
@@ -107,39 +108,36 @@ def window4(system: PositiveSystem, depth: int, top: Weight | None = None) -> in
     return system.ht4(lead) - depth * system.unit4
 
 
-def choose_expansion_system(system: PositiveSystem, exponents) -> PositiveSystem:
-    """A system whose expansion functional keeps every listed exponent well
-    away from zero (at least an eighth of a height unit in absolute value).
-
-    Returns the given system unchanged when plain principal height already
-    does this; otherwise scans perturbation seeds.
-    """
-    exponents = list(exponents)
-    floor = max(1, system.unit4 // 8)
-    if all(abs(system.ht4(b)) >= floor for b in exponents):
-        return system
+def _expansion_candidates(system: PositiveSystem):
+    """The system, then its perturbations by the tiebreak seeds 1..79, in the
+    order they are tried; past the last one, ``RuntimeError``."""
+    yield system
     for seed in range(1, 80):
-        cand = system.with_tiebreak(seed)
+        yield system.with_tiebreak(seed)
+    raise RuntimeError("no perturbation separated the denominator exponents")
+
+
+def choose_expansion_system(system: PositiveSystem, exponents) -> PositiveSystem:
+    """The first of the ``_expansion_candidates`` whose expansion functional
+    keeps every listed exponent well away from zero (at least an eighth of a
+    height unit in absolute value): the given system itself when plain
+    principal height already does this."""
+    exponents = list(exponents)
+    for cand in _expansion_candidates(system):
         floor = max(1, cand.unit4 // 8)
         if all(abs(cand.ht4(b)) >= floor for b in exponents):
             return cand
-    raise RuntimeError("no perturbation separated the denominator exponents")
 
 
 def with_safe_expansion(system: PositiveSystem, compute):
-    """Run compute(system); on a height-zero exponent (``HeightZeroExponent``)
-    retry with perturbed expansion functionals until one separates all
-    exponents.  Every other error propagates."""
-    try:
-        return compute(system)
-    except HeightZeroExponent:
-        pass
-    for seed in range(1, 80):
+    """compute(s) for the first of the ``_expansion_candidates`` on which it
+    raises no height-zero exponent (``HeightZeroExponent``).  Every other
+    error propagates."""
+    for cand in _expansion_candidates(system):
         try:
-            return compute(system.with_tiebreak(seed))
+            return compute(cand)
         except HeightZeroExponent:
             pass
-    raise RuntimeError("no perturbation separated the denominator exponents")
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +204,14 @@ def right_side(
 ) -> WeylSum:
     """The right side of identity ``kind`` on ``system``.
 
-    kwg takes S (default the isotropic set of a simple diagram X), which must
-    be simple, isotropic and maximal; every other kind takes the diagram X, and
-    migliore also B' (see ``migliore_groups``).  X must be drawn on the
-    system's order or, for a D order ending in eps_m, on its sign twin.  The
-    seconda kinds raise ``ValueError`` off their distinguished order.
+    kwg takes S (default the isotropic set of a simple diagram X): defect
+    many distinct, mutually orthogonal, isotropic simple roots.  S names the
+    sets no diagram draws: on C(m) with the order e1 > ... > em > d1, the
+    fork root eps_m + delta_1 is simple and isotropic, and no arc reaches
+    it.  Every other kind takes the diagram X, and migliore also B' (see
+    ``migliore_groups``).  X must be drawn on the system's order or, for a
+    D order ending in eps_m, on its sign twin.  The seconda kinds raise
+    ``ValueError`` off their distinguished order.
     """
     if kind not in IDENTITY_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}")
@@ -236,6 +237,8 @@ def right_side(
                 raise ValueError(f"{beta} is not isotropic")
         if len(S) != system.datum.defect:
             raise ValueError("S is not maximal isotropic")
+        if len(set(S)) < len(S) or any(inner(a, b) for a, b in combinations(S, 2)):
+            raise ValueError("the roots of S are not distinct and mutually orthogonal")
         return WeylSum(sharp_subgroup(system.datum), sign, system.rho, [(b, s) for b in S])
     if X is None:
         raise ValueError("this identity needs an arc diagram")

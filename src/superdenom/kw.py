@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import factorial
 
 from .weights import Weight, inner, is_isotropic
@@ -175,27 +175,11 @@ def verify_xx(family: str, m: int, n: int, depth: int = 8) -> KWReport:
 
 
 def kw_condition_roots(system: PositiveSystem, lam: Weight, atp: int) -> list[Weight] | None:
-    """atp mutually orthogonal isotropic simple roots orthogonal to rho+lam."""
-    cands = [
-        b
-        for b in system.simple_roots
-        if is_isotropic(b) and inner(system.rho + lam, b) == 0
-    ]
-    chosen: list[Weight] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == atp:
-            return True
-        for i in range(start, len(cands)):
-            b = cands[i]
-            if all(inner(b, c) == 0 for c in chosen):
-                chosen.append(b)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if extend(0) else None
+    """atp mutually orthogonal isotropic simple roots orthogonal to rho+lam:
+    the first such set, in the order of the simple roots, or None."""
+    cands = [b for b in system.simple_roots if is_isotropic(b) and inner(system.rho + lam, b) == 0]
+    sets = (list(c) for c in combinations(cands, atp) if all(inner(a, b) == 0 for a, b in combinations(c, 2)))
+    return next(sets, None)
 
 
 def highest_weight(system: PositiveSystem, sch: CharSeries) -> Weight:
@@ -213,20 +197,11 @@ def _condition(family: str, m: int, n: int, system: PositiveSystem) -> tuple[Wei
     return None if betas is None else (lam, betas)
 
 
-def _condition_systems(family: str, m: int, n: int):
-    """Yield (system, betas), order by order, for the systems satisfying the
-    orthogonality condition; a caller that needs one stops at the first."""
-    for order in all_basis_orders(family, m, n):
-        system = positive_system(build_root_datum(family, m, n), order)
-        found = _condition(family, m, n, system)
-        if found is not None:
-            yield system, found[1]
-
-
 def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[Weight]]]:
     """Positive systems satisfying the highest-weight orthogonality condition
-    for the natural module, with their isotropic root sets."""
-    return list(_condition_systems(family, m, n))
+    for the natural module, order by order, with their isotropic root sets."""
+    systems = (positive_system(build_root_datum(family, m, n), order) for order in all_basis_orders(family, m, n))
+    return [(s, found[1]) for s in systems if (found := _condition(family, m, n, s)) is not None]
 
 
 def verify_kwfor(
@@ -239,9 +214,10 @@ def verify_kwfor(
     """The highest-weight form over a system satisfying the orthogonality
     condition (by default the first one); checks the constant b = j_V / atp!."""
     if system is None:
-        system = next((s for s, _ in _condition_systems(family, m, n)), None)
-        if system is None:
+        systems = kw_systems(family, m, n)
+        if not systems:
             raise ValueError("no simple system satisfies the orthogonality condition")
+        system = systems[0][0]
     found = _condition(family, m, n, system)
     if found is None:
         raise ValueError("the given system does not satisfy the orthogonality condition")

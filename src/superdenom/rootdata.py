@@ -399,10 +399,6 @@ class PositiveSystem:
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def positive_roots(self) -> tuple[Weight, ...]:
-        return self.positive_even + self.positive_odd
-
     def in_positive_root_cone(self, w: Weight) -> bool:
         """Whether w is a nonnegative integer combination of simple roots.
 

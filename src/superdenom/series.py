@@ -92,10 +92,6 @@ class CharSeries:
     def zero(system: PositiveSystem, threshold4: int | None = NEG_INF) -> "CharSeries":
         return CharSeries(system, {}, threshold4, 0)
 
-    @staticmethod
-    def monomial(system: PositiveSystem, w: Weight, coeff: int = 1) -> "CharSeries":
-        return CharSeries(system, {w: coeff}, NEG_INF, system.ht4(w))
-
     # -- bookkeeping ---------------------------------------------------------
 
     def _same_space(self, other: "CharSeries") -> None:

@@ -539,9 +539,6 @@ class D1Pair(SpPair):
         geom += [b for b in self.nilradical if _support(b) == 1]
         return product_expansion(sys_, self._window(depth), -sys_.rho1, geom=[(a, 1) for a in geom])
 
-    def assembled_x_character(self, depth: int) -> CharSeries:
-        return self._assembled(depth, self.x_character)[0]
-
     def d2_twin_sum(self, depth: int) -> CharSeries:
         """The x-twisted oscillator character reproduced from the D(n, m-1)
         superdenominator structure: the bracket sum over

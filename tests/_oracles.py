@@ -106,6 +106,11 @@ class ReferenceSeries:
         return {"threshold2": t2, "terms": doc_terms}
 
 
+def monomial(system, w):
+    """The one-term series e^w, exact at every height."""
+    return CharSeries(system, {w: 1}, None, system.ht4(w))
+
+
 def one_minus_exp(system, beta):
     """The finite factor 1 - e^{-beta}, exact, with the ceiling of its
     higher term."""
@@ -279,8 +284,29 @@ def definition_isotropic_sets(system):
     for r in range(1, d + 1):
         for combo in itertools.combinations(simples, r):
             if all(inner(a, b) == 0 for a, b in itertools.combinations(combo, 2)):
-                grow(list(combo), list(system.positive_roots))
+                grow(list(combo), list(system.positive_even + system.positive_odd))
     return results
+
+
+def reference_kw_condition_roots(system, lam, atp):
+    """atp mutually orthogonal isotropic simple roots orthogonal to rho+lam,
+    by depth-first backtracking over the candidates in simple-root order: the
+    first set it completes, or None."""
+    cands = [b for b in system.simple_roots if is_isotropic(b) and inner(system.rho + lam, b) == 0]
+    chosen = []
+
+    def extend(start):
+        if len(chosen) == atp:
+            return True
+        for i in range(start, len(cands)):
+            if all(inner(cands[i], c) == 0 for c in chosen):
+                chosen.append(cands[i])
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if extend(0) else None
 
 
 def uses_interior_fork(s, m):

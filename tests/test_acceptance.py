@@ -26,8 +26,9 @@ from superdenom.denominators import (
     lhs,
     window4,
 )
+from superdenom import series
 from superdenom.series import product_expansion
-from superdenom.weyl import full_weyl, sgn_prime
+from superdenom.weyl import full_weyl, sgn, sgn_prime
 from superdenom.theta import make_pair
 from superdenom.kw import verify_chv, verify_kwfor, kw_systems
 
@@ -163,9 +164,11 @@ def _property_a():
     return True
 
 
-def _property_b():
-    ranks = [("GL", m, n) for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]]
-    ranks += [(f, m, n) for f in ("B", "D") for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]]
+PROPERTY_B_RANKS = [("GL", m, n) for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]]
+PROPERTY_B_RANKS += [(f, m, n) for f in ("B", "D") for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]]
+
+
+def _property_b(ranks=PROPERTY_B_RANKS):
     for fam, m, n in ranks:
         datum = build_root_datum(fam, m, n)
         W = full_weyl(datum)
@@ -249,6 +252,36 @@ def test_criterion_7_property_suite():
     for name, ok in results.items():
         print(f"[acceptance]   7{name}: {'pass' if ok else 'FAIL'}")
     _report("7 property suite", all(results.values()))
+
+
+def _without_even_poly(system, T, leading, geom, poly):
+    return series.product_expansion(system, T, leading, geom=geom)
+
+
+def _leading_rho(system, T, leading, geom, poly):
+    return series.product_expansion(system, T, system.rho, geom=geom, poly=poly)
+
+
+@pytest.mark.parametrize("name,fault", [
+    ("sgn_prime", lambda w, family: sgn(w)),
+    ("product_expansion", _without_even_poly),
+    ("product_expansion", _leading_rho),
+], ids=["sgn", "no_even_poly", "leading_rho"])
+def test_property_b_fails_under_each_fault(monkeypatch, name, fault):
+    # 7b as written passes on B(1,1) at depth 5, and each fault makes it fail
+    # there: sgn in place of sgn', the even roots' poly dropped from the
+    # twisted side, or the leading weight left at rho instead of w(rho)
+    assert _property_b([("B", 1, 1)])
+    monkeypatch.setitem(globals(), name, fault)
+    assert not _property_b([("B", 1, 1)])
+
+
+@pytest.mark.parametrize("rank", [("D", 2, 1), ("GL", 2, 1)])
+def test_property_b_cannot_tell_sgn_from_sgn_prime_where_they_agree(monkeypatch, rank):
+    # on W(D(2,1)) and W(gl(2,1)) the two signs agree, so the sgn fault is no
+    # fault there
+    monkeypatch.setitem(globals(), "sgn_prime", lambda w, family: sgn(w))
+    assert _property_b([rank])
 
 
 THETA_CASES = [

@@ -34,7 +34,7 @@ from superdenom.denominators import (
     migliore_groups,
 )
 
-from _oracles import reference_lhs
+from _oracles import monomial, reference_lhs
 
 
 def _lhs_reversed(system, kind, threshold4):
@@ -132,6 +132,53 @@ def test_kwg_rejects_bad_isotropic_sets():
         right_side("kwg-sd", system, S=[])  # not maximal
 
 
+def test_kwg_rejects_an_s_whose_roots_are_not_distinct_and_orthogonal():
+    # e1-d1 and d1-e2 are isotropic simple roots of e1>d1>e2>d2, as many as
+    # the defect, but they pair to -1, so they span no maximal isotropic set;
+    # this used to be reported as a failed identity
+    system = positive_system(build_root_datum("GL", 2, 2), standard_order("GL", 2, 2, "eded"))
+    sh = system.shape
+    e1d1, d1e2, e2d2 = (Weight.eps(1, sh) - Weight.delta(1, sh), Weight.delta(1, sh) - Weight.eps(2, sh),
+                        Weight.eps(2, sh) - Weight.delta(2, sh))
+    assert {e1d1, d1e2, e2d2} == set(system.simple_roots) and system.datum.defect == 2
+    for S in ([e1d1, d1e2], [e1d1, e1d1]):
+        with pytest.raises(ValueError, match="not distinct and mutually orthogonal"):
+            verify("kwg-sd", system, S=S, depth=4)
+    assert verify("kwg-sd", system, S=[e1d1, e2d2], depth=4).passed
+
+
+@pytest.mark.parametrize("kind", ["kwg-sd", "kwg-d"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kwg_on_the_c_fork_root_that_no_diagram_draws(m, kind):
+    # on C(m) with e1 > ... > em > d1 the fork root eps_m + delta_1 is an
+    # isotropic simple root that no simple diagram's set holds; only S names it
+    system = positive_system(build_root_datum("C", m, 1), standard_order("C", m, 1, "e" * m + "d"))
+    sh = system.shape
+    fork = Weight.eps(m, sh) + Weight.delta(1, sh)
+    assert fork in system.simple_roots and is_isotropic(fork)
+    drawn = [X.isotropic_set() for X in enumerate_diagrams(system) if X.is_simple()]
+    assert drawn and all(fork not in S for S in drawn)
+    assert verify(kind, system, S=[fork], depth=6).passed
+
+
+def test_both_functional_searches_try_the_same_systems_and_give_up_alike():
+    # the system, then the tiebreak seeds 1..79, then RuntimeError: an
+    # exponent of height zero under every functional exhausts both searches
+    system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
+    zero = Weight.zero(system.shape)
+    with pytest.raises(RuntimeError, match="no perturbation separated"):
+        choose_expansion_system(system, [zero])
+    tried = []
+
+    def flat(sys_):
+        tried.append(sys_.tiebreak)
+        product_expansion(sys_, window4(sys_, 2), sys_.rho, geom=[(zero, 1)])
+
+    with pytest.raises(RuntimeError, match="no perturbation separated"):
+        with_safe_expansion(system, flat)
+    assert tried == list(range(80))
+
+
 def test_wrong_constant_fails_with_mismatch_below_rho():
     system = positive_system(build_root_datum("B", 1, 1), distinguished_order("B", 1, 1))
     X = enumerate_diagrams(system)[0]
@@ -169,7 +216,7 @@ def test_compare_of_two_empty_series_does_not_pass():
     rep = compare("x", "s", "t", 0, zero, zero)
     assert rep.passed is False and rep.first_mismatch is None
     assert rep.to_json()["verdict"] == "fail"
-    one = CharSeries.monomial(system, system.rho).truncate(T)
+    one = monomial(system, system.rho).truncate(T)
     assert compare("x", "s", "t", 0, one, one).passed
     assert not compare("x", "s", "t", 0, zero, one).passed
 

@@ -19,6 +19,8 @@ from superdenom.kw import (
     highest_weight,
 )
 
+from _oracles import reference_kw_condition_roots
+
 INSTANCES = [("GL", 2, 1), ("GL", 2, 2), ("GL", 3, 2), ("B", 2, 1), ("D", 2, 1), ("D", 2, 2)]
 
 
@@ -175,6 +177,25 @@ def test_kw_condition_search():
         assert len(betas) == 2
         for b in betas:
             assert inner(sys_.rho + highest_weight(sys_, natural_supercharacter("GL", 3, 2, sys_)), b) == 0
+
+
+@pytest.mark.parametrize("fam,m,n", INSTANCES + [("D", 3, 2)])
+def test_kw_condition_roots_match_the_backtracking_search(fam, m, n):
+    # the first pairwise-orthogonal combination is the set the depth-first
+    # search completes first, or None when there is none
+    datum = build_root_datum(fam, m, n)
+    sh = datum.shape
+    cases = found = 0
+    for order in all_basis_orders(fam, m, n):
+        system = positive_system(datum, order)
+        for lam in (Weight.zero(sh), Weight.eps(1, sh), Weight.delta(1, sh)):
+            for atp in range(datum.defect + 2):
+                want = reference_kw_condition_roots(system, lam, atp)
+                assert kw_condition_roots(system, lam, atp) == want, (order, lam, atp)
+                cases += 1
+                found += want is not None and atp > 1
+    assert cases == len(all_basis_orders(fam, m, n)) * 3 * (datum.defect + 2)
+    assert found or datum.defect < 2
 
 
 def test_fitted_b_values_documented():

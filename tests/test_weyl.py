@@ -26,6 +26,7 @@ from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups
 
 from _oracles import (
     ReferenceElement,
+    monomial,
     reference_closure,
     reference_migliore_groups,
     reference_reflection,
@@ -404,7 +405,7 @@ def test_nested_f_sum_independent_of_representatives():
     # regular: the eps coordinates 3/2, -1/2, -3/2 are distinct, so the
     # alternating sums are not zero (rho + eps_1 has two equal ones)
     lam = system.rho + Weight.eps(1, sh) - Weight.eps(3, sh)
-    body = lambda w: CharSeries.monomial(system, w.act(lam))
+    body = lambda w: monomial(system, w.act(lam))
     direct = signed_sum(W, body)
     assert len(direct.terms) == 6
     rng = random.Random(3)

@@ -26,10 +26,13 @@ det-twisted entries for n > m lies below the depth-6 window;
 orders, and on B(2,2); `reduce-diagram` of three nested arcs on the D(3,3)
 order d1 d2 d3 e1 e2 e3, which ends in eps_m and needs odd moves;
 `kw-check`, including the m = n ranks GL(2,2) and D(2,2), where the
-gamma chain drops a root; `dump-series`; and the calls that miss a required
-argument or give a pair a rank it does not take, which exit 2.  The demos
-print what no CLI call does: simple roots, odd reflections and root-cone
-verdicts.  Stdlib only.
+gamma chain drops a root; `dump-series`; the calls that miss a required
+argument, give a pair a rank it does not take, or give arcs, a depth or a
+bound of the wrong form, which exit 2; the default JSON form of both
+diagram commands and the text form of `theta-table`; and `princ-sd` on the
+D(4,3) D2 order, where no tiebreak seed separates the denominator
+exponents, which exits 3.  The demos print what no CLI call does: simple
+roots, odd reflections and root-cone verdicts.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -121,6 +124,21 @@ UNUSED_RANKS = [
     "theta-table --pair GL --n 1 --p 1 --q 0 --m 7 --bound 1",
 ]
 
+# the paths no call above reaches: the default JSON form of the diagram
+# commands, the text form of theta-table, arcs that are not integer pairs,
+# a negative depth and a bound that is no integer (exit 2), and a check on
+# which no tiebreak seed separates the denominator exponents (exit 3)
+D2_ORDER = json.dumps(distinguished_order("D", 4, 3, "D2").to_json(), separators=(",", ":"))
+OTHER_PATHS = [
+    "list-arc-diagrams --family d --m 2 --n 2",
+    f"reduce-diagram --family d --m 3 --n 3 --order {NESTED_ORDER} --arcs [[0,5],[1,4],[2,3]]",
+    "theta-table --pair GL --n 1 --p 2 --q 1 --bound 4 --format text",
+    f"reduce-diagram --family d --m 3 --n 3 --order {NESTED_ORDER} --arcs [[0,1.5]]",
+    "verify --identity glkk --k 2 --depth -1",
+    "theta-table --pair B --m 1 --n 2 --bound x",
+    f"verify --identity princ-sd --family d --m 4 --n 3 --orders {D2_ORDER} --depth 1",
+]
+
 
 def calls() -> list[list[str]]:
     out = [line.split(" ") for line in README]
@@ -150,7 +168,7 @@ def calls() -> list[list[str]]:
     for fam, m, n in VERIFY_RANKS:
         for what in ("lhs-sd", "lhs-d"):
             out.append(f"dump-series --family {fam} --m {m} --n {n} --what {what} --depth 6".split())
-    out += [line.split(" ") for line in MISSING_ARGUMENTS + UNUSED_RANKS]
+    out += [line.split(" ") for line in MISSING_ARGUMENTS + UNUSED_RANKS + OTHER_PATHS]
     return out
 
 
