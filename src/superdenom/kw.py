@@ -197,11 +197,22 @@ def _condition(family: str, m: int, n: int, system: PositiveSystem) -> tuple[Wei
     return None if betas is None else (lam, betas)
 
 
+def _condition_systems(family: str, m: int, n: int):
+    """(system, lam, betas) for each basis order whose positive system
+    satisfies the orthogonality condition, in the order of the basis orders,
+    each built only when asked for."""
+    datum = build_root_datum(family, m, n)
+    for order in all_basis_orders(family, m, n):
+        system = positive_system(datum, order)
+        found = _condition(family, m, n, system)
+        if found is not None:
+            yield system, *found
+
+
 def kw_systems(family: str, m: int, n: int) -> list[tuple[PositiveSystem, list[Weight]]]:
     """Positive systems satisfying the highest-weight orthogonality condition
     for the natural module, order by order, with their isotropic root sets."""
-    systems = (positive_system(build_root_datum(family, m, n), order) for order in all_basis_orders(family, m, n))
-    return [(s, found[1]) for s in systems if (found := _condition(family, m, n, s)) is not None]
+    return [(system, betas) for system, _, betas in _condition_systems(family, m, n)]
 
 
 def verify_kwfor(
@@ -212,16 +223,18 @@ def verify_kwfor(
     depth: int = 8,
 ) -> KWReport:
     """The highest-weight form over a system satisfying the orthogonality
-    condition (by default the first one); checks the constant b = j_V / atp!."""
+    condition (by default the first one, whose search stops there); checks
+    the constant b = j_V / atp!."""
     if system is None:
-        systems = kw_systems(family, m, n)
-        if not systems:
+        first = next(_condition_systems(family, m, n), None)
+        if first is None:
             raise ValueError("no simple system satisfies the orthogonality condition")
-        system = systems[0][0]
-    found = _condition(family, m, n, system)
-    if found is None:
-        raise ValueError("the given system does not satisfy the orthogonality condition")
-    lam, betas = found
+        system, lam, betas = first
+    else:
+        found = _condition(family, m, n, system)
+        if found is None:
+            raise ValueError("the given system does not satisfy the orthogonality condition")
+        lam, betas = found
     spec = WeylSum(full_weyl(system.datum), "sgn_prime", system.rho + lam, [(b, 1) for b in betas])
     stated = stated_constants(family, m, n)[1] / factorial(atypicality(family, m, n))
     return _sch_check("kwfor", family, m, n, system, spec, depth, stated)

@@ -28,6 +28,13 @@ loop stops at the first term below the window.  ``Weight`` stays at the boundary
 ``{Weight: c}``, and ``terms``, ``coeff``, ``support_sorted``, ``to_json``,
 ``repr`` and the weights ``mismatches`` returns unpack keys as they go.
 
+A key is linear in the doubled coordinates, height digit included, so the
+key of a Weyl image w(x) is key(x) plus the dot product of x's moved
+coordinates with a row of w (``image_rows``), which a block builds once per
+digit width.  The finite characters (``weyl_character``) key every image
+this way, and a division given a cut stops at its first quotient key below
+it: the quotient comes top down, so its terms above the cut are final.
+
 ``+`` copies its left operand and loops over its right one.  So a signed Weyl
 sum (``f_sum_quotient``) adds its |U| pieces in size-balanced merges, the
 larger operand on the left, not into one growing accumulator: the copies then
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .weights import Weight
@@ -75,8 +83,7 @@ class CharSeries:
 
     def _set(self, system, packed, bound, threshold4, ceiling4) -> "CharSeries":
         self.system, self.packed, self.bound, self.threshold4, self.ceiling4 = system, packed, bound, threshold4, ceiling4
-        # the narrowest width on the ladder 16, 32, ... whose balanced digits hold +-bound
-        self.bits = 16 * max(1, -(-(bound.bit_length() + 1) // 16))
+        self.bits = _width(bound)
         return self
 
     @classmethod
@@ -179,8 +186,7 @@ class CharSeries:
         height digit of its top key."""
         if not self.packed:
             return self
-        shift = self.bits * len(self.system._hvals2)
-        top = (max(self.packed) + (1 << (shift - 1))) >> shift
+        top = _height(max(self.packed), self.bits * len(self.system._hvals2))
         return CharSeries._trusted(self.system, self.packed, self.bound, self.threshold4, top)
 
     def truncate(self, threshold4: int) -> "CharSeries":
@@ -249,6 +255,12 @@ class _Terms(Mapping):
         if not c:
             raise KeyError(w)
         return c
+
+
+def _width(bound: int) -> int:
+    """The narrowest digit width on the ladder 16, 32, ... whose balanced
+    digits hold +-bound."""
+    return 16 * max(1, -(-(bound.bit_length() + 1) // 16))
 
 
 def _cut(threshold4: int | None, shift: int) -> int | None:
@@ -456,46 +468,114 @@ def f_sum_quotient(
 # finite Weyl characters by exact division
 
 
-def weyl_character(
-    system: PositiveSystem,
-    elements: list[WeylElement],
-    rho_block: Weight,
-    summands: Iterable[tuple[int, Weight]],
-) -> CharSeries:
+def image_rows(system: PositiveSystem, elements: list[WeylElement], bits: int):
+    """The coordinates that some element moves and, per element w,
+    (row, sgn(w)): row[j] = key(w b_i) - key(b_i) at digit width ``bits``
+    for the j-th moved coordinate i, b_i the weight whose only doubled
+    coordinate is a 1 at i.  A key is linear in the doubled coordinates, so
+    key(w x) = key(x) + sum_j x_i row[j]."""
+    dim = len(system._hvals2)
+    unit = [_pack(tuple(int(i == j) for j in range(dim)), system._hvals2[i], bits) for i in range(dim)]
+    moved = [i for i in range(dim) if any(w.img[i] != i + 1 for w in elements)]
+    rows = [
+        (tuple((unit[w.img[i] - 1] if w.img[i] > 0 else -unit[-w.img[i] - 1]) - unit[i] for i in moved), sgn(w))
+        for w in elements
+    ]
+    return moved, rows
+
+
+def _division_bound(block, tops: list[Weight]) -> int:
+    """max |top|_inf + 3 |rho|_inf over the leading exponents ``tops`` of a
+    division's numerators, which bounds every residual, quotient and shift."""
+    return max((max(map(abs, top.coords2)) for top in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
+
+
+def _image_keys(block, bits: int):
+    """The function taking a weight x to the (key(w x), sgn(w)) pairs over
+    the block's elements, read off its rows at digit width ``bits``."""
+    moved, rows = block.rows(bits)
+    ht4 = block.system.ht4
+
+    def images(x: Weight):
+        k0, xs = _pack(x.coords2, ht4(x), bits), [x.coords2[i] for i in moved]
+        return ((k0 + sum(map(mul, xs, row)), s) for row, s in rows)
+
+    return images
+
+
+def _height(key: int, shift: int) -> int:
+    """The height digit of a key whose height digit sits at bit ``shift``."""
+    return (key + (1 << (shift - 1))) >> shift
+
+
+def character_top4(block, summands: Iterable[tuple[int, Weight]]) -> int | None:
+    """The highest top of the characters ch(lam) over the (c, lam) pairs of
+    ``summands``: the highest height of a Weyl image of some lam + rho, less
+    the highest of rho.  It bounds the top of ``weyl_character(block,
+    summands, cut4)`` for every cut; None for no pair."""
+    tops = [lam + block.rho for _, lam in summands]
+    if not tops:
+        return None
+    bits = _width(_division_bound(block, tops))
+    images, shift = _image_keys(block, bits), bits * len(block.system._hvals2)
+    best = max(k for x in tops for k, _ in images(x))
+    return _height(best, shift) - _height(max(k for k, _ in images(block.rho)), shift)
+
+
+def _not_integral(x: Weight, roots: list[Weight]) -> bool:
+    """Whether 2 (x, a) / (a, a) is no integer for some root a; 4 (x, a) is
+    the dot product of x's doubled coordinates, the deltas' negated, with a's."""
+    m = x.shape[0]
+    signed = lambda w: w.coords2[:m] + tuple([-c for c in w.coords2[m:]])
+    xs = signed(x)
+    return any((2 * sum(map(mul, xs, a.coords2))) % sum(map(mul, signed(a), a.coords2)) for a in roots)
+
+
+def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | None = None) -> CharSeries:
     """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, by the
     Weyl formula for a block subsystem: the denominator sum_w sgn(w) e^{w(rho)}
     is built once, each alternant sum_w sgn(w) e^{w(lam+rho)} is divided by it
     on its own (each step rescans the top key, so a summed numerator is
     slower), and c times the quotient goes into one dict.  A summand is 0 when
     lam+rho is singular and picks up the sign of the sorting element when
-    lam+rho is irregularly ordered.
+    lam+rho is irregularly ordered.  ``block`` gives the block's ``system``,
+    its ``positive`` roots, their half sum ``rho``, and ``rows(bits)``, the
+    ``image_rows`` of its elements, built once per width (``theta.Block``).
 
-    The division runs on packed keys (see the module docstring), with digits
-    wide enough for max |lam+rho|_inf + 3 |rho|_inf, which bounds every
-    residual, quotient and shift.  Keys break height ties on the last
-    coordinate, not in ``coords2`` order; the quotient is the same, since the
-    leading term e^rho of the denominator is unique by height (every block
-    root is positive) and an exact quotient of Laurent polynomials is unique.
-    Key order is additive, so an exact quotient has no key below
-    min(numerator) - min(denominator): a division whose next shift drops
-    below that floor is not exact, and its weight, not integral for the
-    block, raises ValueError.
+    The division runs on packed keys (see the module docstring), and the
+    key of each Weyl image w(x) is key(x) plus the dot product of x's moved
+    coordinates with w's row: no image is built as a ``Weight``.  Keys break
+    height ties on the last coordinate, not in ``coords2`` order; the
+    quotient is the same, since the leading term e^rho of the denominator is
+    unique by height (every block root is positive) and an exact quotient of
+    Laurent polynomials is unique.  Key order is additive, so an exact
+    quotient has no key below min(numerator) - min(denominator): a division
+    whose next shift drops below that floor is not exact, and its weight,
+    not integral for the block, raises ValueError.
+
+    With ``cut4`` the quotient keys come in descending order, so each
+    division stops at its first key of height below cut4: the result is
+    complete on {ht4 >= cut4}, has threshold cut4, and its ceiling is its top
+    term when one survives, else the highest top of the summands.  A
+    division that stops early may not reach the floor, so on this path each
+    summand with a nonzero alternant is first tested for integrality:
+    2 (lam+rho, a) / (a, a) must be an integer for every positive root a of
+    the block.  With no cut every division runs to the end, the result has
+    no threshold, and a zero sum has ceiling 0.
     """
-    ht4 = system.ht4
-    tops = [(c, lam + rho_block) for c, lam in summands]
-    bound = max((abs(x) for _, top in tops for x in top.coords2), default=0)
-    out = CharSeries._trusted(system, {}, bound + 3 * max(map(abs, rho_block.coords2)), NEG_INF, 0)
-    bits, signed, acc = out.bits, [(w, sgn(w)) for w in elements], {}
+    system = block.system
+    tops = [(c, lam + block.rho) for c, lam in summands]
+    out = CharSeries._trusted(system, {}, _division_bound(block, [top for _, top in tops]), cut4, 0)
+    images, shift_bits = _image_keys(block, out.bits), out.bits * len(system._hvals2)
+    cut, acc, summand_top = _cut(cut4, shift_bits), {}, None
 
     def alternant(x: Weight) -> dict[int, int]:
         alt: dict[int, int] = {}
-        for w, s in signed:
-            y = w.act(x)
-            k = _pack(y.coords2, ht4(y), bits)
+        for k, s in images(x):
             alt[k] = alt.get(k, 0) + s
         return {k: c for k, c in alt.items() if c}
 
-    denom = alternant(rho_block)
+    denom = alternant(block.rho)
     if not denom:
         raise ValueError("singular block rho: not a valid block system")
     dmax, dmin = max(denom), min(denom)
@@ -503,13 +583,22 @@ def weyl_character(
         raise AssertionError("block rho is not regular dominant for the block")
     for coeff, top in tops:
         numer = alternant(top)
-        floor = min(numer, default=0) - dmin
+        if not numer:
+            continue
+        if cut is not None and _not_integral(top, block.positive):
+            raise ValueError(f"{top - block.rho} is not integral for the block")
+        floor = min(numer) - dmin
+        limit = floor if cut is None else max(floor, cut)
+        first = max(numer) - dmax
+        summand_top = first if summand_top is None else max(summand_top, first)
         while numer:
             nmax = max(numer)
             c = numer[nmax]
             shift = nmax - dmax
-            if shift < floor:
-                raise ValueError(f"{top - rho_block} is not integral for the block")
+            if shift < limit:
+                if shift < floor:
+                    raise ValueError(f"{top - block.rho} is not integral for the block")
+                break
             acc[shift] = acc.get(shift, 0) + coeff * c
             for k, ck in denom.items():
                 x = shift + k
@@ -519,4 +608,7 @@ def weyl_character(
                 else:
                     del numer[x]
     out.packed = {k: c for k, c in acc.items() if c}
-    return out.tightened()
+    if out.packed or cut is None or summand_top is None:
+        return out.tightened()
+    out.ceiling4 = _height(summand_top, shift_bits)
+    return out

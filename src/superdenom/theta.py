@@ -26,6 +26,17 @@ Enright's minimal coset representatives, read off the Enright group's length
 table (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
 compares the two finite sums as whole characters, with no window.
 
+Elsewhere in this module a finite sum is read only on a window, and its
+division stops there (``Block.character(summands, cut4)``).  The table
+assembly (``_assembled``) goes entry by entry: it bounds the top of the Levi
+sum from its summands (``series.character_top4``), divides each finite
+factor (the compact character, or D1's x character) down to the window's
+threshold T less that bound, skips the entry when no finite term is left
+there, and divides the Levi sum once, down to T less the highest ceiling of
+the finite factors.  Each duality check asserts that both series it
+compares hold the whole window, so a cut set too high raises rather than
+passing on fewer coefficients.
+
 Both routes, the table assembly, the duality check and the construction of
 every pair are written once on ``DualPair``.  A pair declares its ``tag``
 (its key in ``PAIRS``) and ``ranks``, its ``family``, order ``variant`` and
@@ -76,7 +87,7 @@ from .weyl import (
     product_set,
     sgn,
 )
-from .series import CharSeries, weyl_character, product_expansion
+from .series import CharSeries, character_top4, image_rows, weyl_character, product_expansion
 from .denominators import IdentityReport, WeylSum, compare, window4
 
 
@@ -121,6 +132,7 @@ class Block:
 
     def __post_init__(self):
         self.rho = weight_sum(self.positive, self.system.shape).half()
+        self._rows = {}  # digit width -> image_rows, built on first use
 
     @classmethod
     def of(cls, system: PositiveSystem, parts, twist: WeylElement | None = None) -> "Block":
@@ -140,9 +152,16 @@ class Block:
             elements = [twist.compose(w).compose(twist) for w in elements]
         return cls(system, positive, sorted(elements, key=WeylElement.sort_key))
 
-    def character(self, summands) -> CharSeries:
-        """sum c ch(lam) over the (c, lam) pairs of a finite sum, exact."""
-        return weyl_character(self.system, self.elements, self.rho, summands)
+    def rows(self, bits: int):
+        """The ``image_rows`` of the elements at digit width ``bits``."""
+        if bits not in self._rows:
+            self._rows[bits] = image_rows(self.system, self.elements, bits)
+        return self._rows[bits]
+
+    def character(self, summands, cut4: int | None = None) -> CharSeries:
+        """sum c ch(lam) over the (c, lam) pairs of a finite sum, exact, or
+        complete on {ht4 >= cut4} with a cut."""
+        return weyl_character(self, summands, cut4)
 
 
 @dataclass
@@ -275,17 +294,21 @@ class DualPair:
             out.append((sign, w.act(lam0) - rho2, bucket))
         return out
 
-    def l2_levi_sum(self, entry: ThetaEntry) -> CharSeries:
-        """The L^2 character before the tail: the flip-sum summands of its bucket."""
+    def _l2_levi_summands(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
+        """The flip-sum summands of the entry's bucket."""
         want = "+" if entry.sign in ("+", "none") else "-"
-        return self.levi_block.character((c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want)
+        return [(c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want]
+
+    def l2_levi_sum(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
+        """The L^2 character before the tail, whole or cut at ``cut4``."""
+        return self.levi_block.character(self._l2_levi_summands(entry), cut4)
 
     def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
         T = self._window(depth_or_threshold) if depth else depth_or_threshold
-        return self._with_tail(self.l2_levi_sum(entry), T)
+        return self._with_tail(self.l2_levi_sum(entry, T), T)
 
-    def compact_character(self, entry: ThetaEntry) -> CharSeries:
-        return self.compact_block.character([(1, entry.compact_weight)])
+    def compact_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
+        return self.compact_block.character([(1, entry.compact_weight)], cut4)
 
     # -- Enright route -------------------------------------------------------
 
@@ -312,8 +335,9 @@ class DualPair:
         reps.sort(key=lambda w: (lengths[w], w.sort_key()))
         return EnrightData(lam0, group, roots, reps, lengths)
 
-    def enright_levi_sum(self, entry: ThetaEntry) -> CharSeries:
-        """The Enright character before the tail: one per minimal representative."""
+    def enright_levi_sum(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
+        """The Enright character before the tail, one summand per minimal
+        representative, whole or cut at ``cut4``."""
         data = self.enright(entry)
         summands = []
         for w in data.min_reps:
@@ -321,10 +345,11 @@ class DualPair:
             if any(inner(x, a) == 0 for a in self.levi_block.positive):
                 raise AssertionError("minimal representative hit a singular weight")
             summands.append((-1 if data.lengths[w] % 2 else 1, x - self.s2_block.rho))
-        return self.levi_block.character(summands)
+        return self.levi_block.character(summands, cut4)
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
-        return self._with_tail(self.enright_levi_sum(entry), self._window(depth))
+        T = self._window(depth)
+        return self._with_tail(self.enright_levi_sum(entry, T), T)
 
     def verify_enright(self, entry: ThetaEntry) -> IdentityReport:
         """Enright's formula for one entry as an identity of finite Levi sums:
@@ -337,41 +362,62 @@ class DualPair:
     # -- duality -------------------------------------------------------------
 
     def _assembled(self, depth: int, *finites) -> list[CharSeries]:
-        """Per finite, the sum over the table of finite(entry) x L^2(entry) on
-        the window of depth `depth` below e^{-rho_1}: finite x Levi sum, each
-        factor cut to the window, summed and times one tail; finite = 0 is
-        skipped, and an entry's Levi sum is built once, when some finite needs it."""
+        """Per finite, the sum over the table of finite(entry, cut4) x
+        L^2(entry) on the window {ht4 >= T} of depth `depth` below
+        e^{-rho_1}: finite x Levi sum, summed and times one tail, each
+        division cut as the module docstring says."""
         T = self._window(depth)
         accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
-            levi = None
-            for k, finite in enumerate(finites):
-                fin = finite(entry)
-                if fin.is_zero_on_window():
-                    continue
-                if levi is None:
-                    levi = self.l2_levi_sum(entry)
+            summands = self._l2_levi_summands(entry)
+            top = character_top4(self.levi_block, summands)
+            if top is None:
+                continue
+            fins = [(k, finite(entry, T - top)) for k, finite in enumerate(finites)]
+            fins = [(k, fin) for k, fin in fins if not fin.is_zero_on_window()]
+            if not fins:
+                continue
+            levi = self.levi_block.character(summands, T - max(fin.ceiling4 for _, fin in fins))
+            for k, fin in fins:
                 accs[k] = accs[k] + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
         return [self._with_tail(acc.tightened(), T) for acc in accs]
 
     def assembled_character(self, depth: int) -> CharSeries:
         return self._assembled(depth, self.compact_character)[0]
 
+    def _duality_report(
+        self, kind: str, subset: str, depth: int, left: CharSeries, right: CharSeries
+    ) -> IdentityReport:
+        """``compare`` of two series that must both hold the whole window of
+        depth ``depth``: a series cut above it would narrow the common window
+        and pass on fewer coefficients, so it raises AssertionError."""
+        T = self._window(depth)
+        if left.threshold4 != T or right.threshold4 != T:
+            raise AssertionError(f"{kind}: thresholds {left.threshold4}, {right.threshold4} are not the window {T}")
+        return compare(kind, repr(self.system), subset, depth, left, right)
+
     def verify_duality(self, depth: int) -> IdentityReport:
         osc, total = self.oscillator_character(depth), self.assembled_character(depth)
-        return compare(f"theta-{self.tag}", repr(self.system), "full table", depth, osc, total)
+        return self._duality_report(f"theta-{self.tag}", "full table", depth, osc, total)
 
 
 def _line(shape, kind: str, coeffs: dict) -> Weight:
-    """sum of c eps_i (kind "e") or c delta_i (kind "d") over coeffs {i: c}."""
-    unit = Weight.eps if kind == "e" else Weight.delta
-    return weight_sum((c * unit(i, shape) for i, c in coeffs.items()), shape)
+    """sum of c eps_i (kind "e") or c delta_i (kind "d") over coeffs {i: c},
+    written straight into the doubled coordinates."""
+    m, n = shape
+    offset, size = (0, m) if kind == "e" else (m, n)
+    coords2 = [0] * (m + n)
+    for i, c in coeffs.items():
+        if not 1 <= i <= size:
+            raise ValueError(f"index {i} out of range for kind {kind!r} and shape {shape}")
+        coords2[offset + i - 1] += 2 * c
+    return Weight._trusted(tuple(coords2), shape)
 
 
 def _restricted(w: Weight, kind: str) -> Weight:
     """The eps ("e") or the delta ("d") part of w."""
     m = w.shape[0]
-    return Weight([c if (i < m) == (kind == "e") else 0 for i, c in enumerate(w.coords2)], w.shape)
+    return Weight._trusted(tuple([c if (i < m) == (kind == "e") else 0 for i, c in enumerate(w.coords2)]), w.shape)
 
 
 def _support(w: Weight) -> int:
@@ -518,17 +564,17 @@ class D1Pair(SpPair):
 
     # compact characters -----------------------------------------------------
 
-    def compact_character(self, entry: ThetaEntry) -> CharSeries:
+    def compact_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
         """ch(hw), plus ch of its s_{eps_m} image on a "+" entry with a_m > 0."""
         hw = entry.compact_weight
         twin = entry.sign == "+" and self.a_m(entry.partition) > 0
         flipped = [(1, reflection(2 * Weight.eps(self.m, self.system.shape)).act(hw))] if twin else []
-        return self.compact_block.character([(1, hw)] + flipped)
+        return self.compact_block.character([(1, hw)] + flipped, cut4)
 
-    def x_character(self, entry: ThetaEntry) -> CharSeries:
+    def x_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
         """Kostant's character of F^{+-}(hw) on the x-component (a_m = 0)."""
         sign = 1 if entry.sign == "+" else -1
-        return self.x_block.character([] if self.a_m(entry.partition) > 0 else [(sign, entry.compact_weight)])
+        return self.x_block.character([] if self.a_m(entry.partition) > 0 else [(sign, entry.compact_weight)], cut4)
 
     def oscillator_x_character(self, depth: int) -> CharSeries:
         """Trace of x t on the oscillator module: only the eps_m-paired
@@ -573,7 +619,7 @@ class D1Pair(SpPair):
         """The torus, x and x-twin checks, the first two from one walk of the
         table: the first failing report, else the torus report."""
         total, total_x = self._assembled(depth, self.compact_character, self.x_character)
-        rep = compare("theta-D1", repr(self.system), "full table", depth, self.oscillator_character(depth), total)
+        rep = self._duality_report("theta-D1", "full table", depth, self.oscillator_character(depth), total)
         if not rep.passed:
             return rep
         osc_x = self.oscillator_x_character(depth)
@@ -581,7 +627,7 @@ class D1Pair(SpPair):
             ("theta-D1-x", "x-component", lambda: total_x),
             ("theta-D1-xtwin", "x-component vs D(n,m-1) superdenominator", lambda: self.d2_twin_sum(depth)),
         ):
-            x_rep = compare(kind, repr(self.system), subset, depth, osc_x, other())
+            x_rep = self._duality_report(kind, subset, depth, osc_x, other())
             if not x_rep.passed:
                 return x_rep
         return rep

@@ -145,6 +145,19 @@ def test_kwfor_same_b_across_systems():
     assert len(values) == 1
 
 
+@pytest.mark.parametrize("fam,m,n", [("GL", 3, 2), ("D", 3, 2), ("D", 3, 3)])
+def test_kwfor_stops_its_search_at_the_first_system(monkeypatch, fam, m, n):
+    # the default system is the first of kw_systems, and the search builds
+    # the supercharacter only on the orders up to it, once more for the check
+    first = kw_systems(fam, m, n)[0][0]
+    orders = [repr(o) for o in all_basis_orders(fam, m, n)]
+    honest, built = kw.natural_supercharacter, []
+    monkeypatch.setattr(kw, "natural_supercharacter", lambda *args: built.append(args[3]) or honest(*args))
+    assert verify_kwfor(fam, m, n, depth=5).passed
+    assert [repr(s.order) for s in built[:-1]] == orders[: orders.index(repr(first.order)) + 1]
+    assert verify_kwfor(fam, m, n, system=first, depth=5).to_json() == verify_kwfor(fam, m, n, depth=5).to_json()
+
+
 @pytest.mark.parametrize("fam,order", [
     ("GL", "d1>e1>e2>d2"),
     ("GL", "d1>e1>d2>e2"),

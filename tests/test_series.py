@@ -18,7 +18,7 @@ from superdenom.rootdata import (
 from superdenom.denominators import choose_expansion_system, compare, right_side, verify, window4
 from superdenom.diagrams import enumerate_diagrams
 from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion, weyl_character
-from superdenom.theta import make_pair
+from superdenom.theta import Block, make_pair
 from superdenom.weyl import full_weyl, sgn, signed_permutations
 
 from _oracles import (
@@ -162,9 +162,9 @@ def test_weyl_character_sl2():
     datum = build_root_datum("B", 1, 1)
     system = positive_system(datum, standard_order("B", 1, 1, "de"))
     sh = (1, 1)
-    block_elems = signed_permutations(sh, "e", [1], flips="all")
-    rho_b = Weight.eps(1, sh).half()
-    ch = weyl_character(system, block_elems, rho_b, [(1, Weight.eps(1, sh))])
+    block = Block(system, [Weight.eps(1, sh)], signed_permutations(sh, "e", [1], flips="all"))
+    assert block.rho == Weight.eps(1, sh).half()
+    ch = weyl_character(block, [(1, Weight.eps(1, sh))])
     assert ch.terms == {Weight.eps(1, sh): 1, Weight.zero(sh): 1, -Weight.eps(1, sh): 1}
 
 
@@ -172,9 +172,8 @@ def test_weyl_character_singular_is_zero():
     # A_1 block: lambda + rho singular means the character vanishes
     system = gl21_system()
     alpha = sl2_block(system)
-    block = signed_permutations(system.shape, "e", [1, 2])
-    rho_b = alpha.half()
-    ch = weyl_character(system, block, rho_b, [(1, -rho_b)])  # lambda + rho = 0
+    block = Block(system, [alpha], signed_permutations(system.shape, "e", [1, 2]))
+    ch = weyl_character(block, [(1, -block.rho)])  # lambda + rho = 0
     assert ch.is_zero_on_window()
 
 
@@ -182,34 +181,42 @@ def test_weyl_character_sorting_sign():
     # anti-dominant regular weights come back with the sorting sign
     system = gl21_system()
     alpha = sl2_block(system)
-    block = signed_permutations(system.shape, "e", [1, 2])
-    rho_b = alpha.half()
-    ch = weyl_character(system, block, rho_b, [(1, -alpha)])  # s_alpha-image of 0
+    block = Block(system, [alpha], signed_permutations(system.shape, "e", [1, 2]))
+    ch = weyl_character(block, [(1, -alpha)])  # s_alpha-image of 0
     assert ch.terms == {Weight.zero(system.shape): -1}
 
 
+# no cut, and cuts below, at and above every term of the divisions below
+ERROR_CUTS = [None, -10**6, 0, 10**6]
+
+
 def test_weyl_character_error_paths():
-    # an A_1 group {1, s_alpha} with a rho it cannot divide by
+    # an A_1 group {1, s_alpha} with a rho it cannot divide by, whole and
+    # cut: the roots [] give rho = 0, [-alpha] give -alpha/2, and [2 alpha]
+    # give alpha
     system = gl21_system()
     alpha = sl2_block(system)
-    block = signed_permutations(system.shape, "e", [1, 2])
-    with pytest.raises(ValueError):
-        weyl_character(system, block, Weight.zero(system.shape), [(1, alpha)])  # singular rho
-    with pytest.raises(AssertionError):
-        weyl_character(system, block, -alpha.half(), [(1, alpha)])  # leading term -e^{alpha/2}
-    with pytest.raises(ValueError, match="not integral for the block"):
-        # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
-        weyl_character(system, block, alpha, [(1, -alpha.half())])
+    elements = signed_permutations(system.shape, "e", [1, 2])
+    for cut4 in ERROR_CUTS:
+        with pytest.raises(ValueError):
+            weyl_character(Block(system, [], elements), [(1, alpha)], cut4)  # singular rho
+        with pytest.raises(AssertionError):
+            weyl_character(Block(system, [-alpha], elements), [(1, alpha)], cut4)  # leading term -e^{alpha/2}
+        with pytest.raises(ValueError, match="not integral for the block"):
+            # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
+            weyl_character(Block(system, [2 * alpha], elements), [(1, -alpha.half())], cut4)
 
 
 def test_a_weight_not_integral_for_its_block_is_refused_at_once():
     # delta_1/2 on B(1,2)'s Levi block (A_1 on the deltas): the division
-    # stops at the exact quotient's lowest key instead of running on
+    # stops at the exact quotient's lowest key instead of running on, and a
+    # cut division, which may stop before that key, tests the coroot pairing
     levi = make_pair("B", m=1, n=2).levi_block
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"1/2\*d1 is not integral for the block"):
-        levi.character([(1, Weight([0, 1, 0], (1, 2)))])
-    assert time.perf_counter() - start < 0.1
+    for cut4 in ERROR_CUTS:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"1/2\*d1 is not integral for the block"):
+            levi.character([(1, Weight([0, 1, 0], (1, 2)))], cut4)
+        assert time.perf_counter() - start < 0.1, cut4
 
 
 def test_a_product_wholly_below_the_window_keeps_its_own_ceiling():
@@ -550,7 +557,7 @@ def _character_case(draw, block=None):
 def test_weyl_character_matches_reference(case):
     block, kind, lam = case
     want = reference_weyl_character(block.system, block.elements, block.rho, lam)
-    got = weyl_character(block.system, block.elements, block.rho, [(1, lam)])
+    got = weyl_character(block, [(1, lam)])
     assert got.terms == want.terms
     assert kind != "singular" or not got.terms
     assert got.threshold4 == want.threshold4
@@ -582,6 +589,25 @@ def test_block_character_is_the_signed_sum_of_reference_characters(case):
     assert got.terms == want
     assert got.threshold4 is None
     assert got.ceiling4 == max(map(block.system.ht4, want), default=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_signed_sum(), data=st.data())
+def test_a_cut_character_is_the_whole_one_on_its_window(case, data):
+    # the cut is drawn from a little below the lowest to a little above the
+    # highest term of the whole sum, so that it keeps all, some or none
+    block, summands = case
+    ht4 = block.system.ht4
+    full = block.character(summands)
+    heights = [ht4(x) for x in full.terms] or [0]
+    cut4 = data.draw(st.integers(min(heights) - 8, max(heights) + 8))
+    got = block.character(summands, cut4)
+    assert got.terms == {x: c for x, c in full.terms.items() if ht4(x) >= cut4}
+    assert got.threshold4 == cut4
+    if full.terms:
+        assert got.ceiling4 >= max(heights)
+    if got.terms:
+        assert got.ceiling4 == max(heights)
 
 
 def _princ_sum(family, m, n, kind):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from superdenom.weights import Weight, inner
+from superdenom import theta
 from superdenom.theta import make_pair, Block, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
 from superdenom.denominators import window4
 from superdenom.series import CharSeries
@@ -321,7 +322,7 @@ def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
     true = _d1_side(pair, method)(5)
     doubled = {"assembled_character": "compact_character", "assembled_x_character": "x_character"}.get(method, method)
     honest = getattr(pair, doubled)
-    monkeypatch.setattr(pair, doubled, lambda arg: honest(arg).scale(2))
+    monkeypatch.setattr(pair, doubled, lambda *args: honest(*args).scale(2))
     assert _d1_side(pair, method)(5).terms == true.scale(2).terms
     rep = pair.verify_duality(5)
     assert rep.passed is False
@@ -334,7 +335,9 @@ def test_d1_duality_reports_the_broken_check(monkeypatch, method, kind, subset):
 
 
 def _doubled(method):
-    return lambda arg: method(arg).scale(2)
+    """``method`` with its result doubled; every argument, a cut included, is
+    passed on."""
+    return lambda *args: method(*args).scale(2)
 
 
 def _duality_mutants(pair):
@@ -384,6 +387,46 @@ def test_d1_x_checks_fail_under_each_deliberate_mutation(monkeypatch, tag, kw, n
     rep = pair.verify_duality(8)
     assert not rep.passed and rep.first_mismatch is not None, (kw, name)
     assert rep.identity_kind == kind, (kw, name)
+
+
+def _narrowed(pair, name):
+    """The method ``name`` of the pair with its window raised by one unit:
+    the tail of the assembled side (``_with_tail``) expanded from one unit
+    above the threshold it is given, or a series of the x checks (called
+    with the depth) truncated one unit above the window."""
+    honest, unit4 = getattr(pair, name), pair.system.unit4
+    if name == "_with_tail":
+        return lambda finite, threshold4: honest(finite, threshold4 + unit4)
+    return lambda depth: honest(depth).truncate(pair._window(depth) + unit4)
+
+
+@pytest.mark.parametrize("tag,kw,name,kind", [
+    ("B", dict(m=1, n=2), "_with_tail", "theta-B"),
+    ("D2", dict(m=2, n=1), "_with_tail", "theta-D2"),
+    ("GL", dict(n=2, p=1, q=1), "_with_tail", "theta-GL"),
+] + [(tag, kw, name, kind) for tag, kw in D1_MUTATION_RANKS for name, kind in [
+    ("_with_tail", "theta-D1"), ("oscillator_x_character", "theta-D1-x"), ("d2_twin_sum", "theta-D1-xtwin"),
+]])
+def test_duality_refuses_a_window_narrowed_by_one_unit(monkeypatch, tag, kw, name, kind):
+    # on the narrowed common window the two sides still agree, so compare
+    # alone would pass; each duality check first asserts the whole window
+    pair = make_pair(tag, **kw)
+    monkeypatch.setattr(pair, name, _narrowed(pair, name))
+    with pytest.raises(AssertionError, match=f"^{kind}: thresholds .* are not the window"):
+        pair.verify_duality(8)
+
+
+@pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("GL", dict(n=2, p=1, q=1))] + D1_MUTATION_RANKS)
+def test_duality_refuses_finite_characters_cut_one_unit_high(monkeypatch, tag, kw):
+    # every finite character cut one unit above the cut it is asked for
+    # lacks terms that the assembly needs: its product cannot be cut to the
+    # window, and the check raises instead of passing on a narrower one
+    pair = make_pair(tag, **kw)
+    honest, unit4 = theta.weyl_character, pair.system.unit4
+    monkeypatch.setattr(theta, "weyl_character", lambda block, summands, cut4=None: honest(
+        block, summands, None if cut4 is None else cut4 + unit4))
+    with pytest.raises(ValueError, match="cannot widen the window"):
+        pair.verify_duality(8)
 
 
 def test_duality_d2_primed():

@@ -21,7 +21,9 @@ one-coordinate part, the larger D1 x block of D1(3,1) and D2'(1,2), whose
 twist acts on its only eps, and on B(1,3), D1(2,3) and GL(1; 2,2), whose
 flip sums hold the most summands that are singular for the Levi block;
 `theta-verify` of D1(2,3) at depth 8, whose first term from the table's
-det-twisted entries for n > m lies below the depth-6 window;
+det-twisted entries for n > m lies below the depth-6 window, and of
+D1(3,2) and B(1,4) at depth 12 and B(3,3) and D2(3,3) at depth 8, where
+most of each compact character lies below the window;
 `list-arc-diagrams` in text on D(2,2), which has sign twins and -eps_m
 orders, and on B(2,2); `reduce-diagram` of three nested arcs on the D(3,3)
 order d1 d2 d3 e1 e2 e3, which ends in eps_m and needs odd moves;
@@ -118,6 +120,15 @@ MISSING_ARGUMENTS = [
     "theta-verify --pair B --n 1",
 ]
 
+# deep theta checks, where the finite characters are cut hardest at the
+# window: most of each compact character lies below it
+DEEP_THETA = [
+    "theta-verify --pair D1 --m 3 --n 2 --depth 12",
+    "theta-verify --pair B --m 3 --n 3 --depth 8",
+    "theta-verify --pair D2 --m 3 --n 3 --depth 8",
+    "theta-verify --pair B --m 1 --n 4 --depth 12",
+]
+
 # a rank the pair does not take exits 2
 UNUSED_RANKS = [
     "theta-table --pair B --m 1 --n 1 --p 9 --bound 1",
@@ -162,6 +173,7 @@ def calls() -> list[list[str]]:
     # the depth-6 window misses the D1(2,3) entry a = (1, 0) with the "-"
     # label (degree 3 in the oscillator); depth 8 reaches it
     out.append("theta-verify --pair D1 --m 2 --n 3 --depth 8".split())
+    out += [line.split(" ") for line in DEEP_THETA]
     out += [line.split(" ") for line in DIAGRAMS]
     for fam, m, n in KW_RANKS:
         out.append(f"kw-check --family {fam} --m {m} --n {n} --depth 6".split())
