@@ -20,10 +20,10 @@ Every finite sum (L^2, Enright, compact, D1's x) is one ``Block.character``
 call on its signed weights.  The L^2 summands, Weyl images of one integral
 weight, go to it unsorted: the Weyl formula straightens each, with its sign,
 and is zero on a singular one (rho_2 - rho_Levi, half the nilradical's roots,
-is Levi-invariant).  The sum comes by two independent routes: the
-sign-character bookkeeping over the flip groups (``l2_levi_sum``) and
-Enright's minimal coset representatives, read off the Enright group's length
-table (``enright_levi_sum``).  The tail is invertible, so ``verify_enright``
+is Levi-invariant).  The sum comes by two routes, each a list of (c, lam)
+summands per entry: the signed flip sum (``l2_summands``) and Enright's
+minimal coset representatives, read off the Enright group's length table
+(``enright_summands``).  The tail is invertible, so ``verify_enright``
 compares the two finite sums as whole characters, with no window.
 
 Elsewhere in this module a finite sum is read only on a window, and its
@@ -45,10 +45,10 @@ off its distinguished order: the s2 and the compact block (the family's
 block types on the two kinds of coordinate), the Levi block (one A-type
 part per run of noncompact symbols: the p and the q run for GL, one run
 otherwise), the twist s_{eps_m} of D2' (its order's -1 sign), the
-nilradical (the s2 roots outside the Levi block) and its Enright candidates
-(its roots with two nonzero coordinates), and the L^2 and compact shifts
-(-rho_1 on the noncompact and the compact coordinates).  Each pair supplies
-only its hooks:
+nilradical (the s2 roots outside the Levi block), from which ``enright``
+picks each entry's generating reflections by one rule, and the L^2 and
+compact shifts (-rho_1 on the noncompact and the compact coordinates).  Each
+pair supplies only its hooks:
 
 * ``mu(key)``, ``compact_hw(key)``: the unshifted L^2 lowest weight and the
   compact highest weight of a table key;
@@ -56,8 +56,8 @@ only its hooks:
   parts by default; pairs of partitions for GL);
 * ``labels(key)``: (sign, unshifted L^2 lowest weight) per entry of one key
   (one "none" entry at mu by default; "+" at mu and "-" at nu for Sp(2n,R));
-* ``flip_set(key)`` and ``_flip_label(key, w)``: the flips summed for one
-  entry, and the sign and bucket ('+' or '-') of one flip.
+* ``flip_set(key)`` and ``_flip_sign(entry, w)``: the flips of one key, and
+  the coefficient of one flip in the entry's flip sum (0: not in it).
 
 B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``.
 """
@@ -106,7 +106,9 @@ def partitions_at_most(parts: int, size: int) -> list[tuple[int, ...]]:
             if remaining == 0:
                 out.append(tuple(prefix))
             return
-        for p in range(min(maxpart, remaining), -1, -1):
+        # no part below remaining / (parts left): the parts after it could not hold the rest
+        least = max(0, -(-remaining // (parts - len(prefix))))
+        for p in range(min(maxpart, remaining), least - 1, -1):
             rec(prefix + [p], remaining - p, p)
 
     rec([], size, size)
@@ -232,8 +234,8 @@ class DualPair:
     def labels(self, key) -> list[tuple[str, Weight]]:
         return [("none", self.mu(key))]
 
-    def _flip_label(self, key, w: WeylElement) -> tuple[int, str]:
-        return sgn(w), "+"
+    def _flip_sign(self, entry: ThetaEntry, w: WeylElement) -> int:
+        return sgn(w)
 
     # -- common ------------------------------------------------------------
 
@@ -268,11 +270,6 @@ class DualPair:
         levi = set(self.levi_block.positive)
         return [a for a in self.s2_block.positive if a not in levi]
 
-    def enright_candidates(self) -> list[Weight]:
-        """The nilradical roots with two nonzero coordinates; the long roots
-        2 delta_k of Sp(2n,R) are left out."""
-        return [a for a in self.nilradical if _support(a) == 2]
-
     def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
         """finite x the nilradical tail on {ht >= threshold4}, for a finite
         series complete there and with a tight ceiling: one tail expansion."""
@@ -282,30 +279,17 @@ class DualPair:
         geom = [(b, 1) for b in self.nilradical]
         return finite * product_expansion(sys_, threshold4 - finite.ceiling4, Weight.zero(sys_.shape), geom=geom)
 
-    def l2_summands(self, key) -> list[tuple[int, Weight, str]]:
-        """(coefficient, weight of V^2, bucket) triples, w(lam0) - rho2 for each
-        flip w; bucket '+' feeds L^2(mu), '-' feeds L^2(nu).  The weights need
-        not be Levi-dominant: the Levi character straightens them."""
+    def l2_summands(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
+        """The entry's flip sum: (c, w(lam0) - rho2) per flip w with c =
+        _flip_sign(entry, w) nonzero.  The weights need not be Levi-dominant:
+        the Levi character straightens them."""
         rho2 = self.s2_block.rho
-        lam0 = self._l2_shift() + self.mu(key) + rho2
-        out = []
-        for w in self.flip_set(key):
-            sign, bucket = self._flip_label(key, w)
-            out.append((sign, w.act(lam0) - rho2, bucket))
-        return out
-
-    def _l2_levi_summands(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
-        """The flip-sum summands of the entry's bucket."""
-        want = "+" if entry.sign in ("+", "none") else "-"
-        return [(c, lam) for c, lam, b in self.l2_summands(entry.partition) if b == want]
-
-    def l2_levi_sum(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
-        """The L^2 character before the tail, whole or cut at ``cut4``."""
-        return self.levi_block.character(self._l2_levi_summands(entry), cut4)
+        lam0 = self._l2_shift() + self.mu(entry.partition) + rho2
+        return [(c, w.act(lam0) - rho2) for w in self.flip_set(entry.partition) if (c := self._flip_sign(entry, w))]
 
     def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
         T = self._window(depth_or_threshold) if depth else depth_or_threshold
-        return self._with_tail(self.l2_levi_sum(entry, T), T)
+        return self._with_tail(self.levi_block.character(self.l2_summands(entry), T), T)
 
     def compact_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
         return self.compact_block.character([(1, entry.compact_weight)], cut4)
@@ -313,10 +297,22 @@ class DualPair:
     # -- Enright route -------------------------------------------------------
 
     def enright(self, entry: ThetaEntry) -> EnrightData:
+        """The entry's Enright group, its lengths and its minimal
+        representatives.  The generators are the reflections in the nilradical
+        roots that pair positively and integrally with lam0 = lambda + rho2
+        and are orthogonal to every s2 root singular for it, less the long
+        roots 2 delta_k when some long root is singular (a delta coordinate of
+        lam0 is 0).  That exception is verified, not derived: with it the two
+        routes agree on every entry of size <= 7 of D1(2..3, 3..6), D1(4, 5),
+        B(2, 4) and B(3, 4); without it D1(2,3) (1,0)+ fails.  No long root is
+        integral for lam0 on B, and D2, D2' and GL have none."""
         lam0 = entry.l2_lowest + self.s2_block.rho
-        gens = []
         s2_roots = self.s2_block.positive + [-b for b in self.s2_block.positive]
-        for alpha in self.enright_candidates():
+        long_singular = any(_support(a) == 1 and inner(lam0, a) == 0 for a in self.s2_block.positive)
+        gens = []
+        for alpha in self.nilradical:
+            if long_singular and _support(alpha) == 1:
+                continue
             pairing = 2 * inner(lam0, alpha) / inner(alpha, alpha)
             if not (pairing.denominator == 1 and pairing > 0):
                 continue
@@ -335,9 +331,9 @@ class DualPair:
         reps.sort(key=lambda w: (lengths[w], w.sort_key()))
         return EnrightData(lam0, group, roots, reps, lengths)
 
-    def enright_levi_sum(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
-        """The Enright character before the tail, one summand per minimal
-        representative, whole or cut at ``cut4``."""
+    def enright_summands(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
+        """The entry's Enright sum: ((-1)^l(w), w(lam0) - rho2) per minimal
+        representative w, each Levi-regular."""
         data = self.enright(entry)
         summands = []
         for w in data.min_reps:
@@ -345,17 +341,18 @@ class DualPair:
             if any(inner(x, a) == 0 for a in self.levi_block.positive):
                 raise AssertionError("minimal representative hit a singular weight")
             summands.append((-1 if data.lengths[w] % 2 else 1, x - self.s2_block.rho))
-        return self.levi_block.character(summands, cut4)
+        return summands
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
         T = self._window(depth)
-        return self._with_tail(self.enright_levi_sum(entry, T), T)
+        return self._with_tail(self.levi_block.character(self.enright_summands(entry), T), T)
 
     def verify_enright(self, entry: ThetaEntry) -> IdentityReport:
         """Enright's formula for one entry as an identity of finite Levi sums:
         the tail is invertible, so equality here is equality on every window,
         and the report carries no depth."""
-        left, right = self.l2_levi_sum(entry), self.enright_levi_sum(entry)
+        character = self.levi_block.character
+        left, right = character(self.l2_summands(entry)), character(self.enright_summands(entry))
         subset = f"a={entry.partition} sign={entry.sign}"
         return compare(f"theta-{self.tag}-enright", repr(self.system), subset, None, left, right)
 
@@ -369,7 +366,7 @@ class DualPair:
         T = self._window(depth)
         accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
-            summands = self._l2_levi_summands(entry)
+            summands = self.l2_summands(entry)
             top = character_top4(self.levi_block, summands)
             if top is None:
                 continue
@@ -506,9 +503,9 @@ class BPair(SpPair):
 
     tag = family = "B"
 
-    def _flip_label(self, a, w):
+    def _flip_sign(self, entry, w):
         # an even number of flips feeds L^2(mu), an odd number L^2(nu)
-        return 1, "+" if sgn(w) == 1 else "-"
+        return 1 if (sgn(w) == 1) == (entry.sign == "+") else 0
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +553,11 @@ class D1Pair(SpPair):
     def a_m(self, a) -> int:
         return a[self.m - 1] if self.m <= len(a) else 0
 
-    def _flip_label(self, a, w):
+    def _flip_sign(self, entry, w):
         # with a_m > 0 every flip feeds L^2(mu); otherwise an odd number of
         # flips feeds L^2(nu)
         s = sgn(w)
-        return s, "+" if self.a_m(a) > 0 or s == 1 else "-"
+        return s if (self.a_m(entry.partition) > 0 or s == 1) == (entry.sign == "+") else 0
 
     # compact characters -----------------------------------------------------
 
@@ -652,17 +649,15 @@ class GLPair(DualPair):
 
     def table_keys(self, size: int) -> list:
         """Pairs (a, b) of partitions with exactly k and h parts, k <= p,
-        h <= q, k + h <= d and |a| + |b| = size."""
-        return [
-            (a, b)
-            for k in range(0, min(self.p, self.d) + 1)
-            for h in range(0, min(self.q, self.d - k) + 1)
-            for sa in range(0, size + 1)
-            for a in partitions_at_most(k, sa)
-            if exact_parts(a) == k
-            for b in partitions_at_most(h, size - sa)
-            if exact_parts(b) == h
-        ]
+        h <= q, k + h <= d and |a| + |b| = size; the partitions of s with
+        exactly k parts are those of s - k with at most k, each part plus 1."""
+        exact = lambda k, s: [tuple(x + 1 for x in a) for a in partitions_at_most(k, s - k)]
+        keys = []
+        for k in range(min(self.p, self.d) + 1):
+            for h in range(min(self.q, self.d - k) + 1):
+                for sa in range(size + 1):
+                    keys += itertools.product(exact(k, sa), exact(h, size - sa))
+        return keys
 
     def mu(self, ab) -> Weight:
         a, b = ab

@@ -354,11 +354,9 @@ def _reference_v2_character(pair, lam, threshold4):
 def reference_l2_character(pair, entry, threshold4):
     """The L^2 character of one table entry on {ht >= threshold4}, summed one
     flip-sum summand at a time, each with its own tail."""
-    want = "+" if entry.sign in ("+", "none") else "-"
     acc = CharSeries.zero(pair.system, threshold4)
-    for coeff, lam, bucket in pair.l2_summands(entry.partition):
-        if bucket == want:
-            acc = acc + _reference_v2_character(pair, lam, threshold4).scale(coeff)
+    for coeff, lam in pair.l2_summands(entry):
+        acc = acc + _reference_v2_character(pair, lam, threshold4).scale(coeff)
     return acc
 
 
@@ -803,8 +801,9 @@ def reference_pair_blocks(pair):
     """Each pair's data as it was written out pair by pair before the pairs
     were read off their distinguished orders: the parts of the s2, Levi and
     compact blocks (as ``Block.of`` takes them, with the Levi twist),
-    ``levi_runs``, both shifts, the Enright candidates and the flip set of
-    a key (``flips``)."""
+    ``levi_runs``, both shifts, the nilradical split into its two-coordinate
+    roots (``candidates``) and its long roots 2 delta_k (``long``), and the
+    flip set of a key (``flips``)."""
     sys_ = pair.system
     sh, m, n = sys_.shape, pair.m, pair.n
     r1 = sys_.rho1
@@ -829,6 +828,7 @@ def reference_pair_blocks(pair):
             "compact_shift": Weight([0] * m + [-c for c in r1.delta_coords2()], sh),
             "l2_shift": Weight([-c for c in r1.eps_coords2()] + [0] * n, sh),
             "candidates": [unit("e", i) - unit("e", j) for i in range(1, p + 1) for j in range(p + 1, m + 1)],
+            "long": [],
             "flips": flips,
         }
     twist = None
@@ -850,6 +850,7 @@ def reference_pair_blocks(pair):
         "compact_shift": Weight.zero(sh),
         "l2_shift": -r1,
         "candidates": [tw(unit(block, i) + unit(block, j)) for i in block_range for j in range(i + 1, size + 1)],
+        "long": [2 * unit(block, i) for i in block_range] if types[block] == "C" else [],
         "flips": lambda a: signed_permutations(
             sh, block, range(1, size - pair.d + 1), permute=False, flips=flip_kind
         ),

@@ -76,6 +76,11 @@ def test_removed_helpers_are_gone():
     # a finite sum is one Block.character call, and the Enright representatives
     # are read off the length table
     assert not hasattr(theta.DualPair, "_levi_sum")
+    # each Theta route is one list of summands per entry, and each flip's
+    # coefficient is one number: no buckets, no pass-through sums, and the
+    # Enright generators are chosen inside enright
+    for name in ("l2_levi_sum", "enright_levi_sum", "enright_candidates", "_l2_levi_summands", "_flip_label"):
+        assert not hasattr(theta.DualPair, name), name
     assert "key" not in inspect.signature(weyl.coset_reps).parameters
     assert "theta.enright" not in _calls_by_function("coset_reps")
     # the Levi character straightens every summand: no run sort, no runs
@@ -271,8 +276,9 @@ def test_one_block_pairs_share_one_body():
     classes = [c for c in vars(theta).values() if isinstance(c, type) and c.__module__ == theta.__name__]
     defining = lambda name: {c.__name__ for c in classes if name in vars(c)}
     assert defining("sigma_set") == {"DualPair"}
-    for name in ("enright_candidates", "_l2_shift", "_compact_shift"):
+    for name in ("l2_summands", "enright_summands", "_l2_shift", "_compact_shift"):
         assert defining(name) == {"DualPair"}, name
+    assert defining("_flip_sign") == {"DualPair", "BPair", "D1Pair"}
     for name in ("mu", "compact_hw", "flip_set"):
         assert defining(name) == {"OneBlockPair", "GLPair"}, name
     assert "__init__" not in vars(theta.OneBlockPair)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -60,9 +61,28 @@ def _same_block(block, ref):
     return (set(block.positive), block.elements, block.rho) == (set(ref.positive), ref.elements, ref.rho)
 
 
-def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
-    # blocks, shifts, candidates and flips read off the order agree with the
-    # construction written out pair by pair, on 112 ranks
+def _enright_rule(pair, ref, entry) -> set:
+    """The reflections generating the entry's Enright group, by the rule on
+    the pair-by-pair roots: the two-coordinate nilradical roots, and the long
+    roots 2 delta_k unless one of them is singular for lam0, each kept when it
+    pairs positively and integrally with lam0 and is orthogonal to every s2
+    root singular for lam0."""
+    lam0 = entry.l2_lowest + pair.s2_block.rho
+    s2 = pair.s2_block.positive + [-a for a in pair.s2_block.positive]
+    long_singular = any(inner(lam0, a) == 0 for a in ref["long"])
+    out = set()
+    for a in ref["candidates"] + ([] if long_singular else ref["long"]):
+        pairing = 2 * inner(lam0, a) / inner(a, a)
+        if pairing.denominator == 1 and pairing > 0 and all(inner(lam0, b) != 0 or inner(a, b) == 0 for b in s2):
+            out.add(reflection(a))
+    return out
+
+
+def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction(monkeypatch):
+    # blocks, shifts, Enright generators and flips read off the order agree
+    # with the construction written out pair by pair, on 112 ranks
+    generators = []
+    monkeypatch.setattr(theta, "enumerate_closure", lambda gens, shape: generators.append(set(gens)) or [])
     for tag, kw in BLOCK_RANKS:
         pair = make_pair(tag, **kw)
         ref = reference_pair_blocks(pair)
@@ -71,8 +91,10 @@ def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction():
         for name, twist in (("s2", None), ("levi", ref["twist"]), ("compact", None)):
             assert _same_block(getattr(pair, f"{name}_block"), Block.of(sys_, ref[name], twist)), (tag, kw, name)
         assert pair._l2_shift() == ref["l2_shift"] and pair._compact_shift() == ref["compact_shift"], (tag, kw)
-        assert set(pair.enright_candidates()) == set(ref["candidates"]), (tag, kw)
-        assert len(pair.enright_candidates()) == len(ref["candidates"]), (tag, kw)
+        assert set(pair.nilradical) == set(ref["candidates"] + ref["long"]), (tag, kw)
+        for entry in pair.sigma_set(3):
+            pair.enright(entry)
+            assert generators.pop() == _enright_rule(pair, ref, entry), (tag, kw, entry.partition, entry.sign)
         # the Levi character straightens what the pair-by-pair run sort
         # sorted: on Levi-integral probes x = rho2 + 2 lam it is zero where the
         # sort finds x singular, nonzero where x is already sorted, and else the
@@ -122,6 +144,12 @@ def test_partition_helpers():
     assert partitions_at_most(0, 0) == [()]
     assert partitions_at_most(0, 1) == []
     assert exact_parts((3, 1, 0)) == 2
+    # every non-increasing tuple of the size, in descending order
+    for parts in range(5):
+        for size in range(-1, 9):
+            tuples = itertools.product(range(size + 1), repeat=parts)
+            want = sorted((t for t in tuples if sum(t) == size and list(t) == sorted(t, reverse=True)), reverse=True)
+            assert partitions_at_most(parts, size) == want, (parts, size)
 
 
 def test_oscillator_character_b11():
@@ -195,10 +223,7 @@ def test_dominance_of_tau_image():
     for entry in pair.sigma_set(4):
         lead = entry.l2_lowest
         hdeg = lambda x: sum(x.delta_coords2())
-        for coeff, lam, bucket in pair.l2_summands(entry.partition):
-            want = "+" if entry.sign == "+" else "-"
-            if bucket != want:
-                continue
+        for coeff, lam in pair.l2_summands(entry):
             assert hdeg(lam) <= hdeg(lead)
 
 
@@ -206,9 +231,8 @@ def test_leading_weights_distinct():
     # distinct flip-group elements produce distinct Verma leads
     pair = make_pair("B", m=1, n=2)
     for entry in pair.sigma_set(4):
-        for bucket in ("+", "-"):
-            leads = [lam for _, lam, b in pair.l2_summands(entry.partition) if b == bucket]
-            assert len(leads) == len(set(leads))
+        leads = [lam for _, lam in pair.l2_summands(entry)]
+        assert len(leads) == len(set(leads))
 
 
 def test_h_grading_parity():
@@ -342,13 +366,13 @@ def _doubled(method):
 
 def _duality_mutants(pair):
     """Two deliberate faults, each a (method name, replacement) pair: every
-    compact character doubled, and the first flip-sum summand of every key
+    compact character doubled, and the first flip-sum summand of every entry
     negated."""
     summands = pair.l2_summands
 
-    def negated(key):
-        (c, lam, bucket), *rest = summands(key)
-        return [(-c, lam, bucket)] + rest
+    def negated(entry):
+        out = summands(entry)
+        return [(-c, lam) for c, lam in out[:1]] + out[1:]
 
     return [("compact_character", _doubled(pair.compact_character)), ("l2_summands", negated)]
 
@@ -446,51 +470,59 @@ def test_enright_equals_l2(tag, kw):
         assert doc["subset"] == f"a={entry.partition} sign={entry.sign}"
 
 
-# the "+" entries with a_m > 0, up to size 5, on which the Enright route still
-# disagrees with the flip sum on D1(2, n)
-D1_ENRIGHT_OPEN = {3: [(2, 2), (3, 2)], 4: [(2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]}
-
-
-def _d1_enright_open(pair, entry) -> bool:
-    return pair.m == 2 and entry.sign == "+" and entry.partition in D1_ENRIGHT_OPEN.get(pair.n, [])
-
-
-@pytest.mark.parametrize("m,n,count", [(2, 3, 17), (2, 4, 18), (3, 4, 22)])
+@pytest.mark.parametrize("m,n,count", [(2, 3, 17), (2, 4, 18), (3, 4, 22), (2, 5, 18), (3, 5, 27)])
 def test_d1_enright_equals_l2_with_n_above_m(m, n, count):
-    # every entry up to size 5 but the open ones of D1_ENRIGHT_OPEN
+    # every entry up to size 5; the long roots 2 delta_k are integral on D1
     pair = make_pair("D1", m=m, n=n)
     entries = pair.sigma_set(5)
     assert len(entries) == count
-    rest = [e for e in entries if not _d1_enright_open(pair, e)]
-    assert len(entries) - len(rest) == len(D1_ENRIGHT_OPEN.get(n, [])) * (m == 2)
-    assert [(e.partition, e.sign) for e in rest if not pair.verify_enright(e).passed] == []
+    assert [(e.partition, e.sign) for e in entries if not pair.verify_enright(e).passed] == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="on these '+' entries with a_m > 0, lam + rho_2 pairs positively and integrally with the "
-    "long roots 2 delta_k of the flipped coordinates, which the Enright candidates leave out: the "
-    "Enright group is trivial (one minimal representative) while the flip sum has 2 (n = 3) or 4 "
-    "(n = 4) summands; admitting the long roots mends these seven but breaks other n > m entries",
-)
 def test_d1_enright_on_plus_entries_with_a_m_positive():
-    failing = []
-    for n in D1_ENRIGHT_OPEN:
+    # on these entries lam + rho_2 pairs positively and integrally with the
+    # long roots 2 delta_k of the flipped coordinates: the Enright group must
+    # admit them, or it is trivial while the flip sum has 2 or 4 summands
+    failing, checked = [], 0
+    for n in (3, 4):
         pair = make_pair("D1", m=2, n=n)
-        open_ = [e for e in pair.sigma_set(5) if _d1_enright_open(pair, e)]
-        failing += [(n, e.partition) for e in open_ if not pair.verify_enright(e).passed]
-    assert failing == []
+        plus = [e for e in pair.sigma_set(5) if e.sign == "+" and pair.a_m(e.partition) > 0]
+        checked += len(plus)
+        failing += [(n, e.partition) for e in plus if not pair.verify_enright(e).passed]
+    assert checked and failing == []
+
+
+def _enright_generator_mutants(pair):
+    """Two faults in the choice of the Enright generators, each a (method
+    name, replacement) pair: the candidates cut to the two-coordinate
+    nilradical roots, which leaves out the integral long roots 2 delta_k,
+    and every root read as two-coordinate (``_support``), so the long roots
+    are never dropped, not even where one of them is singular."""
+    two = [a for a in pair.nilradical if theta._support(a) == 2]
+    return [(pair, "nilradical", two), (theta, "_support", lambda w: 2)]
+
+
+@pytest.mark.parametrize("mutant,partition", [(0, (2, 2)), (1, (1, 0))])
+def test_d1_enright_fails_under_each_generator_mutation(monkeypatch, mutant, partition):
+    # D1(2,3) (2,2)+ needs a long root; (1,0)+ has lam0 = (1, 0, -2) on the
+    # deltas, where 2 delta_1 is orthogonal to the singular 2 delta_2 and
+    # must still be left out
+    pair = make_pair("D1", m=2, n=3)
+    entry = next(e for e in pair.sigma_set(4) if e.partition == partition and e.sign == "+")
+    assert pair.verify_enright(entry).passed
+    monkeypatch.setattr(*_enright_generator_mutants(pair)[mutant])
+    rep = pair.verify_enright(entry)
+    assert not rep.passed and rep.first_mismatch is not None
 
 
 def _enright_mutants(pair):
     """Three deliberate faults, each a (method name, replacement) pair: one
     extra Levi character on the flip-sum side, the last minimal
     representative dropped, and the sign of the last one flipped."""
-    l2, enright = pair.l2_levi_sum, pair.enright
+    l2, enright = pair.l2_summands, pair.enright
 
     def extra(entry):
-        return l2(entry) + pair.levi_block.character([(1, entry.l2_lowest)])
+        return l2(entry) + [(1, entry.l2_lowest)]
 
     def dropped(entry):
         data = enright(entry)
@@ -501,7 +533,7 @@ def _enright_mutants(pair):
         last = data.min_reps[-1]
         return dataclasses.replace(data, lengths={**data.lengths, last: data.lengths[last] + 1})
 
-    return [("l2_levi_sum", extra), ("enright", dropped), ("enright", flipped)]
+    return [("l2_summands", extra), ("enright", dropped), ("enright", flipped)]
 
 
 @pytest.mark.parametrize("tag,kw", DUALITY_CASES + [("B", dict(m=1, n=3)), ("GL", dict(n=1, p=3, q=1))])
@@ -516,7 +548,7 @@ def test_verify_enright_fails_under_each_deliberate_mutation(monkeypatch, tag, k
 
 
 @pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("D2'", dict(m=2, n=1)), ("GL", dict(n=1, p=2, q=1))])
-def test_enright_levi_sum_rejects_a_singular_minimal_representative(monkeypatch, tag, kw):
+def test_enright_summands_rejects_a_singular_minimal_representative(monkeypatch, tag, kw):
     # a minimal representative never lands on a Levi-singular weight; the
     # weight 0 is singular for every Levi block with a root, so it must raise
     pair = make_pair(tag, **kw)
@@ -525,7 +557,7 @@ def test_enright_levi_sum_rejects_a_singular_minimal_representative(monkeypatch,
     zero = Weight.zero(pair.system.shape)
     monkeypatch.setattr(pair, "enright", lambda e: dataclasses.replace(honest(e), lam=zero))
     with pytest.raises(AssertionError):
-        pair.enright_levi_sum(entry)
+        pair.enright_summands(entry)
 
 
 @pytest.mark.parametrize("tag,kw", DUALITY_CASES)
@@ -644,6 +676,26 @@ def test_gl_sigma_set_index_family_smallest_rank():
             assert e.l2_lowest == pair._l2_shift() + pair.mu(e.partition)
 
 
+@pytest.mark.parametrize("n,p,q", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 2), (2, 0, 3)])
+def test_gl_table_keys_are_the_filtered_partitions_in_order(n, p, q):
+    # the keys built from partitions of s - k raised by one are those of the
+    # filter on exact part counts, in the same order: theta-table bytes and
+    # the benchmark's entry ids read that order
+    pair = make_pair("GL", n=n, p=p, q=q)
+    for size in range(8):
+        want = [
+            (a, b)
+            for k in range(min(p, pair.d) + 1)
+            for h in range(min(q, pair.d - k) + 1)
+            for sa in range(size + 1)
+            for a in partitions_at_most(k, sa)
+            if exact_parts(a) == k
+            for b in partitions_at_most(h, size - sa)
+            if exact_parts(b) == h
+        ]
+        assert pair.table_keys(size) == want, size
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 1)])
 def test_d2_primed_is_the_s_eps_m_image_of_d2(m, n):
     # the primed pair carries -eps_m in the basis: its table, its L^2 lowest
@@ -658,9 +710,9 @@ def test_d2_primed_is_the_s_eps_m_image_of_d2(m, n):
         assert ep.partition == e.partition and ep.sign == e.sign
         assert ep.l2_lowest == s.act(e.l2_lowest)
         assert ep.compact_weight == s.act(e.compact_weight)
-        summands = plain.l2_summands(e.partition)
+        summands = plain.l2_summands(e)
         assert summands, e.partition
-        assert primed.l2_summands(e.partition) == [(c, s.act(lam), b) for c, lam, b in summands]
+        assert primed.l2_summands(ep) == [(c, s.act(lam)) for c, lam in summands]
 
 
 CROSS_DEPTH_PAIRS = [
@@ -727,7 +779,7 @@ BLOCK_PAIRS = [
 def test_each_block_is_the_group_its_roots_generate(tag, kw):
     # the element lists are built by construction; each must be the closure
     # of the reflections in the block's own positive roots, and the flips,
-    # the Enright candidates and the nilradical must live in the s2 block
+    # the Enright groups and the nilradical must live in the s2 block
     pair = make_pair(tag, **kw)
     sh = pair.system.shape
     for name in ("s2_block", "levi_block", "compact_block"):
@@ -736,6 +788,6 @@ def test_each_block_is_the_group_its_roots_generate(tag, kw):
     s2_group = set(pair.s2_block.elements)
     for entry in pair.sigma_set(4):
         assert set(pair.flip_set(entry.partition)) <= s2_group, entry.partition
-    assert set(pair.enright_candidates()) <= set(pair.s2_block.positive)
+        assert set(pair.enright(entry).group) <= s2_group, entry.partition
     levi = set(pair.levi_block.positive)
     assert pair.nilradical == [a for a in pair.s2_block.positive if a not in levi]
