@@ -20,8 +20,8 @@ first, so a height filter compares a key with one cut and the top key holds
 the top height.  Each series keeps a bound on the absolute value of its
 coordinates, set by the step that forms its keys (the constructor, the
 kernel ``product_expansion``, the division in ``weyl_character`` (one per
-summand of a signed sum of finite characters, into one dict), ``+`` and
-``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
+straightened summand of a sum of finite characters, into one dict), ``+``
+and ``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
 holds it, so no digit overflows; an operand of a narrower B is re-encoded.
 The kernel takes each factor's terms in descending height, so its inner
 loop stops at the first term below the window.  ``Weight`` stays at the boundary: the constructor takes
@@ -30,10 +30,13 @@ loop stops at the first term below the window.  ``Weight`` stays at the boundary
 
 A key is linear in the doubled coordinates, height digit included, so the
 key of a Weyl image w(x) is key(x) plus the dot product of x's moved
-coordinates with a row of w (``image_rows``), which a block builds once per
-digit width.  The finite characters (``weyl_character``) key every image
-this way, and a division given a cut stops at its first quotient key below
-it: the quotient comes top down, so its terms above the cut are final.
+coordinates with a row of w, which a block builds once per digit width
+(``_image_keys``).  The finite characters key every image this way.  A finite
+sum is straightened in one place, ``_basis`` (singular summands dropped, the
+rest tested for integrality, keyed by their dominant images and merged);
+``straighten`` reads off its coefficients on irreducible characters, and
+``weyl_character`` divides it, stopping at the first quotient key below a
+cut: the quotient comes top down, so its terms above the cut are final.
 
 ``+`` copies its left operand and loops over its right one.  So a signed Weyl
 sum (``f_sum_quotient``) adds its |U| pieces in size-balanced merges, the
@@ -468,33 +471,21 @@ def f_sum_quotient(
 # finite Weyl characters by exact division
 
 
-def image_rows(system: PositiveSystem, elements: list[WeylElement], bits: int):
-    """The coordinates that some element moves and, per element w,
-    (row, sgn(w)): row[j] = key(w b_i) - key(b_i) at digit width ``bits``
-    for the j-th moved coordinate i, b_i the weight whose only doubled
-    coordinate is a 1 at i.  A key is linear in the doubled coordinates, so
-    key(w x) = key(x) + sum_j x_i row[j]."""
-    dim = len(system._hvals2)
+def _image_keys(block, bits: int):
+    """The function taking a weight x to the (key(w x), sgn(w)) pairs over
+    the block's elements at digit width ``bits``, which a block builds once
+    per width.  It reads, per element w, (row, sgn(w)): row[j] = key(w b_i)
+    - key(b_i) for the j-th coordinate i that some element moves, b_i the
+    weight whose only doubled coordinate is a 1 at i.  A key is linear in the
+    doubled coordinates, so key(w x) = key(x) + sum_j x_i row[j]."""
+    system, elements = block.system, block.elements
+    dim, ht4 = len(system._hvals2), system.ht4
     unit = [_pack(tuple(int(i == j) for j in range(dim)), system._hvals2[i], bits) for i in range(dim)]
     moved = [i for i in range(dim) if any(w.img[i] != i + 1 for w in elements)]
     rows = [
         (tuple((unit[w.img[i] - 1] if w.img[i] > 0 else -unit[-w.img[i] - 1]) - unit[i] for i in moved), sgn(w))
         for w in elements
     ]
-    return moved, rows
-
-
-def _division_bound(block, tops: list[Weight]) -> int:
-    """max |top|_inf + 3 |rho|_inf over the leading exponents ``tops`` of a
-    division's numerators, which bounds every residual, quotient and shift."""
-    return max((max(map(abs, top.coords2)) for top in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
-
-
-def _image_keys(block, bits: int):
-    """The function taking a weight x to the (key(w x), sgn(w)) pairs over
-    the block's elements, read off its rows at digit width ``bits``."""
-    moved, rows = block.rows(bits)
-    ht4 = block.system.ht4
 
     def images(x: Weight):
         k0, xs = _pack(x.coords2, ht4(x), bits), [x.coords2[i] for i in moved]
@@ -508,20 +499,6 @@ def _height(key: int, shift: int) -> int:
     return (key + (1 << (shift - 1))) >> shift
 
 
-def character_top4(block, summands: Iterable[tuple[int, Weight]]) -> int | None:
-    """The highest top of the characters ch(lam) over the (c, lam) pairs of
-    ``summands``: the highest height of a Weyl image of some lam + rho, less
-    the highest of rho.  It bounds the top of ``weyl_character(block,
-    summands, cut4)`` for every cut; None for no pair."""
-    tops = [lam + block.rho for _, lam in summands]
-    if not tops:
-        return None
-    bits = _width(_division_bound(block, tops))
-    images, shift = _image_keys(block, bits), bits * len(block.system._hvals2)
-    best = max(k for x in tops for k, _ in images(x))
-    return _height(best, shift) - _height(max(k for k, _ in images(block.rho)), shift)
-
-
 def _not_integral(x: Weight, roots: list[Weight]) -> bool:
     """Whether 2 (x, a) / (a, a) is no integer for some root a; 4 (x, a) is
     the dot product of x's doubled coordinates, the deltas' negated, with a's."""
@@ -531,75 +508,101 @@ def _not_integral(x: Weight, roots: list[Weight]) -> bool:
     return any((2 * sum(map(mul, xs, a.coords2))) % sum(map(mul, signed(a), a.coords2)) for a in roots)
 
 
+def _basis(block, tops: list[tuple[int, Weight]], bits: int) -> dict[int, dict[int, int]]:
+    """The straightening rule, written only here: sum c A(x) over the (c, x)
+    pairs of ``tops`` (x = lam + rho, A(x) = sum_w sgn(w) e^{w x} read as
+    ``dict(images(x))`` at width ``bits``) as c_mu A(mu + rho) per dominant
+    mu, c_mu != 0 (its value at its key), keyed by its lead key(mu + rho).
+    An x with two images on one key is singular, A(x) = 0, and dropped; any
+    other is tested for integrality, the one test (ValueError), and led by its
+    highest image, the dominant one, with that image's sign; leads merge."""
+    images, size = block.at_width(_image_keys, bits), len(block.elements)
+    leads: dict[int, list] = {}
+    for c, x in tops:
+        alt = dict(images(x))
+        if len(alt) < size:
+            continue
+        if _not_integral(x, block.positive):
+            raise ValueError(f"{x - block.rho} is not integral for the block")
+        lead = max(alt)
+        merged = leads.setdefault(lead, [0, alt])
+        merged[0] += c * alt[lead] * merged[1][lead]  # c A(x) in units of the first alternant kept
+    return {lead: {k: d * s for k, s in alt.items()} for lead, (d, alt) in leads.items() if d}
+
+
+def _denominator(block, bits: int) -> tuple[int, dict[int, int]]:
+    """key(rho) and the Weyl denominator A(rho) at digit width ``bits``, read
+    only (a block shares it); rho must straighten to itself."""
+    basis = _basis(block, [(1, block.rho)], bits)
+    if not basis:
+        raise ValueError("singular block rho: not a valid block system")
+    [(rho, denom)] = basis.items()
+    if denom[rho] != 1:
+        raise AssertionError("block rho is not regular dominant for the block")
+    return rho, denom
+
+
+def _straightened(block, summands, threshold4: int | None):
+    """An empty series, threshold ``threshold4``, whose digits hold max
+    |x|_inf + 3 |rho|_inf over the x = lam + rho of the (c, lam) pairs
+    ``summands`` (a bound on every residual, quotient and shift of their
+    divisions); the block's ``_denominator``; the pairs' ``_basis``."""
+    tops = [(c, lam + block.rho) for c, lam in summands]
+    bound = max((max(map(abs, x.coords2)) for _, x in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
+    out = CharSeries._trusted(block.system, {}, bound, threshold4, 0)
+    return (out, *block.at_width(_denominator, out.bits), _basis(block, tops, out.bits))
+
+
+def straighten(block, summands: Iterable[tuple[int, Weight]]) -> CharSeries:
+    """sum c ch(lam) over the (c, lam) pairs of ``summands`` in the basis of
+    irreducible characters: the exact series of c_mu e^mu over the dominant
+    mu (``_basis``; keys are linear, so key(mu) is the lead less key(rho)).
+    Irreducible characters are linearly independent, so two finite sums are
+    equal exactly when these series are.  Its ceiling is its top term, the
+    character's top, or 0."""
+    out, rho, _, basis = _straightened(block, summands, None)
+    out.packed = {lead - rho: numer[lead] for lead, numer in basis.items()}
+    return out.tightened()
+
+
 def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | None = None) -> CharSeries:
     """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, by the
-    Weyl formula for a block subsystem: the denominator sum_w sgn(w) e^{w(rho)}
-    is built once, each alternant sum_w sgn(w) e^{w(lam+rho)} is divided by it
-    on its own (each step rescans the top key, so a summed numerator is
-    slower), and c times the quotient goes into one dict.  A summand is 0 when
-    lam+rho is singular and picks up the sign of the sorting element when
-    lam+rho is irregularly ordered.  ``block`` gives the block's ``system``,
-    its ``positive`` roots, their half sum ``rho``, and ``rows(bits)``, the
-    ``image_rows`` of its elements, built once per width (``theta.Block``).
+    Weyl formula for a block subsystem: each straightened alternant c_mu
+    A(mu + rho) (``_basis``, which tests integrality) is divided on its own
+    by A(rho) (each step rescans the top key, so a summed numerator is
+    slower), the quotients into one dict.  ``block`` gives its ``system``,
+    its ``positive`` roots, their half sum ``rho``, and ``at_width``, which
+    builds its image keys and denominator once per width (``theta.Block``).
 
-    The division runs on packed keys (see the module docstring), and the
-    key of each Weyl image w(x) is key(x) plus the dot product of x's moved
-    coordinates with w's row: no image is built as a ``Weight``.  Keys break
-    height ties on the last coordinate, not in ``coords2`` order; the
-    quotient is the same, since the leading term e^rho of the denominator is
-    unique by height (every block root is positive) and an exact quotient of
-    Laurent polynomials is unique.  Key order is additive, so an exact
-    quotient has no key below min(numerator) - min(denominator): a division
-    whose next shift drops below that floor is not exact, and its weight,
-    not integral for the block, raises ValueError.
+    The division runs on packed keys (see the module docstring): no image
+    is built as a ``Weight``.  Keys break height ties on the last
+    coordinate, not in ``coords2`` order; the quotient is the same, since
+    the leading term e^rho of A(rho) is unique by height (every block root
+    has positive height) and an exact quotient of Laurent polynomials is
+    unique.
 
-    With ``cut4`` the quotient keys come in descending order, so each
-    division stops at its first key of height below cut4: the result is
-    complete on {ht4 >= cut4}, has threshold cut4, and its ceiling is its top
-    term when one survives, else the highest top of the summands.  A
-    division that stops early may not reach the floor, so on this path each
-    summand with a nonzero alternant is first tested for integrality:
-    2 (lam+rho, a) / (a, a) must be an integer for every positive root a of
-    the block.  With no cut every division runs to the end, the result has
-    no threshold, and a zero sum has ceiling 0.
+    The quotient keys come in descending order, so with ``cut4`` each
+    division stops at its first key of height below cut4 (the result is
+    complete on {ht4 >= cut4}, threshold cut4); with none it runs to the end
+    (no threshold).  Each numerator is integral and regular, so its division
+    is exact and no key falls below min(numerator) - min(A(rho)); one that
+    does is an internal fault (AssertionError).  Both paths take one
+    ceiling: the top straightened weight's height, the character's top, or 0.
     """
-    system = block.system
-    tops = [(c, lam + block.rho) for c, lam in summands]
-    out = CharSeries._trusted(system, {}, _division_bound(block, [top for _, top in tops]), cut4, 0)
-    images, shift_bits = _image_keys(block, out.bits), out.bits * len(system._hvals2)
-    cut, acc, summand_top = _cut(cut4, shift_bits), {}, None
-
-    def alternant(x: Weight) -> dict[int, int]:
-        alt: dict[int, int] = {}
-        for k, s in images(x):
-            alt[k] = alt.get(k, 0) + s
-        return {k: c for k, c in alt.items() if c}
-
-    denom = alternant(block.rho)
-    if not denom:
-        raise ValueError("singular block rho: not a valid block system")
-    dmax, dmin = max(denom), min(denom)
-    if denom[dmax] != 1:
-        raise AssertionError("block rho is not regular dominant for the block")
-    for coeff, top in tops:
-        numer = alternant(top)
-        if not numer:
-            continue
-        if cut is not None and _not_integral(top, block.positive):
-            raise ValueError(f"{top - block.rho} is not integral for the block")
+    out, dmax, denom, basis = _straightened(block, summands, cut4)
+    shift_bits, dmin = out.bits * len(block.system._hvals2), min(denom)
+    cut, acc = _cut(cut4, shift_bits), {}
+    for numer in basis.values():
         floor = min(numer) - dmin
-        limit = floor if cut is None else max(floor, cut)
-        first = max(numer) - dmax
-        summand_top = first if summand_top is None else max(summand_top, first)
         while numer:
             nmax = max(numer)
-            c = numer[nmax]
             shift = nmax - dmax
-            if shift < limit:
-                if shift < floor:
-                    raise ValueError(f"{top - block.rho} is not integral for the block")
+            if cut is not None and shift < cut:
                 break
-            acc[shift] = acc.get(shift, 0) + coeff * c
+            if shift < floor:
+                raise AssertionError("the division of an integral regular alternant is not exact")
+            c = numer[nmax]
+            acc[shift] = acc.get(shift, 0) + c
             for k, ck in denom.items():
                 x = shift + k
                 v = numer.get(x, 0) - c * ck
@@ -608,7 +611,6 @@ def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | No
                 else:
                     del numer[x]
     out.packed = {k: c for k, c in acc.items() if c}
-    if out.packed or cut is None or summand_top is None:
-        return out.tightened()
-    out.ceiling4 = _height(summand_top, shift_bits)
+    if basis:
+        out.ceiling4 = _height(max(basis) - dmax, shift_bits)
     return out

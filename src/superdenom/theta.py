@@ -18,23 +18,25 @@ coefficient-exactly on a window.  Every L^2 character is a finite sum of
 Levi characters times one tail prod 1/(1 - e^{-beta}) over the nilradical.
 Every finite sum (L^2, Enright, compact, D1's x) is one ``Block.character``
 call on its signed weights.  The L^2 summands, Weyl images of one integral
-weight, go to it unsorted: the Weyl formula straightens each, with its sign,
-and is zero on a singular one (rho_2 - rho_Levi, half the nilradical's roots,
-is Levi-invariant).  The sum comes by two routes, each a list of (c, lam)
+weight, go to it unsorted: the block straightens each, with its sign, and
+drops a singular one (rho_2 - rho_Levi, half the nilradical's roots, is
+Levi-invariant).  The sum comes by two routes, each a list of (c, lam)
 summands per entry: the signed flip sum (``l2_summands``) and Enright's
 minimal coset representatives, read off the Enright group's length table
-(``enright_summands``).  The tail is invertible, so ``verify_enright``
-compares the two finite sums as whole characters, with no window.
+(``enright_summands``).  The tail is invertible and irreducible characters
+are linearly independent, so ``verify_enright`` compares the two finite
+sums in the basis of irreducible Levi characters (``Block.straighten``),
+with no division and no window.
 
 Elsewhere in this module a finite sum is read only on a window, and its
 division stops there (``Block.character(summands, cut4)``).  The table
-assembly (``_assembled``) goes entry by entry: it bounds the top of the Levi
-sum from its summands (``series.character_top4``), divides each finite
-factor (the compact character, or D1's x character) down to the window's
-threshold T less that bound, skips the entry when no finite term is left
-there, and divides the Levi sum once, down to T less the highest ceiling of
-the finite factors.  Each duality check asserts that both series it
-compares hold the whole window, so a cut set too high raises rather than
+assembly (``_assembled``) goes entry by entry: it reads the top of the Levi
+sum off its straightened series, skips the entry when that is zero, divides
+each finite factor (the compact character, or D1's x character) down to the
+window's threshold T less that top, skips the entry when no finite term is
+left there, and divides the Levi sum once, down to T less the highest
+ceiling of the finite factors.  Each duality check asserts that both series
+it compares hold the whole window, so a cut set too high raises rather than
 passing on fewer coefficients.
 
 Both routes, the table assembly, the duality check and the construction of
@@ -87,7 +89,7 @@ from .weyl import (
     product_set,
     sgn,
 )
-from .series import CharSeries, character_top4, image_rows, weyl_character, product_expansion
+from .series import CharSeries, straighten, weyl_character, product_expansion
 from .denominators import IdentityReport, WeylSum, compare, window4
 
 
@@ -134,7 +136,7 @@ class Block:
 
     def __post_init__(self):
         self.rho = weight_sum(self.positive, self.system.shape).half()
-        self._rows = {}  # digit width -> image_rows, built on first use
+        self._widths = {}  # (build, digit width) -> build(self, width), built on first use
 
     @classmethod
     def of(cls, system: PositiveSystem, parts, twist: WeylElement | None = None) -> "Block":
@@ -154,16 +156,21 @@ class Block:
             elements = [twist.compose(w).compose(twist) for w in elements]
         return cls(system, positive, sorted(elements, key=WeylElement.sort_key))
 
-    def rows(self, bits: int):
-        """The ``image_rows`` of the elements at digit width ``bits``."""
-        if bits not in self._rows:
-            self._rows[bits] = image_rows(self.system, self.elements, bits)
-        return self._rows[bits]
+    def at_width(self, build, bits: int):
+        """build(self, bits), built once per digit width: the block's image
+        keys and its Weyl denominator (``series``)."""
+        if (build, bits) not in self._widths:
+            self._widths[build, bits] = build(self, bits)
+        return self._widths[build, bits]
 
     def character(self, summands, cut4: int | None = None) -> CharSeries:
         """sum c ch(lam) over the (c, lam) pairs of a finite sum, exact, or
         complete on {ht4 >= cut4} with a cut."""
         return weyl_character(self, summands, cut4)
+
+    def straighten(self, summands) -> CharSeries:
+        """A finite sum's coefficients c_mu e^mu on the irreducible ch(mu)."""
+        return straighten(self, summands)
 
 
 @dataclass
@@ -348,11 +355,12 @@ class DualPair:
         return self._with_tail(self.levi_block.character(self.enright_summands(entry), T), T)
 
     def verify_enright(self, entry: ThetaEntry) -> IdentityReport:
-        """Enright's formula for one entry as an identity of finite Levi sums:
-        the tail is invertible, so equality here is equality on every window,
-        and the report carries no depth."""
-        character = self.levi_block.character
-        left, right = character(self.l2_summands(entry)), character(self.enright_summands(entry))
+        """Enright's formula for one entry as an identity of finite Levi sums,
+        compared in the basis of irreducible Levi characters, with no
+        division: the tail is invertible, so equality here is equality on
+        every window, and the report carries no depth."""
+        levi = self.levi_block
+        left, right = levi.straighten(self.l2_summands(entry)), levi.straighten(self.enright_summands(entry))
         subset = f"a={entry.partition} sign={entry.sign}"
         return compare(f"theta-{self.tag}-enright", repr(self.system), subset, None, left, right)
 
@@ -367,10 +375,10 @@ class DualPair:
         accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
             summands = self.l2_summands(entry)
-            top = character_top4(self.levi_block, summands)
-            if top is None:
+            straightened = self.levi_block.straighten(summands)
+            if straightened.is_zero_on_window():
                 continue
-            fins = [(k, finite(entry, T - top)) for k, finite in enumerate(finites)]
+            fins = [(k, finite(entry, T - straightened.ceiling4)) for k, finite in enumerate(finites)]
             fins = [(k, fin) for k, fin in fins if not fin.is_zero_on_window()]
             if not fins:
                 continue

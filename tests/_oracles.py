@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from superdenom.denominators import window4
+from superdenom.denominators import compare, window4
 from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
 from superdenom.rootdata import DELTA_BLOCK, EPS_BLOCK, RootDatum
 from superdenom.series import CharSeries, product_expansion
@@ -371,6 +371,16 @@ def reference_enright_character(pair, entry, threshold4):
         sign = -1 if data.lengths[w] % 2 else 1
         acc = acc + _reference_v2_character(pair, dom - pair.s2_block.rho, threshold4).scale(sign)
     return acc
+
+
+def reference_verify_enright(pair, entry):
+    """``verify_enright`` by expansion: the flip sum and the Enright sum each
+    divided in full as one Levi character, and the two compared coefficient
+    for coefficient on every weight."""
+    character = pair.levi_block.character
+    left, right = character(pair.l2_summands(entry)), character(pair.enright_summands(entry))
+    subset = f"a={entry.partition} sign={entry.sign}"
+    return compare(f"theta-{pair.tag}-enright", repr(pair.system), subset, None, left, right)
 
 
 def reference_sorted_in_block(pair, x):

@@ -4,6 +4,8 @@ import itertools
 import pathlib
 import types
 
+import pytest
+
 import superdenom
 
 REMOVED = [
@@ -33,6 +35,7 @@ REMOVED = [
     "apply_moves",
     "reflect_simple_roots",
     "erho_pair",
+    "character_top4",
 ]
 
 
@@ -180,6 +183,29 @@ def test_every_function_is_read_or_kept_for_a_reason():
     assert sorted(q for q in defs if not needed(q) and q not in UNREFERENCED_KEPT) == []
     # every kept name still exists and is still unreferenced
     assert sorted(q for q in UNREFERENCED_KEPT if q not in defs or needed(q)) == []
+
+
+def test_straighten_has_its_production_callers():
+    # the basis of irreducibles is read by the table assembly, for the top of
+    # each Levi sum, and by the Enright check, through Block.straighten
+    assert _calls_by_function("straighten") == {"theta.straighten", "theta._assembled", "theta.verify_enright"}
+
+
+def test_verify_enright_divides_nothing(monkeypatch):
+    # with every Weyl division refused, the duality check raises and the
+    # Enright check still passes on every entry: it compares in the basis
+    from superdenom import theta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite sum was divided")
+
+    pairs = [theta.make_pair("B", m=1, n=2), theta.make_pair("D1", m=2, n=3)]
+    monkeypatch.setattr(theta, "weyl_character", refuse)
+    for pair in pairs:
+        with pytest.raises(AssertionError, match="was divided"):
+            pair.verify_duality(4)
+        entries = pair.sigma_set(5)
+        assert entries and all(pair.verify_enright(entry).passed for entry in entries), pair.tag
 
 
 def test_compare_is_the_one_verdict_rule():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from superdenom import series
-from superdenom.weights import Weight
+from superdenom.weights import Weight, inner
 from superdenom.rootdata import (
     all_basis_orders,
     build_root_datum,
@@ -17,7 +17,7 @@ from superdenom.rootdata import (
 )
 from superdenom.denominators import choose_expansion_system, compare, right_side, verify, window4
 from superdenom.diagrams import enumerate_diagrams
-from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion, weyl_character
+from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion, straighten, weyl_character
 from superdenom.theta import Block, make_pair
 from superdenom.weyl import full_weyl, sgn, signed_permutations
 
@@ -190,6 +190,11 @@ def test_weyl_character_sorting_sign():
 ERROR_CUTS = [None, -10**6, 0, 10**6]
 
 
+# each finite-sum routine on a block and its summands: the division, whole
+# and cut, and the straightening, which shares its checks
+ROUTINES = [functools.partial(weyl_character, cut4=cut4) for cut4 in ERROR_CUTS] + [straighten]
+
+
 def test_weyl_character_error_paths():
     # an A_1 group {1, s_alpha} with a rho it cannot divide by, whole and
     # cut: the roots [] give rho = 0, [-alpha] give -alpha/2, and [2 alpha]
@@ -197,26 +202,26 @@ def test_weyl_character_error_paths():
     system = gl21_system()
     alpha = sl2_block(system)
     elements = signed_permutations(system.shape, "e", [1, 2])
-    for cut4 in ERROR_CUTS:
-        with pytest.raises(ValueError):
-            weyl_character(Block(system, [], elements), [(1, alpha)], cut4)  # singular rho
+    for routine in ROUTINES:
+        with pytest.raises(ValueError, match="singular block rho"):
+            routine(Block(system, [], elements), [(1, alpha)])
         with pytest.raises(AssertionError):
-            weyl_character(Block(system, [-alpha], elements), [(1, alpha)], cut4)  # leading term -e^{alpha/2}
+            routine(Block(system, [-alpha], elements), [(1, alpha)])  # leading term -e^{alpha/2}
         with pytest.raises(ValueError, match="not integral for the block"):
             # e^{alpha/2} - e^{-alpha/2} is not divisible by e^alpha - e^{-alpha}
-            weyl_character(Block(system, [2 * alpha], elements), [(1, -alpha.half())], cut4)
+            routine(Block(system, [2 * alpha], elements), [(1, -alpha.half())])
 
 
 def test_a_weight_not_integral_for_its_block_is_refused_at_once():
-    # delta_1/2 on B(1,2)'s Levi block (A_1 on the deltas): the division
-    # stops at the exact quotient's lowest key instead of running on, and a
-    # cut division, which may stop before that key, tests the coroot pairing
+    # delta_1/2 on B(1,2)'s Levi block (A_1 on the deltas): every summand
+    # with a nonzero alternant has its coroot pairings tested before any
+    # division starts, whole, cut or straightened
     levi = make_pair("B", m=1, n=2).levi_block
-    for cut4 in ERROR_CUTS:
+    for routine in ROUTINES:
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"1/2\*d1 is not integral for the block"):
-            levi.character([(1, Weight([0, 1, 0], (1, 2)))], cut4)
-        assert time.perf_counter() - start < 0.1, cut4
+            routine(levi, [(1, Weight([0, 1, 0], (1, 2)))])
+        assert time.perf_counter() - start < 0.1, routine
 
 
 def test_a_product_wholly_below_the_window_keeps_its_own_ceiling():
@@ -608,6 +613,55 @@ def test_a_cut_character_is_the_whole_one_on_its_window(case, data):
         assert got.ceiling4 >= max(heights)
     if got.terms:
         assert got.ceiling4 == max(heights)
+
+
+def _reference_straighten(block, summands):
+    """sum c ch(lam) in the basis of irreducibles, by brute force: each lam +
+    rho orthogonal to no positive root of the block goes to its image of
+    highest ht4 over the block's elements, less rho, with that element's
+    sgn; equal weights merge."""
+    ht4, out = block.system.ht4, {}
+    for c, lam in summands:
+        x = lam + block.rho
+        if any(inner(x, a) == 0 for a in block.positive):
+            continue
+        top, s = max(((w.act(x), sgn(w)) for w in block.elements), key=lambda it: ht4(it[0]))
+        out[top - block.rho] = out.get(top - block.rho, 0) + s * c
+    return {mu: c for mu, c in out.items() if c}
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_signed_sum())
+def test_straighten_takes_each_summand_to_its_highest_image_with_its_sign(case):
+    block, summands = case
+    want = _reference_straighten(block, summands)
+    got = straighten(block, summands)
+    assert got.terms == want
+    assert got.threshold4 is None
+    assert got.ceiling4 == max(map(block.system.ht4, want), default=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_signed_sum(), data=st.data())
+def test_a_character_is_the_character_of_its_straightened_sum(case, data):
+    # whole, and at a cut from a little below the lowest to a little above
+    # the highest term of the whole sum
+    block, summands = case
+    pairs = [(c, mu) for mu, c in straighten(block, summands).terms.items()]
+    full = weyl_character(block, summands)
+    heights = [block.system.ht4(x) for x in full.terms] or [0]
+    for cut4 in (None, data.draw(st.integers(min(heights) - 8, max(heights) + 8))):
+        got, want = weyl_character(block, summands, cut4), weyl_character(block, pairs, cut4)
+        assert (got.terms, got.threshold4, got.ceiling4) == (want.terms, want.threshold4, want.ceiling4)
+
+
+def test_the_l2_sums_of_d1_2_6_straighten_to_92_weights():
+    # equal dominant weights merge: 192 flip-sum summands over the entries
+    # of size <= 5 leave 92 irreducible Levi characters, each divided once
+    pair = make_pair("D1", m=2, n=6)
+    sums = [pair.l2_summands(entry) for entry in pair.sigma_set(5)]
+    assert sum(map(len, sums)) == 192
+    assert sum(len(straighten(pair.levi_block, s).packed) for s in sums) == 92
 
 
 def _princ_sum(family, m, n, kind):

@@ -21,6 +21,7 @@ from _oracles import (
     reference_l2_character,
     reference_pair_blocks,
     reference_sorted_in_block,
+    reference_verify_enright,
 )
 
 DUALITY_CASES = [
@@ -470,13 +471,42 @@ def test_enright_equals_l2(tag, kw):
         assert doc["subset"] == f"a={entry.partition} sign={entry.sign}"
 
 
-@pytest.mark.parametrize("m,n,count", [(2, 3, 17), (2, 4, 18), (3, 4, 22), (2, 5, 18), (3, 5, 27)])
+@pytest.mark.parametrize(
+    "m,n,count", [(2, 3, 17), (2, 4, 18), (3, 4, 22), (2, 5, 18), (3, 5, 27), (2, 6, 18), (3, 6, 28)]
+)
 def test_d1_enright_equals_l2_with_n_above_m(m, n, count):
     # every entry up to size 5; the long roots 2 delta_k are integral on D1
     pair = make_pair("D1", m=m, n=n)
     entries = pair.sigma_set(5)
     assert len(entries) == count
     assert [(e.partition, e.sign) for e in entries if not pair.verify_enright(e).passed] == []
+
+
+# the ranks on which the basis comparison meets the expanded one
+ORACLE_ENRIGHT_RANKS = (
+    [("B", dict(m=m, n=n)) for m in (1, 2) for n in (1, 2, 3)]
+    + [("D1", dict(m=2, n=n)) for n in (1, 2, 3, 4)]
+    + [(tag, dict(m=m, n=n)) for tag in ("D2", "D2'") for m in (1, 2) for n in (1, 2)]
+    + [("GL", dict(n=n, p=p, q=q)) for n, p, q in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]]
+)
+
+
+def test_verify_enright_gives_the_verdict_of_the_expanded_comparison(monkeypatch):
+    # in the basis of irreducibles and by two full divisions: the same
+    # verdict on every entry of size <= 5, honest and under each of
+    # _enright_mutants' faults
+    verdicts = []
+    for tag, kw in ORACLE_ENRIGHT_RANKS:
+        for mutant in (None, 0, 1, 2):
+            pair = make_pair(tag, **kw)
+            if mutant is not None:
+                monkeypatch.setattr(pair, *_enright_mutants(pair)[mutant])
+            for entry in pair.sigma_set(5):
+                verdict = pair.verify_enright(entry).passed
+                assert verdict == reference_verify_enright(pair, entry).passed, (tag, kw, mutant, entry.partition)
+                verdicts.append((mutant is None, verdict))
+    # every honest entry passes, and every mutated one fails
+    assert verdicts.count((True, True)) == 221 and verdicts.count((False, False)) == 3 * 221
 
 
 def test_d1_enright_on_plus_entries_with_a_m_positive():
