@@ -19,8 +19,7 @@ digits sum to less than half of 2^(B dim), comparing keys compares heights
 first, so a height filter compares a key with one cut and the top key holds
 the top height.  Each series keeps a bound on the absolute value of its
 coordinates, set by the step that forms its keys (the constructor, the
-kernel ``product_expansion``, the division in ``weyl_character`` (one per
-straightened summand of a sum of finite characters, into one dict), ``+``
+kernel ``product_expansion``, the division in ``weyl_character``, ``+``
 and ``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
 holds it, so no digit overflows; an operand of a narrower B is re-encoded.
 The kernel takes each factor's terms in descending height, so its inner
@@ -35,8 +34,14 @@ coordinates with a row of w, which a block builds once per digit width
 sum is straightened in one place, ``_basis`` (singular summands dropped, the
 rest tested for integrality, keyed by their dominant images and merged);
 ``straighten`` reads off its coefficients on irreducible characters, and
-``weyl_character`` divides it, stopping at the first quotient key below a
-cut: the quotient comes top down, so its terms above the cut are final.
+``weyl_character`` sums its alternants into one numerator and divides that
+by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one positive root at a time:
+dividing by 1 - e^{-a} walks each a-string of keys top down with a running
+sum, so the division costs about |positive roots| times the size of the
+partial quotients, where a long division by A(rho) cost |W| updates and a
+rescan of the remainder per quotient term.  The quotient at a key reads only
+keys at or above it, so with a cut every partial quotient stops at the cut
+(shifted by key(rho)).
 
 ``+`` copies its left operand and loops over its right one.  So a signed Weyl
 sum (``f_sum_quotient``) adds its |U| pieces in size-balanced merges, the
@@ -530,23 +535,41 @@ def _basis(block, tops: list[tuple[int, Weight]], bits: int) -> dict[int, dict[i
     return {lead: {k: d * s for k, s in alt.items()} for lead, (d, alt) in leads.items() if d}
 
 
-def _denominator(block, bits: int) -> tuple[int, dict[int, int]]:
-    """key(rho) and the Weyl denominator A(rho) at digit width ``bits``, read
-    only (a block shares it); rho must straighten to itself."""
+def _denominator(block, bits: int) -> tuple[int, list[int]]:
+    """The Weyl denominator A(rho) = e^rho prod_{a > 0} (1 - e^{-a}) in
+    product form at digit width ``bits``: key(rho) and the keys of the
+    block's positive roots, read only (a block shares them).  rho must
+    straighten to itself: its alternant is built for that test, and
+    dropped."""
     basis = _basis(block, [(1, block.rho)], bits)
     if not basis:
         raise ValueError("singular block rho: not a valid block system")
-    [(rho, denom)] = basis.items()
-    if denom[rho] != 1:
+    [(rho, alt)] = basis.items()
+    if alt[rho] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
-    return rho, denom
+    return rho, [_pack(a.coords2, block.system.ht4(a), bits) for a in block.positive]
 
 
 def _straightened(block, summands, threshold4: int | None):
     """An empty series, threshold ``threshold4``, whose digits hold max
     |x|_inf + 3 |rho|_inf over the x = lam + rho of the (c, lam) pairs
-    ``summands`` (a bound on every residual, quotient and shift of their
-    divisions); the block's ``_denominator``; the pairs' ``_basis``."""
+    ``summands``; the block's ``_denominator``; the pairs' ``_basis``.  The
+    bound holds every key of their division: each partial quotient lies on
+    root strings between weights of the straightened alternants (within max
+    |x|), a key one root above one of its weights within 2 |rho| more, and
+    the quotient, shifted by -rho, within |rho| more.
+
+    ``summands`` may instead be the series that ``straighten`` made of a sum
+    on this block: its terms c_mu e^mu are already tested and merged, so it
+    keeps its width, and each term's alternant c_mu A(mu + rho), led by
+    key(mu) + key(rho), is built with no second straightening."""
+    if isinstance(summands, CharSeries):
+        out = CharSeries._trusted(block.system, {}, summands.bound, threshold4, 0)
+        rho, roots = block.at_width(_denominator, out.bits)
+        images, basis = block.at_width(_image_keys, out.bits), {}
+        for (mu, c), key in zip(summands._unpacked(), summands.packed):
+            basis[key + rho] = {k: c * s for k, s in images(mu + block.rho)}
+        return out, rho, roots, basis
     tops = [(c, lam + block.rho) for c, lam in summands]
     bound = max((max(map(abs, x.coords2)) for _, x in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
     out = CharSeries._trusted(block.system, {}, bound, threshold4, 0)
@@ -565,52 +588,79 @@ def straighten(block, summands: Iterable[tuple[int, Weight]]) -> CharSeries:
     return out.tightened()
 
 
-def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | None = None) -> CharSeries:
-    """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, by the
-    Weyl formula for a block subsystem: each straightened alternant c_mu
-    A(mu + rho) (``_basis``, which tests integrality) is divided on its own
-    by A(rho) (each step rescans the top key, so a summed numerator is
-    slower), the quotients into one dict.  ``block`` gives its ``system``,
-    its ``positive`` roots, their half sum ``rho``, and ``at_width``, which
-    builds its image keys and denominator once per width (``theta.Block``).
+def _string_quotient(numer: dict[int, int], root: int, stop: int | None) -> dict[int, int]:
+    """numer / (1 - e^{-a}) on the keys >= stop (every key for None), for
+    terms ``numer`` at keys >= stop and a root a of key ``root``.  The
+    quotient at k is numer's sum over the keys k, k + root, k + 2 root, ...,
+    so it reads only keys >= k: taken in descending order, q(k) = numer(k) +
+    q(k + root), and each step from a key of numer down to the next one on
+    its a-string, or down to the stop, holds the running sum.  A root key
+    <= 0 would walk its strings up or not at all (ValueError).  With no stop
+    the division must be exact: a running sum still nonzero below numer's
+    lowest key is an internal fault (AssertionError)."""
+    if root <= 0:
+        raise ValueError("a block root of non-positive key (non-positive height): not a valid block system")
+    keys = sorted(numer, reverse=True)
+    lo = keys[-1] if stop is None and keys else stop
+    out: dict[int, int] = {}
+    for k in keys:
+        s = numer[k] + out.get(k + root, 0)
+        while s:
+            out[k] = s
+            k -= root
+            if k in numer:
+                break
+            if k < lo:
+                if stop is None:
+                    raise AssertionError("the division of an integral regular alternant is not exact")
+                break
+    return out
+
+
+def weyl_character(
+    block, summands: Iterable[tuple[int, Weight]] | CharSeries, cut4: int | None = None
+) -> CharSeries:
+    """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, or over
+    the terms c_mu e^mu of their ``straighten`` series, by the
+    Weyl formula for a block subsystem: the straightened alternants c_mu
+    A(mu + rho) (``_basis``, which tests integrality) are summed into one
+    numerator and divided by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}) one
+    positive root at a time (``_string_quotient``), then shifted by -rho.
+    Each root costs one pass over the partial quotient, so the division
+    costs about |positive roots| times its size.  ``block`` gives its
+    ``system``, its ``positive`` roots, their half sum ``rho``, and
+    ``at_width``, which builds its image keys and root keys once per width
+    (``theta.Block``).
 
     The division runs on packed keys (see the module docstring): no image
     is built as a ``Weight``.  Keys break height ties on the last
     coordinate, not in ``coords2`` order; the quotient is the same, since
-    the leading term e^rho of A(rho) is unique by height (every block root
-    has positive height) and an exact quotient of Laurent polynomials is
-    unique.
+    every block root has a positive key (one that has not is refused,
+    ValueError, before its strings are walked) and an exact quotient of
+    Laurent polynomials is unique.
 
-    The quotient keys come in descending order, so with ``cut4`` each
-    division stops at its first key of height below cut4 (the result is
-    complete on {ht4 >= cut4}, threshold cut4); with none it runs to the end
-    (no threshold).  Each numerator is integral and regular, so its division
-    is exact and no key falls below min(numerator) - min(A(rho)); one that
-    does is an internal fault (AssertionError).  Both paths take one
-    ceiling: the top straightened weight's height, the character's top, or 0.
+    Each root's quotient reads only keys at or above the one it sets, so
+    with ``cut4`` every partial quotient stops at the key of height cut4
+    plus key(rho) (the result is complete on {ht4 >= cut4}, threshold
+    cut4); with none it runs to the end (no threshold).  The numerator is
+    integral and regular, so its division is exact; a remainder is an
+    internal fault (AssertionError).  Both paths take one ceiling: the top
+    straightened weight's height, the character's top, or 0.
     """
-    out, dmax, denom, basis = _straightened(block, summands, cut4)
-    shift_bits, dmin = out.bits * len(block.system._hvals2), min(denom)
-    cut, acc = _cut(cut4, shift_bits), {}
-    for numer in basis.values():
-        floor = min(numer) - dmin
-        while numer:
-            nmax = max(numer)
-            shift = nmax - dmax
-            if cut is not None and shift < cut:
-                break
-            if shift < floor:
-                raise AssertionError("the division of an integral regular alternant is not exact")
-            c = numer[nmax]
-            acc[shift] = acc.get(shift, 0) + c
-            for k, ck in denom.items():
-                x = shift + k
-                v = numer.get(x, 0) - c * ck
-                if v:
-                    numer[x] = v
-                else:
-                    del numer[x]
-    out.packed = {k: c for k, c in acc.items() if c}
+    out, rho, roots, basis = _straightened(block, summands, cut4)
+    shift_bits = out.bits * len(block.system._hvals2)
+    cut = _cut(cut4, shift_bits)
+    stop = None if cut is None else cut + rho
+    numer: dict[int, int] = {}
+    for alt in basis.values():
+        for k, c in alt.items():
+            if stop is None or k >= stop:
+                c += numer.pop(k, 0)
+                if c:
+                    numer[k] = c
+    for root in roots:
+        numer = _string_quotient(numer, root, stop)
+    out.packed = {k - rho: c for k, c in numer.items()}
     if basis:
-        out.ceiling4 = _height(max(basis) - dmax, shift_bits)
+        out.ceiling4 = _height(max(basis) - rho, shift_bits)
     return out

@@ -34,8 +34,9 @@ assembly (``_assembled``) goes entry by entry: it reads the top of the Levi
 sum off its straightened series, skips the entry when that is zero, divides
 each finite factor (the compact character, or D1's x character) down to the
 window's threshold T less that top, skips the entry when no finite term is
-left there, and divides the Levi sum once, down to T less the highest
-ceiling of the finite factors.  Each duality check asserts that both series
+left there, and divides that straightened series once (it is not
+straightened again), down to T less the highest ceiling of the finite
+factors.  Each duality check asserts that both series
 it compares hold the whole window, so a cut set too high raises rather than
 passing on fewer coefficients.
 
@@ -67,7 +68,8 @@ B, D1 and D2 act on one coordinate block and share one body, ``OneBlockPair``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .weights import Weight, inner, weight_sum
@@ -128,44 +130,57 @@ def exact_parts(a: tuple[int, ...]) -> int:
 @dataclass
 class Block:
     """A sub-root-system with its Weyl group, used for finite characters;
-    rho is the half sum of its positive roots."""
+    rho is the half sum of its positive roots.  The group's ``elements``
+    may be given as a function that returns them: it is called on their
+    first read, so a block whose group is never read never builds it."""
 
     system: PositiveSystem
     positive: list[Weight]
-    elements: list[WeylElement]
+    _elements: list[WeylElement] | Callable[[], list[WeylElement]] = field(repr=False)
 
     def __post_init__(self):
         self.rho = weight_sum(self.positive, self.system.shape).half()
         self._widths = {}  # (build, digit width) -> build(self, width), built on first use
+
+    @property
+    def elements(self) -> list[WeylElement]:
+        if callable(self._elements):
+            self._elements = self._elements()
+        return self._elements
 
     @classmethod
     def of(cls, system: PositiveSystem, parts, twist: WeylElement | None = None) -> "Block":
         """The block of ``parts``, each (kind, indices, type): an even block of
         type ``type`` on the listed eps ("e") or delta ("d") coordinates, moved
         by ``twist`` when given.  Its positive roots are the parts' roots of
-        positive height; its elements, the product of the parts' Weyl groups
-        conjugated by the twist, sorted by key."""
+        positive height; its elements, built on first read, the product of
+        the parts' Weyl groups conjugated by the twist, sorted by key."""
         sh, tw = system.shape, (twist.act if twist is not None else lambda x: x)
-        positive, groups = [], []
+        positive = []
         for kind, idx, typ in parts:
             roots = block_roots(typ, [tw(_line(sh, kind, {i: 1})) for i in idx])
             positive += [a for a in roots if system.principal_ht4(a) > 0]
-            groups.append(signed_permutations(sh, kind, idx, flips=block_weyl(typ, len(idx))[0]))
-        elements = product_set(*groups)
-        if twist is not None:
-            elements = [twist.compose(w).compose(twist) for w in elements]
-        return cls(system, positive, sorted(elements, key=WeylElement.sort_key))
+
+        def elements() -> list[WeylElement]:
+            groups = [signed_permutations(sh, kind, idx, flips=block_weyl(typ, len(idx))[0]) for kind, idx, typ in parts]
+            out = product_set(*groups)
+            if twist is not None:
+                out = [twist.compose(w).compose(twist) for w in out]
+            return sorted(out, key=WeylElement.sort_key)
+
+        return cls(system, positive, elements)
 
     def at_width(self, build, bits: int):
         """build(self, bits), built once per digit width: the block's image
-        keys and its Weyl denominator (``series``)."""
+        keys, and key(rho) with its root keys (``series``)."""
         if (build, bits) not in self._widths:
             self._widths[build, bits] = build(self, bits)
         return self._widths[build, bits]
 
     def character(self, summands, cut4: int | None = None) -> CharSeries:
-        """sum c ch(lam) over the (c, lam) pairs of a finite sum, exact, or
-        complete on {ht4 >= cut4} with a cut."""
+        """sum c ch(lam) over the (c, lam) pairs of a finite sum, or over the
+        terms of its ``straighten`` series, exact, or complete on {ht4 >=
+        cut4} with a cut."""
         return weyl_character(self, summands, cut4)
 
     def straighten(self, summands) -> CharSeries:
@@ -374,15 +389,14 @@ class DualPair:
         T = self._window(depth)
         accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
-            summands = self.l2_summands(entry)
-            straightened = self.levi_block.straighten(summands)
+            straightened = self.levi_block.straighten(self.l2_summands(entry))
             if straightened.is_zero_on_window():
                 continue
             fins = [(k, finite(entry, T - straightened.ceiling4)) for k, finite in enumerate(finites)]
             fins = [(k, fin) for k, fin in fins if not fin.is_zero_on_window()]
             if not fins:
                 continue
-            levi = self.levi_block.character(summands, T - max(fin.ceiling4 for _, fin in fins))
+            levi = self.levi_block.character(straightened, T - max(fin.ceiling4 for _, fin in fins))
             for k, fin in fins:
                 accs[k] = accs[k] + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
         return [self._with_tail(acc.tightened(), T) for acc in accs]

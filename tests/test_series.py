@@ -212,6 +212,34 @@ def test_weyl_character_error_paths():
             routine(Block(system, [2 * alpha], elements), [(1, -alpha.half())])
 
 
+def test_a_block_root_of_non_positive_height_is_refused():
+    # the roots [alpha, -alpha, alpha] give rho = alpha/2, which passes the
+    # checks on rho; the root -alpha would walk its strings upward, so the
+    # division refuses it, whole and cut, at once
+    system = gl21_system()
+    alpha = sl2_block(system)
+    block = Block(system, [alpha, -alpha, alpha], signed_permutations(system.shape, "e", [1, 2]))
+    for cut4 in ERROR_CUTS:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="non-positive height"):
+            weyl_character(block, [(1, alpha)], cut4)
+        assert time.perf_counter() - start < 0.1, cut4
+
+
+def test_an_inexact_numerator_is_an_internal_fault(monkeypatch):
+    # each straightened alternant cut to its leading term e^{mu + rho}, which
+    # A(rho) does not divide: the whole division raises, where a cut one
+    # stops at its cut
+    honest = series._basis
+    monkeypatch.setattr(series, "_basis", lambda block, tops, bits: {
+        lead: {lead: alt[lead]} for lead, alt in honest(block, tops, bits).items()})
+    levi = make_pair("B", m=1, n=2).levi_block
+    lam = Weight([0, 2, 0], (1, 2))
+    with pytest.raises(AssertionError, match="not exact"):
+        weyl_character(levi, [(1, lam)])
+    weyl_character(levi, [(1, lam)], levi.system.ht4(lam) - 8 * levi.system.unit4)
+
+
 def test_a_weight_not_integral_for_its_block_is_refused_at_once():
     # delta_1/2 on B(1,2)'s Levi block (A_1 on the deltas): every summand
     # with a nonzero alternant has its coroot pairings tested before any
@@ -615,6 +643,55 @@ def test_a_cut_character_is_the_whole_one_on_its_window(case, data):
         assert got.ceiling4 == max(heights)
 
 
+# one block of each type with |W| up to 384: A4, B4, C4 and D4
+_LARGE_BLOCKS = [
+    ("GL", dict(n=1, p=4, q=1), "s2_block"),
+    ("B", dict(m=4, n=1), "compact_block"),
+    ("B", dict(m=1, n=4), "s2_block"),
+    ("D1", dict(m=4, n=1), "compact_block"),
+]
+
+
+@functools.cache
+def _large_block(i):
+    tag, kw, name = _LARGE_BLOCKS[i]
+    return getattr(make_pair(tag, **kw), name)
+
+
+@functools.cache
+def _large_reference(i, coords2):
+    block = _large_block(i)
+    lam = Weight(coords2, block.system.shape)
+    return reference_weyl_character(block.system, block.elements, block.rho, lam).terms
+
+
+@settings(deadline=None, max_examples=25)
+@given(i=st.integers(0, len(_LARGE_BLOCKS) - 1), data=st.data())
+def test_the_division_by_roots_matches_the_reference_on_large_blocks(i, data):
+    # a signed sum of up to three characters ch(lam), lam with entries
+    # -1, 0, 1 on the block's coordinates (dominant, irregular or singular
+    # plus rho), whole and at a cut drawn around its terms
+    block = _large_block(i)
+    ht4, dim = block.system.ht4, len(block.system._hvals2)
+    moved = [j for j in range(dim) if any(w.img[j] != j + 1 for w in block.elements)]
+    summands = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        vals = dict(zip(moved, data.draw(st.lists(st.sampled_from([-2, 0, 2]), min_size=len(moved), max_size=len(moved)))))
+        summands.append((data.draw(st.integers(-2, 2)), tuple(vals.get(j, 0) for j in range(dim))))
+    want = {}
+    for c, coords2 in summands:
+        for x, k in _large_reference(i, coords2).items():
+            want[x] = want.get(x, 0) + c * k
+    want = {x: k for x, k in want.items() if k}
+    pairs = [(c, Weight(coords2, block.system.shape)) for c, coords2 in summands]
+    got = weyl_character(block, pairs)
+    heights = [ht4(x) for x in want] or [0]
+    assert got.terms == want and got.threshold4 is None and got.ceiling4 == max(heights)
+    cut4 = data.draw(st.integers(min(heights) - 8, max(heights) + 8))
+    got = weyl_character(block, pairs, cut4)
+    assert got.terms == {x: k for x, k in want.items() if ht4(x) >= cut4} and got.threshold4 == cut4
+
+
 def _reference_straighten(block, summands):
     """sum c ch(lam) in the basis of irreducibles, by brute force: each lam +
     rho orthogonal to no positive root of the block goes to its image of
@@ -645,14 +722,17 @@ def test_straighten_takes_each_summand_to_its_highest_image_with_its_sign(case):
 @given(case=_signed_sum(), data=st.data())
 def test_a_character_is_the_character_of_its_straightened_sum(case, data):
     # whole, and at a cut from a little below the lowest to a little above
-    # the highest term of the whole sum
+    # the highest term of the whole sum; given as pairs, and as the
+    # straightened series itself
     block, summands = case
-    pairs = [(c, mu) for mu, c in straighten(block, summands).terms.items()]
+    straightened = straighten(block, summands)
+    pairs = [(c, mu) for mu, c in straightened.terms.items()]
     full = weyl_character(block, summands)
     heights = [block.system.ht4(x) for x in full.terms] or [0]
     for cut4 in (None, data.draw(st.integers(min(heights) - 8, max(heights) + 8))):
-        got, want = weyl_character(block, summands, cut4), weyl_character(block, pairs, cut4)
-        assert (got.terms, got.threshold4, got.ceiling4) == (want.terms, want.threshold4, want.ceiling4)
+        got = weyl_character(block, summands, cut4)
+        for want in (weyl_character(block, pairs, cut4), weyl_character(block, straightened, cut4)):
+            assert (got.terms, got.threshold4, got.ceiling4) == (want.terms, want.threshold4, want.ceiling4)
 
 
 def test_the_l2_sums_of_d1_2_6_straighten_to_92_weights():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superdenom.weights import Weight, inner
-from superdenom import theta
+from superdenom import series, theta
 from superdenom.theta import make_pair, Block, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
 from superdenom.denominators import window4
 from superdenom.series import CharSeries
@@ -376,6 +376,36 @@ def _duality_mutants(pair):
         return [(-c, lam) for c, lam in out[:1]] + out[1:]
 
     return [("compact_character", _doubled(pair.compact_character)), ("l2_summands", negated)]
+
+
+def _division_mutants():
+    """Two deliberate faults in the division by A(rho), each a replacement
+    for ``series._denominator``: the first positive root of every block left
+    out, and the first root's key negated."""
+    honest = series._denominator
+
+    def dropped(block, bits):
+        rho, roots = honest(block, bits)
+        return rho, roots[1:]
+
+    def negated(block, bits):
+        rho, roots = honest(block, bits)
+        return rho, [-k for k in roots[:1]] + roots[1:]
+
+    return [dropped, negated]
+
+
+@pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("D2", dict(m=2, n=1)), ("GL", dict(n=2, p=1, q=1))])
+def test_duality_fails_under_each_division_mutant(monkeypatch, tag, kw):
+    # a root left out leaves an exact but wrong quotient, which the check
+    # reports; a negated key would walk its strings upward, and is refused
+    dropped, negated = _division_mutants()
+    monkeypatch.setattr(series, "_denominator", dropped)
+    rep = make_pair(tag, **kw).verify_duality(8)
+    assert not rep.passed and rep.first_mismatch is not None, (tag, kw)
+    monkeypatch.setattr(series, "_denominator", negated)
+    with pytest.raises(ValueError, match="non-positive height"):
+        make_pair(tag, **kw).verify_duality(8)
 
 
 # D1 with n < m, n = m and n > m
@@ -803,6 +833,42 @@ BLOCK_PAIRS = [
     ("D2'", dict(m=3, n=2)),
     ("GL", dict(n=2, p=1, q=2)),
 ]
+
+
+@pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("GL", dict(n=2, p=1, q=1))])
+def test_the_assembly_divides_each_levi_sum_as_it_was_straightened(monkeypatch, tag, kw):
+    # the table assembly straightens each entry's Levi sum once, for its
+    # top, and hands that series to the division, which does not straighten
+    # it again
+    pair = make_pair(tag, **kw)
+    honest, seen = theta.weyl_character, []
+
+    def spy(block, summands, cut4=None):
+        if block is pair.levi_block:
+            seen.append(isinstance(summands, CharSeries))
+        return honest(block, summands, cut4)
+
+    monkeypatch.setattr(theta, "weyl_character", spy)
+    assert pair.verify_duality(8).passed
+    assert seen and all(seen)
+
+
+def test_a_pair_builds_its_s2_group_only_when_it_is_read(monkeypatch):
+    # the duality and Enright checks read the s2 block's roots and rho, not
+    # its elements: D1(2,4)'s 384 are not enumerated until asked for
+    sizes, honest = [], theta.signed_permutations
+
+    def counted(*args, **kwargs):
+        out = honest(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(theta, "signed_permutations", counted)
+    pair = make_pair("D1", m=2, n=4)
+    assert pair.verify_duality(4).passed
+    assert all(pair.verify_enright(entry).passed for entry in pair.sigma_set(3))
+    assert 384 not in sizes
+    assert len(pair.s2_block.elements) == 384 and sizes[-1] == 384
 
 
 @pytest.mark.parametrize("tag,kw", BLOCK_PAIRS)
