@@ -121,8 +121,9 @@ def choose_expansion_system(system: PositiveSystem, exponents) -> PositiveSystem
     """The first of the ``_expansion_candidates`` whose expansion functional
     keeps every listed exponent well away from zero (at least an eighth of a
     height unit in absolute value): the given system itself when plain
-    principal height already does this."""
-    exponents = list(exponents)
+    principal height already does this.  Each distinct exponent is tested
+    once: the Weyl images of a sum's exponents repeat."""
+    exponents = list(dict.fromkeys(exponents))
     for cand in _expansion_candidates(system):
         floor = max(1, cand.unit4 // 8)
         if all(abs(cand.ht4(b)) >= floor for b in exponents):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .weights import Weight, is_isotropic, weight_sum
@@ -63,6 +63,8 @@ class RootDatum:
     even_roots: tuple[Weight, ...]
     odd_roots: tuple[Weight, ...]
     dual_coxeter_sign: str
+    # name -> group list, see weyl.full_weyl and weyl.sharp_subgroup
+    _groups: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -319,8 +321,9 @@ class PositiveSystem:
     seed, so the checks that pick the same perturbation share that system.
 
     A system also owns the memo of its left sides e^rho R and e^rho Ř
-    (``denominators.lhs``), so those series live exactly as long as the
-    system they belong to.
+    (``denominators.lhs``) and the key of each basis vector per digit width
+    (``series._unit_keys``), so they live exactly as long as the system
+    they belong to.
     """
 
     TIEBREAK_SCALE = 1024  # height multiplier accompanying a perturbation
@@ -374,6 +377,7 @@ class PositiveSystem:
         self.rho = self.rho0 - self.rho1
         self._tiebreaks: dict[int, PositiveSystem] = {}
         self._lhs: dict = {}  # (flavor, threshold4) -> CharSeries, see denominators.lhs
+        self._unit_keys: dict = {}  # digit width -> key of each basis vector, see series._unit_keys
 
     def with_tiebreak(self, seed: int) -> "PositiveSystem":
         """The system of the same order whose functional is perturbed by

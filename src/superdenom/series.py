@@ -27,10 +27,16 @@ loop stops at the first term below the window.  ``Weight`` stays at the boundary
 ``{Weight: c}``, and ``terms``, ``coeff``, ``support_sorted``, ``to_json``,
 ``repr`` and the weights ``mismatches`` returns unpack keys as they go.
 
-A key is linear in the doubled coordinates, height digit included, so the
-key of a Weyl image w(x) is key(x) plus the dot product of x's moved
-coordinates with a row of w, which a block builds once per digit width
-(``_image_keys``).  The finite characters key every image this way.  A finite
+A key is linear in the doubled coordinates, height digit included: key(x)
+is the dot product of x with the keys of the basis vectors, which a system
+builds once per digit width (``_unit_keys``).  Every element w is a signed
+permutation, so the height and the key of a Weyl image w(x) are the dot
+products of x with the heights and the unit keys read off w's signed image
+(``_signed_row``), and no image is built as a ``Weight``.  The kernel keys
+each piece w(...) of a signed Weyl sum this way, and its digit bound is the
+un-acted weights' own, since w only permutes and signs coordinates; a block
+keys the images of the finite characters from rows it builds once per width
+(``_image_keys``), next to its integrality test.  A finite
 sum is straightened in one place, ``_basis`` (singular summands dropped, the
 rest tested for integrality, keyed by their dominant images and merged);
 ``straighten`` reads off its coefficients on irreducible characters, and
@@ -294,12 +300,10 @@ class HeightZeroExponent(ValueError):
     under the expansion functional, so that it has no expansion direction."""
 
 
-def _geometric_terms(beta: Weight, h: int, s: int, threshold4: int) -> list[tuple[int, int]]:
+def _geometric_terms(h: int, s: int, threshold4: int) -> list[tuple[int, int]]:
     """1/(1 - s e^{-beta}) expanded toward decreasing heights, complete on
     heights >= threshold4, as (k, coefficient) pairs for the terms
-    e^{k beta} in descending height; ``h`` is the height of beta."""
-    if h == 0:
-        raise HeightZeroExponent(f"cannot expand a geometric factor with height-zero exponent {beta}")
+    e^{k beta} in descending height; ``h`` is the height of beta, not 0."""
     out = []
     if h > 0:
         k = 0
@@ -340,6 +344,29 @@ def _unpacker(bits: int, dim: int):
     return unpack
 
 
+def _unit_keys(system: PositiveSystem, bits: int) -> tuple[int, ...]:
+    """key(b_i) at digit width ``bits`` for each coordinate i, b_i the weight
+    whose only doubled coordinate is a 1 at i, built once per (system,
+    width) and kept on the system.  A key is linear in the doubled
+    coordinates, so key(x) = sum_i x_i key(b_i)."""
+    units = system._unit_keys.get(bits)
+    if units is None:
+        hv = system._hvals2
+        dim = len(hv)
+        units = system._unit_keys[bits] = tuple(
+            _pack(tuple(int(i == j) for j in range(dim)), hv[i], bits) for i in range(dim)
+        )
+    return units
+
+
+def _signed_row(row, img: tuple[int, ...]) -> list[int]:
+    """The values ``row`` takes on the basis vectors, read off through the
+    signed image ``img`` of a Weyl element w: entry i is row's value on
+    w(b_i), +-row[slot of w(b_i)].  For a linear row (heights, keys), the
+    value on w(x) is the dot product of x's doubled coordinates with it."""
+    return [row[x - 1] if x > 0 else -row[-x - 1] for x in img]
+
+
 def product_expansion(
     system: PositiveSystem,
     threshold4: int,
@@ -347,50 +374,67 @@ def product_expansion(
     coeff: int = 1,
     geom: Iterable[tuple[Weight, int]] = (),
     poly: Iterable[tuple[Weight, int]] = (),
+    *,
+    w: WeylElement | None = None,
 ) -> CharSeries:
-    """coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta}),
-    complete on the window {ht >= threshold4}.
+    """w(coeff * e^leading * prod 1/(1-s e^{-beta}) * prod (1-s e^{-beta})),
+    complete on the window {ht >= threshold4}; w is a Weyl element, the
+    identity when omitted.
 
     The product runs on packed integer keys (Kronecker substitution); see the
-    module docstring.  Factors are multiplied in turn, and a partial product
-    keeps only the terms that the remaining factors' ceilings can still lift
-    into the window.
+    module docstring.  No image under w is built as a ``Weight``: the height
+    and the key of w(x) are the dot products of x's doubled coordinates with
+    the rows ``_signed_row`` reads off w's signed image, of the heights and
+    of the unit keys (``_unit_keys``).  w permutes the coordinates and their
+    signs, so the digit bound is read off the given weights themselves.
+    Factors are multiplied in turn, and a partial product keeps only the
+    terms that the remaining factors' ceilings can still lift into the
+    window.
     """
-    ht4 = system.ht4
-    geom = [(b, s, ht4(b)) for b, s in geom]
-    poly = [(b, s, ht4(b)) for b, s in poly]
+    hv = system._hvals2
+    if w is not None:
+        if w.shape != system.shape:
+            raise ValueError("shape mismatch")
+        hv = _signed_row(hv, w.img)
+    geom = [(b, s, sum(map(mul, b.coords2, hv))) for b, s in geom]
+    poly = [(b, s, sum(map(mul, b.coords2, hv))) for b, s in poly]
     g_ceil = [min(0, h) for _, _, h in geom]
     p_ceil = [max(0, -h) for _, _, h in poly]
-    h_lead = ht4(leading)
+    h_lead = sum(map(mul, leading.coords2, hv))
     total_ceiling = h_lead + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
         return CharSeries(system, {}, threshold4, total_ceiling)
 
     other = sum(g_ceil) + sum(p_ceil)
-    multiples = [
-        _geometric_terms(b, h, s, threshold4 - (h_lead + other - c))
-        for (b, s, h), c in zip(geom, g_ceil)
-    ]
+    multiples = []
+    for (b, s, h), c in zip(geom, g_ceil):
+        if h == 0:
+            beta = b if w is None else w.act(b)
+            raise HeightZeroExponent(f"cannot expand a geometric factor with height-zero exponent {beta}")
+        multiples.append(_geometric_terms(h, s, threshold4 - (h_lead + other - c)))
     # digit width: no coordinate of a partial product exceeds this bound
     bound = max(map(abs, leading.coords2))
     for (b, _, _), terms in zip(geom, multiples):
-        bound += max(abs(k) for k, _ in terms) * max(map(abs, b.coords2))
+        bound += abs(terms[-1][0]) * max(map(abs, b.coords2))  # |k| grows along the terms
     for b, _, _ in poly:
         bound += max(map(abs, b.coords2))
     out = CharSeries._trusted(system, {}, bound, threshold4, total_ceiling)
-    bits, shift = out.bits, out.bits * len(leading.coords2)
+    bits, shift = out.bits, out.bits * len(hv)
+    units = _unit_keys(system, bits)
+    if w is not None:
+        units = _signed_row(units, w.img)
 
     # each factor's (key, coefficient) terms in descending height
     factors: list[tuple[list[tuple[int, int]], int]] = []
-    for (b, _, h), terms, c in zip(geom, multiples, g_ceil):
-        kb = _pack(b.coords2, h, bits)
+    for (b, _, _), terms, c in zip(geom, multiples, g_ceil):
+        kb = sum(map(mul, b.coords2, units))
         factors.append(([(k * kb, ck) for k, ck in terms], c))
     for (b, s, h), c in zip(poly, p_ceil):
-        kb = _pack(b.coords2, h, bits)
+        kb = sum(map(mul, b.coords2, units))
         terms = [(0, 1), (-kb, -s)] if h >= 0 else [(-kb, -s), (0, 1)]
         factors.append((terms, c))
 
-    acc: dict[int, int] = {_pack(leading.coords2, h_lead, bits): coeff}
+    acc: dict[int, int] = {sum(map(mul, leading.coords2, units)): coeff}
     remaining = sum(c for _, c in factors)
     for fterms, c in factors:
         remaining -= c
@@ -434,6 +478,8 @@ def f_sum_quotient(
 ) -> CharSeries:
     """Signed sum over U of w(coeff e^leading / prod(1-s e^{-beta}) * prod(1-s e^{-b'})), with the
     largest piece ceiling as its ceiling (the zero series for an empty U); the sign is "sgn" or "sgn_prime".
+    Each piece is one ``product_expansion`` given its element w, which keys
+    the piece off w's signed image: no Weyl image is built as a ``Weight``.
 
     The pieces are summed by size-balanced merges, not into one accumulator:
     ``+`` copies its left operand, so a growing accumulator would be copied
@@ -453,10 +499,7 @@ def f_sum_quotient(
     stack: list[CharSeries] = []
     for w in U:
         s = sgn(w) if sign_kind == "sgn" else sgn_prime(w, fam)
-        piece = product_expansion(
-            system, threshold4, w.act(leading), coeff=s * coeff,
-            geom=[(w.act(b), sg) for b, sg in geom], poly=[(w.act(b), sg) for b, sg in poly],
-        )
+        piece = product_expansion(system, threshold4, leading, s * coeff, geom, poly, w=w)
         n = len(piece.packed)
         while stack and len(stack[-1].packed) <= 4 * n:
             top = stack.pop()
@@ -477,40 +520,44 @@ def f_sum_quotient(
 
 
 def _image_keys(block, bits: int):
-    """The function taking a weight x to the (key(w x), sgn(w)) pairs over
-    the block's elements at digit width ``bits``, which a block builds once
-    per width.  It reads, per element w, (row, sgn(w)): row[j] = key(w b_i)
-    - key(b_i) for the j-th coordinate i that some element moves, b_i the
-    weight whose only doubled coordinate is a 1 at i.  A key is linear in the
-    doubled coordinates, so key(w x) = key(x) + sum_j x_i row[j]."""
+    """The block's two per-width tables, which it builds once per width.
+
+    The first is the function taking a weight x to the (key(w x), sgn(w))
+    pairs over the block's elements at digit width ``bits``.  It reads, per
+    element w, (row, sgn(w)): row[j] = key(w b_i) - key(b_i) for the j-th
+    coordinate i that some element moves, key(w b_i) read off w's signed
+    image and the unit keys (``_signed_row``, ``_unit_keys``), as the kernel
+    reads them.  A key is linear in the doubled coordinates, so key(w x) =
+    key(x) + sum_j x_i row[j].
+
+    The second is the integrality test: whether 2 (x, a) / (a, a) is no
+    integer for some positive root a.  A block root lies on the eps or on
+    the delta coordinates, where the form is the dot product or its
+    negative, so the ratio is 2 x.a / a.a on doubled coordinates; each
+    root's a.a is computed here, not per test."""
     system, elements = block.system, block.elements
-    dim, ht4 = len(system._hvals2), system.ht4
-    unit = [_pack(tuple(int(i == j) for j in range(dim)), system._hvals2[i], bits) for i in range(dim)]
+    dim = len(system._hvals2)
+    unit = _unit_keys(system, bits)
     moved = [i for i in range(dim) if any(w.img[i] != i + 1 for w in elements)]
-    rows = [
-        (tuple((unit[w.img[i] - 1] if w.img[i] > 0 else -unit[-w.img[i] - 1]) - unit[i] for i in moved), sgn(w))
-        for w in elements
-    ]
+    rows = []
+    for w in elements:
+        row = _signed_row(unit, w.img)
+        rows.append((tuple([row[i] - unit[i] for i in moved]), sgn(w)))
+    norms = [(a.coords2, sum(map(mul, a.coords2, a.coords2))) for a in block.positive]
 
     def images(x: Weight):
-        k0, xs = _pack(x.coords2, ht4(x), bits), [x.coords2[i] for i in moved]
+        k0, xs = sum(map(mul, x.coords2, unit)), [x.coords2[i] for i in moved]
         return ((k0 + sum(map(mul, xs, row)), s) for row, s in rows)
 
-    return images
+    def not_integral(x: Weight) -> bool:
+        return any(2 * sum(map(mul, x.coords2, a)) % norm for a, norm in norms)
+
+    return images, not_integral
 
 
 def _height(key: int, shift: int) -> int:
     """The height digit of a key whose height digit sits at bit ``shift``."""
     return (key + (1 << (shift - 1))) >> shift
-
-
-def _not_integral(x: Weight, roots: list[Weight]) -> bool:
-    """Whether 2 (x, a) / (a, a) is no integer for some root a; 4 (x, a) is
-    the dot product of x's doubled coordinates, the deltas' negated, with a's."""
-    m = x.shape[0]
-    signed = lambda w: w.coords2[:m] + tuple([-c for c in w.coords2[m:]])
-    xs = signed(x)
-    return any((2 * sum(map(mul, xs, a.coords2))) % sum(map(mul, signed(a), a.coords2)) for a in roots)
 
 
 def _basis(block, tops: list[tuple[int, Weight]], bits: int) -> dict[int, dict[int, int]]:
@@ -521,13 +568,13 @@ def _basis(block, tops: list[tuple[int, Weight]], bits: int) -> dict[int, dict[i
     An x with two images on one key is singular, A(x) = 0, and dropped; any
     other is tested for integrality, the one test (ValueError), and led by its
     highest image, the dominant one, with that image's sign; leads merge."""
-    images, size = block.at_width(_image_keys, bits), len(block.elements)
+    (images, not_integral), size = block.at_width(_image_keys, bits), len(block.elements)
     leads: dict[int, list] = {}
     for c, x in tops:
         alt = dict(images(x))
         if len(alt) < size:
             continue
-        if _not_integral(x, block.positive):
+        if not_integral(x):
             raise ValueError(f"{x - block.rho} is not integral for the block")
         lead = max(alt)
         merged = leads.setdefault(lead, [0, alt])
@@ -566,7 +613,7 @@ def _straightened(block, summands, threshold4: int | None):
     if isinstance(summands, CharSeries):
         out = CharSeries._trusted(block.system, {}, summands.bound, threshold4, 0)
         rho, roots = block.at_width(_denominator, out.bits)
-        images, basis = block.at_width(_image_keys, out.bits), {}
+        (images, _), basis = block.at_width(_image_keys, out.bits), {}
         for (mu, c), key in zip(summands._unpacked(), summands.packed):
             basis[key + rho] = {k: c * s for k, s in images(mu + block.rho)}
         return out, rho, roots, basis

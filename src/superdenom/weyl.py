@@ -181,8 +181,9 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
 def product_set(*factors: list[WeylElement]) -> list[WeylElement]:
     """Element list of a product of sets, keeping multiplicity-free order.
 
-    Raises if the products collide, so the result really enumerates each
-    element of the product exactly once.
+    Every caller's factors have distinct products by construction, so
+    products that collide are an internal fault (AssertionError); the result
+    enumerates each element of the product exactly once.
     """
     acc = None
     for f in factors:
@@ -195,7 +196,7 @@ def product_set(*factors: list[WeylElement]) -> list[WeylElement]:
             for b in f:
                 x = a.compose(b)
                 if x in seen:
-                    raise ValueError("product set has duplicates")
+                    raise AssertionError("product set has duplicates")
                 seen.add(x)
                 nxt.append(x)
         acc = nxt
@@ -207,9 +208,15 @@ def product_set(*factors: list[WeylElement]) -> list[WeylElement]:
 
 
 def full_weyl(datum: RootDatum) -> list[WeylElement]:
-    """W_g, generated by the reflections in the even roots."""
-    gens = [reflection(a) for a in datum.even_roots]
-    return enumerate_closure(gens, datum.shape)
+    """W_g, generated by the reflections in the even roots.  It is searched
+    on the first call for a datum and kept on the datum, so every order,
+    diagram and tiebreak system of one rank reads the same list; no caller
+    may change it."""
+    group = datum._groups.get("full")
+    if group is None:
+        gens = [reflection(a) for a in datum.even_roots]
+        group = datum._groups["full"] = enumerate_closure(gens, datum.shape)
+    return group
 
 
 def weyl_order(datum: RootDatum) -> int:
@@ -219,11 +226,17 @@ def weyl_order(datum: RootDatum) -> int:
 
 
 def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
-    """W#, the Weyl group of the even block singled out by the sign of h_vee."""
-    eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
-    on_eps = datum.dual_coxeter_sign == EPS_BLOCK
-    kind, block, size = ("e", eps_type, datum.m) if on_eps else ("d", delta_type, datum.n)
-    return signed_permutations(datum.shape, kind, range(1, size + 1), flips=block_weyl(block, size)[0])
+    """W#, the Weyl group of the even block singled out by the sign of h_vee.
+    Like ``full_weyl``, it is listed on the first call for a datum and kept
+    on the datum; no caller may change it."""
+    group = datum._groups.get("sharp")
+    if group is None:
+        eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
+        on_eps = datum.dual_coxeter_sign == EPS_BLOCK
+        kind, block, size = ("e", eps_type, datum.m) if on_eps else ("d", delta_type, datum.n)
+        flips = block_weyl(block, size)[0]
+        group = datum._groups["sharp"] = signed_permutations(datum.shape, kind, range(1, size + 1), flips=flips)
+    return group
 
 
 def signed_permutations(
@@ -263,7 +276,9 @@ def coset_reps(big: list[WeylElement], small: list[WeylElement], left: bool = Fa
     """One representative per coset w*small (small*w when left) inside big.
 
     The representative is the sort_key-least element of its coset, and the
-    result is sorted by sort_key; requires big to be a union of such cosets.
+    result is sorted by sort_key.  big must be a union of such cosets; every
+    caller passes a group and a subgroup, so one that is not is an internal
+    fault (AssertionError).
     """
     small = list(small)
     covered: set[WeylElement] = set()
@@ -275,5 +290,5 @@ def coset_reps(big: list[WeylElement], small: list[WeylElement], left: bool = Fa
         covered.update(coset)
         reps.append(min(coset, key=WeylElement.sort_key))
     if len(reps) * len(small) != len(set(big)):
-        raise ValueError("the big set is not a union of cosets of the small group")
+        raise AssertionError("the big set is not a union of cosets of the small group")
     return sorted(reps, key=WeylElement.sort_key)

@@ -101,9 +101,10 @@ def test_removed_helpers_are_gone():
     assert not hasattr(weyl, "_max_group") and not hasattr(weyl, "MAX_GROUP_ENV")
 
 
-def _calls_by_function(name: str) -> set[str]:
+def _calls_by_function(name: str, keyword: str | None = None) -> set[str]:
     """``module.function`` for every call in the package to a function or
-    method called ``name``, by the innermost function it is made in."""
+    method called ``name``, by the innermost function it is made in; with
+    ``keyword``, only the calls that pass that keyword argument."""
     out = set()
     for path in pathlib.Path(superdenom.__file__).parent.glob("*.py"):
 
@@ -113,7 +114,7 @@ def _calls_by_function(name: str) -> set[str]:
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
+                if called == name and (keyword is None or any(k.arg == keyword for k in node.keywords)):
                     out.add(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
@@ -239,6 +240,16 @@ def test_every_identity_side_is_a_weyl_sum_record():
     }
     assert not hasattr(kw, "f_sum_quotient") and not hasattr(kw, "product_expansion")
     assert not hasattr(series.CharSeries, "one_minus_exp")
+
+
+def test_only_the_weyl_sum_expands_an_image():
+    # product_expansion keys w(x) off the element w it is given; the signed
+    # Weyl sum is the only caller that passes one (by name: it is keyword-only)
+    from superdenom import series
+
+    assert _calls_by_function("product_expansion", keyword="w") == {"series.f_sum_quotient"}
+    w = inspect.signature(series.product_expansion).parameters["w"]
+    assert w.kind is inspect.Parameter.KEYWORD_ONLY and w.default is None
 
 
 def _attribute_readers(attr: str) -> set[str]:

@@ -283,6 +283,45 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert captured.err.splitlines() == ["internal error: group enumeration exceeded bound 3"]
 
 
+def _migliore_b11(capsys):
+    code = main(["verify", "--identity", "migliore", "--family", "b", "--m", "1", "--n", "1", "--depth", "3"])
+    return code, capsys.readouterr()
+
+
+def test_colliding_group_products_exit_3(capsys, monkeypatch):
+    # W_B' is the product of its blocks' groups; a block listed twice makes
+    # its products collide, a defect of the program, not bad input
+    listing = denominators.signed_permutations
+    monkeypatch.setattr(denominators, "signed_permutations", lambda *a, **kw: 2 * listing(*a, **kw))
+    code, captured = _migliore_b11(capsys)
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: product set has duplicates"]
+
+
+def test_a_group_that_is_no_union_of_cosets_exits_3(capsys, monkeypatch):
+    # W_0 reads one representative per coset of W_B' in W_g; a W_g missing an
+    # element is a defect of the program, not bad input
+    full = denominators.full_weyl
+    monkeypatch.setattr(denominators, "full_weyl", lambda datum: full(datum)[:-1])
+    code, captured = _migliore_b11(capsys)
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: the big set is not a union of cosets of the small group"]
+
+
+def test_verify_over_every_order_searches_the_full_group_once(capsys, monkeypatch):
+    # every order, diagram and perturbed system of the rank shares one datum
+    searched, closure = [], weyl.enumerate_closure
+    monkeypatch.setattr(weyl, "enumerate_closure", lambda gens, shape: searched.append(shape) or closure(gens, shape))
+    code, out = run(
+        capsys, "verify", "--identity", "princ-sd", "--family", "d",
+        "--m", "2", "--n", "2", "--orders", "all", "--depth", "3",
+    )
+    assert code == 0 and len(json.loads(out)["checks"]) > 1
+    assert searched == [(2, 2)]
+
+
 def test_any_other_escaping_exception_exits_3(capsys, monkeypatch):
     # a defect, such as a TypeError, must not read as a failed identity
     import superdenom.cli as cli

@@ -756,6 +756,32 @@ def test_odd_reflection_fails_with_alpha_kept():
     assert checks == red == 36
 
 
+@pytest.mark.parametrize("fam,m,n", [("B", 1, 2), ("D", 2, 2)])
+def test_weyl_sums_build_no_weyl_image(monkeypatch, fam, m, n):
+    # the kernel keys each piece off its element's signed image: with
+    # WeylElement.act raising inside WeylSum.expand, both sides still expand
+    expand, expanded = WeylSum.expand, []
+
+    def no_image(self, x):
+        raise AssertionError("a Weyl image was built as a Weight")
+
+    def expand_without_images(self, system, threshold4):
+        expanded.append(len(self.group))
+        with monkeypatch.context() as patch:
+            patch.setattr(WeylElement, "act", no_image)
+            return expand(self, system, threshold4)
+
+    monkeypatch.setattr(WeylSum, "expand", expand_without_images)
+    datum = build_root_datum(fam, m, n)
+    checked = 0
+    for order in all_basis_orders(fam, m, n):
+        system = positive_system(datum, order)
+        for X in enumerate_diagrams(system):
+            assert verify("princ-sd", system, X=X, depth=6).passed
+            checked += 1
+    assert checked > 1 and expanded.count(len(full_weyl(datum))) == checked
+
+
 def test_one_element_record_is_the_product_expansion():
     # a one-element Weyl sum keeps the kernel's exact ceiling, negative ones
     # included, and an empty group gives the zero series on the window

@@ -465,11 +465,12 @@ _KERNEL_SYSTEMS = [("GL", 2, 1), ("GL", 1, 2), ("B", 1, 1), ("C", 2, 1)]
 
 
 @st.composite
-def _kernel_case(draw):
-    """A system (perturbed or not), a leading weight whose coordinates may
-    reach 2^19 or beyond, and geometric and finite factors whose exponents
-    are signed sums of roots, so of either height sign or of height zero."""
-    fam, m, n = draw(st.sampled_from(_KERNEL_SYSTEMS))
+def _kernel_case(draw, systems=_KERNEL_SYSTEMS):
+    """A system (perturbed or not) of one of the ranks ``systems``, a leading
+    weight whose coordinates may reach 2^19 or beyond, and geometric and
+    finite factors whose exponents are signed sums of roots, so of either
+    height sign or of height zero."""
+    fam, m, n = draw(st.sampled_from(systems))
     order = draw(st.sampled_from(all_basis_orders(fam, m, n)))
     system = positive_system(build_root_datum(fam, m, n), order)
     tiebreak = draw(st.sampled_from([0, 0, 1, 7]))
@@ -518,6 +519,52 @@ def test_product_expansion_matches_reference(case):
     assert got.ceiling4 == want.ceiling4
     assert all(c != 0 for c in got.terms.values())
     assert all(T <= system.ht4(w) <= got.ceiling4 for w in got.terms)
+
+
+_IMAGE_SYSTEMS = (("GL", 2, 1), ("B", 1, 1), ("C", 2, 1), ("D", 2, 1), ("D", 1, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_kernel_case(systems=_IMAGE_SYSTEMS), pick=st.integers(0, 10 ** 6))
+def test_product_expansion_of_an_image_equals_the_expansion_of_the_acted_weights(case, pick):
+    # the kernel keys w(x) off w's signed image; acting on every weight first
+    # must give the same keys, width, window and ceiling, or the same error
+    system, T, lead, coeff, geom, poly = case
+    W = full_weyl(system.datum)
+    w = W[pick % len(W)]
+    T += system.ht4(w.act(lead)) - system.ht4(lead)  # the same depth below the image's top
+    acted_geom = [(w.act(b), s) for b, s in geom]
+    acted_poly = [(w.act(b), s) for b, s in poly]
+    depth = -(-(system.ht4(w.act(lead)) - T) // system.unit4)
+    for b, _ in acted_geom:
+        h = abs(system.ht4(b))
+        assume(h == 0 or depth * system.unit4 // h <= 24)
+    try:
+        want = product_expansion(system, T, w.act(lead), coeff, acted_geom, acted_poly)
+    except HeightZeroExponent as exc:
+        with pytest.raises(HeightZeroExponent) as info:
+            product_expansion(system, T, lead, coeff, geom, poly, w=w)
+        assert str(info.value) == str(exc)
+        return
+    got = product_expansion(system, T, lead, coeff, geom, poly, w=w)
+    assert got.packed == want.packed
+    assert (got.bits, got.bound, got.threshold4, got.ceiling4) == (want.bits, want.bound, want.threshold4, want.ceiling4)
+
+
+def test_a_factor_whose_image_has_height_zero_names_the_image():
+    # on e1 > d1 > e2 of gl(2,1), e2 has height 0 and e1 does not: the
+    # swap of e1 and e2 moves the exponent e1 onto height zero
+    system = positive_system(build_root_datum("GL", 2, 1), standard_order("GL", 2, 1, "ede"))
+    e1 = Weight.eps(1, system.shape)
+    [swap] = [w for w in full_weyl(system.datum) if not w.is_identity()]
+    T = window4(system, 2)
+    assert product_expansion(system, T, system.rho, geom=[(e1, 1)]).packed
+    message = "cannot expand a geometric factor with height-zero exponent e2"
+    with pytest.raises(HeightZeroExponent) as acted:
+        product_expansion(system, T, swap.act(system.rho), geom=[(swap.act(e1), 1)])
+    with pytest.raises(HeightZeroExponent) as keyed:
+        product_expansion(system, T, system.rho, geom=[(e1, 1)], w=swap)
+    assert str(acted.value) == str(keyed.value) == message
 
 
 # -- packed character division against the Weight-keyed reference loop --------

@@ -22,7 +22,7 @@ from superdenom.weyl import (
     enumerate_closure,
 )
 from superdenom.series import CharSeries
-from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups
+from superdenom.denominators import compare, lhs, window4, c_g, migliore_groups, verify
 
 from _oracles import (
     ReferenceElement,
@@ -309,10 +309,12 @@ def test_coset_reps_trivial_and_nested():
 
 
 def test_coset_reps_rejects_a_set_that_is_not_a_union_of_cosets():
+    # every caller passes a group and a subgroup, so this is an internal
+    # fault (the CLI exits 3), not bad input (exit 2)
     sh = (3, 1)
     a3 = signed_permutations(sh, "e", [1, 2, 3])
     a2 = signed_permutations(sh, "e", [1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="not a union of cosets"):
         coset_reps(a3[:-1], a2)
 
 
@@ -354,6 +356,56 @@ def test_product_factorization_no_duplicates():
     )
     assert len(prod) == 2 * 2 * 2
     assert len({p.sort_key() for p in prod}) == len(prod)
+
+
+def test_colliding_products_are_an_internal_fault():
+    # every caller multiplies factors whose products are distinct, so a
+    # collision is a defect (the CLI exits 3), not bad input (exit 2)
+    a2 = signed_permutations((3, 1), "e", [1, 2])
+    with pytest.raises(AssertionError, match="product set has duplicates"):
+        product_set(a2, a2)
+
+
+# -- W_g and W# are built once per datum ----------------------------------------
+
+_SWEEP_KINDS = ("princ-d", "princ-sd", "mm-d", "mm-sd", "kwg-d", "kwg-sd", "migliore")
+
+
+def _sweep(datum, depth=2):
+    """Every identity kind of the rank on every order and diagram, each
+    system built on ``datum``, as ``verify --orders all`` builds them."""
+    reports = []
+    for order in all_basis_orders(datum.family, datum.m, datum.n):
+        system = positive_system(datum, order)
+        for X in enumerate_diagrams(system):
+            for kind in _SWEEP_KINDS:
+                if not kind.startswith("kwg") or X.is_simple():
+                    reports.append(verify(kind, system, X=X, depth=depth))
+    return reports
+
+
+@pytest.mark.parametrize("fam,m,n", [("GL", 2, 2), ("B", 1, 2), ("D", 2, 2)])
+def test_every_order_and_diagram_of_a_rank_searches_its_group_once(monkeypatch, fam, m, n):
+    orders = _check_closures(monkeypatch, weyl)
+    datum = build_root_datum(fam, m, n)
+    reports = _sweep(datum)
+    assert reports and all(rep.passed for rep in reports)
+    assert orders == [weyl_order(datum)]
+    # a perturbed system shares its datum, and so its groups
+    perturbed = positive_system(datum, all_basis_orders(fam, m, n)[0]).with_tiebreak(5)
+    assert full_weyl(perturbed.datum) is full_weyl(datum)
+    assert sharp_subgroup(perturbed.datum) is sharp_subgroup(datum)
+    assert orders == [weyl_order(datum)]
+
+
+@pytest.mark.parametrize("fam,m,n", [("GL", 2, 2), ("B", 1, 2), ("D", 2, 2)])
+def test_no_check_changes_the_shared_groups(fam, m, n):
+    datum = build_root_datum(fam, m, n)
+    _sweep(datum)
+    fresh = build_root_datum(fam, m, n)
+    assert fresh == datum and fresh._groups == {}
+    assert full_weyl(datum) == full_weyl(fresh)
+    assert sharp_subgroup(datum) == sharp_subgroup(fresh)
 
 
 def test_sharp_subgroup_index_matches_cg():
