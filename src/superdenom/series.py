@@ -44,8 +44,7 @@ rest tested for integrality, keyed by their dominant images and merged);
 by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one positive root at a time:
 dividing by 1 - e^{-a} walks each a-string of keys top down with a running
 sum, so the division costs about |positive roots| times the size of the
-partial quotients, where a long division by A(rho) cost |W| updates and a
-rescan of the remainder per quotient term.  The quotient at a key reads only
+partial quotients.  The quotient at a key reads only
 keys at or above it, so with a cut every partial quotient stops at the cut
 (shifted by key(rho)).
 
@@ -67,9 +66,6 @@ from typing import Iterable
 from .weights import Weight
 from .rootdata import PositiveSystem
 from .weyl import WeylElement, sgn, sgn_prime
-
-NEG_INF = None  # threshold value meaning "exact everywhere"
-
 
 class CharSeries:
     """A truncated series over a system: its nonzero terms inside the window
@@ -110,7 +106,7 @@ class CharSeries:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(system: PositiveSystem, threshold4: int | None = NEG_INF) -> "CharSeries":
+    def zero(system: PositiveSystem, threshold4: int | None) -> "CharSeries":
         return CharSeries(system, {}, threshold4, 0)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -597,26 +593,14 @@ def _denominator(block, bits: int) -> tuple[int, list[int]]:
     return rho, [_pack(a.coords2, block.system.ht4(a), bits) for a in block.positive]
 
 
-def _straightened(block, summands, threshold4: int | None):
+def _straightened(block, summands: Iterable[tuple[int, Weight]], threshold4: int | None):
     """An empty series, threshold ``threshold4``, whose digits hold max
     |x|_inf + 3 |rho|_inf over the x = lam + rho of the (c, lam) pairs
     ``summands``; the block's ``_denominator``; the pairs' ``_basis``.  The
     bound holds every key of their division: each partial quotient lies on
     root strings between weights of the straightened alternants (within max
     |x|), a key one root above one of its weights within 2 |rho| more, and
-    the quotient, shifted by -rho, within |rho| more.
-
-    ``summands`` may instead be the series that ``straighten`` made of a sum
-    on this block: its terms c_mu e^mu are already tested and merged, so it
-    keeps its width, and each term's alternant c_mu A(mu + rho), led by
-    key(mu) + key(rho), is built with no second straightening."""
-    if isinstance(summands, CharSeries):
-        out = CharSeries._trusted(block.system, {}, summands.bound, threshold4, 0)
-        rho, roots = block.at_width(_denominator, out.bits)
-        (images, _), basis = block.at_width(_image_keys, out.bits), {}
-        for (mu, c), key in zip(summands._unpacked(), summands.packed):
-            basis[key + rho] = {k: c * s for k, s in images(mu + block.rho)}
-        return out, rho, roots, basis
+    the quotient, shifted by -rho, within |rho| more."""
     tops = [(c, lam + block.rho) for c, lam in summands]
     bound = max((max(map(abs, x.coords2)) for _, x in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
     out = CharSeries._trusted(block.system, {}, bound, threshold4, 0)
@@ -664,20 +648,17 @@ def _string_quotient(numer: dict[int, int], root: int, stop: int | None) -> dict
     return out
 
 
-def weyl_character(
-    block, summands: Iterable[tuple[int, Weight]] | CharSeries, cut4: int | None = None
-) -> CharSeries:
-    """Exact sum c ch(lam) over the (c, lam) pairs of ``summands``, or over
-    the terms c_mu e^mu of their ``straighten`` series, by the
-    Weyl formula for a block subsystem: the straightened alternants c_mu
-    A(mu + rho) (``_basis``, which tests integrality) are summed into one
-    numerator and divided by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}) one
-    positive root at a time (``_string_quotient``), then shifted by -rho.
-    Each root costs one pass over the partial quotient, so the division
-    costs about |positive roots| times its size.  ``block`` gives its
-    ``system``, its ``positive`` roots, their half sum ``rho``, and
-    ``at_width``, which builds its image keys and root keys once per width
-    (``theta.Block``).
+def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | None = None) -> CharSeries:
+    """Exact sum c ch(lam) over the (c, lam) pairs of ``summands`` by the
+    Weyl formula for a block subsystem: the pairs are straightened once,
+    here (``_basis``, which tests integrality), their alternants c_mu
+    A(mu + rho) are summed into one numerator, and that is divided by
+    A(rho) = e^rho prod_{a > 0} (1 - e^{-a}) one positive root at a time
+    (``_string_quotient``), then shifted by -rho.  Each root costs one pass
+    over the partial quotient, so the division costs about |positive roots|
+    times its size.  ``block`` gives its ``system``, its ``positive`` roots,
+    their half sum ``rho``, and ``at_width``, which builds its image keys and
+    root keys once per width (``theta.Block``).
 
     The division runs on packed keys (see the module docstring): no image
     is built as a ``Weight``.  Keys break height ties on the last

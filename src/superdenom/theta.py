@@ -16,29 +16,31 @@ characters for the noncompact side, and checks the branching identity
 
 coefficient-exactly on a window.  Every L^2 character is a finite sum of
 Levi characters times one tail prod 1/(1 - e^{-beta}) over the nilradical.
-Every finite sum (L^2, Enright, compact, D1's x) is one ``Block.character``
-call on its signed weights.  The L^2 summands, Weyl images of one integral
-weight, go to it unsorted: the block straightens each, with its sign, and
-drops a singular one (rho_2 - rho_Levi, half the nilradical's roots, is
+Every finite sum (L^2, Enright, compact, D1's x) is one ``weyl_character``
+call on its block and its signed weights, which straightens the summands
+once, inside the division.  The L^2 summands, Weyl images of one integral
+weight, go to it unsorted: it straightens each, with its sign, and drops a
+singular one (rho_2 - rho_Levi, half the nilradical's roots, is
 Levi-invariant).  The sum comes by two routes, each a list of (c, lam)
 summands per entry: the signed flip sum (``l2_summands``) and Enright's
 minimal coset representatives, read off the Enright group's length table
 (``enright_summands``).  The tail is invertible and irreducible characters
 are linearly independent, so ``verify_enright`` compares the two finite
-sums in the basis of irreducible Levi characters (``Block.straighten``),
-with no division and no window.
+sums in the basis of irreducible Levi characters (``straighten``), with no
+division and no window.
 
 Elsewhere in this module a finite sum is read only on a window, and its
-division stops there (``Block.character(summands, cut4)``).  The table
-assembly (``_assembled``) goes entry by entry: it reads the top of the Levi
-sum off its straightened series, skips the entry when that is zero, divides
-each finite factor (the compact character, or D1's x character) down to the
-window's threshold T less that top, skips the entry when no finite term is
-left there, and divides that straightened series once (it is not
-straightened again), down to T less the highest ceiling of the finite
-factors.  Each duality check asserts that both series
-it compares hold the whole window, so a cut set too high raises rather than
-passing on fewer coefficients.
+division stops there (``weyl_character(block, summands, cut4)``).  The
+table assembly (``_assembled``) goes entry by entry.  The entry's compact
+weight tops every finite factor (the compact character, D1's s_{eps_m}
+twin, whose eps_m has principal height 0, and D1's x character), so the
+Levi sum is divided down to the window's threshold T less that top, and
+the entry is skipped when nothing is left there.  Each finite factor is
+divided down to T less the Levi sum's ceiling and skipped when empty, and
+a factor that tops above the compact weight raises AssertionError, since
+the Levi sum's cut would then be too high.  Each duality check asserts that
+both series it compares hold the whole window, so a cut set too high
+raises rather than passing on fewer coefficients.
 
 Both routes, the table assembly, the duality check and the construction of
 every pair are written once on ``DualPair``.  A pair declares its ``tag``
@@ -177,16 +179,6 @@ class Block:
             self._widths[build, bits] = build(self, bits)
         return self._widths[build, bits]
 
-    def character(self, summands, cut4: int | None = None) -> CharSeries:
-        """sum c ch(lam) over the (c, lam) pairs of a finite sum, or over the
-        terms of its ``straighten`` series, exact, or complete on {ht4 >=
-        cut4} with a cut."""
-        return weyl_character(self, summands, cut4)
-
-    def straighten(self, summands) -> CharSeries:
-        """A finite sum's coefficients c_mu e^mu on the irreducible ch(mu)."""
-        return straighten(self, summands)
-
 
 @dataclass
 class ThetaEntry:
@@ -311,10 +303,10 @@ class DualPair:
 
     def l2_character(self, entry: ThetaEntry, depth_or_threshold, depth: bool = True) -> CharSeries:
         T = self._window(depth_or_threshold) if depth else depth_or_threshold
-        return self._with_tail(self.levi_block.character(self.l2_summands(entry), T), T)
+        return self._with_tail(weyl_character(self.levi_block, self.l2_summands(entry), T), T)
 
     def compact_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
-        return self.compact_block.character([(1, entry.compact_weight)], cut4)
+        return weyl_character(self.compact_block, [(1, entry.compact_weight)], cut4)
 
     # -- Enright route -------------------------------------------------------
 
@@ -367,7 +359,7 @@ class DualPair:
 
     def enright_character(self, entry: ThetaEntry, depth: int) -> CharSeries:
         T = self._window(depth)
-        return self._with_tail(self.levi_block.character(self.enright_summands(entry), T), T)
+        return self._with_tail(weyl_character(self.levi_block, self.enright_summands(entry), T), T)
 
     def verify_enright(self, entry: ThetaEntry) -> IdentityReport:
         """Enright's formula for one entry as an identity of finite Levi sums,
@@ -375,7 +367,7 @@ class DualPair:
         division: the tail is invertible, so equality here is equality on
         every window, and the report carries no depth."""
         levi = self.levi_block
-        left, right = levi.straighten(self.l2_summands(entry)), levi.straighten(self.enright_summands(entry))
+        left, right = straighten(levi, self.l2_summands(entry)), straighten(levi, self.enright_summands(entry))
         subset = f"a={entry.partition} sign={entry.sign}"
         return compare(f"theta-{self.tag}-enright", repr(self.system), subset, None, left, right)
 
@@ -385,19 +377,22 @@ class DualPair:
         """Per finite, the sum over the table of finite(entry, cut4) x
         L^2(entry) on the window {ht4 >= T} of depth `depth` below
         e^{-rho_1}: finite x Levi sum, summed and times one tail, each
-        division cut as the module docstring says."""
+        division cut as the module docstring says.  The Levi sum is cut for
+        factors no higher than the entry's compact weight; a higher one
+        would need Levi terms below that cut (AssertionError)."""
         T = self._window(depth)
         accs = [CharSeries.zero(self.system, T) for _ in finites]
         for entry in self.sigma_set(depth):
-            straightened = self.levi_block.straighten(self.l2_summands(entry))
-            if straightened.is_zero_on_window():
+            top = self.system.ht4(entry.compact_weight)
+            levi = weyl_character(self.levi_block, self.l2_summands(entry), T - top)
+            if levi.is_zero_on_window():
                 continue
-            fins = [(k, finite(entry, T - straightened.ceiling4)) for k, finite in enumerate(finites)]
-            fins = [(k, fin) for k, fin in fins if not fin.is_zero_on_window()]
-            if not fins:
-                continue
-            levi = self.levi_block.character(straightened, T - max(fin.ceiling4 for _, fin in fins))
-            for k, fin in fins:
+            for k, finite in enumerate(finites):
+                fin = finite(entry, T - levi.ceiling4)
+                if fin.is_zero_on_window():
+                    continue
+                if fin.ceiling4 > top:
+                    raise AssertionError(f"a finite factor of {entry.partition} tops {fin.ceiling4}, above {top}")
                 accs[k] = accs[k] + fin.truncate(T - levi.ceiling4) * levi.truncate(T - fin.ceiling4)
         return [self._with_tail(acc.tightened(), T) for acc in accs]
 
@@ -588,12 +583,12 @@ class D1Pair(SpPair):
         hw = entry.compact_weight
         twin = entry.sign == "+" and self.a_m(entry.partition) > 0
         flipped = [(1, reflection(2 * Weight.eps(self.m, self.system.shape)).act(hw))] if twin else []
-        return self.compact_block.character([(1, hw)] + flipped, cut4)
+        return weyl_character(self.compact_block, [(1, hw)] + flipped, cut4)
 
     def x_character(self, entry: ThetaEntry, cut4: int | None = None) -> CharSeries:
         """Kostant's character of F^{+-}(hw) on the x-component (a_m = 0)."""
         sign = 1 if entry.sign == "+" else -1
-        return self.x_block.character([] if self.a_m(entry.partition) > 0 else [(sign, entry.compact_weight)], cut4)
+        return weyl_character(self.x_block, [] if self.a_m(entry.partition) > 0 else [(sign, entry.compact_weight)], cut4)
 
     def oscillator_x_character(self, depth: int) -> CharSeries:
         """Trace of x t on the oscillator module: only the eps_m-paired

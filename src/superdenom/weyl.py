@@ -158,9 +158,6 @@ def enumerate_closure(generators: list[WeylElement], shape: tuple[int, int]) -> 
         if g.shape != (m, n):
             raise ValueError("shape mismatch")
         lookups.append([0, *g.img, *(-x for x in reversed(g.img))].__getitem__)
-    if not lookups:
-        # most Enright groups in theta are trivial; they need no search
-        return [WeylElement.identity((m, n))]
     ident = tuple(range(1, m + n + 1))
     seen = {ident}
     frontier = [ident]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from superdenom.denominators import compare, window4
 from superdenom.diagrams import ArcDiagram, interval_reflect, odd_reflect_diagram
 from superdenom.rootdata import DELTA_BLOCK, EPS_BLOCK, RootDatum
-from superdenom.series import CharSeries, product_expansion
+from superdenom.series import CharSeries, product_expansion, weyl_character
 from superdenom.theta import Block
 from superdenom.weights import Weight, inner, is_isotropic
 from superdenom.weyl import (
@@ -344,7 +344,7 @@ def _reference_v2_character(pair, lam, threshold4):
     """The parabolic Verma character ch_Levi(lam) x prod 1/(1 - e^{-beta})
     over the nilradical, with the tail expanded for this one summand."""
     sys_ = pair.system
-    fin = pair.levi_block.character([(1, lam)])
+    fin = weyl_character(pair.levi_block, [(1, lam)])
     tail = product_expansion(
         sys_, threshold4 - fin.ceiling4, Weight.zero(sys_.shape), geom=[(b, 1) for b in pair.nilradical]
     )
@@ -377,8 +377,8 @@ def reference_verify_enright(pair, entry):
     """``verify_enright`` by expansion: the flip sum and the Enright sum each
     divided in full as one Levi character, and the two compared coefficient
     for coefficient on every weight."""
-    character = pair.levi_block.character
-    left, right = character(pair.l2_summands(entry)), character(pair.enright_summands(entry))
+    levi = pair.levi_block
+    left, right = weyl_character(levi, pair.l2_summands(entry)), weyl_character(levi, pair.enright_summands(entry))
     subset = f"a={entry.partition} sign={entry.sign}"
     return compare(f"theta-{pair.tag}-enright", repr(pair.system), subset, None, left, right)
 

@@ -76,7 +76,10 @@ def test_removed_helpers_are_gone():
     assert not hasattr(theta, "_delta_line")
     assert not hasattr(theta.D2Pair, "_levi_elements")
     assert not hasattr(theta.DualPair, "v2_character")
-    # a finite sum is one Block.character call, and the Enright representatives
+    # theta calls weyl_character and straighten on a block directly
+    assert not hasattr(theta.Block, "character")
+    assert not hasattr(theta.Block, "straighten")
+    # a finite sum is one weyl_character call, and the Enright representatives
     # are read off the length table
     assert not hasattr(theta.DualPair, "_levi_sum")
     # each Theta route is one list of summands per entry, and each flip's
@@ -187,9 +190,9 @@ def test_every_function_is_read_or_kept_for_a_reason():
 
 
 def test_straighten_has_its_production_callers():
-    # the basis of irreducibles is read by the table assembly, for the top of
-    # each Levi sum, and by the Enright check, through Block.straighten
-    assert _calls_by_function("straighten") == {"theta.straighten", "theta._assembled", "theta.verify_enright"}
+    # the basis of irreducibles is read only by the Enright check: the table
+    # assembly straightens each Levi sum inside its division
+    assert _calls_by_function("straighten") == {"theta.verify_enright"}
 
 
 def test_verify_enright_divides_nothing(monkeypatch):

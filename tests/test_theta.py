@@ -11,7 +11,7 @@ from superdenom.weights import Weight, inner
 from superdenom import series, theta
 from superdenom.theta import make_pair, Block, BPair, D1Pair, D2Pair, GLPair, partitions_at_most, exact_parts
 from superdenom.denominators import window4
-from superdenom.series import CharSeries
+from superdenom.series import CharSeries, weyl_character
 from superdenom.weyl import enumerate_closure, reflection
 
 from _oracles import (
@@ -101,14 +101,14 @@ def test_pairs_read_off_their_orders_match_the_pair_by_pair_construction(monkeyp
         # sort finds x singular, nonzero where x is already sorted, and else the
         # sorted character times the sort's sign
         rng = random.Random(f"{tag}{sorted(kw.items())}")
-        rho2, character = pair.s2_block.rho, pair.levi_block.character
+        rho2, levi = pair.s2_block.rho, pair.levi_block
         for _ in range(20):
             x = rho2 + 2 * Weight([rng.randint(-2, 2) for _ in range(sum(sys_.shape))], sys_.shape)
-            got, res = character([(1, x - rho2)]), reference_sorted_in_block(pair, x)
+            got, res = weyl_character(levi, [(1, x - rho2)]), reference_sorted_in_block(pair, x)
             if res is None or res[0] == x:
                 assert got.is_zero_on_window() == (res is None), (tag, kw, x)
             else:
-                assert dict(got.terms) == dict(character([(res[1], res[0] - rho2)]).terms), (tag, kw, x)
+                assert dict(got.terms) == dict(weyl_character(levi, [(res[1], res[0] - rho2)]).terms), (tag, kw, x)
         for key in (k for size in range(4) for k in pair.table_keys(size)):
             assert pair.flip_set(key) == ref["flips"](key), (tag, kw, key)
 
@@ -215,7 +215,7 @@ def test_finite_character_singular_vanishes():
     pair = make_pair("GL", n=2, p=1, q=1)
     sh = pair.system.shape
     lam = pair._compact_shift() + w(sh, d2=1)  # (0, 1) on the deltas: singular
-    assert pair.compact_block.character([(1, lam)]).is_zero_on_window()
+    assert weyl_character(pair.compact_block, [(1, lam)]).is_zero_on_window()
 
 
 def test_dominance_of_tau_image():
@@ -836,21 +836,42 @@ BLOCK_PAIRS = [
 
 
 @pytest.mark.parametrize("tag,kw", [("B", dict(m=1, n=2)), ("GL", dict(n=2, p=1, q=1))])
-def test_the_assembly_divides_each_levi_sum_as_it_was_straightened(monkeypatch, tag, kw):
-    # the table assembly straightens each entry's Levi sum once, for its
-    # top, and hands that series to the division, which does not straighten
-    # it again
+def test_the_assembly_straightens_each_levi_sum_once(monkeypatch, tag, kw):
+    # the table assembly reads each entry's Levi sum through one division,
+    # which straightens it: no straighten call, and one _basis call on the
+    # Levi block per table entry (after a first walk, so that the block's
+    # denominator, which _basis also straightens, is built)
     pair = make_pair(tag, **kw)
-    honest, seen = theta.weyl_character, []
-
-    def spy(block, summands, cut4=None):
-        if block is pair.levi_block:
-            seen.append(isinstance(summands, CharSeries))
-        return honest(block, summands, cut4)
-
-    monkeypatch.setattr(theta, "weyl_character", spy)
     assert pair.verify_duality(8).passed
-    assert seen and all(seen)
+    honest, seen = series._basis, []
+
+    def spy(block, tops, bits):
+        if block is pair.levi_block:
+            seen.append(len(tops))
+        return honest(block, tops, bits)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("straighten called by the table assembly")
+
+    monkeypatch.setattr(series, "_basis", spy)
+    monkeypatch.setattr(theta, "straighten", refuse)
+    assert pair.verify_duality(8).passed
+    assert len(seen) == len(pair.sigma_set(8))
+
+
+def test_a_finite_factor_above_the_entry_top_raises(monkeypatch):
+    # a compact factor one compact root above the entry's compact weight
+    # tops above the Levi sum's cut: the assembly refuses it
+    pair = make_pair("B", m=1, n=2)
+    ht4 = pair.system.ht4
+    root = max(pair.compact_block.positive, key=ht4)
+
+    def raised(entry, cut4=None):
+        return weyl_character(pair.compact_block, [(1, entry.compact_weight + root)], cut4)
+
+    monkeypatch.setattr(pair, "compact_character", raised)
+    with pytest.raises(AssertionError, match="finite factor"):
+        pair.verify_duality(8)
 
 
 def test_a_pair_builds_its_s2_group_only_when_it_is_read(monkeypatch):

@@ -132,6 +132,11 @@ def test_closure_of_drawn_generators_equals_the_reference(case):
     assert enumerate_closure(generators, shape) == reference_closure(generators, shape)
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (1, 0), (2, 1), (3, 3)])
+def test_closure_of_no_generators_is_the_identity(shape):
+    assert enumerate_closure([], shape) == [WeylElement.identity(shape)]
+
+
 def test_closure_rejects_a_generator_of_another_shape():
     sh = (2, 1)
     s12 = reflection(Weight.eps(1, sh) - Weight.eps(2, sh))
