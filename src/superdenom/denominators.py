@@ -125,9 +125,15 @@ def choose_expansion_system(system: PositiveSystem, exponents) -> PositiveSystem
     once: the Weyl images of a sum's exponents repeat."""
     exponents = list(dict.fromkeys(exponents))
     for cand in _expansion_candidates(system):
-        floor = max(1, cand.unit4 // 8)
-        if all(abs(cand.ht4(b)) >= floor for b in exponents):
+        if _keeps_off_zero(cand, exponents):
             return cand
+
+
+def _keeps_off_zero(system: PositiveSystem, exponents) -> bool:
+    """Whether the system's functional keeps every exponent at least an
+    eighth of a height unit away from zero."""
+    floor = max(1, system.unit4 // 8)
+    return all(abs(system.ht4(b)) >= floor for b in exponents)
 
 
 def with_safe_expansion(system: PositiveSystem, compute):
@@ -326,8 +332,15 @@ def _seconda_group(kind: str, system: PositiveSystem) -> list[WeylElement]:
 
 def _separating_system(system: PositiveSystem, sums) -> PositiveSystem:
     """A system whose functional keeps every Weyl image of every denominator
-    exponent of the given sums off height zero (bracket exponents may cross
-    it; roots never do, so sums over roots keep the system as it is)."""
+    exponent of the given sums off height zero: ``choose_expansion_system``
+    on those images.  Bracket exponents may cross zero; roots never do.  So
+    when every exponent is a root and the system keeps all of the datum's
+    roots off zero (a superset of every image; the heights are linear, so
+    the positive roots stand for their negatives), that choice is the system
+    itself, and no image is built."""
+    positive = system.positive_even + system.positive_odd
+    if {b for ws in sums for b, _ in ws.geom} <= set(system.datum.roots) and _keeps_off_zero(system, positive):
+        return system
     return choose_expansion_system(system, [w.act(b) for ws in sums for w in ws.group for b, _ in ws.geom])
 
 

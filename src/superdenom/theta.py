@@ -42,6 +42,15 @@ the Levi sum's cut would then be too high.  Each duality check asserts that
 both series it compares hold the whole window, so a cut set too high
 raises rather than passing on fewer coefficients.
 
+A pair keeps what is the same on every call: it builds each such thing on
+first use and keeps it in one dict (``_once``).  These are the table per
+bound (``sigma_set``), each entry's flip sum (``l2_summands``), the
+nilradical tail per cut (``_with_tail``), the oscillator character per
+depth and the flips (per (k, h) on GL).  The lists it hands out are copies
+and the entries are frozen, so no caller can change what it keeps; a
+series is a value and is shared as it is.  No finite character is kept:
+each ``weyl_character`` call divides again.
+
 Both routes, the table assembly, the duality check and the construction of
 every pair are written once on ``DualPair``.  A pair declares its ``tag``
 (its key in ``PAIRS``) and ``ranks``, its ``family``, order ``variant`` and
@@ -180,7 +189,7 @@ class Block:
         return self._widths[build, bits]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaEntry:
     pair: str
     partition: tuple
@@ -239,6 +248,7 @@ class DualPair:
         runs = [[s.idx for s in g] for kind, g in itertools.groupby(seq, lambda s: s.kind) if kind == self.block]
         # GL(0, n) has no run: one empty part keeps the identity in the block
         self.levi_block = Block.of(sys_, [(self.block, r, "A") for r in runs or [[]]], self.twist)
+        self._kept = {}  # (build, key) -> build(self, *key), built on first use (``_once``)
 
     # -- hooks with defaults ---------------------------------------------------
 
@@ -259,9 +269,20 @@ class DualPair:
     def _compact_shift(self) -> Weight:
         return -_restricted(self.system.rho1, self.compact_kind)
 
+    def _once(self, build, *key):
+        """build(self, *key), built on the first call per (build, key) and
+        kept on the pair, as ``Block.at_width`` keeps its builds per width."""
+        if (build, key) not in self._kept:
+            self._kept[build, key] = build(self, *key)
+        return self._kept[build, key]
+
     def sigma_set(self, bound: int) -> list[ThetaEntry]:
         """The table up to size `bound`: per key, its shifted compact highest
-        weight and one entry per sign label."""
+        weight and one entry per sign label.  Built once per bound; each call
+        returns a new list of the same (frozen) entries."""
+        return list(self._once(DualPair._table, bound))
+
+    def _table(self, bound: int) -> list[ThetaEntry]:
         out = []
         shift, compact_shift = self._l2_shift(), self._compact_shift()
         for size in range(0, bound + 1):
@@ -272,6 +293,11 @@ class DualPair:
         return out
 
     def oscillator_character(self, depth: int) -> CharSeries:
+        """The oscillator character on the window of depth `depth`, expanded
+        once per depth."""
+        return self._once(DualPair._oscillator, depth)
+
+    def _oscillator(self, depth: int) -> CharSeries:
         sys_ = self.system
         return product_expansion(sys_, self._window(depth), -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd])
 
@@ -286,17 +312,25 @@ class DualPair:
 
     def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
         """finite x the nilradical tail on {ht >= threshold4}, for a finite
-        series complete there and with a tight ceiling: one tail expansion."""
-        sys_ = self.system
+        series complete there and with a tight ceiling: one tail expansion per
+        cut threshold4 - finite.ceiling4."""
         if finite.is_zero_on_window():
-            return CharSeries.zero(sys_, threshold4)
-        geom = [(b, 1) for b in self.nilradical]
-        return finite * product_expansion(sys_, threshold4 - finite.ceiling4, Weight.zero(sys_.shape), geom=geom)
+            return CharSeries.zero(self.system, threshold4)
+        return finite * self._once(DualPair._tail, threshold4 - finite.ceiling4)
+
+    def _tail(self, cut4: int) -> CharSeries:
+        """prod 1/(1 - e^{-beta}) over the nilradical on {ht4 >= cut4}."""
+        sys_ = self.system
+        return product_expansion(sys_, cut4, Weight.zero(sys_.shape), geom=[(b, 1) for b in self.nilradical])
 
     def l2_summands(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
         """The entry's flip sum: (c, w(lam0) - rho2) per flip w with c =
         _flip_sign(entry, w) nonzero.  The weights need not be Levi-dominant:
-        the Levi character straightens them."""
+        the Levi character straightens them.  Built once per entry; each call
+        returns a new list."""
+        return list(self._once(DualPair._flip_sum, entry))
+
+    def _flip_sum(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
         rho2 = self.s2_block.rho
         lam0 = self._l2_shift() + self.mu(entry.partition) + rho2
         return [(c, w.act(lam0) - rho2) for w in self.flip_set(entry.partition) if (c := self._flip_sign(entry, w))]
@@ -460,13 +494,12 @@ class OneBlockPair(DualPair):
         return _line(self.system.shape, self.compact_kind, dict(enumerate(a, start=1)))
 
     def flip_set(self, a) -> list[WeylElement]:
-        return self._flips
-
-    @cached_property
-    def _flips(self) -> list[WeylElement]:
         """The sign flips of the noncompact block on its first block_size - d
-        coordinates, built once: they are the same for every entry.  They fix
-        the last coordinate, so they commute with the twist."""
+        coordinates, the same for every entry and built once.  They fix the
+        last coordinate, so they commute with the twist."""
+        return list(self._once(OneBlockPair._sign_flips))
+
+    def _sign_flips(self) -> list[WeylElement]:
         flips = block_weyl(FAMILY_BLOCKS[self.family]["ed".index(self.block)], self.block_size)[0]
         flipped = range(1, self.block_size - self.d + 1)
         return signed_permutations(self.system.shape, self.block, flipped, permute=False, flips=flips)
@@ -662,7 +695,6 @@ class GLPair(DualPair):
         self.p, self.q = p, q
         self.variant = f"p{p}"
         super().__init__(p + q, n)
-        self._flips = {}
 
     def table_keys(self, size: int) -> list:
         """Pairs (a, b) of partitions with exactly k and h parts, k <= p,
@@ -689,15 +721,15 @@ class GLPair(DualPair):
         return _line(self.system.shape, "d", coeffs)
 
     def flip_set(self, ab) -> list[WeylElement]:
-        """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}, once per (k, h)."""
-        k, h = map(exact_parts, ab)
-        if (k, h) not in self._flips:
-            free = list(range(1, self.p - self.d + h + 1)) + list(range(self.p + self.d - k + 1, self.m + 1))
-            w2 = signed_permutations(self.system.shape, "e", free)
-            wc = self.levi_block.elements
-            # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
-            self._flips[k, h] = coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
-        return self._flips[k, h]
+        """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}, built once per (k, h)."""
+        return list(self._once(GLPair._cosets, *map(exact_parts, ab)))
+
+    def _cosets(self, k: int, h: int) -> list[WeylElement]:
+        free = list(range(1, self.p - self.d + h + 1)) + list(range(self.p + self.d - k + 1, self.m + 1))
+        w2 = signed_permutations(self.system.shape, "e", free)
+        wc = self.levi_block.elements
+        # W_2 alone is not a union of W_c-cosets; the product W_c W_2 is
+        return coset_reps([c.compose(g) for c in wc for g in w2], wc, left=True)
 
 
 PAIRS = {c.tag: c for c in (BPair, D1Pair, D2Pair, D2PrimePair, GLPair)}

@@ -230,14 +230,15 @@ def test_only_the_full_group_and_the_enright_groups_search_a_closure():
 def test_every_identity_side_is_a_weyl_sum_record():
     # the signed Weyl sum is expanded only through WeylSum.expand, and the
     # kernel is called directly only by the sum and by theta's four
-    # single-product characters, which are not Weyl sums
+    # single-product characters, which are not Weyl sums (the oscillator and
+    # the nilradical tail are built by the pair's memo, ``_once``)
     from superdenom import kw, series
 
     assert _calls_by_function("f_sum_quotient") == {"denominators.expand"}
     assert _calls_by_function("product_expansion") == {
         "series.f_sum_quotient",
-        "theta.oscillator_character",
-        "theta._with_tail",
+        "theta._oscillator",
+        "theta._tail",
         "theta.oscillator_x_character",
         "theta.d2_twin_sum",
     }

@@ -670,7 +670,7 @@ def test_verify_fails_under_each_record_mutation(monkeypatch):
             for X in enumerate_diagrams(system):
                 for kind in RECORD_MUTATION_KINDS:
                     if kind.startswith("kwg") and not X.is_simple():
-                        continue
+                        continue  # kwg needs a simple diagram, as on the grid
                     key = (fam, m, n, repr(order), X.arcs, kind)
                     assert verify(kind, system, X=X, depth=4).passed, key
                     checks.append(key)
@@ -943,3 +943,36 @@ def test_a_diagram_drawn_on_another_order_is_rejected(family, m, n):
             for X in (X for t, other in zip(systems, diagrams) if t is not s for X in other):
                 with pytest.raises(ValueError, match="drawn on"):
                     right_side(kind, s, X=X)
+
+
+# the ranks of the depth-8 acceptance grid
+GRID_RANKS = [("GL", m, n) for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]] + [
+    (f, m, n) for f in ("B", "D") for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]
+]
+
+
+def test_the_separating_system_equals_the_full_scan():
+    # on sums whose exponents are all roots, _separating_system tests the
+    # datum's roots instead of every image; on every grid rank, order,
+    # diagram and kind it picks what the scan of every image picks
+    from superdenom.denominators import _separating_system
+
+    kinds = [f"{k}-{f}" for k in ("princ", "mm", "kwg") for f in ("d", "sd")]
+    perturbed = roots_only = 0
+    for fam, m, n in GRID_RANKS:
+        datum = build_root_datum(fam, m, n)
+        roots = set(datum.roots)
+        for order in all_basis_orders(fam, m, n):
+            system = positive_system(datum, order)
+            for X in enumerate_diagrams(system):
+                for kind in kinds:
+                    if kind.startswith("kwg") and not X.is_simple():
+                        continue  # kwg needs a simple diagram, as on the grid
+                    spec = right_side(kind, system, X)
+                    scanned = choose_expansion_system(system, [w.act(b) for w in spec.group for b, _ in spec.geom])
+                    assert _separating_system(system, [spec]) is scanned, (fam, m, n, order, X.arcs, kind)
+                    perturbed += scanned is not system
+                    roots_only += all(b in roots for b, _ in spec.geom)
+    # both branches are reached: sums over roots, and sums whose images
+    # need a perturbed functional
+    assert perturbed and roots_only

@@ -908,3 +908,80 @@ def test_each_block_is_the_group_its_roots_generate(tag, kw):
         assert set(pair.enright(entry).group) <= s2_group, entry.partition
     levi = set(pair.levi_block.positive)
     assert pair.nilradical == [a for a in pair.s2_block.positive if a not in levi]
+
+
+# every pair of the benchmark's theta workload, and D1(3,2)
+MEMO_PAIRS = DUALITY_CASES + [
+    ("B", dict(m=2, n=2)), ("D2", dict(m=2, n=2)), ("GL", dict(n=2, p=2, q=1)), ("D1", dict(m=3, n=2)),
+]
+SERIES_FIELDS = ("packed", "bound", "bits", "threshold4", "ceiling4")
+
+
+def test_a_table_entry_is_frozen():
+    # entries are shared between the pair's memo and every caller
+    entry = make_pair("B", m=1, n=2).sigma_set(2)[-1]
+    for name, value in [("sign", "-"), ("partition", (9,)), ("l2_lowest", entry.compact_weight)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(entry, name, value)
+
+
+def _series_fields(s):
+    return [getattr(s, name) for name in SERIES_FIELDS]
+
+
+@pytest.mark.parametrize("tag,kw", MEMO_PAIRS)
+def test_the_pair_memo_keeps_what_a_fresh_pair_computes(tag, kw):
+    # after a duality check and the threshold form of every entry's L^2
+    # character, the kept table, flip sums, tails and oscillator equal a
+    # fresh pair's computation of each
+    pair, fresh = make_pair(tag, **kw), make_pair(tag, **kw)
+    assert pair.verify_duality(8).passed
+    T = pair._window(8)
+    for entry in pair.sigma_set(8):
+        pair.l2_character(entry, T - pair.compact_character(entry).ceiling4, depth=False)
+    sys_ = fresh.system
+    assert pair.sigma_set(8) == fresh._table(8)
+    kept = {}
+    for (build, key), value in pair._kept.items():
+        kept.setdefault(build.__name__, {})[key] = value
+    assert set(kept) >= {"_table", "_flip_sum", "_tail", "_oscillator"}, sorted(kept)
+    for (entry,), summands in kept["_flip_sum"].items():
+        assert pair.l2_summands(entry) == summands == fresh._flip_sum(entry), entry.partition
+    zero, nil = Weight.zero(sys_.shape), [(b, 1) for b in fresh.nilradical]
+    for (cut4,), tail in kept["_tail"].items():
+        assert _series_fields(tail) == _series_fields(series.product_expansion(sys_, cut4, zero, geom=nil)), cut4
+    osc = series.product_expansion(sys_, T, -sys_.rho1, geom=[(a, 1) for a in sys_.positive_odd])
+    assert _series_fields(pair.oscillator_character(8)) == _series_fields(osc)
+    assert list(kept["_oscillator"]) == [(8,)]
+
+
+@pytest.mark.parametrize("tag,kw", MEMO_PAIRS)
+def test_a_caller_cannot_change_what_the_pair_keeps(tag, kw):
+    # every list the memo hands out is a new list: changing one changes
+    # neither the next call's result nor the duality verdict
+    pair, fresh = make_pair(tag, **kw), make_pair(tag, **kw)
+    table = pair.sigma_set(8)
+    entry = table[-1]
+    summands, flips = pair.l2_summands(entry), pair.flip_set(entry.partition)
+    table.reverse()
+    table.pop()
+    summands[0] = (-summands[0][0], summands[0][1])
+    summands.append((1, entry.l2_lowest))
+    flips.clear()
+    assert pair.sigma_set(8) == fresh.sigma_set(8)
+    assert pair.l2_summands(entry) == fresh.l2_summands(entry)
+    assert pair.flip_set(entry.partition) == fresh.flip_set(entry.partition)
+    assert pair.verify_duality(8).passed
+
+
+def test_a_second_duality_check_expands_nothing(monkeypatch):
+    # the oscillator and every tail are kept from the first check: the
+    # second divides its finite sums again and expands no product
+    pair = make_pair("B", m=1, n=2)
+    assert pair.verify_duality(8).passed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was expanded again")
+
+    monkeypatch.setattr(theta, "product_expansion", refuse)
+    assert pair.verify_duality(8).passed
