@@ -53,6 +53,7 @@ from .rootdata import (
     block_weyl,
     build_root_datum,
     distinguished_order,
+    once,
     positive_system,
     standard_order,
 )
@@ -156,20 +157,20 @@ def lhs(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
     its record over the trivial group (``_erho_side``).
 
     Every identity on a system has this same left side, so it is expanded
-    once per (kind, threshold4) and kept in a dict owned by the system: a
-    later call with the same key returns the same ``CharSeries`` object,
+    once per (kind, threshold4) and kept on the system (``rootdata.once``):
+    a later call with the same key returns the same ``CharSeries`` object,
     which lives as long as the system does.  Series are never changed in
     place, so sharing one between checks is safe.  Any other kind raises
-    ``ValueError`` before the dict is read.
+    ``ValueError`` before the memo is read.
     """
     if kind not in ("d", "sd"):
         raise ValueError(f"the left side is of kind 'd' or 'sd', got {kind!r}")
-    series = system._lhs.get((kind, threshold4))
-    if series is None:
-        s = 1 if kind == "sd" else -1
-        side = _erho_side(system, system.rho, [(a, s) for a in system.positive_odd])
-        series = system._lhs[kind, threshold4] = side.expand(system, threshold4)
-    return series
+    return once(system, _left_side, kind, threshold4)
+
+
+def _left_side(system: PositiveSystem, kind: str, threshold4: int) -> CharSeries:
+    s = 1 if kind == "sd" else -1
+    return _erho_side(system, system.rho, [(a, s) for a in system.positive_odd]).expand(system, threshold4)
 
 
 def _erho_side(system: PositiveSystem, leading: Weight, geom: list[tuple[Weight, int]]) -> WeylSum:

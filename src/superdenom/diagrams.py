@@ -175,6 +175,7 @@ class ArcDiagram:
 # enumeration
 
 
+# an lru_cache, not rootdata.once: the recursion shares sub-words across systems
 @lru_cache(maxsize=None)
 def _matchings(word: tuple[str, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All arc sets on the type word with min(#e,#d) arcs, non-crossing,

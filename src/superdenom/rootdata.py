@@ -63,8 +63,8 @@ class RootDatum:
     even_roots: tuple[Weight, ...]
     odd_roots: tuple[Weight, ...]
     dual_coxeter_sign: str
-    # name -> group list, see weyl.full_weyl and weyl.sharp_subgroup
-    _groups: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    # what is built once per datum (``once``): W_g and W#
+    _kept: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,6 +104,19 @@ def build_root_datum(family: str, m: int, n: int) -> RootDatum:
         odd += [c * d for c in (1, -1) for d in dl]
     sign = EPS_BLOCK if h2(m, n) >= 0 else DELTA_BLOCK
     return RootDatum(family, m, n, tuple(even), tuple(odd), sign)
+
+
+def once(owner, build, *key):
+    """build(owner, *key), built on the first call per (build, key) and kept
+    in ``owner._kept``, the one memo of a datum, a system, a theta block or
+    a pair; every later call returns the kept value itself.  The key leaves
+    the owner out, so no owner is hashed, and a hit is one dict lookup."""
+    try:
+        return owner._kept[build, key]
+    except KeyError:
+        pass
+    value = owner._kept[build, key] = build(owner, *key)
+    return value
 
 
 def block_roots(kind: str, fs: list[Weight]) -> list[Weight]:
@@ -158,13 +171,14 @@ class Symbol:
     @staticmethod
     def from_json(doc: dict) -> "Symbol":
         """The inverse of ``to_json``, with "sign" 1 when absent; a document of
-        another shape, or an "idx" or "sign" that is not a JSON integer (a
-        float, a boolean, a string), raises ValueError."""
+        another shape, a "kind" other than the string "e" or "d", or an "idx"
+        or "sign" that is not a JSON integer (a float, a boolean, a string),
+        raises ValueError."""
         try:
             kind, idx, sign = doc["kind"], doc["idx"], doc.get("sign", 1)
         except (TypeError, KeyError):
-            idx = sign = None
-        if type(idx) is int and type(sign) is int:
+            kind = idx = sign = None
+        if kind in ("e", "d") and type(idx) is int and type(sign) is int:
             return Symbol(kind, idx, sign)
         raise ValueError(f'a basis symbol is {{"kind": ..., "idx": <int>, "sign": <int>}}, got {doc!r}')
 
@@ -320,10 +334,11 @@ class PositiveSystem:
     a denominator exponent lands on height zero.  It returns one system per
     seed, so the checks that pick the same perturbation share that system.
 
-    A system also owns the memo of its left sides e^rho R and e^rho Ř
-    (``denominators.lhs``) and the key of each basis vector per digit width
-    (``series._unit_keys``), so they live exactly as long as the system
-    they belong to.
+    What a system builds once it keeps in its ``_kept`` dict (``once``): its
+    perturbed systems per seed, its left sides e^rho R and e^rho Ř per
+    window (``denominators.lhs``) and the key of each basis vector per
+    digit width (``_unit_keys`` in ``series``), so they live exactly as
+    long as the system they belong to.
     """
 
     TIEBREAK_SCALE = 1024  # height multiplier accompanying a perturbation
@@ -375,18 +390,16 @@ class PositiveSystem:
         self.rho0 = weight_sum(self.positive_even, self.shape).half()
         self.rho1 = weight_sum(self.positive_odd, self.shape).half()
         self.rho = self.rho0 - self.rho1
-        self._tiebreaks: dict[int, PositiveSystem] = {}
-        self._lhs: dict = {}  # (flavor, threshold4) -> CharSeries, see denominators.lhs
-        self._unit_keys: dict = {}  # digit width -> key of each basis vector, see series._unit_keys
+        self._kept = {}  # (build, key) -> build(self, *key), see ``once``
 
     def with_tiebreak(self, seed: int) -> "PositiveSystem":
         """The system of the same order whose functional is perturbed by
         ``seed``; built on the first call for a seed and returned again on
         every later one."""
-        system = self._tiebreaks.get(seed)
-        if system is None:
-            system = self._tiebreaks[seed] = PositiveSystem(self.datum, self.order, tiebreak=seed)
-        return system
+        return once(self, PositiveSystem._perturbed, seed)
+
+    def _perturbed(self, seed: int) -> "PositiveSystem":
+        return PositiveSystem(self.datum, self.order, tiebreak=seed)
 
     # -- heights ------------------------------------------------------------
 

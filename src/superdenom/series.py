@@ -36,15 +36,17 @@ products of x with the heights and the unit keys read off w's signed image
 each piece w(...) of a signed Weyl sum this way, and its digit bound is the
 un-acted weights' own, since w only permutes and signs coordinates; a block
 keys the images of the finite characters from rows it builds once per width
-(``_image_keys``), next to its integrality test.  A finite
-sum is straightened in one place, ``_basis`` (singular summands dropped, the
-rest tested for integrality, keyed by their dominant images and merged);
-``straighten`` reads off its coefficients on irreducible characters, and
-``weyl_character`` sums its alternants into one numerator and divides that
-by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one positive root at a time:
-dividing by 1 - e^{-a} walks each a-string of keys top down with a running
-sum, so the division costs about |positive roots| times the size of the
-partial quotients.  The quotient at a key reads only
+(``_image_keys``), next to its integrality test.  Each of these per-width
+tables, the unit keys on the system and the image and root keys
+(``_denominator``) on the block, is kept in its owner's memo by
+``rootdata.once``.  A finite sum is straightened in one place, ``_basis``
+(singular summands dropped, the rest tested for integrality, keyed by their
+dominant images and merged); ``straighten`` reads off its coefficients on
+irreducible characters, and ``weyl_character`` sums its alternants into one
+numerator and divides that by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one
+positive root at a time: dividing by 1 - e^{-a} walks each a-string of keys
+top down with a running sum, so the division costs about |positive roots|
+times the size of the partial quotients.  The quotient at a key reads only
 keys at or above it, so with a cut every partial quotient stops at the cut
 (shifted by key(rho)).
 
@@ -64,7 +66,7 @@ from operator import mul
 from typing import Iterable
 
 from .weights import Weight
-from .rootdata import PositiveSystem
+from .rootdata import PositiveSystem, once
 from .weyl import WeylElement, sgn, sgn_prime
 
 class CharSeries:
@@ -343,16 +345,11 @@ def _unpacker(bits: int, dim: int):
 def _unit_keys(system: PositiveSystem, bits: int) -> tuple[int, ...]:
     """key(b_i) at digit width ``bits`` for each coordinate i, b_i the weight
     whose only doubled coordinate is a 1 at i, built once per (system,
-    width) and kept on the system.  A key is linear in the doubled
-    coordinates, so key(x) = sum_i x_i key(b_i)."""
-    units = system._unit_keys.get(bits)
-    if units is None:
-        hv = system._hvals2
-        dim = len(hv)
-        units = system._unit_keys[bits] = tuple(
-            _pack(tuple(int(i == j) for j in range(dim)), hv[i], bits) for i in range(dim)
-        )
-    return units
+    width) and kept on the system (``once``).  A key is linear in the
+    doubled coordinates, so key(x) = sum_i x_i key(b_i)."""
+    hv = system._hvals2
+    dim = len(hv)
+    return tuple(_pack(tuple(int(i == j) for j in range(dim)), hv[i], bits) for i in range(dim))
 
 
 def _signed_row(row, img: tuple[int, ...]) -> list[int]:
@@ -416,7 +413,7 @@ def product_expansion(
         bound += max(map(abs, b.coords2))
     out = CharSeries._trusted(system, {}, bound, threshold4, total_ceiling)
     bits, shift = out.bits, out.bits * len(hv)
-    units = _unit_keys(system, bits)
+    units = once(system, _unit_keys, bits)
     if w is not None:
         units = _signed_row(units, w.img)
 
@@ -516,7 +513,8 @@ def f_sum_quotient(
 
 
 def _image_keys(block, bits: int):
-    """The block's two per-width tables, which it builds once per width.
+    """The block's two per-width tables, built once per width and kept on
+    the block (``once``).
 
     The first is the function taking a weight x to the (key(w x), sgn(w))
     pairs over the block's elements at digit width ``bits``.  It reads, per
@@ -533,7 +531,7 @@ def _image_keys(block, bits: int):
     root's a.a is computed here, not per test."""
     system, elements = block.system, block.elements
     dim = len(system._hvals2)
-    unit = _unit_keys(system, bits)
+    unit = once(system, _unit_keys, bits)
     moved = [i for i in range(dim) if any(w.img[i] != i + 1 for w in elements)]
     rows = []
     for w in elements:
@@ -564,7 +562,7 @@ def _basis(block, tops: list[tuple[int, Weight]], bits: int) -> dict[int, dict[i
     An x with two images on one key is singular, A(x) = 0, and dropped; any
     other is tested for integrality, the one test (ValueError), and led by its
     highest image, the dominant one, with that image's sign; leads merge."""
-    (images, not_integral), size = block.at_width(_image_keys, bits), len(block.elements)
+    (images, not_integral), size = once(block, _image_keys, bits), len(block.elements)
     leads: dict[int, list] = {}
     for c, x in tops:
         alt = dict(images(x))
@@ -604,7 +602,7 @@ def _straightened(block, summands: Iterable[tuple[int, Weight]], threshold4: int
     tops = [(c, lam + block.rho) for c, lam in summands]
     bound = max((max(map(abs, x.coords2)) for _, x in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
     out = CharSeries._trusted(block.system, {}, bound, threshold4, 0)
-    return (out, *block.at_width(_denominator, out.bits), _basis(block, tops, out.bits))
+    return (out, *once(block, _denominator, out.bits), _basis(block, tops, out.bits))
 
 
 def straighten(block, summands: Iterable[tuple[int, Weight]]) -> CharSeries:
@@ -657,8 +655,9 @@ def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | No
     (``_string_quotient``), then shifted by -rho.  Each root costs one pass
     over the partial quotient, so the division costs about |positive roots|
     times its size.  ``block`` gives its ``system``, its ``positive`` roots,
-    their half sum ``rho``, and ``at_width``, which builds its image keys and
-    root keys once per width (``theta.Block``).
+    their half sum ``rho``, its group's ``elements``, and a ``_kept`` dict,
+    in which ``once`` keeps its image keys and root keys per width
+    (``theta.Block``).
 
     The division runs on packed keys (see the module docstring): no image
     is built as a ``Weight``.  Keys break height ties on the last

@@ -43,8 +43,9 @@ both series it compares hold the whole window, so a cut set too high
 raises rather than passing on fewer coefficients.
 
 A pair keeps what is the same on every call: it builds each such thing on
-first use and keeps it in one dict (``_once``).  These are the table per
-bound (``sigma_set``), each entry's flip sum (``l2_summands``), the
+first use and keeps it in its one memo (``rootdata.once``), as a block keeps
+its per-width key tables and a system its left sides.  These are the table
+per bound (``sigma_set``), each entry's flip sum (``l2_summands``), the
 nilradical tail per cut (``_with_tail``), the oscillator character per
 depth and the flips (per (k, h) on GL).  The lists it hands out are copies
 and the entries are frozen, so no caller can change what it keeps; a
@@ -81,7 +82,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .weights import Weight, inner, weight_sum
 from .rootdata import (
@@ -90,6 +90,7 @@ from .rootdata import (
     block_weyl,
     build_root_datum,
     distinguished_order,
+    once,
     positive_system,
     PositiveSystem,
 )
@@ -143,7 +144,9 @@ class Block:
     """A sub-root-system with its Weyl group, used for finite characters;
     rho is the half sum of its positive roots.  The group's ``elements``
     may be given as a function that returns them: it is called on their
-    first read, so a block whose group is never read never builds it."""
+    first read, so a block whose group is never read never builds it.  What
+    ``series`` builds per digit width for the block (its image keys and
+    root keys) is kept in ``_kept`` by ``rootdata.once``."""
 
     system: PositiveSystem
     positive: list[Weight]
@@ -151,7 +154,7 @@ class Block:
 
     def __post_init__(self):
         self.rho = weight_sum(self.positive, self.system.shape).half()
-        self._widths = {}  # (build, digit width) -> build(self, width), built on first use
+        self._kept = {}  # (build, key) -> build(self, *key), see ``rootdata.once``
 
     @property
     def elements(self) -> list[WeylElement]:
@@ -180,13 +183,6 @@ class Block:
             return sorted(out, key=WeylElement.sort_key)
 
         return cls(system, positive, elements)
-
-    def at_width(self, build, bits: int):
-        """build(self, bits), built once per digit width: the block's image
-        keys, and key(rho) with its root keys (``series``)."""
-        if (build, bits) not in self._widths:
-            self._widths[build, bits] = build(self, bits)
-        return self._widths[build, bits]
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,9 @@ class DualPair:
         runs = [[s.idx for s in g] for kind, g in itertools.groupby(seq, lambda s: s.kind) if kind == self.block]
         # GL(0, n) has no run: one empty part keeps the identity in the block
         self.levi_block = Block.of(sys_, [(self.block, r, "A") for r in runs or [[]]], self.twist)
-        self._kept = {}  # (build, key) -> build(self, *key), built on first use (``_once``)
+        levi = set(self.levi_block.positive)
+        self.nilradical = [a for a in self.s2_block.positive if a not in levi]
+        self._kept = {}  # (build, key) -> build(self, *key), see ``rootdata.once``
 
     # -- hooks with defaults ---------------------------------------------------
 
@@ -269,18 +267,11 @@ class DualPair:
     def _compact_shift(self) -> Weight:
         return -_restricted(self.system.rho1, self.compact_kind)
 
-    def _once(self, build, *key):
-        """build(self, *key), built on the first call per (build, key) and
-        kept on the pair, as ``Block.at_width`` keeps its builds per width."""
-        if (build, key) not in self._kept:
-            self._kept[build, key] = build(self, *key)
-        return self._kept[build, key]
-
     def sigma_set(self, bound: int) -> list[ThetaEntry]:
         """The table up to size `bound`: per key, its shifted compact highest
         weight and one entry per sign label.  Built once per bound; each call
         returns a new list of the same (frozen) entries."""
-        return list(self._once(DualPair._table, bound))
+        return list(once(self, DualPair._table, bound))
 
     def _table(self, bound: int) -> list[ThetaEntry]:
         out = []
@@ -295,7 +286,7 @@ class DualPair:
     def oscillator_character(self, depth: int) -> CharSeries:
         """The oscillator character on the window of depth `depth`, expanded
         once per depth."""
-        return self._once(DualPair._oscillator, depth)
+        return once(self, DualPair._oscillator, depth)
 
     def _oscillator(self, depth: int) -> CharSeries:
         sys_ = self.system
@@ -304,19 +295,13 @@ class DualPair:
     def _window(self, depth: int) -> int:
         return window4(self.system, depth, top=-self.system.rho1)
 
-    @cached_property
-    def nilradical(self) -> list[Weight]:
-        """The s2 block's positive roots outside the Levi block."""
-        levi = set(self.levi_block.positive)
-        return [a for a in self.s2_block.positive if a not in levi]
-
     def _with_tail(self, finite: CharSeries, threshold4: int) -> CharSeries:
         """finite x the nilradical tail on {ht >= threshold4}, for a finite
         series complete there and with a tight ceiling: one tail expansion per
         cut threshold4 - finite.ceiling4."""
         if finite.is_zero_on_window():
             return CharSeries.zero(self.system, threshold4)
-        return finite * self._once(DualPair._tail, threshold4 - finite.ceiling4)
+        return finite * once(self, DualPair._tail, threshold4 - finite.ceiling4)
 
     def _tail(self, cut4: int) -> CharSeries:
         """prod 1/(1 - e^{-beta}) over the nilradical on {ht4 >= cut4}."""
@@ -328,7 +313,7 @@ class DualPair:
         _flip_sign(entry, w) nonzero.  The weights need not be Levi-dominant:
         the Levi character straightens them.  Built once per entry; each call
         returns a new list."""
-        return list(self._once(DualPair._flip_sum, entry))
+        return list(once(self, DualPair._flip_sum, entry))
 
     def _flip_sum(self, entry: ThetaEntry) -> list[tuple[int, Weight]]:
         rho2 = self.s2_block.rho
@@ -497,7 +482,7 @@ class OneBlockPair(DualPair):
         """The sign flips of the noncompact block on its first block_size - d
         coordinates, the same for every entry and built once.  They fix the
         last coordinate, so they commute with the twist."""
-        return list(self._once(OneBlockPair._sign_flips))
+        return list(once(self, OneBlockPair._sign_flips))
 
     def _sign_flips(self) -> list[WeylElement]:
         flips = block_weyl(FAMILY_BLOCKS[self.family]["ed".index(self.block)], self.block_size)[0]
@@ -722,7 +707,7 @@ class GLPair(DualPair):
 
     def flip_set(self, ab) -> list[WeylElement]:
         """Coset representatives for W_c \\ W_c W_2^{(d-h, d-k)}, built once per (k, h)."""
-        return list(self._once(GLPair._cosets, *map(exact_parts, ab)))
+        return list(once(self, GLPair._cosets, *map(exact_parts, ab)))
 
     def _cosets(self, k: int, h: int) -> list[WeylElement]:
         free = list(range(1, self.p - self.d + h + 1)) + list(range(self.p + self.d - k + 1, self.m + 1))

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .weights import Weight
-from .rootdata import FAMILY_BLOCKS, RootDatum, EPS_BLOCK, block_weyl
+from .rootdata import FAMILY_BLOCKS, RootDatum, EPS_BLOCK, block_weyl, once
 
 MAX_GROUP = 10_000_000  # closure searches past this many elements raise RuntimeError
 
@@ -206,14 +206,14 @@ def product_set(*factors: list[WeylElement]) -> list[WeylElement]:
 
 def full_weyl(datum: RootDatum) -> list[WeylElement]:
     """W_g, generated by the reflections in the even roots.  It is searched
-    on the first call for a datum and kept on the datum, so every order,
-    diagram and tiebreak system of one rank reads the same list; no caller
-    may change it."""
-    group = datum._groups.get("full")
-    if group is None:
-        gens = [reflection(a) for a in datum.even_roots]
-        group = datum._groups["full"] = enumerate_closure(gens, datum.shape)
-    return group
+    once per datum and kept on the datum (``rootdata.once``), so every
+    order, diagram and tiebreak system of one rank reads the same list; no
+    caller may change it."""
+    return once(datum, _full_weyl)
+
+
+def _full_weyl(datum: RootDatum) -> list[WeylElement]:
+    return enumerate_closure([reflection(a) for a in datum.even_roots], datum.shape)
 
 
 def weyl_order(datum: RootDatum) -> int:
@@ -224,16 +224,16 @@ def weyl_order(datum: RootDatum) -> int:
 
 def sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
     """W#, the Weyl group of the even block singled out by the sign of h_vee.
-    Like ``full_weyl``, it is listed on the first call for a datum and kept
-    on the datum; no caller may change it."""
-    group = datum._groups.get("sharp")
-    if group is None:
-        eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
-        on_eps = datum.dual_coxeter_sign == EPS_BLOCK
-        kind, block, size = ("e", eps_type, datum.m) if on_eps else ("d", delta_type, datum.n)
-        flips = block_weyl(block, size)[0]
-        group = datum._groups["sharp"] = signed_permutations(datum.shape, kind, range(1, size + 1), flips=flips)
-    return group
+    Like ``full_weyl``, it is listed once per datum and kept on the datum
+    (``rootdata.once``); no caller may change it."""
+    return once(datum, _sharp_subgroup)
+
+
+def _sharp_subgroup(datum: RootDatum) -> list[WeylElement]:
+    eps_type, delta_type, _ = FAMILY_BLOCKS[datum.family]
+    on_eps = datum.dual_coxeter_sign == EPS_BLOCK
+    kind, block, size = ("e", eps_type, datum.m) if on_eps else ("d", delta_type, datum.n)
+    return signed_permutations(datum.shape, kind, range(1, size + 1), flips=block_weyl(block, size)[0])
 
 
 def signed_permutations(

@@ -102,6 +102,14 @@ def test_removed_helpers_are_gone():
     assert not hasattr(rootdata.PositiveSystem, "simple_coefficients")
     assert "__lt__" not in vars(weights.Weight)  # object's own __lt__ is always there
     assert not hasattr(weyl, "_max_group") and not hasattr(weyl, "MAX_GROUP_ENV")
+    # what is built once is kept by rootdata.once alone, in each owner's _kept
+    assert not hasattr(theta.Block, "at_width") and not hasattr(theta.DualPair, "_once")
+    assert "nilradical" not in vars(theta.DualPair)  # no cached_property: set in __init__
+    pair = theta.make_pair("B", m=1, n=2)
+    assert not hasattr(pair.system.datum, "_groups")
+    for name in ("_tiebreaks", "_lhs", "_unit_keys"):
+        assert not hasattr(pair.system, name), name
+    assert not hasattr(pair.levi_block, "_widths")
 
 
 def _calls_by_function(name: str, keyword: str | None = None) -> set[str]:
@@ -222,16 +230,16 @@ def test_compare_is_the_one_verdict_rule():
 
 def test_only_the_full_group_and_the_enright_groups_search_a_closure():
     # every other group is a product of the groups of the family's block
-    # types; W_g and theta's Enright groups, true reflection subgroups, are
-    # searched
-    assert _calls_by_function("enumerate_closure") == {"weyl.full_weyl", "theta.enright"}
+    # types; W_g (by full_weyl's builder) and theta's Enright groups, true
+    # reflection subgroups, are searched
+    assert _calls_by_function("enumerate_closure") == {"weyl._full_weyl", "theta.enright"}
 
 
 def test_every_identity_side_is_a_weyl_sum_record():
     # the signed Weyl sum is expanded only through WeylSum.expand, and the
     # kernel is called directly only by the sum and by theta's four
     # single-product characters, which are not Weyl sums (the oscillator and
-    # the nilradical tail are built by the pair's memo, ``_once``)
+    # the nilradical tail are built through the pair's memo, ``rootdata.once``)
     from superdenom import kw, series
 
     assert _calls_by_function("f_sum_quotient") == {"denominators.expand"}

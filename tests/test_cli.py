@@ -249,6 +249,15 @@ ORDER_22 = '[{"kind":"e","idx":1},{"kind":"d","idx":1},{"kind":"e","idx":2},{"ki
       "--orders", '[{"kind":"e","idx":1},{"kind":"d","idx":true}]'], "error: a basis symbol is"),
     (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
       "--orders", '[{"kind":"e","idx":1,"sign":"1"},{"kind":"d","idx":1}]'], "error: a basis symbol is"),
+    # a kind other than the string "e" or "d" is reported as a malformed
+    # symbol, not as a misplaced eps or delta symbol
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+      "--orders", '[{"kind":"q","idx":1},{"kind":"d","idx":1}]'], "error: a basis symbol is"),
+    (["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+      "--orders", '[{"kind":"e","idx":1},{"kind":["d"],"idx":1}]'], "error: a basis symbol is"),
+    (["reduce-diagram", "--family", "gl", "--m", "2", "--n", "2", "--arcs", "[]",
+      "--order", '[{"kind":"e","idx":1},{"kind":"D","idx":1},{"kind":"e","idx":2},{"kind":"d","idx":2}]'],
+     "error: a basis symbol is"),
 ])
 def test_json_of_the_wrong_shape_exit_2(capsys, argv, message):
     code = main(argv)

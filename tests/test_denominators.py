@@ -857,7 +857,7 @@ def test_lhs_rejects_any_other_kind_before_the_memo():
     for kind in ("sdd", "princ-sd", "D", ""):
         with pytest.raises(ValueError, match="'d' or 'sd'"):
             lhs(system, kind, T)
-    assert system._lhs == {}
+    assert system._kept == {}
 
 
 def test_with_tiebreak_returns_one_system_per_seed():
@@ -880,6 +880,7 @@ def test_shared_left_sides_survive_every_check(monkeypatch, capsys, fam, m, n, p
     # systems; afterwards each one still equals a fresh expansion, so no
     # check changed a shared series in place
     import superdenom.kw as kw
+    from superdenom import denominators
 
     systems = []
 
@@ -899,9 +900,11 @@ def test_shared_left_sides_survive_every_check(monkeypatch, capsys, fam, m, n, p
             verify_odd_reflection(system, alpha, 4)
     assert main(["kw-check", "--family", fam, "--m", str(m), "--n", str(n), "--depth", "4"]) == 0
     capsys.readouterr()
-    assert system._tiebreaks, "no check on this system chose a perturbed functional"
-    owners = {id(s): s for s in [system, *system._tiebreaks.values(), *systems]}.values()
-    memo = [(s, key, series) for s in owners for key, series in s._lhs.items()]
+    kept = lambda s, build: {key: value for (b, key), value in s._kept.items() if b is build}
+    perturbed = kept(system, PositiveSystem._perturbed).values()
+    assert perturbed, "no check on this system chose a perturbed functional"
+    owners = {id(s): s for s in [system, *perturbed, *systems]}.values()
+    memo = [(s, key, series) for s in owners for key, series in kept(s, denominators._left_side).items()]
     assert len(memo) >= 4
     for s, (kind, T), series in memo:
         assert _same_series(series, reference_lhs(s, kind, T)), (s, s.tiebreak, kind, T)

@@ -408,7 +408,7 @@ def test_no_check_changes_the_shared_groups(fam, m, n):
     datum = build_root_datum(fam, m, n)
     _sweep(datum)
     fresh = build_root_datum(fam, m, n)
-    assert fresh == datum and fresh._groups == {}
+    assert fresh == datum and fresh._kept == {}
     assert full_weyl(datum) == full_weyl(fresh)
     assert sharp_subgroup(datum) == sharp_subgroup(fresh)
 
