@@ -127,10 +127,10 @@ def _fit_report(
     """Fit left = c * right on the common window (c is None when no constant
     fits, as judged by ``compare``) and compare c with the stated constant."""
     t = left.window_threshold(right)
-    ht4 = left.system.ht4
-    window = [w for w, c in right.terms.items() if c and (t is None or ht4(w) >= t)]
+    window = list((right if t is None else right.truncate(t)).terms)
     fitted = None
     if window:
+        ht4 = left.system.ht4
         probe = max(window, key=lambda w: (ht4(w), w.coords2))
         ratio = Fraction(left.coeff(probe), right.coeff(probe))
         if compare(identity, f"{family}({m},{n})", "", depth, right, left, ratio).passed:

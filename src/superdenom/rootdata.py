@@ -180,7 +180,7 @@ class Symbol:
             kind = idx = sign = None
         if kind in ("e", "d") and type(idx) is int and type(sign) is int:
             return Symbol(kind, idx, sign)
-        raise ValueError(f'a basis symbol is {{"kind": ..., "idx": <int>, "sign": <int>}}, got {doc!r}')
+        raise ValueError(f'a basis symbol is {{"kind": "e" or "d", "idx": <int>, "sign": <int>}}, got {doc!r}')
 
 
 class BasisOrder:

@@ -14,41 +14,43 @@ either sign of ht(beta); an exponent of height zero raises
 A series keys its terms by packed integers (Kronecker substitution, as in
 Monagan & Pearce's packed exponent vectors): a weight's doubled coordinates
 are balanced base-2^B digits of one int, under its height as the most
-significant digit.  Adding keys adds weights and heights; since the lower
-digits sum to less than half of 2^(B dim), comparing keys compares heights
-first, so a height filter compares a key with one cut and the top key holds
-the top height.  Each series keeps a bound on the absolute value of its
-coordinates, set by the step that forms its keys (the constructor, the
-kernel ``product_expansion``, the division in ``weyl_character``, ``+``
-and ``*``), and B is the narrowest width on the ladder 16, 32, 48, ... that
-holds it, so no digit overflows; an operand of a narrower B is re-encoded.
-The kernel takes each factor's terms in descending height, so its inner
-loop stops at the first term below the window.  ``Weight`` stays at the boundary: the constructor takes
-``{Weight: c}``, and ``terms``, ``coeff``, ``support_sorted``, ``to_json``,
-``repr`` and the weights ``mismatches`` returns unpack keys as they go.
+significant digit.  There is one rule, key(x) = x . units: the unit key of
+coordinate i (``_unit_keys``, built once per system and width) is a 1 in
+digit i under h_i in the height digit.  Adding keys adds weights and
+heights; since the lower digits sum to less than half of 2^(B dim),
+comparing keys compares heights first, so every window test compares a key
+with one cut (``_cut``) and the top key holds the top height.  Each series
+keeps a bound on the absolute value of its coordinates, and B is the
+narrowest width on the ladder 16, 32, 48, ... that holds it, so no digit
+overflows.  A step that forms keys (the constructor, the kernel
+``product_expansion``, the division in ``weyl_character``, ``+`` and ``*``)
+sets the bound, takes B from it, and builds its series in one step; an
+operand of a narrower B is re-encoded from its digits, dotted with the wider
+unit keys.  The kernel takes each factor's terms in descending height, so
+its inner loop stops at the first term below the window.  ``Weight`` stays
+at the boundary: the constructor and ``coeff`` take weights, and ``terms``,
+``support_sorted``, ``to_json``, ``repr`` and the weights ``mismatches``
+returns unpack keys as they go.
 
-A key is linear in the doubled coordinates, height digit included: key(x)
-is the dot product of x with the keys of the basis vectors, which a system
-builds once per digit width (``_unit_keys``).  Every element w is a signed
-permutation, so the height and the key of a Weyl image w(x) are the dot
-products of x with the heights and the unit keys read off w's signed image
-(``_signed_row``), and no image is built as a ``Weight``.  The kernel keys
-each piece w(...) of a signed Weyl sum this way, and its digit bound is the
-un-acted weights' own, since w only permutes and signs coordinates; a block
-keys the images of the finite characters from rows it builds once per width
-(``_image_keys``), next to its integrality test.  Each of these per-width
-tables, the unit keys on the system and the image and root keys
-(``_denominator``) on the block, is kept in its owner's memo by
-``rootdata.once``.  A finite sum is straightened in one place, ``_basis``
-(singular summands dropped, the rest tested for integrality, keyed by their
-dominant images and merged); ``straighten`` reads off its coefficients on
-irreducible characters, and ``weyl_character`` sums its alternants into one
-numerator and divides that by A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one
-positive root at a time: dividing by 1 - e^{-a} walks each a-string of keys
-top down with a running sum, so the division costs about |positive roots|
-times the size of the partial quotients.  The quotient at a key reads only
-keys at or above it, so with a cut every partial quotient stops at the cut
-(shifted by key(rho)).
+Every element w is a signed permutation, so the height and the key of a Weyl
+image w(x) are the dot products of x with the heights and the unit keys read
+off w's signed image (``_signed_row``), and no image is built as a
+``Weight``.  The kernel keys each piece w(...) of a signed Weyl sum this
+way, and its digit bound is the un-acted weights' own, since w only permutes
+and signs coordinates; a block keys the images of the finite characters from
+rows it builds once per width (``_image_keys``), next to its integrality
+test.  Each of these per-width tables, the unit keys on the system and the
+image and root keys (``_denominator``) on the block, is kept in its owner's
+memo by ``rootdata.once``.  A finite sum is straightened in one place,
+``_basis`` (singular summands dropped, the rest tested for integrality,
+keyed by their dominant images and merged); ``straighten`` reads off its
+coefficients on irreducible characters, and ``weyl_character`` sums its
+alternants into one numerator and divides that by
+A(rho) = e^rho prod_{a > 0} (1 - e^{-a}), one positive root at a time:
+dividing by 1 - e^{-a} walks each a-string of keys top down with a running
+sum, so the division costs about |positive roots| times the size of the
+partial quotients.  The quotient at a key reads only keys at or above it, so
+with a cut every partial quotient stops at the cut (shifted by key(rho)).
 
 ``+`` copies its left operand and loops over its right one.  So a signed Weyl
 sum (``f_sum_quotient``) adds its |U| pieces in size-balanced merges, the
@@ -86,30 +88,30 @@ class CharSeries:
     __slots__ = ("system", "packed", "bound", "bits", "threshold4", "ceiling4")
 
     def __init__(self, system: PositiveSystem, terms: dict[Weight, int], threshold4: int | None, ceiling4: int):
-        self._set(system, {}, max((abs(x) for w in terms for x in w.coords2), default=0), threshold4, ceiling4)
-        ht4, bits = system.ht4, self.bits
-        self.packed = {
-            _pack(w.coords2, ht4(w), bits): c for w, c in terms.items()
-            if c != 0 and (threshold4 is None or ht4(w) >= threshold4)
-        }
-
-    def _set(self, system, packed, bound, threshold4, ceiling4) -> "CharSeries":
-        self.system, self.packed, self.bound, self.threshold4, self.ceiling4 = system, packed, bound, threshold4, ceiling4
-        self.bits = _width(bound)
-        return self
+        if any(w.shape != system.shape for w in terms):
+            raise ValueError("a term's weight is not of the system's shape")
+        bound = max((abs(x) for w in terms for x in w.coords2), default=0)
+        bits = _width(bound)
+        units = once(system, _unit_keys, bits)
+        cut = _cut(threshold4, bits * len(units))
+        keyed = ((sum(map(mul, w.coords2, units)), c) for w, c in terms.items() if c)
+        self.system, self.bound, self.bits, self.threshold4, self.ceiling4 = system, bound, bits, threshold4, ceiling4
+        self.packed = {k: c for k, c in keyed if cut is None or k >= cut}
 
     @classmethod
     def _trusted(cls, system: PositiveSystem, packed: dict[int, int], bound: int, threshold4: int | None, ceiling4: int) -> "CharSeries":
-        """Wrap packed terms that are nonzero, inside the window and within
-        ``bound``, skipping the filters of __init__; the dict is taken over,
-        not copied.  A step that forms keys wraps {} to learn B, then fills it."""
-        return cls.__new__(cls)._set(system, packed, bound, threshold4, ceiling4)
+        """The one fast constructor: the series of packed terms, nonzero, inside
+        the window and within ``bound``, at width ``_width(bound)``, skipping
+        __init__'s filters; the dict is taken over, not copied."""
+        out = cls.__new__(cls)
+        out.system, out.packed, out.bound, out.bits, out.threshold4, out.ceiling4 = system, packed, bound, _width(bound), threshold4, ceiling4
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(system: PositiveSystem, threshold4: int | None) -> "CharSeries":
-        return CharSeries(system, {}, threshold4, 0)
+        return CharSeries._trusted(system, {}, 0, threshold4, 0)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -123,9 +125,12 @@ class CharSeries:
         return ((Weight._trusted(unpack(k), shape), c) for k, c in self.packed.items())
 
     def _at(self, bits: int) -> dict[int, int]:
-        """The packed terms re-encoded at a width no narrower than their own."""
-        ht4 = self.system.ht4
-        return self.packed if bits == self.bits else {_pack(w.coords2, ht4(w), bits): c for w, c in self._unpacked()}
+        """The packed terms re-encoded at a width no narrower than their own:
+        each key's digits are read off and dotted with the wider unit keys."""
+        if bits == self.bits:
+            return self.packed
+        unpack, units = _unpacker(self.bits, len(self.system._hvals2)), once(self.system, _unit_keys, bits)
+        return {sum(map(mul, unpack(k), units)): c for k, c in self.packed.items()}
 
     @property
     def terms(self) -> Mapping[Weight, int]:
@@ -134,7 +139,7 @@ class CharSeries:
     def coeff(self, w: Weight) -> int:
         if w.shape != self.system.shape or max(map(abs, w.coords2), default=0) > self.bound:
             return 0  # a coordinate beyond the bound: no term has it
-        return self.packed.get(_pack(w.coords2, self.system.ht4(w), self.bits), 0)
+        return self.packed.get(sum(map(mul, w.coords2, once(self.system, _unit_keys, self.bits))), 0)
 
     def is_zero_on_window(self) -> bool:
         return not self.packed
@@ -186,12 +191,11 @@ class CharSeries:
         if len(b.packed) < len(a.packed):
             a, b = b, a
         t = _product_threshold(a.threshold4, a.ceiling4, b.threshold4, b.ceiling4)
-        out = CharSeries._trusted(self.system, {}, a.bound + b.bound, t, a.ceiling4 + b.ceiling4)
-        bits = out.bits
+        bound = a.bound + b.bound
+        bits = _width(bound)
         column = sorted(b._at(bits).items(), reverse=True)
         full = _convolve(a._at(bits), column, _cut(t, bits * len(self.system._hvals2)))
-        out.packed = {k: c for k, c in full.items() if c}
-        return out
+        return CharSeries._trusted(self.system, {k: c for k, c in full.items() if c}, bound, t, a.ceiling4 + b.ceiling4)
 
     def tightened(self) -> "CharSeries":
         """The same series with its ceiling lowered to its highest term, the
@@ -317,15 +321,6 @@ def _geometric_terms(h: int, s: int, threshold4: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pack(coords2: tuple[int, ...], height: int, bits: int) -> int:
-    """The coordinates as balanced base-2^bits digits, least significant
-    first, under the height as the most significant digit."""
-    key = height
-    for c in reversed(coords2):
-        key = (key << bits) + c
-    return key
-
-
 def _unpacker(bits: int, dim: int):
     """The function taking a packed key to its coordinates (the height digit
     is dropped).  Adding 2^(bits-1) to every digit makes all digits
@@ -344,12 +339,13 @@ def _unpacker(bits: int, dim: int):
 
 def _unit_keys(system: PositiveSystem, bits: int) -> tuple[int, ...]:
     """key(b_i) at digit width ``bits`` for each coordinate i, b_i the weight
-    whose only doubled coordinate is a 1 at i, built once per (system,
-    width) and kept on the system (``once``).  A key is linear in the
-    doubled coordinates, so key(x) = sum_i x_i key(b_i)."""
+    whose only doubled coordinate is a 1 at i: a 1 in digit i and h_i, b_i's
+    height, in the height digit.  Built once per (system, width) and kept on
+    the system (``once``).  Every key is formed from these by the one rule
+    key(x) = sum_i x_i key(b_i)."""
     hv = system._hvals2
-    dim = len(hv)
-    return tuple(_pack(tuple(int(i == j) for j in range(dim)), hv[i], bits) for i in range(dim))
+    shift = bits * len(hv)
+    return tuple((h << shift) + (1 << (bits * i)) for i, h in enumerate(hv))
 
 
 def _signed_row(row, img: tuple[int, ...]) -> list[int]:
@@ -396,7 +392,7 @@ def product_expansion(
     h_lead = sum(map(mul, leading.coords2, hv))
     total_ceiling = h_lead + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
-        return CharSeries(system, {}, threshold4, total_ceiling)
+        return CharSeries._trusted(system, {}, 0, threshold4, total_ceiling)
 
     other = sum(g_ceil) + sum(p_ceil)
     multiples = []
@@ -411,8 +407,8 @@ def product_expansion(
         bound += abs(terms[-1][0]) * max(map(abs, b.coords2))  # |k| grows along the terms
     for b, _, _ in poly:
         bound += max(map(abs, b.coords2))
-    out = CharSeries._trusted(system, {}, bound, threshold4, total_ceiling)
-    bits, shift = out.bits, out.bits * len(hv)
+    bits = _width(bound)
+    shift = bits * len(hv)
     units = once(system, _unit_keys, bits)
     if w is not None:
         units = _signed_row(units, w.img)
@@ -432,8 +428,7 @@ def product_expansion(
     for fterms, c in factors:
         remaining -= c
         acc = _convolve(acc, fterms, _cut(threshold4 - remaining, shift))
-    out.packed = {k: c for k, c in acc.items() if c}
-    return out
+    return CharSeries._trusted(system, {k: c for k, c in acc.items() if c}, bound, threshold4, total_ceiling)
 
 
 def _convolve(acc: dict[int, int], column: list[tuple[int, int]], cut: int | None) -> dict[int, int]:
@@ -588,21 +583,22 @@ def _denominator(block, bits: int) -> tuple[int, list[int]]:
     [(rho, alt)] = basis.items()
     if alt[rho] != 1:
         raise AssertionError("block rho is not regular dominant for the block")
-    return rho, [_pack(a.coords2, block.system.ht4(a), bits) for a in block.positive]
+    units = once(block.system, _unit_keys, bits)
+    return rho, [sum(map(mul, a.coords2, units)) for a in block.positive]
 
 
-def _straightened(block, summands: Iterable[tuple[int, Weight]], threshold4: int | None):
-    """An empty series, threshold ``threshold4``, whose digits hold max
-    |x|_inf + 3 |rho|_inf over the x = lam + rho of the (c, lam) pairs
-    ``summands``; the block's ``_denominator``; the pairs' ``_basis``.  The
-    bound holds every key of their division: each partial quotient lies on
-    root strings between weights of the straightened alternants (within max
+def _straightened(block, summands: Iterable[tuple[int, Weight]]):
+    """The digit bound max |x|_inf + 3 |rho|_inf over the x = lam + rho of
+    the (c, lam) pairs ``summands`` and its width; the block's
+    ``_denominator`` and the pairs' ``_basis`` at that width.  The bound
+    holds every key of their division: each partial quotient lies on root
+    strings between weights of the straightened alternants (within max
     |x|), a key one root above one of its weights within 2 |rho| more, and
     the quotient, shifted by -rho, within |rho| more."""
     tops = [(c, lam + block.rho) for c, lam in summands]
     bound = max((max(map(abs, x.coords2)) for _, x in tops), default=0) + 3 * max(map(abs, block.rho.coords2))
-    out = CharSeries._trusted(block.system, {}, bound, threshold4, 0)
-    return (out, *once(block, _denominator, out.bits), _basis(block, tops, out.bits))
+    bits = _width(bound)
+    return (bound, bits, *once(block, _denominator, bits), _basis(block, tops, bits))
 
 
 def straighten(block, summands: Iterable[tuple[int, Weight]]) -> CharSeries:
@@ -612,9 +608,10 @@ def straighten(block, summands: Iterable[tuple[int, Weight]]) -> CharSeries:
     Irreducible characters are linearly independent, so two finite sums are
     equal exactly when these series are.  Its ceiling is its top term, the
     character's top, or 0."""
-    out, rho, _, basis = _straightened(block, summands, None)
-    out.packed = {lead - rho: numer[lead] for lead, numer in basis.items()}
-    return out.tightened()
+    bound, bits, rho, _, basis = _straightened(block, summands)
+    packed = {lead - rho: numer[lead] for lead, numer in basis.items()}
+    ceiling4 = _height(max(packed), bits * len(block.system._hvals2)) if packed else 0
+    return CharSeries._trusted(block.system, packed, bound, None, ceiling4)
 
 
 def _string_quotient(numer: dict[int, int], root: int, stop: int | None) -> dict[int, int]:
@@ -674,8 +671,8 @@ def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | No
     internal fault (AssertionError).  Both paths take one ceiling: the top
     straightened weight's height, the character's top, or 0.
     """
-    out, rho, roots, basis = _straightened(block, summands, cut4)
-    shift_bits = out.bits * len(block.system._hvals2)
+    bound, bits, rho, roots, basis = _straightened(block, summands)
+    shift_bits = bits * len(block.system._hvals2)
     cut = _cut(cut4, shift_bits)
     stop = None if cut is None else cut + rho
     numer: dict[int, int] = {}
@@ -687,7 +684,5 @@ def weyl_character(block, summands: Iterable[tuple[int, Weight]], cut4: int | No
                     numer[k] = c
     for root in roots:
         numer = _string_quotient(numer, root, stop)
-    out.packed = {k - rho: c for k, c in numer.items()}
-    if basis:
-        out.ceiling4 = _height(max(basis) - rho, shift_bits)
-    return out
+    ceiling4 = _height(max(basis) - rho, shift_bits) if basis else 0
+    return CharSeries._trusted(block.system, {k - rho: c for k, c in numer.items()}, bound, cut4, ceiling4)

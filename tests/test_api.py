@@ -110,6 +110,37 @@ def test_removed_helpers_are_gone():
     for name in ("_tiebreaks", "_lhs", "_unit_keys"):
         assert not hasattr(pair.system, name), name
     assert not hasattr(pair.levi_block, "_widths")
+    # every key is formed from the unit keys, and every series is built in one step
+    assert not hasattr(series, "_pack") and not hasattr(series.CharSeries, "_set")
+
+
+def test_only_the_two_constructors_set_a_series_field():
+    """Inside series.py a field of a series is assigned by ``__init__`` and
+    ``_trusted`` alone: no step fills in a series it has already built."""
+    from superdenom import series
+
+    fields = set(series.CharSeries.__slots__)
+    setters = set()
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                yield from targets(elt)
+        else:
+            yield node
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if any(isinstance(t, ast.Attribute) and t.attr in fields for t in targets(target)):
+                    setters.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(pathlib.Path(series.__file__).read_text()), "")
+    assert setters == {"CharSeries.__init__", "CharSeries._trusted"}
 
 
 def _calls_by_function(name: str, keyword: str | None = None) -> set[str]:

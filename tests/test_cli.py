@@ -267,6 +267,14 @@ def test_json_of_the_wrong_shape_exit_2(capsys, argv, message):
     assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
 
 
+def test_a_malformed_symbol_names_the_kinds_it_accepts(capsys):
+    code = main(["verify", "--identity", "princ-sd", "--family", "gl", "--m", "1", "--n", "1",
+                 "--orders", '[{"kind":"q","idx":1},{"kind":"d","idx":1}]'])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: a basis symbol is")
+    assert '"kind": "e" or "d"' in err
+
+
 @pytest.mark.parametrize("family,m,n,condition", [
     ("gl", 1, 2, "m >= n"),
     ("b", 1, 2, "m > n"),

@@ -459,6 +459,36 @@ def test_a_product_widens_the_digits_it_needs():
     assert not total.mismatches(one + square)
 
 
+def test_a_term_of_another_shape_is_refused():
+    # a key is a dot product with the system's unit keys, which would drop a
+    # fourth coordinate without a word
+    with pytest.raises(ValueError, match="not of the system's shape"):
+        CharSeries(gl21_system(), {Weight([1, 0, 0, 5], (3, 1)): 1}, None, 0)
+
+
+def test_a_narrower_operand_is_re_encoded_from_its_digits(monkeypatch):
+    # the monomials above: x and one at 16-bit digits, x * x at 32; adding,
+    # multiplying and comparing across the two widths re-encodes the
+    # narrower operand's keys without building a Weight
+    system = gl21_system()
+    w = Weight([2 ** 15 - 1, 0, -(2 ** 15 - 1)], system.shape)
+    zero = Weight.zero(system.shape)
+    x, one = monomial(system, w), monomial(system, zero)
+    square = x * x
+    want_total = CharSeries(system, {w + w: 1, zero: 1}, None, system.ht4(w + w))
+    want_cube = monomial(system, w + w + w)
+
+    def no_weight(*args):
+        raise AssertionError("a Weight was built")
+
+    monkeypatch.setattr(Weight, "_trusted", no_weight)
+    for total in (square + one, one + square):
+        assert (total.bits, total.packed) == (32, want_total.packed)
+    for cube in (x * square, square * x):
+        assert (cube.bits, cube.packed) == (32, want_cube.packed)
+    assert not square.mismatches(x * x) and not (square + one).mismatches(one + square)
+
+
 # -- the packed kernel against the Weight-keyed reference loop -----------------
 
 _KERNEL_SYSTEMS = [("GL", 2, 1), ("GL", 1, 2), ("B", 1, 1), ("C", 2, 1)]
