@@ -338,11 +338,20 @@ def _separating_system(system: PositiveSystem, sums) -> PositiveSystem:
     when every exponent is a root and the system keeps all of the datum's
     roots off zero (a superset of every image; the heights are linear, so
     the positive roots stand for their negatives), that choice is the system
-    itself, and no image is built."""
-    positive = system.positive_even + system.positive_odd
-    if {b for ws in sums for b, _ in ws.geom} <= set(system.datum.roots) and _keeps_off_zero(system, positive):
+    itself, and no image is built.  The datum's root set and the system's
+    root test are each built once and kept on their owner (``once``)."""
+    if {b for ws in sums for b, _ in ws.geom} <= once(system.datum, _root_set) and once(system, _roots_off_zero):
         return system
     return choose_expansion_system(system, [w.act(b) for ws in sums for w in ws.group for b, _ in ws.geom])
+
+
+def _root_set(datum: RootDatum) -> frozenset[Weight]:
+    return frozenset(datum.roots)
+
+
+def _roots_off_zero(system: PositiveSystem) -> bool:
+    """Whether the system's functional keeps its positive roots off zero."""
+    return _keeps_off_zero(system, system.positive_even + system.positive_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +423,7 @@ def compare(
     nothing and does not pass."""
     bad = left.mismatches(right, ratio)
     t = left.window_threshold(right)
-    compared = any((side if t is None else side.truncate(t)).packed for side in (left, right))
+    compared = left.reaches(t) or right.reaches(t)
     return IdentityReport(
         identity_kind=kind,
         system=system,

@@ -63,7 +63,7 @@ class RootDatum:
     even_roots: tuple[Weight, ...]
     odd_roots: tuple[Weight, ...]
     dual_coxeter_sign: str
-    # what is built once per datum (``once``): W_g and W#
+    # what is built once per datum (``once``): W_g, W# and the set of its roots
     _kept: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
@@ -336,9 +336,10 @@ class PositiveSystem:
 
     What a system builds once it keeps in its ``_kept`` dict (``once``): its
     perturbed systems per seed, its left sides e^rho R and e^rho Ř per
-    window (``denominators.lhs``) and the key of each basis vector per
-    digit width (``_unit_keys`` in ``series``), so they live exactly as
-    long as the system they belong to.
+    window (``denominators.lhs``), whether its functional keeps its positive
+    roots off zero (``denominators._separating_system``) and the key of
+    each basis vector per digit width (``_unit_keys`` in ``series``), so
+    they live exactly as long as the system they belong to.
     """
 
     TIEBREAK_SCALE = 1024  # height multiplier accompanying a perturbation

@@ -26,8 +26,14 @@ overflows.  A step that forms keys (the constructor, the kernel
 ``product_expansion``, the division in ``weyl_character``, ``+`` and ``*``)
 sets the bound, takes B from it, and builds its series in one step; an
 operand of a narrower B is re-encoded from its digits, dotted with the wider
-unit keys.  The kernel takes each factor's terms in descending height, so
-its inner loop stops at the first term below the window.  ``Weight`` stays
+unit keys.  The kernel multiplies the finite factors (1 - s e^{-b}) first,
+each in a two-term step that drops a key the moment it cancels, so that a
+left side's even binomials collapse to the few terms of the W_0 alternant
+(Weyl's denominator formula) before any geometric factor multiplies them.
+Each geometric column is then built in one step from its term count, in
+descending height, so the inner loop stops at the first term below the
+window; a key that cancels there is kept at 0 until the end and costs
+the next column no work.  ``Weight`` stays
 at the boundary: the constructor and ``coeff`` take weights, and ``terms``,
 ``support_sorted``, ``to_json``, ``repr`` and the weights ``mismatches``
 returns unpack keys as they go.
@@ -143,6 +149,13 @@ class CharSeries:
 
     def is_zero_on_window(self) -> bool:
         return not self.packed
+
+    def reaches(self, threshold4: int | None) -> bool:
+        """Whether some term has height >= threshold4 (whether any term does,
+        for None): the top key against the cut."""
+        if not self.packed:
+            return False
+        return threshold4 is None or max(self.packed) >= _cut(threshold4, self.bits * len(self.system._hvals2))
 
     def support_sorted(self) -> list[Weight]:
         return sorted(self.terms, key=lambda w: (-self.system.ht4(w), w.coords2))
@@ -302,25 +315,6 @@ class HeightZeroExponent(ValueError):
     under the expansion functional, so that it has no expansion direction."""
 
 
-def _geometric_terms(h: int, s: int, threshold4: int) -> list[tuple[int, int]]:
-    """1/(1 - s e^{-beta}) expanded toward decreasing heights, complete on
-    heights >= threshold4, as (k, coefficient) pairs for the terms
-    e^{k beta} in descending height; ``h`` is the height of beta, not 0."""
-    out = []
-    if h > 0:
-        k = 0
-        while -k * h >= threshold4:
-            out.append((-k, s ** k))
-            k += 1
-    else:
-        # 1/(1-x) = -x^{-1} - x^{-2} - ... in the region |x| > 1
-        k = 1
-        while k * h >= threshold4:
-            out.append((k, -(s ** k)))
-            k += 1
-    return out
-
-
 def _unpacker(bits: int, dim: int):
     """The function taking a packed key to its coordinates (the height digit
     is dropped).  Adding 2^(bits-1) to every digit makes all digits
@@ -376,9 +370,18 @@ def product_expansion(
     the rows ``_signed_row`` reads off w's signed image, of the heights and
     of the unit keys (``_unit_keys``).  w permutes the coordinates and their
     signs, so the digit bound is read off the given weights themselves.
-    Factors are multiplied in turn, and a partial product keeps only the
-    terms that the remaining factors' ceilings can still lift into the
-    window.
+
+    The finite factors are multiplied first, one two-term step each
+    (``_times_binomial``) that drops every key the moment it cancels; on a
+    left side they collapse to the W_0 alternant, much smaller than the
+    partial products of the geometric columns, which the even binomials
+    would otherwise cancel down only at the end.  Then each geometric
+    column, built from its term count (the largest multiple of its exponent
+    the window still needs), is multiplied in (``_convolve``).  A partial
+    product keeps only the terms that the remaining factors' ceilings can
+    still lift into the window; that cut does not depend on the order of
+    the factors, so neither does any term, the threshold, the ceiling or
+    the digit bound.
     """
     hv = system._hvals2
     if w is not None:
@@ -390,21 +393,24 @@ def product_expansion(
     g_ceil = [min(0, h) for _, _, h in geom]
     p_ceil = [max(0, -h) for _, _, h in poly]
     h_lead = sum(map(mul, leading.coords2, hv))
-    total_ceiling = h_lead + sum(g_ceil) + sum(p_ceil)
+    other = sum(g_ceil) + sum(p_ceil)
+    total_ceiling = h_lead + other
     if total_ceiling < threshold4:
         return CharSeries._trusted(system, {}, 0, threshold4, total_ceiling)
 
-    other = sum(g_ceil) + sum(p_ceil)
-    multiples = []
-    for (b, s, h), c in zip(geom, g_ceil):
+    # each column's term count: its terms e^{-k beta} (h > 0, k from 0) or
+    # e^{k beta} (h < 0, k from 1) reach down to threshold4 - (h_lead + other
+    # - c), at or below the column's top c, so k runs to |that| // |h|
+    tops = []
+    for (b, _, h), c in zip(geom, g_ceil):
         if h == 0:
             beta = b if w is None else w.act(b)
             raise HeightZeroExponent(f"cannot expand a geometric factor with height-zero exponent {beta}")
-        multiples.append(_geometric_terms(h, s, threshold4 - (h_lead + other - c)))
+        tops.append(abs(threshold4 - (h_lead + other - c)) // abs(h))
     # digit width: no coordinate of a partial product exceeds this bound
     bound = max(map(abs, leading.coords2))
-    for (b, _, _), terms in zip(geom, multiples):
-        bound += abs(terms[-1][0]) * max(map(abs, b.coords2))  # |k| grows along the terms
+    for (b, _, _), top in zip(geom, tops):
+        bound += top * max(map(abs, b.coords2))
     for b, _, _ in poly:
         bound += max(map(abs, b.coords2))
     bits = _width(bound)
@@ -413,34 +419,52 @@ def product_expansion(
     if w is not None:
         units = _signed_row(units, w.img)
 
-    # each factor's (key, coefficient) terms in descending height
-    factors: list[tuple[list[tuple[int, int]], int]] = []
-    for (b, _, _), terms, c in zip(geom, multiples, g_ceil):
-        kb = sum(map(mul, b.coords2, units))
-        factors.append(([(k * kb, ck) for k, ck in terms], c))
-    for (b, s, h), c in zip(poly, p_ceil):
-        kb = sum(map(mul, b.coords2, units))
-        terms = [(0, 1), (-kb, -s)] if h >= 0 else [(-kb, -s), (0, 1)]
-        factors.append((terms, c))
-
     acc: dict[int, int] = {sum(map(mul, leading.coords2, units)): coeff}
-    remaining = sum(c for _, c in factors)
-    for fterms, c in factors:
+    remaining = other
+    for (b, s, _), c in zip(poly, p_ceil):
         remaining -= c
-        acc = _convolve(acc, fterms, _cut(threshold4 - remaining, shift))
+        acc = _times_binomial(acc, sum(map(mul, b.coords2, units)), s, _cut(threshold4 - remaining, shift))
+    for (b, s, h), c, top in zip(geom, g_ceil, tops):
+        remaining -= c
+        kb = sum(map(mul, b.coords2, units))
+        if h > 0:  # e^{-k beta} for k = 0 .. top
+            column = [(-k * kb, s ** k) for k in range(top + 1)]
+        else:  # 1/(1-x) = -x^{-1} - x^{-2} - ... in the region |x| > 1: e^{k beta} for k = 1 .. top
+            column = [(k * kb, -(s ** k)) for k in range(1, top + 1)]
+        acc = _convolve(acc, column, _cut(threshold4 - remaining, shift))
     return CharSeries._trusted(system, {k: c for k, c in acc.items() if c}, bound, threshold4, total_ceiling)
+
+
+def _times_binomial(acc: dict[int, int], kb: int, s: int, cut: int) -> dict[int, int]:
+    """The product of the terms ``acc`` and 1 - s e^{-b}, b of key ``kb``, on
+    the keys >= cut: acc's own terms, then -s times each one moved down by
+    kb.  A key whose sum is 0 is dropped on the spot, or passed over when it
+    was never stored (a term moved with coefficient 0, or s = 0)."""
+    out = {k: c for k, c in acc.items() if k >= cut}
+    get = out.get
+    for k, c in acc.items():
+        k -= kb
+        if k >= cut:
+            c = get(k, 0) - s * c
+            if c:
+                out[k] = c
+            else:
+                out.pop(k, None)
+    return out
 
 
 def _convolve(acc: dict[int, int], column: list[tuple[int, int]], cut: int | None) -> dict[int, int]:
     """The product of the terms ``acc`` and ``column`` on the keys >= cut
-    (every key for None), zero coefficients kept.  Keys add and ``column``
-    is in descending key order, so each row stops at its first key below
-    the cut."""
+    (every key for None), zero coefficients kept; a zero row of ``acc`` is
+    passed over.  Keys add and ``column`` is in descending key order, so
+    each row stops at its first key below the cut."""
     if cut is None:  # the least sum of two keys: no row stops
         cut = min(acc, default=0) + (column[-1][0] if column else 0)
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in acc.items():
+        if not ca:
+            continue
         lim = cut - ka
         for kb, cb in column:
             if kb < lim:

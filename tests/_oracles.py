@@ -122,7 +122,10 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     the window {ht >= threshold4}, multiplied out on ``Weight`` keys with
     ``ht4`` evaluated for every pair of terms and the result built through
     the filtering constructor of ``ReferenceSeries``.  A product wholly
-    below the window is the empty series with the product's own ceiling."""
+    below the window is the empty series with the product's own ceiling.
+    Its ``bound`` is the digit bound the kernel takes: the leading weight's
+    largest coordinate plus the largest coordinate of each factor's terms
+    (0 for the empty series)."""
     ht4 = system.ht4
     geom = list(geom)
     poly = list(poly)
@@ -130,7 +133,9 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
     p_ceil = [max(0, -ht4(b)) for b, _ in poly]
     total_ceiling = ht4(leading) + sum(g_ceil) + sum(p_ceil)
     if total_ceiling < threshold4:
-        return ReferenceSeries(system, {}, threshold4, total_ceiling)
+        out = ReferenceSeries(system, {}, threshold4, total_ceiling)
+        out.bound = 0
+        return out
 
     factors = []
     other = sum(g_ceil) + sum(p_ceil)
@@ -169,7 +174,10 @@ def reference_product_expansion(system, threshold4, leading, coeff=1, geom=(), p
                     continue
                 nxt[w] = nxt.get(w, 0) + ca * cb
         acc = nxt
-    return ReferenceSeries(system, acc, threshold4, total_ceiling)
+    out = ReferenceSeries(system, acc, threshold4, total_ceiling)
+    top = lambda w: max(map(abs, w.coords2), default=0)
+    out.bound = top(leading) + sum(max(map(top, fterms)) for fterms, _ in factors)
+    return out
 
 
 def reference_lhs(system, kind, threshold4):

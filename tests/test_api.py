@@ -36,6 +36,7 @@ REMOVED = [
     "reflect_simple_roots",
     "erho_pair",
     "character_top4",
+    "_geometric_terms",
 ]
 
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from superdenom.weights import Weight, is_isotropic
+from superdenom import denominators
 from superdenom.rootdata import (
     PositiveSystem,
+    RootDatum,
     Symbol,
     build_root_datum,
     standard_order,
@@ -219,6 +221,54 @@ def test_compare_of_two_empty_series_does_not_pass():
     one = monomial(system, system.rho).truncate(T)
     assert compare("x", "s", "t", 0, one, one).passed
     assert not compare("x", "s", "t", 0, zero, one).passed
+
+
+def test_compare_reads_the_top_keys_and_truncates_nothing(monkeypatch):
+    # "compared anything" is whether either side has a key at or above the
+    # window's cut: a term at exactly the threshold counts, one just below
+    # it does not, and no truncated copy of either side is built
+    system = positive_system(build_root_datum("B", 1, 1), distinguished_order("B", 1, 1))
+    T = window4(system, 4)
+    a = system.simple_roots[0]
+    at = monomial(system, system.rho - 4 * a)
+    below = monomial(system, system.rho - 5 * a)
+    assert system.ht4(system.rho - 4 * a) == T
+    zero = CharSeries.zero(system, T)
+
+    def no_truncate(self, threshold4):
+        raise AssertionError("compare built a truncated copy")
+
+    monkeypatch.setattr(CharSeries, "truncate", no_truncate)
+    assert compare("x", "s", "t", 0, at, at).passed
+    assert compare("x", "s", "t", 0, zero, at).first_mismatch is not None
+    assert not compare("x", "s", "t", 0, zero, below).passed
+    assert compare("x", "s", "t", None, below, below).passed  # no threshold: any term counts
+
+
+def test_the_root_test_of_a_separating_system_is_built_once(monkeypatch):
+    # every kwg exponent is a root, so each check asks whether the system
+    # keeps the datum's roots off zero: that set and that test are built on
+    # the first check and read from their owners' memos on every later one
+    system = positive_system(build_root_datum("GL", 3, 2), standard_order("GL", 3, 2, "edede"))
+    tests, reads = [0], [0]
+    keeps, roots = denominators._keeps_off_zero, RootDatum.roots
+
+    def counting_keeps(*args):
+        tests[0] += 1
+        return keeps(*args)
+
+    def counting_roots(datum):
+        reads[0] += 1
+        return roots.fget(datum)
+
+    monkeypatch.setattr(denominators, "_keeps_off_zero", counting_keeps)
+    monkeypatch.setattr(RootDatum, "roots", property(counting_roots))
+    simple = [X for X in enumerate_diagrams(system) if X.is_simple()]
+    assert len(simple) > 1
+    for X in simple:
+        for kind in ("kwg-d", "kwg-sd"):
+            assert verify(kind, system, X=X, depth=4).passed
+    assert (tests[0], reads[0]) == (1, 1)
 
 
 def test_identity_report_shape():

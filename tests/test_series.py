@@ -2,6 +2,7 @@ import functools
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,11 +12,12 @@ from superdenom.weights import Weight, inner
 from superdenom.rootdata import (
     all_basis_orders,
     build_root_datum,
+    distinguished_order,
     distinguished_orders,
     positive_system,
     standard_order,
 )
-from superdenom.denominators import choose_expansion_system, compare, right_side, verify, window4
+from superdenom.denominators import choose_expansion_system, compare, lhs, right_side, verify, window4
 from superdenom.diagrams import enumerate_diagrams
 from superdenom.series import CharSeries, HeightZeroExponent, f_sum_quotient, product_expansion, straighten, weyl_character
 from superdenom.theta import Block, make_pair
@@ -497,9 +499,11 @@ _KERNEL_SYSTEMS = [("GL", 2, 1), ("GL", 1, 2), ("B", 1, 1), ("C", 2, 1)]
 @st.composite
 def _kernel_case(draw, systems=_KERNEL_SYSTEMS):
     """A system (perturbed or not) of one of the ranks ``systems``, a leading
-    weight whose coordinates may reach 2^19 or beyond, and geometric and
-    finite factors whose exponents are signed sums of roots, so of either
-    height sign or of height zero."""
+    weight whose coordinates may reach 2^19 or beyond, a coefficient that
+    may be 0, and geometric and finite factors whose exponents are signed
+    sums of roots, so of either height sign or of height zero; finite
+    factors come with partners (-b, s), (b, -s) or (-b, -s) on which keys
+    cancel."""
     fam, m, n = draw(st.sampled_from(systems))
     order = draw(st.sampled_from(all_basis_orders(fam, m, n)))
     system = positive_system(build_root_datum(fam, m, n), order)
@@ -520,7 +524,13 @@ def _kernel_case(draw, systems=_KERNEL_SYSTEMS):
         return w
 
     geom = [(exponent(), draw(st.sampled_from([-1, 1]))) for _ in range(draw(st.integers(0, 3)))]
-    poly = [(exponent(), draw(st.sampled_from([-1, 1, 2]))) for _ in range(draw(st.integers(0, 3)))]
+    poly = [(exponent(), draw(st.sampled_from([-1, 1, 2, 0]))) for _ in range(draw(st.integers(0, 3)))]
+    # partners of drawn finite factors, so that keys cancel inside the
+    # finite product: (1 - s e^{-b})(1 + s e^{-b}) loses its middle key
+    for b, s in list(poly):
+        if draw(st.booleans()):
+            poly.append(draw(st.sampled_from([(-b, s), (b, -s), (-b, -s)])))
+    poly = draw(st.permutations(poly))
     depth = draw(st.integers(0, 5))
     # keep each geometric factor to a few dozen terms
     unit = system.unit4
@@ -528,7 +538,7 @@ def _kernel_case(draw, systems=_KERNEL_SYSTEMS):
         h = abs(system.ht4(b))
         assume(h == 0 or depth * unit // h <= 24)
     T = system.ht4(lead) - depth * unit + draw(st.integers(-2, 2))
-    coeff = draw(st.sampled_from([1, -1, 3]))
+    coeff = draw(st.sampled_from([1, -1, 3, 0]))
     return system, T, lead, coeff, geom, poly
 
 
@@ -539,14 +549,20 @@ def test_product_expansion_matches_reference(case):
     try:
         want = reference_product_expansion(system, T, lead, coeff, geom, poly)
     except ValueError as exc:
-        with pytest.raises(HeightZeroExponent) as info:
-            product_expansion(system, T, lead, coeff, geom, poly)
+        # refused before any factor is multiplied
+        def never(*args):
+            raise AssertionError("a factor was multiplied before the refusal")
+
+        with mock.patch.object(series, "_times_binomial", never), mock.patch.object(series, "_convolve", never):
+            with pytest.raises(HeightZeroExponent) as info:
+                product_expansion(system, T, lead, coeff, geom, poly)
         assert str(info.value) == str(exc)
         return
     got = product_expansion(system, T, lead, coeff, geom, poly)
     assert got.terms == want.terms
     assert got.threshold4 == want.threshold4
     assert got.ceiling4 == want.ceiling4
+    assert (got.bound, got.bits) == (want.bound, series._width(want.bound))
     assert all(c != 0 for c in got.terms.values())
     assert all(T <= system.ht4(w) <= got.ceiling4 for w in got.terms)
 
@@ -883,3 +899,33 @@ def test_weyl_sums_copy_a_few_times_the_terms_of_their_pieces(monkeypatch, famil
         for X in enumerate_diagrams(system):
             assert verify("princ-sd", system, X=X, depth=3).passed
     assert 0 < copied[0] <= 8 * pieces[0]
+
+
+@pytest.mark.parametrize(
+    "family,m,n,variant", [("B", 2, 2, None), ("GL", 3, 2, None), ("D", 2, 2, None), ("D", 3, 3, "D2")]
+)
+def test_left_sides_multiply_out_at_a_few_times_the_size_of_their_result(monkeypatch, family, m, n, variant):
+    """The partial products of a depth-8 left side, every order of the rank
+    (the D2 order of D(3,3)), both kinds, hold in sum at most 16 times the
+    terms of the result.  The even roots' binomials multiply out first, to
+    the few terms of the W_0 alternant, and a key that cancels is dropped as
+    it cancels.  With the geometric columns first and the binomials last,
+    B(2,2) on its first order held 1,901 nonzero terms (2,515 keys) for 60,
+    32 times."""
+    stored = [0]
+    for name in ("_times_binomial", "_convolve"):
+
+        def counting(*args, _step=getattr(series, name)):
+            out = _step(*args)
+            stored[0] += sum(1 for c in out.values() if c)
+            return out
+
+        monkeypatch.setattr(series, name, counting)
+    datum = build_root_datum(family, m, n)
+    orders = all_basis_orders(family, m, n) if variant is None else [distinguished_order(family, m, n, variant)]
+    for order in orders:
+        for kind in ("d", "sd"):
+            system = positive_system(datum, order)
+            stored[0] = 0
+            out = lhs(system, kind, window4(system, 8))
+            assert 0 < stored[0] <= 16 * len(out.packed), (order, kind, stored[0], len(out.packed))
